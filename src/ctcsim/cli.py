@@ -43,6 +43,10 @@ SCHEMA_VERSION = "1"
 #: flag in the payload.
 EXPECTED_COLLAPSE = ("bob_skips", "self_signal")
 
+#: Line splitting has 2^copies + 3 opens: 14 copies check in well under a
+#: second, and each further copy doubles the time and memory.
+MAX_COPIES = 14
+
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNEXPECTED_COLLAPSE = 3
@@ -170,6 +174,12 @@ def _gate_spec(text: str) -> GateSpec:
     raise ValueError(f"--unitary must be one of {GATE_NAMES[:-1]} or an existing file, got {text!r}")
 
 
+def _tolerance(value: float) -> float:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"--tolerance must be a finite number >= 0, got {value!r}")
+    return value
+
+
 def _default_seed() -> int:
     env = os.environ.get("CTC_SIM_SEED")
     return int(env) if env else 0
@@ -224,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("topology-check", help="validate a finite topology and test separation")
     common(p)
     p.add_argument("--space", default=None, help="JSON file {points: [...], opens: [[...], ...]}")
-    p.add_argument("--copies", type=int, default=None, help="build a line-splitting model instead")
+    p.add_argument("--copies", type=int, default=None, help=f"build a line-splitting model instead (2..{MAX_COPIES})")
 
     p = sub.add_parser("resources", help="tallies and conversion-relation verdicts")
     common(p, state=True)
@@ -257,8 +267,9 @@ def _run_protocol(args) -> tuple[dict, int, int]:
 def _fixed_point(args, seed) -> dict:
     gate = _parse_gate(args.unitary)
     rho_in = _parse_density(args.state)
-    iterative = solve_deutsch_fixed_point(gate, rho_in, "iterative", tolerance=args.tolerance)
-    spectral = solve_deutsch_fixed_point(gate, rho_in, "spectral", tolerance=args.tolerance)
+    tolerance = _tolerance(args.tolerance)
+    iterative = solve_deutsch_fixed_point(gate, rho_in, "iterative", tolerance=tolerance)
+    spectral = solve_deutsch_fixed_point(gate, rho_in, "spectral", tolerance=tolerance)
     agreement = trace_distance(iterative.rho, spectral.rho)
     return {
         "iterative": iterative.to_json(),
@@ -273,8 +284,9 @@ def _classify(args, seed) -> dict:
     gate = build_gate(gate_spec)
     state = _parse_state(args.state)
     ctc = _parse_state(args.ctc)
-    strong = check_strong(gate, state, ctc, tolerance=args.tolerance)
-    deutsch = check_deutsch(gate, state.density(), ctc.density(), tolerance=args.tolerance)
+    tolerance = _tolerance(args.tolerance)
+    strong = check_strong(gate, state, ctc, tolerance=tolerance)
+    deutsch = check_deutsch(gate, state.density(), ctc.density(), tolerance=tolerance)
     config = ProtocolConfig(input_state=state, ctc_initial=ctc, gate=gate_spec, seed=seed)
     weak = run_session(config).final_verdicts["weak"]
     results = {
@@ -298,6 +310,8 @@ def _topology(args) -> dict:
     if args.space is not None:
         with open(args.space, "r", encoding="utf-8") as handle:
             space = TopologySpace.from_json(json.load(handle))
+    elif args.copies > MAX_COPIES:
+        raise ValueError(f"--copies must be at most {MAX_COPIES}, got {args.copies}")
     else:
         space = build_line_splitting(args.copies)
     ok, violations = validate_topology(space)

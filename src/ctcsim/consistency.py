@@ -8,6 +8,7 @@ requires the state sequence around the loop to be well-ordered and cyclic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .gates import UnitaryGate
 from .states import (
+    ATOL,
     DensityOperator,
     StateVector,
     apply_unitary,
@@ -263,7 +265,11 @@ def solve_deutsch_fixed_point(
 
     iterative: repeated application of the map starting from the
     maximally mixed state until successive iterates agree within
-    ``tolerance`` (at most ``max_iterations`` steps).
+    ``tolerance``, which must be finite and non-negative (at most
+    ``max_iterations`` steps). Each step adds
+    rounding error to the iterate's trace, so an iterate whose trace is
+    off by more than half of ``ATOL`` is divided by it before the next
+    step; otherwise a slow contraction would fail the unit-trace check.
 
     spectral: vectorize the map on the 4-dimensional real space of
     Hermitian operators, take the eigenvalue-1 eigenspace, and project to
@@ -273,6 +279,8 @@ def solve_deutsch_fixed_point(
     """
     if method not in ("iterative", "spectral"):
         raise ValueError(f"unknown method {method!r}")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     r_star, null_basis, defect = _fixed_space(u, rho_in)
     dim_fixed = 1 + len(null_basis)
     basis = [0.5 * (_PAULI[0] + sum(r_star[i] * _PAULI[i + 1] for i in range(3)))]
@@ -283,9 +291,12 @@ def solve_deutsch_fixed_point(
         step = float("inf")
         for iteration in range(1, max_iterations + 1):
             nxt = deutsch_map(u, rho_in, rho)
+            trace = np.trace(nxt.matrix).real
+            if abs(trace - 1.0) > ATOL / 2:
+                nxt = DensityOperator(nxt.matrix / trace)
             step = trace_distance(nxt, rho)
             rho = nxt
-            if step < tolerance:
+            if step <= tolerance:
                 residual = trace_distance(rho, deutsch_map(u, rho_in, rho))
                 return FixedPointSolution(
                     rho, "iterative", iteration, residual, dim_fixed, tuple(basis)

@@ -24,9 +24,13 @@ class BranchError(RuntimeError):
 
 
 class TopologySpace:
-    """A finite set of labeled points plus a collection of open sets."""
+    """A finite set of labeled points plus a collection of open sets.
 
-    __slots__ = ("points", "opens")
+    ``_minimal`` maps each point that lies in some open to U_x, the
+    intersection of the opens that contain it.
+    """
+
+    __slots__ = ("points", "opens", "_minimal")
 
     def __init__(self, points: Iterable[str], opens: Iterable[Iterable[str]]):
         pts = tuple(str(p) for p in points)
@@ -41,8 +45,14 @@ class TopologySpace:
             if fs not in seen:
                 seen.add(fs)
                 unique_opens.append(fs)
+        minimal = {}
+        for p in pts:
+            containing = [o for o in unique_opens if p in o]
+            if containing:
+                minimal[p] = frozenset.intersection(*containing)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "opens", tuple(unique_opens))
+        object.__setattr__(self, "_minimal", minimal)
 
     def __setattr__(self, name, value):
         raise AttributeError("TopologySpace is immutable")
@@ -62,29 +72,15 @@ class TopologySpace:
 
     @classmethod
     def from_subbasis(cls, points: Iterable[str], subbasis: Iterable[Iterable[str]]) -> "TopologySpace":
-        """Generate the coarsest topology containing the given sets."""
-        pts = tuple(str(p) for p in points)
-        full = frozenset(pts)
-        gen = [frozenset(str(p) for p in s) for s in subbasis]
-        basis = {full, frozenset()}
-        # finite intersections of generators
-        frontier = {full}
-        for g in gen:
-            frontier = frontier | {g & f for f in frontier} | {g}
-            basis |= frontier
-        # arbitrary (= finite) unions of basis sets
+        """Generate the coarsest topology containing the given sets: the
+        unions of the minimal opens, U_x being the intersection of the
+        generators that hold x (the full set when none does)."""
+        generators = cls(points, subbasis)
+        full = frozenset(generators.points)
         opens = {frozenset()}
-        frontier = set(basis)
-        while frontier:
-            new = set()
-            for b in basis:
-                for o in frontier:
-                    u = b | o
-                    if u not in opens and u not in frontier and u not in new:
-                        new.add(u)
-            opens |= frontier
-            frontier = new
-        return cls(pts, sorted(opens, key=lambda s: (len(s), sorted(s))))
+        for u in {generators._minimal.get(p, full) for p in generators.points}:
+            opens |= {o | u for o in opens}
+        return cls(generators.points, sorted(opens, key=lambda s: (len(s), sorted(s))))
 
     def subspace(self, subset: Iterable[str]) -> "TopologySpace":
         """Induced topology: traces of the opens on the subset."""
@@ -104,28 +100,29 @@ class TopologySpace:
 
 
 def validate_topology(space: TopologySpace):
-    """Check the axioms by enumeration; returns (ok, violations)."""
-    violations = []
+    """Check the axioms on minimal opens; returns (ok, violations).
+
+    A family holding the empty and the full set is a topology exactly when
+    it holds every U_x and every O | U_x: an intersection of opens is the
+    union of the U_x of its points, and a union is reached by adding one
+    U_x at a time. That is one pass over points x opens. Each missing set
+    is reported once, sorted by kind, size and labels.
+    """
     opens = set(space.opens)
     full = frozenset(space.points)
+    violations = []
     if frozenset() not in opens:
         violations.append("the empty set is not open")
     if full not in opens:
         violations.append("the full point set is not open")
-    for o1, o2 in combinations(opens, 2):
-        if o1 | o2 not in opens:
-            violations.append(f"union {sorted(o1 | o2)} of opens is not open")
-        if o1 & o2 not in opens:
-            violations.append(f"intersection {sorted(o1 & o2)} of opens is not open")
+    missing = {u: "intersection" for u in space._minimal.values() if u not in opens and u != full}
+    for x, u in space._minimal.items():
+        if u in opens:
+            for union in {o | u for o in space.opens if x not in o} - opens - {full}:
+                missing.setdefault(union, "union")
+    for subset, kind in sorted(missing.items(), key=lambda m: (m[1], len(m[0]), sorted(m[0]))):
+        violations.append(f"{kind} {sorted(subset)} of opens is not open")
     return (not violations, violations)
-
-
-def _minimal_open(space: TopologySpace, point: str) -> frozenset:
-    out = frozenset(space.points)
-    for o in space.opens:
-        if point in o:
-            out &= o
-    return out
 
 
 def is_hausdorff(space: TopologySpace):
@@ -139,9 +136,8 @@ def is_hausdorff(space: TopologySpace):
     ok, violations = validate_topology(space)
     if not ok:
         raise ValueError(f"not a topology: {violations[0]}")
-    minimal = {p: _minimal_open(space, p) for p in space.points}
     for x, y in combinations(space.points, 2):
-        if minimal[x] & minimal[y]:
+        if space._minimal[x] & space._minimal[y]:
             return False, (x, y)
     return True, None
 
@@ -157,9 +153,12 @@ def build_line_splitting(copies: int) -> TopologySpace:
     if copies < 2:
         raise ValueError(f"line splitting needs at least 2 copies, got {copies}")
     branch_points = [f"0_{i}" for i in range(1, copies + 1)]
-    points = branch_points + ["-1", "+1"]
-    subbasis = [["-1"], ["+1"]] + [["-1", bp, "+1"] for bp in branch_points]
-    return TopologySpace.from_subbasis(points, subbasis)
+    # every union of the minimal opens {-1}, {+1} and {-1, 0_i, +1}, in
+    # (size, sorted labels) order: "+1" < "-1" < "0_..." as strings
+    opens = [[], ["+1"], ["-1"], ["+1", "-1"]]
+    for size in range(1, copies + 1):
+        opens.extend(["+1", "-1", *c] for c in combinations(sorted(branch_points), size))
+    return TopologySpace(branch_points + ["-1", "+1"], opens)
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,44 @@ def test_topology_check_needs_exactly_one_source(capsys):
     assert "exactly one" in err
 
 
+def test_topology_check_violations_do_not_depend_on_hash_seed(tmp_path):
+    path = tmp_path / "space.json"
+    opens = [[], ["a", "b"], ["b", "c"], ["c", "d"], ["a"], ["a", "b", "c", "d"]]
+    path.write_text(json.dumps({"points": ["a", "b", "c", "d"], "opens": opens}))
+    runs = [
+        run_cli(["topology-check", "--space", str(path)], env={"PYTHONHASHSEED": seed})
+        for seed in ("0", "1")
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["results"]["violations"][0] == (
+        "intersection ['b'] of opens is not open"
+    )
+
+
+def test_topology_check_caps_copies(capsys):
+    code, out, err = run_main(capsys, ["topology-check", "--copies", str(cli.MAX_COPIES + 1)])
+    assert code == cli.EXIT_ERROR and out == ""
+    assert err == f"error: --copies must be at most 14, got {cli.MAX_COPIES + 1}\n"
+
+
+def test_fixed_point_zero_tolerance_converges(capsys):
+    code, out, _ = run_main(
+        capsys,
+        ["fixed-point", "--unitary", "controlled_rotation", "--state", "0.6,0,0,0.8", "--tolerance", "0"],
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["iterative"]["iterations"] == 1
+
+
+@pytest.mark.parametrize("subcommand", ["fixed-point", "classify-consistency"])
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_tolerance_must_be_finite_and_non_negative(capsys, subcommand, tolerance):
+    code, out, err = run_main(capsys, [subcommand, "--tolerance", tolerance])
+    assert code == cli.EXIT_ERROR and out == ""
+    assert err.count("\n") == 1 and "--tolerance" in err
+
+
 def test_config_file(tmp_path, capsys):
     config = {
         "input_state": {"dim": 2, "data": [[0.6, 0.0], [0.8, 0.0]]},

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ctcsim.consistency import (
+    MAX_ITERATIONS,
     ConsistencyVerdict,
     FixedPointError,
     LoopRecord,
@@ -17,7 +18,7 @@ from ctcsim.consistency import (
     solve_deutsch_fixed_point,
     transfer_matrix,
 )
-from ctcsim.gates import cnot, controlled_phase, controlled_rotation, identity, swap
+from ctcsim.gates import UnitaryGate, cnot, controlled_phase, controlled_rotation, identity, swap
 from ctcsim.states import DensityOperator, StateVector, trace_distance
 
 RNG = np.random.default_rng(77)
@@ -199,6 +200,27 @@ def test_iterative_reports_non_convergence():
         solve_deutsch_fixed_point(swap(), rho_in, "iterative", max_iterations=1)
     assert info.value.rho is not None
     assert info.value.residual is not None
+
+
+def test_iterative_survives_slow_contraction_without_trace_drift():
+    # the Bloch map of a partial swap contracts by about 0.9975 a step;
+    # thousands of steps of rounding used to push the iterate's trace past
+    # the unit-trace check, raising ValueError before convergence
+    theta = 0.05
+    gate = UnitaryGate(np.cos(theta) * np.eye(4) + 1j * np.sin(theta) * swap().matrix)
+    rho_in = StateVector.qubit(0.6, 0.8).density()
+    sol = solve_deutsch_fixed_point(gate, rho_in, "iterative")
+    assert 1000 < sol.iterations < MAX_ITERATIONS
+    assert abs(np.trace(sol.rho.matrix) - 1.0) <= 1e-12
+    spectral = solve_deutsch_fixed_point(gate, rho_in, "spectral")
+    assert trace_distance(sol.rho, spectral.rho) <= 1e-9
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("method", ["iterative", "spectral"])
+def test_solver_rejects_negative_or_non_finite_tolerance(method, tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        solve_deutsch_fixed_point(swap(), random_density(), method, tolerance=tolerance)
 
 
 def test_transfer_matrix_first_row_is_trace_row():

@@ -1,3 +1,4 @@
+import ast
 from itertools import combinations
 
 import numpy as np
@@ -21,7 +22,8 @@ RNG = np.random.default_rng(2026)
 
 
 def brute_force_hausdorff(space):
-    """Oracle: try every pair of opens for every pair of points."""
+    """Oracle: try every pair of opens for every pair of points; returns
+    (ok, first non-separable pair in point-list order or None)."""
     for x, y in combinations(space.points, 2):
         separated = False
         for o1 in space.opens:
@@ -29,19 +31,70 @@ def brute_force_hausdorff(space):
                 if x in o1 and y in o2 and not (o1 & o2):
                     separated = True
         if not separated:
-            return False
-    return True
+            return False, (x, y)
+    return True, None
+
+
+def pairwise_violations(space):
+    """Oracle: enumerate every pair of opens. Maps each violation message
+    to its (kind, missing set); the axioms hold exactly when it is empty."""
+    opens = set(space.opens)
+    found = {}
+    if frozenset() not in opens:
+        found["the empty set is not open"] = ("empty", frozenset())
+    if frozenset(space.points) not in opens:
+        found["the full point set is not open"] = ("full", frozenset(space.points))
+    for o1, o2 in combinations(opens, 2):
+        for kind, subset in (("union", o1 | o2), ("intersection", o1 & o2)):
+            if subset not in opens:
+                found[f"{kind} {sorted(subset)} of opens is not open"] = (kind, subset)
+    return found
+
+
+def pairwise_closure(points, subbasis):
+    """Oracle: the coarsest topology by closing the generators under
+    pairwise intersection, then the basis under pairwise union."""
+    full = frozenset(points)
+    gen = [frozenset(s) for s in subbasis]
+    basis = {full, frozenset()}
+    frontier = {full}
+    for g in gen:
+        frontier = frontier | {g & f for f in frontier} | {g}
+        basis |= frontier
+    opens = {frozenset()}
+    frontier = set(basis)
+    while frontier:
+        new = {b | o for b in basis for o in frontier} - opens - frontier
+        opens |= frontier
+        frontier = new
+    return sorted(opens, key=lambda s: (len(s), sorted(s)))
+
+
+def random_subsets(rng, points, count):
+    return [[p for p in points if rng.random() < 0.5] for _ in range(count)]
+
+
+def random_subbasis(rng, max_points=6):
+    points = [f"p{i}" for i in range(int(rng.integers(2, max_points + 1)))]
+    return points, random_subsets(rng, points, int(rng.integers(1, 4)))
 
 
 def random_topology(rng, max_points=6):
-    count = int(rng.integers(2, max_points + 1))
-    points = [f"p{i}" for i in range(count)]
-    num_generators = int(rng.integers(1, 4))
-    subbasis = []
-    for _ in range(num_generators):
-        mask = rng.random(count) < 0.5
-        subbasis.append([p for p, m in zip(points, mask) if m])
-    return TopologySpace.from_subbasis(points, subbasis)
+    return TopologySpace.from_subbasis(*random_subbasis(rng, max_points))
+
+
+def random_family(rng, max_points=6):
+    """A family of subsets that may or may not be a topology: random
+    subsets, or a generated topology with one open dropped."""
+    points = [f"p{i}" for i in range(int(rng.integers(1, max_points + 1)))]
+    if rng.random() < 0.5:
+        opens = random_subsets(rng, points, int(rng.integers(0, 9)))
+        opens += [[], points][: int(rng.integers(0, 3))]
+        return TopologySpace(points, opens)
+    opens = list(TopologySpace.from_subbasis(points, random_subsets(rng, points, 3)).opens)
+    if rng.random() < 0.7:
+        opens.pop(int(rng.integers(len(opens))))
+    return TopologySpace(points, opens)
 
 
 # ------------------------------------------------------------------- validate
@@ -75,6 +128,81 @@ def test_generated_topology_validates():
     assert ok, violations
 
 
+def parse_violation(message):
+    """(kind, missing set) of one union or intersection message."""
+    kind, rest = message.split(" ", 1)
+    return kind, frozenset(ast.literal_eval(rest[: rest.index("]") + 1]))
+
+
+def test_validate_matches_pairwise_oracle_on_random_families():
+    rng = np.random.default_rng(11)
+    invalid = 0
+    for _ in range(400):
+        space = random_family(rng)
+        ok, violations = validate_topology(space)
+        expected = pairwise_violations(space)
+        assert ok == (not expected)
+        invalid += not ok
+        fixed = [v for v in violations if v.startswith("the ")]
+        assert fixed == [v for v in expected if v.startswith("the ")]
+        reported = [parse_violation(v) for v in violations[len(fixed):]]
+        assert reported == sorted(reported, key=lambda r: (r[0], len(r[1]), sorted(r[1])))
+        assert len({subset for _, subset in reported}) == len(reported)
+        opens = set(space.opens)
+        for kind, subset in reported:
+            # a real missing union or intersection of listed opens
+            assert subset not in opens and subset != frozenset(space.points)
+            if kind == "union":
+                assert subset == frozenset().union(*(o for o in opens if o <= subset))
+            else:
+                assert kind == "intersection"
+                containing = [o for o in opens if subset <= o]
+                assert containing and subset == frozenset.intersection(*containing)
+    assert 100 < invalid < 400
+
+
+def test_validate_agrees_with_oracle_on_generated_topologies():
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        space = random_topology(rng)
+        assert validate_topology(space) == (True, [])
+        assert pairwise_violations(space) == {}
+
+
+def test_point_in_no_open_gets_only_the_full_set_message():
+    space = TopologySpace(["a", "b", "c"], [[], ["a"], ["b"], ["a", "b"]])
+    assert validate_topology(space) == (False, ["the full point set is not open"])
+
+
+def test_violations_are_sorted_by_kind_size_and_labels():
+    space = TopologySpace(
+        ["a", "b", "c", "d"], [[], ["a", "b"], ["b", "c"], ["c", "d"], ["a"], ["a", "b", "c", "d"]]
+    )
+    assert validate_topology(space) == (
+        False,
+        [
+            "intersection ['b'] of opens is not open",
+            "intersection ['c'] of opens is not open",
+            "union ['a', 'b', 'c'] of opens is not open",
+            "union ['a', 'c', 'd'] of opens is not open",
+            "union ['b', 'c', 'd'] of opens is not open",
+        ],
+    )
+
+
+def test_from_subbasis_matches_pairwise_closure():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        points, subbasis = random_subbasis(rng)
+        space = TopologySpace.from_subbasis(points, subbasis)
+        assert space.opens == tuple(pairwise_closure(points, subbasis))
+
+
+def test_from_subbasis_rejects_unknown_points():
+    with pytest.raises(ValueError, match="unknown points"):
+        TopologySpace.from_subbasis(["a", "b"], [["z"]])
+
+
 def test_space_rejects_unknown_points_in_opens():
     with pytest.raises(ValueError):
         TopologySpace(["a"], [["a", "z"]])
@@ -103,7 +231,7 @@ def test_doubled_origin_model_witness():
     assert not ok
     assert witness == ("0_1", "0_2")
     # oracle agrees that no separation exists anywhere
-    assert brute_force_hausdorff(space) is False
+    assert brute_force_hausdorff(space) == (False, ("0_1", "0_2"))
 
 
 def test_is_hausdorff_rejects_invalid_space():
@@ -114,7 +242,10 @@ def test_is_hausdorff_rejects_invalid_space():
 def test_checker_agrees_with_brute_force_oracle():
     for _ in range(50):
         space = random_topology(RNG)
-        assert is_hausdorff(space)[0] == brute_force_hausdorff(space)
+        assert is_hausdorff(space) == brute_force_hausdorff(space)
+    for copies in range(2, 6):
+        space = build_line_splitting(copies)
+        assert is_hausdorff(space) == brute_force_hausdorff(space)
 
 
 # ------------------------------------------------------------- line splitting
@@ -168,6 +299,18 @@ def test_one_branch_subspace_keeps_branch_point_entangled_with_past():
     # away from the branch point the subspace is discrete, hence Hausdorff
     regular = space.subspace(["-1", "+1"])
     assert is_hausdorff(regular) == (True, None)
+
+
+@pytest.mark.parametrize("copies", range(2, 9))
+def test_line_splitting_lists_the_generated_opens_in_order(copies):
+    branch_points = [f"0_{i}" for i in range(1, copies + 1)]
+    points = branch_points + ["-1", "+1"]
+    subbasis = [["-1"], ["+1"]] + [["-1", bp, "+1"] for bp in branch_points]
+    built = build_line_splitting(copies)
+    generated = TopologySpace.from_subbasis(points, subbasis)
+    assert built.points == generated.points == tuple(points)
+    assert built.opens == generated.opens == tuple(pairwise_closure(points, subbasis))
+    assert len(built.opens) == 2**copies + 3
 
 
 def test_line_splitting_requires_two_copies():
