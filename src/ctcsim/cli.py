@@ -25,7 +25,7 @@ from .consistency import (
     scan_admissible_inputs,
     solve_deutsch_fixed_point,
 )
-from .gates import GATE_NAMES, GateSpec, UnitaryGate, build_gate
+from .gates import GATE_NAMES, GateSpec, build_gate
 from .protocol import (
     ProtocolConfig,
     run_beam,
@@ -158,14 +158,6 @@ def _parse_density(text: str) -> DensityOperator:
     return DensityOperator(arr) if arr.ndim == 2 else StateVector(arr).density()
 
 
-def _parse_gate(text: str) -> UnitaryGate:
-    if text in GATE_NAMES and text != "custom":
-        return build_gate(GateSpec(text))
-    if Path(text).exists():
-        return build_gate(GateSpec("custom", custom_path=text))
-    raise ValueError(f"--unitary must be one of {GATE_NAMES[:-1]} or an existing file, got {text!r}")
-
-
 def _gate_spec(text: str) -> GateSpec:
     if text in GATE_NAMES and text != "custom":
         return GateSpec(text)
@@ -265,7 +257,7 @@ def _run_protocol(args) -> tuple[dict, int, int]:
 
 
 def _fixed_point(args, seed) -> dict:
-    gate = _parse_gate(args.unitary)
+    gate = build_gate(_gate_spec(args.unitary))
     rho_in = _parse_density(args.state)
     tolerance = _tolerance(args.tolerance)
     iterative = solve_deutsch_fixed_point(gate, rho_in, "iterative", tolerance=tolerance)
@@ -281,13 +273,13 @@ def _fixed_point(args, seed) -> dict:
 
 def _classify(args, seed) -> dict:
     gate_spec = _gate_spec(args.unitary)
-    gate = build_gate(gate_spec)
     state = _parse_state(args.state)
     ctc = _parse_state(args.ctc)
     tolerance = _tolerance(args.tolerance)
+    config = ProtocolConfig(input_state=state, ctc_initial=ctc, gate=gate_spec, seed=seed)
+    gate = config.coupling
     strong = check_strong(gate, state, ctc, tolerance=tolerance)
     deutsch = check_deutsch(gate, state.density(), ctc.density(), tolerance=tolerance)
-    config = ProtocolConfig(input_state=state, ctc_initial=ctc, gate=gate_spec, seed=seed)
     weak = run_session(config).final_verdicts["weak"]
     results = {
         "strong": strong.to_json(),

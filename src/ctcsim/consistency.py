@@ -153,19 +153,28 @@ def _require_coupling_shapes(u: UnitaryGate, *single_qubit_dims):
             raise ValueError(f"expected a single-qubit state, got dim {dim}")
 
 
+def _reduce(u: UnitaryGate, joint: np.ndarray) -> np.ndarray:
+    """Tr_A[U J U-dagger] for any 4x4 matrix J, tracing out the
+    chronology-respecting qubit A; linear in J."""
+    evolved = u.matrix @ joint @ u.matrix.conj().T
+    return np.trace(evolved.reshape(2, 2, 2, 2), axis1=0, axis2=2)
+
+
+def _pauli_transfer(u: UnitaryGate, joints) -> np.ndarray:
+    """4x4 real matrix m[i, j] = Tr(sigma_i Tr_A[U J_j U-dagger]) / 2."""
+    m = np.empty((4, 4))
+    for j, joint in enumerate(joints):
+        image = _reduce(u, joint)
+        for i, pi in enumerate(_PAULI):
+            m[i, j] = 0.5 * np.real(np.trace(pi @ image))
+    return m
+
+
 def deutsch_map(u: UnitaryGate, rho_in: DensityOperator, rho: DensityOperator) -> DensityOperator:
     """The reduced coupling map: trace the chronology-respecting qubit
     out of U (rho_in (x) rho) U-dagger."""
     _require_coupling_shapes(u, rho_in.dim, rho.dim)
-    joint = apply_unitary(tensor_product(rho_in, rho), u)
-    return partial_trace(joint, keep=1)
-
-
-def _deutsch_map_raw(u_mat: np.ndarray, rho_in_mat: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """deutsch_map extended linearly to arbitrary 2x2 matrices."""
-    joint = u_mat @ np.kron(rho_in_mat, mat) @ u_mat.conj().T
-    tensor = joint.reshape(2, 2, 2, 2)
-    return np.trace(tensor, axis1=0, axis2=2)
+    return DensityOperator(_reduce(u, np.kron(rho_in.matrix, rho.matrix)))
 
 
 def check_strong(
@@ -230,12 +239,7 @@ def transfer_matrix(u: UnitaryGate, rho_in: DensityOperator) -> np.ndarray:
     sigma_i; trace preservation makes the first row (1, 0, 0, 0).
     """
     _require_coupling_shapes(u, rho_in.dim, 2)
-    m = np.empty((4, 4))
-    for j, pj in enumerate(_PAULI):
-        image = _deutsch_map_raw(u.matrix, rho_in.matrix, pj)
-        for i, pi in enumerate(_PAULI):
-            m[i, j] = 0.5 * np.real(np.trace(pi @ image))
-    return m
+    return _pauli_transfer(u, [np.kron(rho_in.matrix, p) for p in _PAULI])
 
 
 def _fixed_space(u: UnitaryGate, rho_in: DensityOperator):
@@ -383,12 +387,7 @@ def scan_admissible_inputs(
     """
     _require_coupling_shapes(u, 2, rho.dim)
     # the map rho_in -> Tr_A[U(rho_in (x) rho)U+] is linear in rho_in
-    m = np.empty((4, 4))
-    for j, pj in enumerate(_PAULI):
-        joint = u.matrix @ np.kron(pj, rho.matrix) @ u.matrix.conj().T
-        image = np.trace(joint.reshape(2, 2, 2, 2), axis1=0, axis2=2)
-        for i, pi in enumerate(_PAULI):
-            m[i, j] = 0.5 * np.real(np.trace(pi @ image))
+    m = _pauli_transfer(u, [np.kron(p, rho.matrix) for p in _PAULI])
     a, b = m[1:, 1:], m[1:, 0]
     grid = bloch_grid(grid_resolution)
     target = bloch_vector(rho)

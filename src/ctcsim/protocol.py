@@ -18,7 +18,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import serialize
-from .consistency import LoopRecord, check_deutsch, check_weak
+from .consistency import LoopRecord, check_deutsch, check_weak, deutsch_map
 from .gates import GateSpec, UnitaryGate, bell_pair, build_gate, cnot, embed, hadamard
 from .resources import LedgerEntry, ResourceKind
 from .states import (
@@ -51,6 +51,10 @@ _BASIS_VECTORS = {
         np.array([1.0, -1.0], dtype=complex) / np.sqrt(2),
     ),
 }
+_CHRONOLOGY_PROJECTORS = tuple(
+    np.kron(np.outer(vec, vec.conj()), np.eye(2, dtype=complex))
+    for vec in _BASIS_VECTORS["computational"]
+)
 
 
 class ProtocolError(RuntimeError):
@@ -99,7 +103,10 @@ class ClassicalMessage:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Inputs for one session; states must be normalized single qubits."""
+    """Inputs for one session; states must be normalized single qubits.
+
+    ``coupling`` is the gate that ``gate`` names, built once here.
+    """
 
     input_state: StateVector
     ctc_initial: StateVector = field(default_factory=lambda: StateVector.basis(0))
@@ -109,6 +116,7 @@ class ProtocolConfig:
     bob_measures: bool = False
     seed: int = 0
     storage_cycles: int = 5
+    coupling: UnitaryGate = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.input_state.dim != 2 or self.ctc_initial.dim != 2:
@@ -117,7 +125,8 @@ class ProtocolConfig:
             raise ProtocolError(f"unknown formalism {self.formalism!r}")
         if self.scenario not in SCENARIOS:
             raise ProtocolError(f"unknown scenario {self.scenario!r}")
-        if build_gate(self.gate).dim != 4:
+        object.__setattr__(self, "coupling", build_gate(self.gate))
+        if self.coupling.dim != 4:
             raise ProtocolError("the coupling gate must act on 2 qubits")
         if self.storage_cycles < 0:
             raise ProtocolError("storage_cycles must be nonnegative")
@@ -207,7 +216,7 @@ class Session:
 
     def __init__(self, config: ProtocolConfig, ledger: Optional[BranchLedger] = None):
         self.config = config
-        self.gate: UnitaryGate = build_gate(config.gate)
+        self.gate: UnitaryGate = config.coupling
         self.ledger = ledger if ledger is not None else BranchLedger()
         self.rng = np.random.default_rng(config.seed)
         self.events: list[TranscriptEvent] = []
@@ -258,7 +267,7 @@ class Session:
         self.event("system", "collapse", {"reason": reason})
 
     def carried_density(self) -> DensityOperator:
-        return self.carried.density() if isinstance(self.carried, StateVector) else self.carried
+        return _density(self.carried)
 
 
 def _sample_outcome(rng, probabilities) -> int:
@@ -266,70 +275,55 @@ def _sample_outcome(rng, probabilities) -> int:
     return 0 if draw < probabilities[0] else 1
 
 
-def _coupling_wavefunction(session: Session, chrono: StateVector, ctc: StateVector, actor: str):
-    """Apply the gate, collapse-check, measure-and-factor for pure states.
+def _density(state: Union[StateVector, DensityOperator]) -> DensityOperator:
+    return state.density() if isinstance(state, StateVector) else state
 
-    Returns (probabilities, outcome, chronology factor, ctc factor), or
-    None when the coupling entangled the qubits and the branch collapsed.
+
+def _couple(session: Session, chrono, ctc, actor: str):
+    """Apply the coupling gate to chronology (x) CTC, in either formalism.
+
+    An entangling coupling leaves the CTC qubit mixed; the loop can then
+    never close, so the branch collapses. Returns the joint state, the
+    reduced CTC state, and whether that state stayed pure.
     """
     joint = apply_unitary(tensor_product(chrono, ctc), session.gate)
     session.event(actor, "gate", {"gate": session.gate.label}, time_direction="forward")
-    reduced_ctc = partial_trace(joint.density(), keep=1)
-    if purity(reduced_ctc) < 1.0 - PURITY_TOL:
+    reduced_ctc = partial_trace(_density(joint), keep=1)
+    pure = purity(reduced_ctc) >= 1.0 - PURITY_TOL
+    if not pure:
         session.collapse(f"{actor}_coupling_left_ctc_mixed")
-        return None
-    branches = [measurement_branch(joint, 0, vec) for vec in _BASIS_VECTORS["computational"]]
-    probabilities = [b.norm() ** 2 for b in branches]
-    outcome = _sample_outcome(session.rng, probabilities)
-    chrono_factor = StateVector.basis(outcome)
-    ctc_factor = branches[outcome].normalize()
-    session.event(
-        actor,
-        "measurement",
-        {
-            "subsystem": "chronology",
-            "basis": "computational",
-            "probabilities": [float(p) for p in probabilities],
-            "outcome": outcome,
-            "unnormalized_branches": [
+    return joint, reduced_ctc, pure
+
+
+def _measure_chronology(session: Session, joint, actor: str):
+    """Measure the chronology qubit of a joint state in the computational
+    basis; returns the outcome, both probabilities and the CTC factor.
+
+    Alice's pure-state event also records both unnormalized branches.
+    """
+    detail = {"subsystem": "chronology", "basis": "computational"}
+    if isinstance(joint, StateVector):
+        branches = [measurement_branch(joint, 0, vec) for vec in _BASIS_VECTORS["computational"]]
+        probabilities = [b.norm() ** 2 for b in branches]
+        outcome = _sample_outcome(session.rng, probabilities)
+        ctc_factor = branches[outcome].normalize()
+        if actor == "alice":
+            detail["unnormalized_branches"] = [
                 serialize.complex_to_pairs(b.amplitudes) for b in branches
-            ],
-        },
-    )
-    return probabilities, outcome, chrono_factor, ctc_factor
+            ]
+    else:
+        projected = [proj @ joint.matrix @ proj for proj in _CHRONOLOGY_PROJECTORS]
+        probabilities = [float(np.real(np.trace(p))) for p in projected]
+        outcome = _sample_outcome(session.rng, probabilities)
+        post = DensityOperator(projected[outcome] / probabilities[outcome])
+        ctc_factor = partial_trace(post, keep=1)
+    detail.update(probabilities=probabilities, outcome=outcome)
+    session.event(actor, "measurement", detail)
+    return outcome, probabilities, ctc_factor
 
 
-def _coupling_density(session: Session, chrono: DensityOperator, ctc: DensityOperator, actor: str):
-    """Density-operator mirror of the coupling stage (projective form)."""
-    joint = apply_unitary(tensor_product(chrono, ctc), session.gate)
-    session.event(actor, "gate", {"gate": session.gate.label}, time_direction="forward")
-    reduced_ctc = partial_trace(joint, keep=1)
-    if purity(reduced_ctc) < 1.0 - PURITY_TOL:
-        session.collapse(f"{actor}_coupling_left_ctc_mixed")
-        return None
-    basis = _BASIS_VECTORS["computational"]
-    projected = []
-    probabilities = []
-    for vec in basis:
-        proj = np.kron(np.outer(vec, vec.conj()), np.eye(2, dtype=complex))
-        collapsed = proj @ joint.matrix @ proj
-        probabilities.append(float(np.real(np.trace(collapsed))))
-        projected.append(collapsed)
-    outcome = _sample_outcome(session.rng, probabilities)
-    post = DensityOperator(projected[outcome] / probabilities[outcome])
-    chrono_factor = partial_trace(post, keep=0)
-    ctc_factor = partial_trace(post, keep=1)
-    session.event(
-        actor,
-        "measurement",
-        {
-            "subsystem": "chronology",
-            "basis": "computational",
-            "probabilities": probabilities,
-            "outcome": outcome,
-        },
-    )
-    return probabilities, outcome, chrono_factor, ctc_factor
+def _in_formalism(config: ProtocolConfig, state: StateVector):
+    return state.density() if config.formalism == "density" else state
 
 
 def run_alice_stage(config: ProtocolConfig, session: Session) -> Optional[ClassicalMessage]:
@@ -340,26 +334,25 @@ def run_alice_stage(config: ProtocolConfig, session: Session) -> Optional[Classi
     """
     if session.stage != "created":
         raise ProtocolError(f"Alice stage cannot run from stage {session.stage!r}")
-    if config.formalism == "wavefunction":
-        result = _coupling_wavefunction(session, config.input_state, config.ctc_initial, "alice")
-    else:
-        result = _coupling_density(
-            session, config.input_state.density(), config.ctc_initial.density(), "alice"
+    joint, _, pure = _couple(
+        session,
+        _in_formalism(config, config.input_state),
+        _in_formalism(config, config.ctc_initial),
+        "alice",
+    )
+    if not pure:
+        # the density route in both formalisms: reducing the pure joint
+        # vector differs in the last bits, which reach the weak residual
+        session.carried = deutsch_map(
+            session.gate, config.input_state.density(), config.ctc_initial.density()
         )
-    if result is None:
-        joint = apply_unitary(
-            tensor_product(config.input_state.density(), config.ctc_initial.density()),
-            session.gate,
-        )
-        session.carried = partial_trace(joint, keep=1)
         session.loop_states["rho_out"] = session.carried
         session.stage = "collapsed_at_alice"
         return None
-    probabilities, outcome, _, ctc_factor = result
-    session.carried = ctc_factor
+    outcome, probabilities, session.carried = _measure_chronology(session, joint, "alice")
     session.loop_states["rho_out"] = session.carried_density()
     session.detail["alice_outcome"] = outcome
-    session.detail["alice_probabilities"] = [float(p) for p in probabilities]
+    session.detail["alice_probabilities"] = probabilities
     message = ClassicalMessage("alice", (outcome,), session._order)
     session.messages.append(message)
     session.event("alice", "message", message.to_json())
@@ -369,115 +362,32 @@ def run_alice_stage(config: ProtocolConfig, session: Session) -> Optional[Classi
 
 
 def run_storage_cycles(config: ProtocolConfig, session: Session) -> None:
-    """Idle circulations of the loop; the CTC segment must not evolve."""
-    before = session.carried_density()
+    """Idle circulations of the loop; the CTC segment does not evolve."""
     for cycle in range(config.storage_cycles):
         session.event(
             "system", "storage_cycle", {"cycle": cycle, "evolution": "identity"},
             time_direction="forward",
         )
-        after = session.carried_density()
-        if trace_distance(before, after) > 0.0:
-            raise ProtocolError("storage circulation altered the CTC state")
     session.detail["storage_cycles"] = config.storage_cycles
 
 
-def run_bob_stage(config: ProtocolConfig, session: Session, msg: ClassicalMessage) -> Session:
-    """Bob prepares |outcome>, couples it to the CTC, optionally measures."""
-    if session.stage != "alice_done":
-        raise ProtocolError(f"Bob stage cannot run from stage {session.stage!r}")
-    if msg is None or msg.sender != "alice":
-        raise ProtocolError("Bob's stage needs Alice's classical message")
-    session.loop_states["rho_in_prime"] = session.carried_density()
-
-    reported = int(msg.payload[0])
-    ancilla = StateVector.basis(reported)
-    session.event("bob", "prepare", {"ancilla": reported, "from_message": msg.to_json()})
-    session.book(ResourceKind.ANCILLA, -1)
-
-    if config.scenario == "bob_skips":
-        session.event("bob", "skip", {"reason": "gate and measurement omitted"})
-        session.collapse("bob_skipped_gate")
-        session.loop_states["rho_out_prime"] = session.carried_density()
-        session.stage = "bob_done"
-        return session
-
-    measure = config.bob_measures or config.scenario == "self_signal"
-    if config.formalism == "wavefunction":
-        joint = apply_unitary(tensor_product(ancilla, session.carried), session.gate)
-        session.event("bob", "gate", {"gate": session.gate.label}, time_direction="forward")
-        reduced_ctc = partial_trace(joint.density(), keep=1)
-        if purity(reduced_ctc) < 1.0 - PURITY_TOL:
-            session.collapse("bob_coupling_left_ctc_mixed")
-            session.carried = reduced_ctc
-            session.loop_states["rho_out_prime"] = reduced_ctc
-            session.stage = "bob_done"
-            return session
-        chrono_reduced = partial_trace(joint.density(), keep=0)
-        session.transfer_fidelity = fidelity(config.input_state, chrono_reduced)
-        if measure:
-            branches = [
-                measurement_branch(joint, 0, vec) for vec in _BASIS_VECTORS["computational"]
-            ]
-            probabilities = [b.norm() ** 2 for b in branches]
-            outcome = _sample_outcome(session.rng, probabilities)
-            session.carried = branches[outcome].normalize()
-            session.event(
-                "bob",
-                "measurement",
-                {
-                    "subsystem": "chronology",
-                    "basis": "computational",
-                    "probabilities": [float(p) for p in probabilities],
-                    "outcome": outcome,
-                },
-            )
-            session.detail["bob_outcome"] = outcome
-            session.detail["bob_probabilities"] = [float(p) for p in probabilities]
-        else:
-            session.carried = partial_trace(joint.density(), keep=1)
-            session.transferred = chrono_reduced
+def _bob_coupling(config: ProtocolConfig, session: Session, ancilla: StateVector) -> None:
+    """Bob's gate, then his measurement or the transfer, then self-signaling."""
+    joint, reduced_ctc, pure = _couple(
+        session, _in_formalism(config, ancilla), session.carried, "bob"
+    )
+    if not pure:
+        session.carried = reduced_ctc
+        return
+    chrono_reduced = partial_trace(_density(joint), keep=0)
+    session.transfer_fidelity = fidelity(config.input_state, chrono_reduced)
+    if config.bob_measures or config.scenario == "self_signal":
+        outcome, probabilities, session.carried = _measure_chronology(session, joint, "bob")
+        session.detail["bob_outcome"] = outcome
+        session.detail["bob_probabilities"] = probabilities
     else:
-        joint = apply_unitary(
-            tensor_product(ancilla.density(), session.carried_density()), session.gate
-        )
-        session.event("bob", "gate", {"gate": session.gate.label}, time_direction="forward")
-        reduced_ctc = partial_trace(joint, keep=1)
-        if purity(reduced_ctc) < 1.0 - PURITY_TOL:
-            session.collapse("bob_coupling_left_ctc_mixed")
-            session.carried = reduced_ctc
-            session.loop_states["rho_out_prime"] = reduced_ctc
-            session.stage = "bob_done"
-            return session
-        chrono_reduced = partial_trace(joint, keep=0)
-        session.transfer_fidelity = fidelity(config.input_state, chrono_reduced)
-        if measure:
-            basis = _BASIS_VECTORS["computational"]
-            probabilities = []
-            posts = []
-            for vec in basis:
-                proj = np.kron(np.outer(vec, vec.conj()), np.eye(2, dtype=complex))
-                collapsed = proj @ joint.matrix @ proj
-                probabilities.append(float(np.real(np.trace(collapsed))))
-                posts.append(collapsed)
-            outcome = _sample_outcome(session.rng, probabilities)
-            post = DensityOperator(posts[outcome] / probabilities[outcome])
-            session.carried = partial_trace(post, keep=1)
-            session.event(
-                "bob",
-                "measurement",
-                {
-                    "subsystem": "chronology",
-                    "basis": "computational",
-                    "probabilities": probabilities,
-                    "outcome": outcome,
-                },
-            )
-            session.detail["bob_outcome"] = outcome
-            session.detail["bob_probabilities"] = probabilities
-        else:
-            session.carried = reduced_ctc
-            session.transferred = chrono_reduced
+        session.carried = reduced_ctc
+        session.transferred = chrono_reduced
 
     if config.scenario == "self_signal":
         bob_outcome = session.detail["bob_outcome"]
@@ -497,6 +407,24 @@ def run_bob_stage(config: ProtocolConfig, session: Session, msg: ClassicalMessag
         session.event("bob", "message", illegal.to_json())
         session.collapse("self_signal")
 
+
+def run_bob_stage(config: ProtocolConfig, session: Session, msg: ClassicalMessage) -> Session:
+    """Bob prepares |outcome>, couples it to the CTC, optionally measures."""
+    if session.stage != "alice_done":
+        raise ProtocolError(f"Bob stage cannot run from stage {session.stage!r}")
+    if msg is None or msg.sender != "alice":
+        raise ProtocolError("Bob's stage needs Alice's classical message")
+    session.loop_states["rho_in_prime"] = session.carried_density()
+
+    reported = int(msg.payload[0])
+    session.event("bob", "prepare", {"ancilla": reported, "from_message": msg.to_json()})
+    session.book(ResourceKind.ANCILLA, -1)
+
+    if config.scenario == "bob_skips":
+        session.event("bob", "skip", {"reason": "gate and measurement omitted"})
+        session.collapse("bob_skipped_gate")
+    else:
+        _bob_coupling(config, session, StateVector.basis(reported))
     session.loop_states["rho_out_prime"] = session.carried_density()
     session.stage = "bob_done"
     return session

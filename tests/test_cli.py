@@ -152,9 +152,10 @@ def test_state_and_unitary_files(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["results"]["weak"]["pass"] is True
     # a 2x2 file gate is rejected for the 2-qubit protocol with a clear error
-    code, _, err = run_main(capsys, ["run-protocol", "--unitary", str(gate_path)])
-    assert code == cli.EXIT_ERROR
-    assert "2 qubits" in err
+    for command in ("run-protocol", "classify-consistency"):
+        code, _, err = run_main(capsys, [command, "--unitary", str(gate_path)])
+        assert code == cli.EXIT_ERROR
+        assert "2 qubits" in err
 
 
 def test_fixed_point_accepts_density_matrix_file(tmp_path, capsys):

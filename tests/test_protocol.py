@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ctcsim.consistency import check_weak
-from ctcsim.gates import GateSpec, bell_pair, cnot, embed, hadamard, swap
+from ctcsim.gates import GateSpec, bell_pair, build_gate, cnot, embed, hadamard, swap
 from ctcsim.protocol import (
     BeamReport,
     CausalityError,
@@ -65,6 +65,20 @@ def test_alice_stage_one_input():
     msg = run_alice_stage(cfg, session)
     assert msg.payload == (0,)
     assert np.allclose(session.carried.amplitudes, [0.0, 1.0])
+
+
+def test_session_builds_its_gate_once(monkeypatch):
+    import ctcsim.protocol
+
+    builds = []
+
+    def counting_build(spec):
+        builds.append(spec)
+        return build_gate(spec)
+
+    monkeypatch.setattr(ctcsim.protocol, "build_gate", counting_build)
+    run_session(config(gate=GateSpec("controlled_phase", 0.3), seed=2))
+    assert len(builds) == 1
 
 
 def test_alice_stage_entangling_gate_collapses():
@@ -203,15 +217,30 @@ def test_session_seed_reproducibility():
 
 
 def test_density_and_wavefunction_formalisms_agree():
+    variants = (
+        {},
+        {"bob_measures": True},
+        {"scenario": "storage"},
+        {"scenario": "storage", "bob_measures": True},
+    )
     for seed in range(8):
         state = random_state()
-        wave = run_session(config(state, formalism="wavefunction", seed=seed))
-        dens = run_session(config(state, formalism="density", seed=seed))
-        assert trace_distance(wave.transferred_state, dens.transferred_state) <= 1e-12
-        assert wave.transfer_fidelity == pytest.approx(dens.transfer_fidelity, abs=1e-12)
-        assert wave.final_verdicts["weak"].residual == pytest.approx(
-            dens.final_verdicts["weak"].residual, abs=1e-12
-        )
+        for extra in variants:
+            wave = run_session(config(state, formalism="wavefunction", seed=seed, **extra))
+            dens = run_session(config(state, formalism="density", seed=seed, **extra))
+            assert [e.kind for e in wave.events] == [e.kind for e in dens.events]
+            if extra.get("bob_measures"):
+                assert wave.transferred_state is None and dens.transferred_state is None
+                assert wave.detail["bob_outcome"] == dens.detail["bob_outcome"]
+                assert wave.detail["bob_probabilities"] == pytest.approx(
+                    dens.detail["bob_probabilities"], abs=1e-12
+                )
+            else:
+                assert trace_distance(wave.transferred_state, dens.transferred_state) <= 1e-12
+            assert wave.transfer_fidelity == pytest.approx(dens.transfer_fidelity, abs=1e-12)
+            assert wave.final_verdicts["weak"].residual == pytest.approx(
+                dens.final_verdicts["weak"].residual, abs=1e-12
+            )
 
 
 def test_density_formalism_misbehavior_matches():
