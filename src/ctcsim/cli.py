@@ -20,7 +20,7 @@ import numpy as np
 
 from . import serialize
 from .consistency import (
-    check_deutsch,
+    ConsistencyVerdict,
     check_strong,
     scan_admissible_inputs,
     solve_deutsch_fixed_point,
@@ -46,6 +46,12 @@ EXPECTED_COLLAPSE = ("bob_skips", "self_signal")
 #: Line splitting has 2^copies + 3 opens: 14 copies check in well under a
 #: second, and each further copy doubles the time and memory.
 MAX_COPIES = 14
+#: Work grows linearly in trials and storage cycles and with the cube of the
+#: grid resolution; each cap keeps the slowest run (the noise policy, the
+#: identity gate, which admits every grid point) to about 10 s.
+MAX_TRIALS = 40_000
+MAX_STORAGE_CYCLES = 300_000
+MAX_GRID = 100
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -166,6 +172,12 @@ def _gate_spec(text: str) -> GateSpec:
     raise ValueError(f"--unitary must be one of {GATE_NAMES[:-1]} or an existing file, got {text!r}")
 
 
+def _at_most(flag: str, value: int, cap: int) -> int:
+    if value > cap:
+        raise ValueError(f"{flag} must be at most {cap}, got {value}")
+    return value
+
+
 def _tolerance(value: float) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"--tolerance must be a finite number >= 0, got {value!r}")
@@ -249,6 +261,7 @@ def _run_protocol(args) -> tuple[dict, int, int]:
             seed=args.seed if args.seed is not None else _default_seed(),
             storage_cycles=args.storage_cycles,
         )
+    _at_most("--storage-cycles", config.storage_cycles, MAX_STORAGE_CYCLES)
     transcript = run_session(config)
     code = EXIT_OK
     if transcript.collapse_flag and config.scenario not in EXPECTED_COLLAPSE:
@@ -272,6 +285,8 @@ def _fixed_point(args, seed) -> dict:
 
 
 def _classify(args, seed) -> dict:
+    if args.grid is not None:
+        _at_most("--grid", args.grid, MAX_GRID)
     gate_spec = _gate_spec(args.unitary)
     state = _parse_state(args.state)
     ctc = _parse_state(args.ctc)
@@ -279,8 +294,10 @@ def _classify(args, seed) -> dict:
     config = ProtocolConfig(input_state=state, ctc_initial=ctc, gate=gate_spec, seed=seed)
     gate = config.coupling
     strong = check_strong(gate, state, ctc, tolerance=tolerance)
-    deutsch = check_deutsch(gate, state.density(), ctc.density(), tolerance=tolerance)
-    weak = run_session(config).final_verdicts["weak"]
+    # the session checks the Deutsch condition on these same states
+    verdicts = run_session(config).final_verdicts
+    weak, residual = verdicts["weak"], verdicts["deutsch"].residual
+    deutsch = ConsistencyVerdict("deutsch", residual, residual <= tolerance, tolerance)
     results = {
         "strong": strong.to_json(),
         "deutsch": deutsch.to_json(),
@@ -302,10 +319,8 @@ def _topology(args) -> dict:
     if args.space is not None:
         with open(args.space, "r", encoding="utf-8") as handle:
             space = TopologySpace.from_json(json.load(handle))
-    elif args.copies > MAX_COPIES:
-        raise ValueError(f"--copies must be at most {MAX_COPIES}, got {args.copies}")
     else:
-        space = build_line_splitting(args.copies)
+        space = build_line_splitting(_at_most("--copies", args.copies, MAX_COPIES))
     ok, violations = validate_topology(space)
     results = {"valid": ok, "violations": violations, "points": list(space.points)}
     if ok:
@@ -351,7 +366,7 @@ def dispatch(argv) -> tuple[Report, int, str]:
     elif args.subcommand == "classify-consistency":
         results = _classify(args, seed)
     elif args.subcommand == "beam":
-        results = run_beam(args.trials, args.policy, seed).to_json()
+        results = run_beam(_at_most("--trials", args.trials, MAX_TRIALS), args.policy, seed).to_json()
     elif args.subcommand == "teleport-baseline":
         transcript = run_teleportation_baseline(_parse_state(args.state), seed)
         results = transcript.to_json()

@@ -174,7 +174,7 @@ def deutsch_map(u: UnitaryGate, rho_in: DensityOperator, rho: DensityOperator) -
     """The reduced coupling map: trace the chronology-respecting qubit
     out of U (rho_in (x) rho) U-dagger."""
     _require_coupling_shapes(u, rho_in.dim, rho.dim)
-    return DensityOperator(_reduce(u, np.kron(rho_in.matrix, rho.matrix)))
+    return DensityOperator._trusted(_reduce(u, np.kron(rho_in.matrix, rho.matrix)))
 
 
 def check_strong(
@@ -219,6 +219,8 @@ def bloch_vector(rho: DensityOperator) -> np.ndarray:
 
 def density_from_bloch(r) -> DensityOperator:
     r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValueError(f"Bloch vector must be finite, got {r.tolist()}")
     norm = float(np.linalg.norm(r))
     if norm > 1.0 + 1e-9:
         raise ValueError(f"Bloch vector lies outside the unit ball: |r| = {norm}")
@@ -229,7 +231,7 @@ def density_from_bloch(r) -> DensityOperator:
     if smallest < 0.0:
         # fp fuzz on the ball surface; mix infinitesimally toward center
         mat = (mat - smallest * np.eye(2)) / (1.0 - 2.0 * smallest)
-    return DensityOperator(mat)
+    return DensityOperator._trusted(mat)
 
 
 def transfer_matrix(u: UnitaryGate, rho_in: DensityOperator) -> np.ndarray:
@@ -297,7 +299,7 @@ def solve_deutsch_fixed_point(
             nxt = deutsch_map(u, rho_in, rho)
             trace = np.trace(nxt.matrix).real
             if abs(trace - 1.0) > ATOL / 2:
-                nxt = DensityOperator(nxt.matrix / trace)
+                nxt = DensityOperator._trusted(nxt.matrix / trace)
             step = trace_distance(nxt, rho)
             rho = nxt
             if step <= tolerance:

@@ -9,7 +9,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import serialize
-from .states import ATOL, StateVector
+from .states import ATOL, StateVector, _Frozen
 
 GATE_NAMES = (
     "swap",
@@ -24,7 +24,7 @@ GATE_NAMES = (
 )
 
 
-class UnitaryGate:
+class UnitaryGate(_Frozen):
     """Square complex matrix with U-dagger U = I within 1e-12."""
 
     __slots__ = ("matrix", "dim", "label")
@@ -35,14 +35,7 @@ class UnitaryGate:
             raise ValueError(f"gate must be square, got shape {mat.shape}")
         if not np.allclose(mat.conj().T @ mat, np.eye(mat.shape[0]), atol=ATOL, rtol=0.0):
             raise ValueError(f"matrix is not unitary within 1e-12 (label {label!r})")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dim", int(mat.shape[0]))
-        object.__setattr__(self, "label", str(label))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnitaryGate is immutable")
+        self._set(matrix=mat, dim=mat.shape[0], label=str(label))
 
     @property
     def num_qubits(self) -> int:
@@ -50,9 +43,6 @@ class UnitaryGate:
         if 2**n != self.dim:
             raise ValueError(f"gate dimension {self.dim} is not a power of 2")
         return n
-
-    def dagger(self) -> "UnitaryGate":
-        return UnitaryGate(self.matrix.conj().T, label=f"{self.label}_dagger")
 
     def to_json(self) -> dict:
         return serialize.matrix_to_document(self.matrix)

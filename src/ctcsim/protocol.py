@@ -315,7 +315,7 @@ def _measure_chronology(session: Session, joint, actor: str):
         projected = [proj @ joint.matrix @ proj for proj in _CHRONOLOGY_PROJECTORS]
         probabilities = [float(np.real(np.trace(p))) for p in projected]
         outcome = _sample_outcome(session.rng, probabilities)
-        post = DensityOperator(projected[outcome] / probabilities[outcome])
+        post = DensityOperator._trusted(projected[outcome] / probabilities[outcome])
         ctc_factor = partial_trace(post, keep=1)
     detail.update(probabilities=probabilities, outcome=outcome)
     session.event(actor, "measurement", detail)

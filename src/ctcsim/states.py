@@ -31,6 +31,23 @@ def _as_complex(values) -> np.ndarray:
     return arr
 
 
+class _Frozen:
+    """Immutable value: each field is written once, by :meth:`_set`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, **fields) -> None:
+        """Store the fields; arrays become read-only C-ordered complex copies."""
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value = np.array(value, dtype=complex, order="C")
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+
 def _qubit_count(dim: int) -> int:
     n = int(dim).bit_length() - 1
     if dim <= 0 or 2**n != dim:
@@ -38,7 +55,7 @@ def _qubit_count(dim: int) -> int:
     return n
 
 
-class StateVector:
+class StateVector(_Frozen):
     """A complex amplitude vector over 2**n basis states.
 
     ``normalized=False`` admits unnormalized vectors, used for the
@@ -56,14 +73,7 @@ class StateVector:
                 raise ValueError(f"state is not normalized: |psi|^2 = {norm**2}")
             if abs(norm**2 - 1.0) > ATOL:
                 amps = amps / norm
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dim", int(amps.size))
-        object.__setattr__(self, "normalized", bool(normalized))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StateVector is immutable")
+        self._set(amplitudes=amps, dim=amps.size, normalized=bool(normalized))
 
     @classmethod
     def basis(cls, index: int, num_qubits: int = 1) -> "StateVector":
@@ -92,7 +102,7 @@ class StateVector:
     def density(self) -> "DensityOperator":
         if not self.normalized:
             raise ValueError("density() requires a normalized state")
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityOperator._trusted(np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def equals_up_to_phase(self, other: "StateVector", atol: float = ATOL) -> bool:
         """Physical equality: global phase quotiented out via |<a|b>|."""
@@ -115,7 +125,7 @@ class StateVector:
         return f"StateVector({np.array2string(self.amplitudes, precision=6)})"
 
 
-class DensityOperator:
+class DensityOperator(_Frozen):
     """Hermitian, positive semidefinite, unit-trace matrix over 2**n dims."""
 
     __slots__ = ("matrix", "dim")
@@ -135,29 +145,24 @@ class DensityOperator:
             raise ValueError(
                 f"density operator has negative eigenvalue {eigenvalues.min()}"
             )
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dim", int(mat.shape[0]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityOperator is immutable")
+        self._set(matrix=mat, dim=mat.shape[0])
 
     @classmethod
-    def from_state(cls, state: StateVector) -> "DensityOperator":
-        return state.density()
+    def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
+        """Store, unchecked, a matrix that is a density operator by
+        construction: the image of valid operators under a CPTP map."""
+        rho = cls.__new__(cls)
+        rho._set(matrix=matrix, dim=matrix.shape[0])
+        return rho
 
     @classmethod
     def maximally_mixed(cls, num_qubits: int = 1) -> "DensityOperator":
         dim = 2**num_qubits
-        return cls(np.eye(dim, dtype=complex) / dim)
+        return cls._trusted(np.eye(dim, dtype=complex) / dim)
 
     @property
     def num_qubits(self) -> int:
         return _qubit_count(self.dim)
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
     def to_json(self) -> dict:
         return serialize.matrix_to_document(self.matrix)
@@ -173,7 +178,7 @@ class DensityOperator:
         return f"DensityOperator({np.array2string(self.matrix, precision=6)})"
 
 
-class Projector:
+class Projector(_Frozen):
     """Idempotent Hermitian matrix; P**2 = P within 1e-12."""
 
     __slots__ = ("matrix", "dim")
@@ -186,24 +191,12 @@ class Projector:
             raise ValueError("projector must be Hermitian within 1e-12")
         if not np.allclose(mat @ mat, mat, atol=ATOL, rtol=0.0):
             raise ValueError("projector must be idempotent within 1e-12")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dim", int(mat.shape[0]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Projector is immutable")
+        self._set(matrix=mat, dim=mat.shape[0])
 
     @classmethod
     def onto(cls, state: StateVector) -> "Projector":
         amps = state.normalize().amplitudes
         return cls(np.outer(amps, amps.conj()))
-
-    @classmethod
-    def outcome(cls, subsystem: int, outcome_vector: np.ndarray, num_qubits: int) -> "Projector":
-        """Rank-2**(n-1) projector |b><b| on one qubit, identity elsewhere."""
-        small = np.outer(outcome_vector, np.conj(outcome_vector))
-        return cls(_lift_single(small, subsystem, num_qubits))
 
 
 @dataclass(frozen=True)
@@ -240,7 +233,7 @@ def tensor_product(a: QuantumState, b: QuantumState) -> QuantumState:
             normalized=a.normalized and b.normalized,
         )
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(np.kron(a.matrix, b.matrix))
+        return DensityOperator._trusted(np.kron(a.matrix, b.matrix))
     raise TypeError(
         f"operands must be the same kind, got {type(a).__name__} and {type(b).__name__}"
     )
@@ -264,21 +257,27 @@ def partial_trace(rho: DensityOperator, keep: Union[int, Sequence[int]]) -> Dens
         half = tensor.ndim // 2
         tensor = np.trace(tensor, axis1=axis, axis2=axis + half)
     kept_dim = 2 ** len(keep_list)
-    return DensityOperator(tensor.reshape(kept_dim, kept_dim))
+    return DensityOperator._trusted(tensor.reshape(kept_dim, kept_dim))
 
 
 def apply_unitary(state: QuantumState, u) -> QuantumState:
-    """U|psi> for vectors, U rho U-dagger for density operators."""
+    """U|psi> for vectors, U rho U-dagger for density operators.
+
+    ``u`` is a :class:`~ctcsim.gates.UnitaryGate` or a raw matrix; a raw
+    matrix is checked for unitarity before a density result is trusted.
+    """
+    from .gates import UnitaryGate  # gates imports this module
+
+    if not isinstance(state, (StateVector, DensityOperator)):
+        raise TypeError(f"expected StateVector or DensityOperator, got {type(state).__name__}")
     matrix = u.matrix if hasattr(u, "matrix") else np.asarray(u, dtype=complex)
+    if matrix.shape[1] != state.dim:
+        raise ValueError(f"dimension mismatch: gate {matrix.shape} vs state dim {state.dim}")
     if isinstance(state, StateVector):
-        if matrix.shape[1] != state.dim:
-            raise ValueError(f"dimension mismatch: gate {matrix.shape} vs state dim {state.dim}")
         return StateVector(matrix @ state.amplitudes, normalized=state.normalized)
-    if isinstance(state, DensityOperator):
-        if matrix.shape[1] != state.dim:
-            raise ValueError(f"dimension mismatch: gate {matrix.shape} vs state dim {state.dim}")
-        return DensityOperator(matrix @ state.matrix @ matrix.conj().T)
-    raise TypeError(f"expected StateVector or DensityOperator, got {type(state).__name__}")
+    if not isinstance(u, UnitaryGate):
+        UnitaryGate(matrix)  # a raw matrix is outside input: raises unless unitary
+    return DensityOperator._trusted(matrix @ state.matrix @ matrix.conj().T)
 
 
 def _basis_pair(basis) -> tuple[np.ndarray, np.ndarray]:
@@ -343,7 +342,7 @@ def _measurement_distribution(state, subsystem, b_pair):
             proj = _lift_single(np.outer(bvec, bvec.conj()), subsystem, n)
             collapsed = proj @ state.matrix @ proj
             prob = float(np.real(np.trace(collapsed)))
-            post = DensityOperator(collapsed / prob) if prob > 1e-15 else None
+            post = DensityOperator._trusted(collapsed / prob) if prob > 1e-15 else None
             results.append((label, max(prob, 0.0), post))
         return results
     raise TypeError(f"expected StateVector or DensityOperator, got {type(state).__name__}")

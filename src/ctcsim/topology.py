@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .states import DensityOperator, trace_distance
+from .states import DensityOperator, _Frozen, trace_distance
 
 BRANCH_STATUSES = ("fresh", "in_use", "consumed", "collapsed")
 
@@ -23,7 +23,7 @@ class BranchError(RuntimeError):
     """Violation of the single-use branch contract."""
 
 
-class TopologySpace:
+class TopologySpace(_Frozen):
     """A finite set of labeled points plus a collection of open sets.
 
     ``_minimal`` maps each point that lies in some open to U_x, the
@@ -50,12 +50,7 @@ class TopologySpace:
             containing = [o for o in unique_opens if p in o]
             if containing:
                 minimal[p] = frozenset.intersection(*containing)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "opens", tuple(unique_opens))
-        object.__setattr__(self, "_minimal", minimal)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TopologySpace is immutable")
+        self._set(points=pts, opens=tuple(unique_opens), _minimal=minimal)
 
     @classmethod
     def discrete(cls, points: Iterable[str]) -> "TopologySpace":
@@ -280,10 +275,6 @@ class BranchLedger:
             if record.initial_state is None or record.final_state is None:
                 raise BranchError(f"branch {branch_id} has no recorded loop states")
             return trace_distance(record.initial_state, record.final_state)
-
-    def ids(self) -> tuple:
-        with self._lock:
-            return tuple(self._records)
 
     def summary(self) -> dict:
         with self._lock:

@@ -209,6 +209,46 @@ def test_topology_check_caps_copies(capsys):
     assert err == f"error: --copies must be at most 14, got {cli.MAX_COPIES + 1}\n"
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the cap was checked")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, cap, first_work",
+    [
+        (["beam", "--trials"], "--trials", cli.MAX_TRIALS, "run_beam"),
+        (
+            ["run-protocol", "--scenario", "storage", "--storage-cycles"],
+            "--storage-cycles",
+            cli.MAX_STORAGE_CYCLES,
+            "run_session",
+        ),
+        (["classify-consistency", "--grid"], "--grid", cli.MAX_GRID, "_gate_spec"),
+    ],
+)
+def test_work_caps_reject_before_any_work(capsys, monkeypatch, argv, flag, cap, first_work):
+    monkeypatch.setattr(cli, first_work, _no_work)
+    code, out, err = run_main(capsys, [*argv, str(cap + 1)])
+    assert code == cli.EXIT_ERROR and out == ""
+    assert err == f"error: {flag} must be at most {cap}, got {cap + 1}\n"
+
+
+def test_storage_cycles_cap_applies_to_config_files(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "input_state": {"dim": 2, "data": [[0.6, 0.0], [0.8, 0.0]]},
+        "scenario": "storage",
+        "storage_cycles": cli.MAX_STORAGE_CYCLES + 1,
+    }))
+    monkeypatch.setattr(cli, "run_session", _no_work)
+    code, out, err = run_main(capsys, ["run-protocol", "--config", str(path)])
+    assert code == cli.EXIT_ERROR and out == ""
+    assert err == (
+        f"error: --storage-cycles must be at most {cli.MAX_STORAGE_CYCLES}, "
+        f"got {cli.MAX_STORAGE_CYCLES + 1}\n"
+    )
+
+
 def test_fixed_point_zero_tolerance_converges(capsys):
     code, out, _ = run_main(
         capsys,
@@ -295,6 +335,46 @@ def test_classify_consistency_verdicts(capsys):
     assert results["strong"]["pass"] is True
     assert results["deutsch"]["pass"] is True
     assert results["weak"]["pass"] is True
+
+
+def test_classify_evaluates_deutsch_once(capsys, monkeypatch):
+    from ctcsim import consistency
+
+    original = consistency.check_deutsch
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ctcsim") and getattr(module, "check_deutsch", None) is original:
+            monkeypatch.setattr(module, "check_deutsch", counted)
+    code, _, _ = run_main(capsys, ["classify-consistency", "--grid", "16"])
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tolerance", ["1e-12", "1"])
+def test_classify_deutsch_verdict_uses_tolerance(capsys, tolerance):
+    from ctcsim.consistency import check_deutsch
+    from ctcsim.gates import cnot
+    from ctcsim.states import StateVector
+
+    code, out, _ = run_main(
+        capsys,
+        ["classify-consistency", "--unitary", "cnot", "--state", "0.6,0,0.8,0",
+         "--ctc", "0.8,0,0,0.6", "--tolerance", tolerance],
+    )
+    assert code == 0
+    expected = check_deutsch(
+        cnot(),
+        StateVector.qubit(0.6, 0.8).density(),
+        StateVector.qubit(0.8, 0.6j).density(),
+        tolerance=float(tolerance),
+    )
+    deutsch = json.loads(out)["results"]["deutsch"]
+    assert deutsch == json.loads(cli.canonical_json(expected.to_json()))
 
 
 def test_classify_with_grid_scan(capsys):

@@ -326,3 +326,9 @@ def test_bloch_round_trip():
 def test_bloch_rejects_outside_ball():
     with pytest.raises(ValueError):
         density_from_bloch([1.5, 0, 0])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_bloch_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        density_from_bloch([value, 0, 0])

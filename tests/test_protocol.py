@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 
-from ctcsim.consistency import check_weak
-from ctcsim.gates import GateSpec, bell_pair, build_gate, cnot, embed, hadamard, swap
+from ctcsim.consistency import check_weak, solve_deutsch_fixed_point
+from ctcsim.gates import (
+    GateSpec,
+    UnitaryGate,
+    bell_pair,
+    build_gate,
+    cnot,
+    controlled_rotation,
+    embed,
+    hadamard,
+    swap,
+)
 from ctcsim.protocol import (
+    FORMALISMS,
+    SCENARIOS,
     BeamReport,
     CausalityError,
     ClassicalMessage,
@@ -365,6 +377,40 @@ def test_config_from_json_round_trip():
 def test_config_rejects_two_qubit_input():
     with pytest.raises(ProtocolError):
         ProtocolConfig(input_state=bell_pair())
+
+
+# ------------------------------------------------------------- trusted kernel
+
+
+def test_kernel_runs_no_density_operator_validation(monkeypatch):
+    # inputs are validated once; everything the kernel derives from them
+    # (tensor, conjugation, partial trace, projection, the Deutsch map) is
+    # a density operator by construction and skips the constructor checks
+    configs = [
+        config(gate=GateSpec(gate), formalism=formalism, scenario=scenario, bob_measures=measures)
+        for scenario in SCENARIOS
+        if scenario != "beam"
+        for formalism in FORMALISMS
+        for gate in ("swap", "cnot")
+        for measures in (False, True)
+    ]
+    rho_in = StateVector.qubit(0.6, 0.8).density()
+    # a partial swap needs thousands of steps, so the iterate gets renormalised
+    partial_swap = UnitaryGate(np.cos(0.05) * np.eye(4) + 1j * np.sin(0.05) * swap().matrix)
+    validated = []
+    original = DensityOperator.__init__
+
+    def counting_init(self, matrix):
+        validated.append(matrix)
+        original(self, matrix)
+
+    monkeypatch.setattr(DensityOperator, "__init__", counting_init)
+    for cfg in configs:
+        run_session(cfg)
+    for gate in (swap(), cnot(), controlled_rotation(), partial_swap):
+        for method in ("iterative", "spectral"):
+            solve_deutsch_fixed_point(gate, rho_in, method)
+    assert validated == []
 
 
 # ------------------------------------------------------------------------ beam

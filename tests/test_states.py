@@ -219,6 +219,11 @@ def test_apply_unitary_dimension_mismatch():
         apply_unitary(StateVector.basis(0), swap())
 
 
+def test_apply_unitary_rejects_raw_non_unitary_on_density():
+    with pytest.raises(ValueError):
+        apply_unitary(DensityOperator.maximally_mixed(1), 2 * np.eye(2))
+
+
 # ---------------------------------------------------------------- measurement
 
 
