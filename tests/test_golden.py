@@ -1,4 +1,4 @@
-"""Byte-level goldens for session transcripts and CLI reports.
+"""Byte-level goldens for session transcripts, beam reports and CLI reports.
 
 Each digest is the sha256 of canonical JSON, so any change in a printed
 float, event or verdict shows up here. The digests were recorded with
@@ -14,7 +14,7 @@ import pytest
 
 from ctcsim import cli
 from ctcsim.gates import GateSpec
-from ctcsim.protocol import FORMALISMS, ProtocolConfig, run_session
+from ctcsim.protocol import BEAM_POLICIES, FORMALISMS, ProtocolConfig, run_beam, run_session
 from ctcsim.states import StateVector
 
 INPUT = StateVector.qubit(np.cos(0.4), np.exp(-2.1j) * np.sin(0.4))
@@ -60,6 +60,66 @@ CLI_DIGESTS = {
     "teleport": "f6ae9d94d345e26d15f291ba24aa299c1664686e10cc1cc176f0ebbcce5fab6c",
     "topology": "bfac0ec4079e4df1494f0936325755d9552f6f24b0b7165f4fd4cb698a3d4c7f",
     "resources": "557bf0c4863fe71d54d8081b4137c89f4fcafadd2721701e222b8e8a146e31b0",
+    "beam_csv": "91e96305cdacba797b864fe8fc7b6baf9fe858afa974cc77f291a4277ced2475",
+}
+
+#: Keyed by policy/bases/seed/trials, where bases is "forced" when the
+#: measurement basis is forced to match the preparation.
+BEAM_DIGESTS = {
+    "collapse/random/0/1": "01f59e09d89e02468e5b75e8aa83a7cdca710ea0e91eca2e87c364d00154fa79",
+    "collapse/random/0/37": "f42457b59dbc943cf6b154c11719a0d8d5a839c38e5d082fa40ad998c95f5b1c",
+    "collapse/random/0/2000": "8ea6fa0120ef78e68e1088bfba665edd96a5c224b0d95bb0193fcb979c138250",
+    "collapse/random/11/1": "13c5803d61ebdce48637e3b175699f7d2aa0ee2b543a51a2dcbd51224a6ae060",
+    "collapse/random/11/37": "fb9f34c4e324cc58c84fc44b596d75c4e37d000a0518da11b9a87429f18f11ba",
+    "collapse/random/11/2000": "a4aaa16a305a3193f88731da8765efafcbad24b39bf85a6b907efc89b96a2b9a",
+    "collapse/random/7919/1": "7f3b5fb0d32f13314acb6ecde70556b47dec34fc4a2594f7e6cb15fe61bac668",
+    "collapse/random/7919/37": "d95e1126051354f576d35156d6388addc53ec20b0362a7b7a957a7e615d513fd",
+    "collapse/random/7919/2000": "f1320ea4ccf2363b2f9b4b9d3c99395c667fd4760b9abd8198f6ad243b65348b",
+    "collapse/forced/0/1": "01f59e09d89e02468e5b75e8aa83a7cdca710ea0e91eca2e87c364d00154fa79",
+    "collapse/forced/0/37": "dbed2cec6466467ba039966c147617334fd06602468b69446c9dc5a2ceac6ed0",
+    "collapse/forced/0/2000": "3bffda763593d5d7045992f48df161d5eab9dcc9327094561976872585172247",
+    "collapse/forced/11/1": "568f5d754635657347fa403e4fc77db859f711b7d1b7c1cf4859021f27b381e6",
+    "collapse/forced/11/37": "784dbad8c2e8f3ba2b5bd77be36614c2cc4a7fc627b579ab842ad91bc2f8089f",
+    "collapse/forced/11/2000": "12724efd437db35647a834b4571fe3e390b7758bfb6c49a8546d26f17f5f2771",
+    "collapse/forced/7919/1": "07d312e3d1061881525c77763f8617ed7995d5ef69a5b065bad8b33e8a31bcc1",
+    "collapse/forced/7919/37": "dbcdc473821598be75db59e2550765ab9e04bbc9d526e78f5c4b7aeabbbb73c4",
+    "collapse/forced/7919/2000": "040a59ac7d09159e5eea7bfe3a23f116be5c5ede4c7d57427e5ece2fc75a41a7",
+    "discard/random/0/1": "dea44d654868f2803cb1cc640acdcaf2caca03b44840dddcd2527438be1b6e59",
+    "discard/random/0/37": "68952bf1d6317ecc3046a08dcaa86fb03d6752bc3258ab79dcb7273c4c343acc",
+    "discard/random/0/2000": "40ec812e467031aa1b0845c7b4b5e2a63dee47301404951e4f5bc75a6f1d8fc3",
+    "discard/random/11/1": "9910f508c8461cb57ec3abab3ed237b19116c5b97b14ee50c00fc48043cc146f",
+    "discard/random/11/37": "7005c7550067fd914f0f7d04a6566f118f61202106dd4ee5bd9ea373cf50b455",
+    "discard/random/11/2000": "23851754405969cef222ccecdc5bce6f7db4b678def0a30291a199b6600a4000",
+    "discard/random/7919/1": "a5bfda031d4ec5c92c5594028de4f47245f7345f42e082623c0e135f335fe2ec",
+    "discard/random/7919/37": "a25142d6807db2cfe2d91b37031e891c7c7ab12163774865ce5dd76a9251e244",
+    "discard/random/7919/2000": "b9df5cc0b20d4655708116f30d2fc3b55c80a0893890e8700947b468da0e9974",
+    "discard/forced/0/1": "dea44d654868f2803cb1cc640acdcaf2caca03b44840dddcd2527438be1b6e59",
+    "discard/forced/0/37": "dc44691506fc4a9139beed7c206f3607656274d98e6598904104bef6a82a006c",
+    "discard/forced/0/2000": "bc9c1f0392d8965ad6c8c0e538b11bb533b26a19a89656f51399f4b70d59713a",
+    "discard/forced/11/1": "2fc80924d134f1707864d39c31d56d98e1a352ce4dfa449c6769e47007aa66a5",
+    "discard/forced/11/37": "511459b5dd52fc7c138a0d5414d72d1a81663577629418d58652c0cc0cf2edf1",
+    "discard/forced/11/2000": "ecfa893c2f08768bc3f595688eb99f0f7bea9ccd8fe3a065b5955171f50df26d",
+    "discard/forced/7919/1": "68d7116c2c12025afd4a38726ae06a0115fb9a950691aa774e7cced07dd59cda",
+    "discard/forced/7919/37": "9dd53737ff1b9c9e1de422e47d341a1dc50ee54a002f556c2bed8765cf5e8f22",
+    "discard/forced/7919/2000": "e2e897261643208b0a5e9ac39c67f7996aaaad6e787ce416db644f9b38eaac18",
+    "noise/random/0/1": "0d8a227d7e250ac9a5d638c2f826f4575d558d093322e551d288ab734d39c9e2",
+    "noise/random/0/37": "5631407be506b5db9976394f298408b39de8186a77e86fdced6c4dd7d42e96e0",
+    "noise/random/0/2000": "7eebebbe500bc4e3060ba02af94c0096e470bd1f42c4aaf269a32e92e573f9c9",
+    "noise/random/11/1": "c1aed4c1bf6b4f34a2864313fc99fe7755e08d8335289670326be37fb6f63c6a",
+    "noise/random/11/37": "83e6934d3826fd56c549617fa940777cbd2f8e354e0d3c7f7dc8b35cba33285f",
+    "noise/random/11/2000": "3de9578e2b4fb753692588a6713edb7f1141a8e7d764c2f84a745b6ff2db6671",
+    "noise/random/7919/1": "499baf59f11308281c571417d1df41d6f22569f729ff0dc6948df12d4bf07476",
+    "noise/random/7919/37": "37f765a4ae722c24dbdd6f845ee76a127345fcb68e037b4ce4fdf1e6c7f64563",
+    "noise/random/7919/2000": "0341b54daa0ac020186f7c9b3d74719c14507d4478f7755d49588c152c55e35a",
+    "noise/forced/0/1": "0d8a227d7e250ac9a5d638c2f826f4575d558d093322e551d288ab734d39c9e2",
+    "noise/forced/0/37": "d36b00ddaea7cacee0f90c69c52b91e83afd13335bf4359471b9538f1e44a2d5",
+    "noise/forced/0/2000": "804663e1a3b434e6ab2e5fe539fb6a058082eb1c144c79830f4a29a1209cc404",
+    "noise/forced/11/1": "83830df26a085d6dbef54736f34f9da8b4339b58c5852a9358ba865060952739",
+    "noise/forced/11/37": "0d27798cbe74b37fc83773d0310b1a1c969cc724d00681823f16b5f3d845a86e",
+    "noise/forced/11/2000": "999c72d90f842499087dacc910e67cbfba55ae6b62db19c50a03d632ba111b35",
+    "noise/forced/7919/1": "2a2a1ba845249f5830846adb644b48c35d5da199b4c0b1448cdfccedf466aa20",
+    "noise/forced/7919/37": "f5ae2ac61fe74505e031db541b77bd21132d55c76eb66cd9f20b6155ae5e8294",
+    "noise/forced/7919/2000": "f0f23191c62391aa8e78b8a3d40c3dcfdafd3d988e0a27a0116a07a1728f129b",
 }
 
 
@@ -88,6 +148,20 @@ def test_session_transcripts_match_golden(scenario, formalism, gate):
     assert _sha("\n".join(texts)) == SESSION_DIGESTS[f"{scenario}/{formalism}/{gate}"]
 
 
+@pytest.mark.parametrize("policy", BEAM_POLICIES)
+@pytest.mark.parametrize("force_match", (False, True))
+def test_beam_reports_match_golden(policy, force_match):
+    bases = "forced" if force_match else "random"
+    digests = {
+        f"{policy}/{bases}/{seed}/{trials}": _sha(
+            cli.canonical_json(run_beam(trials, policy, seed, force_match).to_json())
+        )
+        for seed in (0, 11, 7919)
+        for trials in (1, 37, 2000)
+    }
+    assert digests == {key: BEAM_DIGESTS[key] for key in digests}
+
+
 CLI_ARGVS = {
     "run_protocol": ["run-protocol", "--state", "0.6,0,0.8,0", "--seed", "7"],
     "self_signal": ["run-protocol", "--scenario", "self_signal", "--bob-measures", "--seed", "3"],
@@ -96,6 +170,7 @@ CLI_ARGVS = {
     "teleport": ["teleport-baseline", "--state", "0.6,0,0,0.8", "--seed", "2"],
     "topology": ["topology-check", "--copies", "3"],
     "resources": ["resources", "--seed", "5"],
+    "beam_csv": ["beam", "--trials", "10000", "--policy", "noise", "--seed", "3", "--output", "csv"],
 }
 
 
