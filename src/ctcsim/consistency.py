@@ -356,21 +356,16 @@ def bloch_grid(resolution: int):
     radii = np.linspace(0.0, 1.0, resolution // 2 + 1)
     thetas = np.linspace(0.0, np.pi, resolution // 2 + 1)
     phis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    points = [np.zeros(3)]
-    for radius in radii[1:]:
-        for theta in thetas:
-            if theta in (0.0, np.pi):
-                phi_values = phis[:1]
-            else:
-                phi_values = phis
-            for phi in phi_values:
-                points.append(
-                    radius
-                    * np.array(
-                        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-                    )
-                )
-    return np.array(points)
+    theta, phi = np.meshgrid(thetas, phis, indexing="ij")
+    # each pole keeps one azimuth, phi = 0
+    keep = np.ones(theta.shape, dtype=bool)
+    keep[[0, -1], 1:] = False
+    theta, phi = theta[keep], phi[keep]
+    directions = np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1
+    )
+    shells = radii[1:, None, None] * directions
+    return np.concatenate([np.zeros((1, 3)), shells.reshape(-1, 3)])
 
 
 def scan_admissible_inputs(

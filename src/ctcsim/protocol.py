@@ -11,6 +11,7 @@ the branch instead of transferring a state.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -540,6 +541,29 @@ def run_beam(
     basis_names = ("computational", "hadamard")
     swap_matrix = build_gate(GateSpec("swap")).matrix
     probe = StateVector.basis(0)
+    states = [[StateVector(vec) for vec in _BASIS_VECTORS[name]] for name in basis_names]
+    mismatch_action = {"collapse": "collapsed", "discard": "discarded", "noise": "noise"}[policy]
+    # after the swap a trial depends only on (prep_basis, prep_bit,
+    # meas_basis), so its outcome probabilities, action and per-outcome
+    # closure residuals are tabulated once, for those 8 keys
+    table = {}
+    for prep_basis, prep_bit, meas_basis in itertools.product((0, 1), repeat=3):
+        prep_state = states[prep_basis][prep_bit]
+        # swap the known probe in; Alice's chronology qubit now holds the
+        # beam state and the CTC carries the probe
+        joint = (swap_matrix @ np.kron(probe.amplitudes, prep_state.amplitudes)).reshape(2, 2)
+        basis_pair = _BASIS_VECTORS[basis_names[meas_basis]]
+        probabilities = [float(np.linalg.norm(vec.conj() @ joint) ** 2) for vec in basis_pair]
+        matched = meas_basis == prep_basis
+        residuals = (None, None)
+        if matched or policy == "noise":
+            residuals = tuple(
+                trace_distance(prep_state.density(), restored.density())
+                for restored in states[meas_basis]
+            )
+        action = "completed" if matched else mismatch_action
+        table[prep_basis, prep_bit, meas_basis] = probabilities, matched, action, residuals
+
     ledger = BranchLedger()
     records = []
     matches = 0
@@ -547,39 +571,11 @@ def run_beam(
         rng = np.random.default_rng([seed, trial])
         prep_basis = int(rng.integers(2))
         prep_bit = int(rng.integers(2))
-        prep_state = StateVector(_BASIS_VECTORS[basis_names[prep_basis]][prep_bit])
         meas_basis = prep_basis if force_match else int(rng.integers(2))
-
-        branch_id = ledger.allocate()
-        ledger.set_states(branch_id, initial=prep_state.density())
-        # swap the known probe in; Alice's chronology qubit now holds the
-        # beam state and the CTC carries the probe
-        joint = (swap_matrix @ np.kron(probe.amplitudes, prep_state.amplitudes)).reshape(2, 2)
-        basis_pair = _BASIS_VECTORS[basis_names[meas_basis]]
-        probabilities = [float(np.linalg.norm(vec.conj() @ joint) ** 2) for vec in basis_pair]
+        probabilities, matched, action, residuals = table[prep_basis, prep_bit, meas_basis]
         outcome = _sample_outcome(rng, probabilities)
-        matched = meas_basis == prep_basis
-        restored = StateVector(basis_pair[outcome])
-
-        if matched:
-            matches += 1
-            action = "completed"
-            ledger.set_states(branch_id, final=restored.density())
-            ledger.consume(branch_id, "merged")
-            residual = trace_distance(prep_state.density(), restored.density())
-        elif policy == "collapse":
-            action = "collapsed"
-            ledger.consume(branch_id, "collapsed")
-            residual = None
-        elif policy == "discard":
-            action = "discarded"
-            ledger.consume(branch_id, "collapsed")
-            residual = None
-        else:
-            action = "noise"
-            residual = trace_distance(prep_state.density(), restored.density())
-            ledger.set_states(branch_id, final=restored.density())
-            ledger.consume(branch_id, "collapsed")
+        matches += matched
+        ledger.consume(ledger.allocate(), "merged" if matched else "collapsed")
         records.append(
             {
                 "trial": trial,
@@ -589,7 +585,7 @@ def run_beam(
                 "outcome": outcome,
                 "matched": matched,
                 "action": action,
-                "closure_residual": residual,
+                "closure_residual": residuals[outcome],
             }
         )
     statuses = ledger.summary().values()

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -84,6 +85,14 @@ def test_report_is_valid_json_with_schema_version(capsys):
     assert doc["seed"] == 1
     assert doc["command"][0] == "run-protocol"
     assert "wall_time_ms" not in doc
+
+
+@pytest.mark.parametrize("output", ("json", "csv"))
+def test_stderr_times_compute_and_serialization_on_one_line(capsys, output):
+    code, out, err = run_main(capsys, ["beam", "--trials", "50", "--output", output])
+    assert code == 0
+    assert re.fullmatch(r"wall_time_ms=\d+\.\d{3} serialize_ms=\d+\.\d{3}\n", err)
+    assert "_ms" not in out
 
 
 # ------------------------------------------------------------------ exit codes

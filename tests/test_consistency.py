@@ -281,6 +281,33 @@ def test_grid_covers_purity_range():
     assert purities.max() == pytest.approx(1.0)
 
 
+def loop_bloch_grid(resolution):
+    """Oracle: the grid built point by point, radius, then polar angle,
+    then azimuth; each pole keeps only phi = 0."""
+    radii = np.linspace(0.0, 1.0, resolution // 2 + 1)
+    thetas = np.linspace(0.0, np.pi, resolution // 2 + 1)
+    phis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    points = [np.zeros(3)]
+    for radius in radii[1:]:
+        for theta in thetas:
+            phi_values = phis[:1] if theta in (0.0, np.pi) else phis
+            for phi in phi_values:
+                points.append(
+                    radius
+                    * np.array(
+                        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+                    )
+                )
+    return np.array(points)
+
+
+@pytest.mark.parametrize("resolution", [*range(8, 33), 100])
+def test_grid_is_bitwise_the_point_by_point_grid(resolution):
+    grid, oracle = bloch_grid(resolution), loop_bloch_grid(resolution)
+    assert grid.shape == oracle.shape
+    assert grid.tobytes() == oracle.tobytes()
+
+
 # ----------------------------------------------------------------------- weak
 
 

@@ -13,7 +13,9 @@ from ctcsim.gates import (
     hadamard,
     swap,
 )
+from ctcsim import protocol
 from ctcsim.protocol import (
+    BEAM_POLICIES,
     FORMALISMS,
     SCENARIOS,
     BeamReport,
@@ -33,7 +35,7 @@ from ctcsim.protocol import (
 )
 from ctcsim.resources import ResourceKind, tally
 from ctcsim.states import DensityOperator, StateVector, fidelity, trace_distance
-from ctcsim.topology import BranchLedger
+from ctcsim.topology import BranchError, BranchLedger
 
 RNG = np.random.default_rng(55)
 
@@ -461,6 +463,60 @@ def test_beam_argument_validation():
         run_beam(0, "collapse")
     with pytest.raises(ProtocolError):
         run_beam(10, "explode")
+
+
+@pytest.mark.parametrize("policy", BEAM_POLICIES)
+def test_beam_state_work_does_not_grow_with_trials(policy, monkeypatch):
+    # a trial's outcome and residual depend on three bits only, so the state
+    # constructions and eigendecompositions happen once per beam, not per trial
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(StateVector, "__init__", counted("vector", StateVector.__init__))
+    monkeypatch.setattr(DensityOperator, "__init__", counted("density", DensityOperator.__init__))
+    trusted = DensityOperator._trusted.__func__
+    monkeypatch.setattr(DensityOperator, "_trusted", classmethod(counted("trusted", trusted)))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+
+    counts = []
+    for trials in (10, 1000):
+        calls.clear()
+        run_beam(trials, policy, seed=3)
+        counts.append({name: calls.count(name) for name in set(calls)})
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("policy", BEAM_POLICIES)
+def test_beam_uses_each_branch_once(policy, monkeypatch):
+    ledgers = []
+
+    class RecordingLedger(BranchLedger):
+        def __init__(self):
+            super().__init__()
+            ledgers.append(self)
+
+    monkeypatch.setattr(protocol, "BranchLedger", RecordingLedger)
+    report = run_beam(200, policy, seed=5)
+    (ledger,) = ledgers
+    statuses = ledger.summary()
+    assert sorted(statuses, key=int) == [str(trial) for trial in range(200)]
+    assert set(statuses.values()) <= {"consumed", "collapsed"}
+    assert report.branch_summary == {
+        "merged": list(statuses.values()).count("consumed"),
+        "collapsed": list(statuses.values()).count("collapsed"),
+        "distinct_branches": 200,
+    }
+    merged = sum(record["matched"] for record in report.records)
+    assert report.branch_summary["merged"] == merged
+    for branch_id in (0, 199):
+        with pytest.raises(BranchError):
+            ledger.consume(branch_id, "collapsed")
 
 
 # --------------------------------------------------------------- teleportation
