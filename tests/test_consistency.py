@@ -3,6 +3,7 @@ import pytest
 
 from ctcsim.consistency import (
     MAX_ITERATIONS,
+    SOLVER_AGREEMENT_TOL,
     ConsistencyVerdict,
     FixedPointError,
     LoopRecord,
@@ -19,7 +20,7 @@ from ctcsim.consistency import (
     transfer_matrix,
 )
 from ctcsim.gates import UnitaryGate, cnot, controlled_phase, controlled_rotation, identity, swap
-from ctcsim.states import DensityOperator, StateVector, trace_distance
+from ctcsim.states import DensityOperator, StateVector, tensor_product, trace_distance
 
 RNG = np.random.default_rng(77)
 
@@ -359,3 +360,229 @@ def test_bloch_rejects_outside_ball():
 def test_bloch_rejects_non_finite(value):
     with pytest.raises(ValueError):
         density_from_bloch([value, 0, 0])
+
+
+# ------------------------------------------------------------ kernel oracles
+# The Bloch-coordinate kernel must compute every float with the same single
+# operations as the generic implementations below, which it replaced; these
+# tests compare the two by bytes.
+
+PAULI = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def haar_unitary(rng, dim=4) -> np.ndarray:
+    """Haar-random unitary: QR of a complex Gaussian, with the phases of
+    R's diagonal moved into Q (Mezzadri 2007)."""
+    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def old_reduce(u, joint):
+    evolved = u.matrix @ joint @ u.matrix.conj().T
+    return np.trace(evolved.reshape(2, 2, 2, 2), axis1=0, axis2=2)
+
+
+def old_pauli_transfer(u, joints):
+    m = np.empty((4, 4))
+    for j, joint in enumerate(joints):
+        image = old_reduce(u, joint)
+        for i, pi in enumerate(PAULI):
+            m[i, j] = 0.5 * np.real(np.trace(pi @ image))
+    return m
+
+
+def old_bloch_vector(rho):
+    return np.array([float(np.real(np.trace(p @ rho.matrix))) for p in PAULI[1:]])
+
+
+def old_density_matrix_from_bloch(r):
+    r = np.asarray(r, dtype=float)
+    norm = float(np.linalg.norm(r))
+    if norm > 1.0:
+        r = r / norm
+    mat = 0.5 * (PAULI[0] + r[0] * PAULI[1] + r[1] * PAULI[2] + r[2] * PAULI[3])
+    smallest = float(np.linalg.eigvalsh(mat).min())
+    if smallest < 0.0:
+        mat = (mat - smallest * np.eye(2)) / (1.0 - 2.0 * smallest)
+    return mat
+
+
+def old_fixed_set_distance(solution, rho):
+    r = old_bloch_vector(rho)
+    r0 = old_bloch_vector(solution.rho)
+    if not solution.degenerate:
+        return float(np.linalg.norm(r - r0))
+    directions = []
+    for mat in solution.fixed_space_basis[1:]:
+        directions.append([float(np.real(np.trace(p @ mat))) for p in PAULI[1:]])
+    basis = np.array(directions).T
+    coef, *_ = np.linalg.lstsq(basis, r - r0, rcond=None)
+    return float(np.linalg.norm(r - r0 - basis @ coef))
+
+
+def old_residuals(u, rho, grid):
+    m = old_pauli_transfer(u, [np.kron(p, rho.matrix) for p in PAULI])
+    a, b = m[1:, 1:], m[1:, 0]
+    return 0.5 * np.linalg.norm(grid @ a.T + b - old_bloch_vector(rho), axis=1)
+
+
+def old_scan(u, rho, resolution, residual_tolerance):
+    grid = bloch_grid(resolution)
+    residuals = old_residuals(u, rho, grid)
+    return [
+        (old_density_matrix_from_bloch(point), float(residual))
+        for point, residual in zip(grid, residuals)
+        if residual <= residual_tolerance
+    ]
+
+
+def assert_same_bytes(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.dtype == old.dtype and new.shape == old.shape
+    assert new.tobytes() == old.tobytes()
+
+
+def special_densities():
+    """States with exact zeros, signed zeros and entries of +-1/2."""
+    h = 1 / np.sqrt(2)
+    vectors = [[1, 0], [0, 1], [h, h], [h, -h], [h, 1j * h], [h, -1j * h], [-0.0, 1], [1, -0.0]]
+    states = [StateVector(v).density() for v in vectors]
+    states.append(DensityOperator.maximally_mixed())
+    states += [
+        density_from_bloch(r)
+        for r in ([-0.0, -0.0, 1.0], [-0.0, 0.0, -0.0], [0.0, -0.0, -1.0], [-1.0, -0.0, 0.0])
+    ]
+    return states
+
+
+def random_pure_and_mixed(rng, count):
+    states = []
+    for _ in range(count):
+        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+        states.append(StateVector(amps / np.linalg.norm(amps)).density())
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        mat = g @ g.conj().T
+        states.append(DensityOperator(mat / np.trace(mat).real))
+    return states
+
+
+def kernel_couplings(rng, count=40):
+    return NAMED_COUPLINGS + [UnitaryGate(haar_unitary(rng)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("resolution", [*range(8, 33), 100])
+def test_density_from_bloch_is_bitwise_the_old_one_on_the_grid(resolution):
+    grid = bloch_grid(resolution)
+    if resolution == 100:
+        # every point near the surface, plus a stride through the interior
+        radii = np.linalg.norm(grid, axis=1)
+        grid = np.concatenate([grid[radii > 0.99], grid[::97]])
+    for point in grid:
+        assert_same_bytes(density_from_bloch(point).matrix, old_density_matrix_from_bloch(point))
+
+
+@pytest.mark.parametrize("radius", [1 - 2e-12, 1 - 1e-12, 1.0, 1 + 1e-10])
+def test_density_from_bloch_is_bitwise_the_old_one_near_the_surface(radius):
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        direction = rng.normal(size=3)
+        point = radius * (direction / np.linalg.norm(direction))
+        assert_same_bytes(density_from_bloch(point).matrix, old_density_matrix_from_bloch(point))
+
+
+def test_density_from_bloch_is_bitwise_the_old_one_on_random_points():
+    rng = np.random.default_rng(12)
+    points = rng.uniform(-1, 1, size=(3000, 3))
+    for point in points[np.linalg.norm(points, axis=1) <= 1.0]:
+        assert_same_bytes(density_from_bloch(point).matrix, old_density_matrix_from_bloch(point))
+
+
+def test_bloch_vector_is_bitwise_the_old_one():
+    rng = np.random.default_rng(13)
+    states = special_densities() + random_pure_and_mixed(rng, 500)
+    states += [density_from_bloch(point) for point in bloch_grid(16)]
+    for rho in states:
+        assert_same_bytes(bloch_vector(rho), old_bloch_vector(rho))
+        again = density_from_bloch(bloch_vector(rho)).matrix
+        assert_same_bytes(again, old_density_matrix_from_bloch(old_bloch_vector(rho)))
+
+
+def test_tensor_product_is_bitwise_np_kron():
+    rng = np.random.default_rng(14)
+    for qubits_a, qubits_b in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]:
+        for _ in range(20):
+            va = StateVector(haar_unitary(rng, 2**qubits_a)[0])
+            vb = StateVector(haar_unitary(rng, 2**qubits_b)[0])
+            joint = tensor_product(va, vb)
+            assert_same_bytes(joint.amplitudes, np.kron(va.amplitudes, vb.amplitudes))
+            ra, rb = va.density(), vb.density()
+            assert_same_bytes(tensor_product(ra, rb).matrix, np.kron(ra.matrix, rb.matrix))
+
+
+def test_deutsch_map_and_transfer_matrix_are_bitwise_the_old_ones():
+    rng = np.random.default_rng(15)
+    states = special_densities() + random_pure_and_mixed(rng, 10)
+    for gate in kernel_couplings(rng):
+        for rho_in in states:
+            rho = states[rng.integers(len(states))]
+            assert_same_bytes(
+                deutsch_map(gate, rho_in, rho).matrix,
+                old_reduce(gate, np.kron(rho_in.matrix, rho.matrix)),
+            )
+            assert_same_bytes(
+                transfer_matrix(gate, rho_in),
+                old_pauli_transfer(gate, [np.kron(rho_in.matrix, p) for p in PAULI]),
+            )
+
+
+def test_scan_is_bitwise_the_old_per_point_scan():
+    rng = np.random.default_rng(16)
+    states = special_densities() + random_pure_and_mixed(rng, 2)
+    for gate in kernel_couplings(rng, 4):
+        for k, rho in enumerate(states):
+            resolution = int(rng.integers(8, 13))
+            # every point is kept at an infinite tolerance: one state per gate
+            tolerances = (SOLVER_AGREEMENT_TOL, 0.3) + ((np.inf,) if k == 0 else ())
+            for tolerance in tolerances:
+                new = scan_admissible_inputs(gate, rho, resolution, tolerance)
+                old = old_scan(gate, rho, resolution, tolerance)
+                assert len(new) == len(old)
+                for (candidate, residual), (old_matrix, old_residual) in zip(new, old):
+                    assert_same_bytes(candidate.matrix, old_matrix)
+                    assert_same_bytes(residual, old_residual)
+
+
+def test_identity_scan_is_bitwise_the_old_scan_at_grid_100():
+    rho = random_pure_and_mixed(np.random.default_rng(17), 1)[1]
+    new = scan_admissible_inputs(identity(), rho, 100)
+    grid = bloch_grid(100)
+    assert len(new) == len(grid)
+    # the old per-point path is slow: check every surface point and a stride
+    radii = np.linalg.norm(grid, axis=1)
+    for index in [*np.flatnonzero(radii > 0.99), *range(0, len(grid), 97)]:
+        assert_same_bytes(new[index][0].matrix, old_density_matrix_from_bloch(grid[index]))
+    assert_same_bytes([r for _, r in new], old_residuals(identity(), rho, grid))
+
+
+def test_fixed_set_distance_is_bitwise_the_old_one():
+    rng = np.random.default_rng(18)
+    rho_ins = special_densities() + random_pure_and_mixed(rng, 2)
+    probes = special_densities() + random_pure_and_mixed(rng, 4)
+    probes += [density_from_bloch(point) for point in bloch_grid(8)[::4]]
+    degenerate = 0
+    for gate in kernel_couplings(rng, 4):
+        for rho_in in rho_ins:
+            solution = solve_deutsch_fixed_point(gate, rho_in, "spectral")
+            degenerate += solution.degenerate
+            for rho in probes:
+                assert_same_bytes(
+                    fixed_set_distance(solution, rho), old_fixed_set_distance(solution, rho)
+                )
+    assert degenerate > 0

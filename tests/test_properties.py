@@ -27,18 +27,10 @@ from ctcsim.states import (  # noqa: E402
     partial_trace,
     tensor_product,
 )
+from test_consistency import haar_unitary  # noqa: E402
 
 seeds = st.integers(0, 2**32 - 1)
 examples = settings(max_examples=200, deadline=None)
-
-
-def haar_unitary(rng, dim=4) -> np.ndarray:
-    """Haar-random unitary: QR of a complex Gaussian, with the phases of
-    R's diagonal moved into Q (Mezzadri 2007)."""
-    z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
 
 
 def random_density(rng, num_qubits=1) -> DensityOperator:
