@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,6 +20,8 @@ from .states import (
     ATOL,
     DensityOperator,
     StateVector,
+    _half_trace_norm,
+    _kron,
     apply_unitary,
     fidelity,
     partial_trace,
@@ -29,6 +32,9 @@ from .states import (
 STRICT_TOL = 1e-12
 SOLVER_AGREEMENT_TOL = 1e-9
 MAX_ITERATIONS = 10_000
+# inside this radius the smallest eigenvalue, (1 - |r|)/2 >= 5e-13, dwarfs
+# LAPACK's error (about 4e-16), so a Bloch matrix needs no positivity check
+_SURFACE_SHELL = 1.0 - 1e-12
 
 LOOP_LABELS = ("rho_in", "rho_out", "rho_in_prime", "rho_out_prime")
 
@@ -99,6 +105,15 @@ class FixedPointSolution:
     def note(self) -> str:
         return "one of many" if self.degenerate else "unique"
 
+    @cached_property
+    def _bloch(self) -> np.ndarray:
+        return bloch_vector(self.rho)
+
+    @cached_property
+    def _directions(self) -> np.ndarray:
+        """3 x k matrix whose columns are the fixed set's Bloch directions."""
+        return np.array([_pauli_coefficients(m)[1:] for m in self.fixed_space_basis[1:]]).T
+
     def to_json(self) -> dict:
         return {
             "method": self.method,
@@ -157,24 +172,37 @@ def _reduce(u: UnitaryGate, joint: np.ndarray) -> np.ndarray:
     """Tr_A[U J U-dagger] for any 4x4 matrix J, tracing out the
     chronology-respecting qubit A; linear in J."""
     evolved = u.matrix @ joint @ u.matrix.conj().T
-    return np.trace(evolved.reshape(2, 2, 2, 2), axis1=0, axis2=2)
+    return evolved[:2, :2] + evolved[2:, 2:]
+
+
+def _pauli_coefficients(mat: np.ndarray) -> tuple:
+    """Re Tr(sigma_i M) for sigma = I, X, Y, Z and a 2x2 M, entry by entry.
+
+    The trace of the product sigma_i @ M sums from +0.0, so an exact zero
+    is +0.0; adding 0.0 keeps that sign.
+    """
+    (m00, m01), (m10, m11) = mat.tolist()
+    return (
+        m00.real + m11.real + 0.0,
+        m01.real + m10.real + 0.0,
+        m10.imag - m01.imag + 0.0,
+        m00.real - m11.real + 0.0,
+    )
 
 
 def _pauli_transfer(u: UnitaryGate, joints) -> np.ndarray:
     """4x4 real matrix m[i, j] = Tr(sigma_i Tr_A[U J_j U-dagger]) / 2."""
     m = np.empty((4, 4))
     for j, joint in enumerate(joints):
-        image = _reduce(u, joint)
-        for i, pi in enumerate(_PAULI):
-            m[i, j] = 0.5 * np.real(np.trace(pi @ image))
-    return m
+        m[:, j] = _pauli_coefficients(_reduce(u, joint))
+    return 0.5 * m
 
 
 def deutsch_map(u: UnitaryGate, rho_in: DensityOperator, rho: DensityOperator) -> DensityOperator:
     """The reduced coupling map: trace the chronology-respecting qubit
     out of U (rho_in (x) rho) U-dagger."""
     _require_coupling_shapes(u, rho_in.dim, rho.dim)
-    return DensityOperator._trusted(_reduce(u, np.kron(rho_in.matrix, rho.matrix)))
+    return DensityOperator._trusted(_reduce(u, _kron(rho_in.matrix, rho.matrix)))
 
 
 def check_strong(
@@ -214,7 +242,7 @@ def bloch_vector(rho: DensityOperator) -> np.ndarray:
     """Pauli expectation values (x, y, z) of a single-qubit state."""
     if rho.dim != 2:
         raise ValueError("Bloch coordinates are defined for single qubits")
-    return np.array([float(np.real(np.trace(p @ rho.matrix))) for p in _PAULI[1:]])
+    return np.array(_pauli_coefficients(rho.matrix)[1:])
 
 
 def density_from_bloch(r) -> DensityOperator:
@@ -227,10 +255,11 @@ def density_from_bloch(r) -> DensityOperator:
     if norm > 1.0:
         r = r / norm
     mat = 0.5 * (_PAULI[0] + r[0] * _PAULI[1] + r[1] * _PAULI[2] + r[2] * _PAULI[3])
-    smallest = float(np.linalg.eigvalsh(mat).min())
-    if smallest < 0.0:
-        # fp fuzz on the ball surface; mix infinitesimally toward center
-        mat = (mat - smallest * np.eye(2)) / (1.0 - 2.0 * smallest)
+    if norm >= _SURFACE_SHELL:
+        smallest = float(np.linalg.eigvalsh(mat).min())
+        if smallest < 0.0:
+            # fp fuzz on the ball surface; mix infinitesimally toward center
+            mat = (mat - smallest * np.eye(2)) / (1.0 - 2.0 * smallest)
     return DensityOperator._trusted(mat)
 
 
@@ -241,7 +270,7 @@ def transfer_matrix(u: UnitaryGate, rho_in: DensityOperator) -> np.ndarray:
     sigma_i; trace preservation makes the first row (1, 0, 0, 0).
     """
     _require_coupling_shapes(u, rho_in.dim, 2)
-    return _pauli_transfer(u, [np.kron(rho_in.matrix, p) for p in _PAULI])
+    return _pauli_transfer(u, [_kron(rho_in.matrix, p) for p in _PAULI])
 
 
 def _fixed_space(u: UnitaryGate, rho_in: DensityOperator):
@@ -293,55 +322,53 @@ def solve_deutsch_fixed_point(
     basis += [0.5 * sum(v[i] * _PAULI[i + 1] for i in range(3)) for v in null_basis]
 
     if method == "iterative":
-        rho = DensityOperator.maximally_mixed()
+        # deutsch_map and trace_distance on raw matrices; only the result is wrapped
+        mat = DensityOperator.maximally_mixed().matrix
         step = float("inf")
         for iteration in range(1, max_iterations + 1):
-            nxt = deutsch_map(u, rho_in, rho)
-            trace = np.trace(nxt.matrix).real
+            nxt = _reduce(u, _kron(rho_in.matrix, mat))
+            trace = nxt.trace().real
             if abs(trace - 1.0) > ATOL / 2:
-                nxt = DensityOperator._trusted(nxt.matrix / trace)
-            step = trace_distance(nxt, rho)
-            rho = nxt
+                nxt = nxt / trace
+            step = _half_trace_norm(nxt - mat)
+            mat = nxt
             if step <= tolerance:
-                residual = trace_distance(rho, deutsch_map(u, rho_in, rho))
-                return FixedPointSolution(
-                    rho, "iterative", iteration, residual, dim_fixed, tuple(basis)
-                )
-        raise FixedPointError(
-            f"no convergence after {max_iterations} iterations (last step {step:.3e})",
-            rho=rho,
-            residual=step,
-        )
-
-    if defect > 1e-10:
-        raise FixedPointError(
-            "no fixed point solves the vectorized system; a solution is "
-            f"guaranteed to exist, so this signals a numerical or input defect ({defect:.3e})"
-        )
-    norm = np.linalg.norm(r_star)
-    if norm > 1.0 + 1e-9:
-        raise FixedPointError(
-            "no PSD unit-trace fixed point found in the eigenspace: minimal "
-            f"Bloch norm {norm:.6f} exceeds 1; existence is guaranteed, so this "
-            "signals a numerical or input defect"
-        )
-    rho = density_from_bloch(r_star if norm <= 1.0 else r_star / norm)
+                break
+        else:
+            raise FixedPointError(
+                f"no convergence after {max_iterations} iterations (last step {step:.3e})",
+                rho=DensityOperator._trusted(mat),
+                residual=step,
+            )
+        rho = DensityOperator._trusted(mat)
+    else:
+        if defect > 1e-10:
+            raise FixedPointError(
+                "no fixed point solves the vectorized system; a solution is "
+                f"guaranteed to exist, so this signals a numerical or input defect ({defect:.3e})"
+            )
+        norm = np.linalg.norm(r_star)
+        if norm > 1.0 + 1e-9:
+            raise FixedPointError(
+                "no PSD unit-trace fixed point found in the eigenspace: minimal "
+                f"Bloch norm {norm:.6f} exceeds 1; existence is guaranteed, so this "
+                "signals a numerical or input defect"
+            )
+        iteration = 0
+        rho = density_from_bloch(r_star if norm <= 1.0 else r_star / norm)
     residual = trace_distance(rho, deutsch_map(u, rho_in, rho))
-    return FixedPointSolution(rho, "spectral", 0, residual, dim_fixed, tuple(basis))
+    return FixedPointSolution(rho, method, iteration, residual, dim_fixed, tuple(basis))
 
 
 def fixed_set_distance(solution: FixedPointSolution, rho: DensityOperator) -> float:
     """Euclidean Bloch distance from rho to the solver's fixed affine set."""
-    r = bloch_vector(rho)
-    r0 = bloch_vector(solution.rho)
+    offset = bloch_vector(rho) - solution._bloch
     if not solution.degenerate:
-        return float(np.linalg.norm(r - r0))
-    directions = []
-    for mat in solution.fixed_space_basis[1:]:
-        directions.append([float(np.real(np.trace(p @ mat))) for p in _PAULI[1:]])
-    basis = np.array(directions).T  # 3 x k
-    coef, *_ = np.linalg.lstsq(basis, r - r0, rcond=None)
-    return float(np.linalg.norm(r - r0 - basis @ coef))
+        return float(np.linalg.norm(offset))
+    # least squares rather than a projector, whose rounding differs
+    basis = solution._directions
+    coef, *_ = np.linalg.lstsq(basis, offset, rcond=None)
+    return float(np.linalg.norm(offset - basis @ coef))
 
 
 def bloch_grid(resolution: int):
@@ -368,6 +395,21 @@ def bloch_grid(resolution: int):
     return np.concatenate([np.zeros((1, 3)), shells.reshape(-1, 3)])
 
 
+def _admissible_points(u: UnitaryGate, rho: np.ndarray, grid_resolution: int, tolerance: float):
+    """The Bloch grid points, and their residuals, whose Deutsch residual against the
+    CTC state (a 2x2 matrix) stays within ``tolerance``: the scan, as two arrays."""
+    _require_coupling_shapes(u, 2, rho.shape[0])
+    # the map rho_in -> Tr_A[U(rho_in (x) rho)U+] is linear in rho_in
+    m = _pauli_transfer(u, [_kron(p, rho) for p in _PAULI])
+    a, b = m[1:, 1:], m[1:, 0]
+    grid = bloch_grid(grid_resolution)
+    target = np.array(_pauli_coefficients(rho)[1:])
+    images = grid @ a.T + b
+    residuals = 0.5 * np.linalg.norm(images - target, axis=1)
+    keep = residuals <= tolerance
+    return grid[keep], residuals[keep]
+
+
 def scan_admissible_inputs(
     u: UnitaryGate,
     rho: DensityOperator,
@@ -382,16 +424,13 @@ def scan_admissible_inputs(
     sweep is evaluated in Bloch coordinates; the result is identical to
     calling check_deutsch per point.
     """
-    _require_coupling_shapes(u, 2, rho.dim)
-    # the map rho_in -> Tr_A[U(rho_in (x) rho)U+] is linear in rho_in
-    m = _pauli_transfer(u, [np.kron(p, rho.matrix) for p in _PAULI])
-    a, b = m[1:, 1:], m[1:, 0]
-    grid = bloch_grid(grid_resolution)
-    target = bloch_vector(rho)
-    images = grid @ a.T + b
-    residuals = 0.5 * np.linalg.norm(images - target, axis=1)
-    admissible = []
-    for point, residual in zip(grid, residuals):
-        if residual <= residual_tolerance:
-            admissible.append((density_from_bloch(point), float(residual)))
-    return admissible
+    points, residuals = _admissible_points(u, rho.matrix, grid_resolution, residual_tolerance)
+    # density_from_bloch's expression, broadcast; only near-surface points need its check
+    r = points[:, :, None, None]
+    mats = 0.5 * (_PAULI[0] + r[:, 0] * _PAULI[1] + r[:, 1] * _PAULI[2] + r[:, 2] * _PAULI[3])
+    near = np.linalg.norm(points, axis=1) >= _SURFACE_SHELL
+    rhos = [
+        density_from_bloch(p) if surface else DensityOperator._trusted(m)
+        for p, m, surface in zip(points, mats, near)
+    ]
+    return list(zip(rhos, residuals.tolist()))

@@ -9,7 +9,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import serialize
-from .states import ATOL, StateVector, _Frozen
+from .states import ATOL, StateVector, _Frozen, _kron
 
 GATE_NAMES = (
     "swap",
@@ -150,7 +150,7 @@ def embed(gate: UnitaryGate, targets, num_qubits: int) -> UnitaryGate:
     if len(set(targets)) != k or any(not 0 <= t < num_qubits for t in targets):
         raise ValueError(f"invalid target list {targets} for {num_qubits} qubits")
     rest = [q for q in range(num_qubits) if q not in targets]
-    big = np.kron(gate.matrix, np.eye(2 ** len(rest), dtype=complex))
+    big = _kron(gate.matrix, np.eye(2 ** len(rest), dtype=complex))
     # big acts on qubit order [targets..., rest...]; permute to natural order
     perm = targets + rest
     inverse = [perm.index(q) for q in range(num_qubits)]

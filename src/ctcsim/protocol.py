@@ -25,6 +25,7 @@ from .resources import LedgerEntry, ResourceKind
 from .states import (
     DensityOperator,
     StateVector,
+    _kron,
     apply_unitary,
     fidelity,
     measurement_branch,
@@ -53,7 +54,7 @@ _BASIS_VECTORS = {
     ),
 }
 _CHRONOLOGY_PROJECTORS = tuple(
-    np.kron(np.outer(vec, vec.conj()), np.eye(2, dtype=complex))
+    _kron(np.outer(vec, vec.conj()), np.eye(2, dtype=complex))
     for vec in _BASIS_VECTORS["computational"]
 )
 
@@ -551,7 +552,7 @@ def run_beam(
         prep_state = states[prep_basis][prep_bit]
         # swap the known probe in; Alice's chronology qubit now holds the
         # beam state and the CTC carries the probe
-        joint = (swap_matrix @ np.kron(probe.amplitudes, prep_state.amplitudes)).reshape(2, 2)
+        joint = (swap_matrix @ _kron(probe.amplitudes, prep_state.amplitudes)).reshape(2, 2)
         basis_pair = _BASIS_VECTORS[basis_names[meas_basis]]
         probabilities = [float(np.linalg.norm(vec.conj() @ joint) ** 2) for vec in basis_pair]
         matched = meas_basis == prep_basis

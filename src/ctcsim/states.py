@@ -215,13 +215,21 @@ class MeasurementResult:
 QuantumState = Union[StateVector, DensityOperator]
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two vectors or two matrices: the same broadcast multiply,
+    without its generic shape handling."""
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
 def _lift_single(op2: np.ndarray, subsystem: int, num_qubits: int) -> np.ndarray:
     """Embed a single-qubit operator at the given qubit position."""
     if not 0 <= subsystem < num_qubits:
         raise ValueError(f"invalid subsystem index {subsystem} for {num_qubits} qubits")
     full = np.array([[1.0 + 0j]])
     for q in range(num_qubits):
-        full = np.kron(full, op2 if q == subsystem else np.eye(2, dtype=complex))
+        full = _kron(full, op2 if q == subsystem else np.eye(2, dtype=complex))
     return full
 
 
@@ -229,11 +237,11 @@ def tensor_product(a: QuantumState, b: QuantumState) -> QuantumState:
     """Kronecker product; qubit order is [a's qubits, then b's qubits]."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         return StateVector(
-            np.kron(a.amplitudes, b.amplitudes),
+            _kron(a.amplitudes, b.amplitudes),
             normalized=a.normalized and b.normalized,
         )
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator._trusted(np.kron(a.matrix, b.matrix))
+        return DensityOperator._trusted(_kron(a.matrix, b.matrix))
     raise TypeError(
         f"operands must be the same kind, got {type(a).__name__} and {type(b).__name__}"
     )
@@ -383,8 +391,12 @@ def trace_distance(r1: DensityOperator, r2: DensityOperator) -> float:
     """Half the trace norm of the difference; 0 iff the operators are equal."""
     if r1.dim != r2.dim:
         raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
-    eigenvalues = np.linalg.eigvalsh(r1.matrix - r2.matrix)
-    return float(0.5 * np.abs(eigenvalues).sum())
+    return _half_trace_norm(r1.matrix - r2.matrix)
+
+
+def _half_trace_norm(diff: np.ndarray) -> float:
+    """Half the trace norm of a Hermitian matrix."""
+    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def purity(rho: DensityOperator) -> float:

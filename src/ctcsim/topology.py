@@ -9,7 +9,6 @@ share every neighborhood) witness the failure.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
@@ -190,32 +189,31 @@ class BranchLedger:
 
     At most one branch is accessible (in_use) at a time; consuming a
     branch — merged when the loop closed, collapsed when it did not — is
-    terminal, and any later access raises :class:`BranchError`. Mutations
-    are serialized through an internal lock.
+    terminal, and any later access raises :class:`BranchError`. A ledger
+    is single-threaded: it takes no lock, so it must not be shared between
+    threads.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._records: dict[int, _BranchRecord] = {}
         self._next_id = 0
         self._in_use: Optional[int] = None
 
     def allocate(self, p_order: int = 0, q_order: int = 1) -> int:
-        with self._lock:
-            if self._in_use is not None:
-                raise BranchError(
-                    f"branch {self._in_use} is already in use; only one branch "
-                    "is accessible at a time"
-                )
-            branch_id = self._next_id
-            self._next_id += 1
-            record = _BranchRecord(branch_id)
-            record.p_event = EventPoint("P", branch_id, p_order)
-            record.q_event = EventPoint("Q", branch_id, q_order)
-            record.status = "in_use"
-            self._records[branch_id] = record
-            self._in_use = branch_id
-            return branch_id
+        if self._in_use is not None:
+            raise BranchError(
+                f"branch {self._in_use} is already in use; only one branch "
+                "is accessible at a time"
+            )
+        branch_id = self._next_id
+        self._next_id += 1
+        record = _BranchRecord(branch_id)
+        record.p_event = EventPoint("P", branch_id, p_order)
+        record.q_event = EventPoint("Q", branch_id, q_order)
+        record.status = "in_use"
+        self._records[branch_id] = record
+        self._in_use = branch_id
+        return branch_id
 
     def _accessible(self, branch_id: int) -> _BranchRecord:
         if branch_id not in self._records:
@@ -230,55 +228,48 @@ class BranchLedger:
 
     def touch(self, branch_id: int, event_ref: Optional[int] = None) -> None:
         """Record a protocol event referencing the branch."""
-        with self._lock:
-            record = self._accessible(branch_id)
-            record.access_log.append(event_ref)
+        record = self._accessible(branch_id)
+        record.access_log.append(event_ref)
 
     def set_states(self, branch_id: int, initial=None, final=None) -> None:
-        with self._lock:
-            record = self._accessible(branch_id)
-            if initial is not None:
-                record.initial_state = initial
-            if final is not None:
-                record.final_state = final
+        record = self._accessible(branch_id)
+        if initial is not None:
+            record.initial_state = initial
+        if final is not None:
+            record.final_state = final
 
     def consume(self, branch_id: int, outcome: str, transcript_ref: Optional[int] = None) -> None:
         if outcome not in ("merged", "collapsed"):
             raise ValueError(f"outcome must be merged or collapsed, got {outcome!r}")
-        with self._lock:
-            record = self._accessible(branch_id)
-            if record.status != "in_use":
-                raise BranchError(f"branch {branch_id} is not in use")
-            record.status = "consumed" if outcome == "merged" else "collapsed"
-            record.transcript_ref = transcript_ref
-            self._in_use = None
+        record = self._accessible(branch_id)
+        if record.status != "in_use":
+            raise BranchError(f"branch {branch_id} is not in use")
+        record.status = "consumed" if outcome == "merged" else "collapsed"
+        record.transcript_ref = transcript_ref
+        self._in_use = None
 
     def status(self, branch_id: int) -> str:
-        with self._lock:
-            if branch_id not in self._records:
-                raise BranchError(f"unknown branch id {branch_id}")
-            return self._records[branch_id].status
+        if branch_id not in self._records:
+            raise BranchError(f"unknown branch id {branch_id}")
+        return self._records[branch_id].status
 
     def record(self, branch_id: int) -> _BranchRecord:
         """Raw record access; raises for consumed/collapsed branches."""
-        with self._lock:
-            return self._accessible(branch_id)
+        return self._accessible(branch_id)
 
     def loop_closure_error(self, branch_id: int) -> float:
         """Trace distance between a merged branch's final and initial state."""
-        with self._lock:
-            if branch_id not in self._records:
-                raise BranchError(f"unknown branch id {branch_id}")
-            record = self._records[branch_id]
-            if record.status != "consumed":
-                raise BranchError(f"branch {branch_id} was not merged")
-            if record.initial_state is None or record.final_state is None:
-                raise BranchError(f"branch {branch_id} has no recorded loop states")
-            return trace_distance(record.initial_state, record.final_state)
+        if branch_id not in self._records:
+            raise BranchError(f"unknown branch id {branch_id}")
+        record = self._records[branch_id]
+        if record.status != "consumed":
+            raise BranchError(f"branch {branch_id} was not merged")
+        if record.initial_state is None or record.final_state is None:
+            raise BranchError(f"branch {branch_id} has no recorded loop states")
+        return trace_distance(record.initial_state, record.final_state)
 
     def summary(self) -> dict:
-        with self._lock:
-            return {str(bid): rec.status for bid, rec in self._records.items()}
+        return {str(bid): rec.status for bid, rec in self._records.items()}
 
 
 def allocate_branch(ledger: BranchLedger) -> int:

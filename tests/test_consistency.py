@@ -1,3 +1,6 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from ctcsim.consistency import (
     transfer_matrix,
 )
 from ctcsim.gates import UnitaryGate, cnot, controlled_phase, controlled_rotation, identity, swap
-from ctcsim.states import DensityOperator, StateVector, tensor_product, trace_distance
+from ctcsim.states import DensityOperator, StateVector, _kron, tensor_product, trace_distance
 
 RNG = np.random.default_rng(77)
 
@@ -462,6 +465,17 @@ def special_densities():
     return states
 
 
+def signed_zero_densities():
+    """diag(1/2, 1/2) and |0><0| with every sign on their zero parts."""
+    states = []
+    for signs in itertools.product((1.0, -1.0), repeat=6):
+        z = [sign * 0.0 for sign in signs]
+        for d0, d1 in ((0.5, 0.5), (1.0, z[5])):
+            mat = [[complex(d0, z[4]), complex(z[0], z[1])], [complex(z[2], z[3]), complex(d1, z[4])]]
+            states.append(DensityOperator(np.array(mat)))
+    return states
+
+
 def random_pure_and_mixed(rng, count):
     states = []
     for _ in range(count):
@@ -506,7 +520,7 @@ def test_density_from_bloch_is_bitwise_the_old_one_on_random_points():
 
 def test_bloch_vector_is_bitwise_the_old_one():
     rng = np.random.default_rng(13)
-    states = special_densities() + random_pure_and_mixed(rng, 500)
+    states = special_densities() + signed_zero_densities() + random_pure_and_mixed(rng, 500)
     states += [density_from_bloch(point) for point in bloch_grid(16)]
     for rho in states:
         assert_same_bytes(bloch_vector(rho), old_bloch_vector(rho))
@@ -526,9 +540,20 @@ def test_tensor_product_is_bitwise_np_kron():
             assert_same_bytes(tensor_product(ra, rb).matrix, np.kron(ra.matrix, rb.matrix))
 
 
+def test_kron_is_bitwise_np_kron():
+    rng = np.random.default_rng(20)
+    for n, m in itertools.product(range(1, 9), repeat=2):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        a[rng.random(a.shape) < 0.3] = -0.0
+        for x, y in [(a, b), (a.real, b), (a, np.eye(m, dtype=complex)), (a.real, b.real)]:
+            assert_same_bytes(_kron(x, y), np.kron(x, y))
+            assert_same_bytes(_kron(x[0], y[-1]), np.kron(x[0], y[-1]))
+
+
 def test_deutsch_map_and_transfer_matrix_are_bitwise_the_old_ones():
     rng = np.random.default_rng(15)
-    states = special_densities() + random_pure_and_mixed(rng, 10)
+    states = special_densities() + signed_zero_densities()[::8] + random_pure_and_mixed(rng, 10)
     for gate in kernel_couplings(rng):
         for rho_in in states:
             rho = states[rng.integers(len(states))]
@@ -586,3 +611,90 @@ def test_fixed_set_distance_is_bitwise_the_old_one():
                     fixed_set_distance(solution, rho), old_fixed_set_distance(solution, rho)
                 )
     assert degenerate > 0
+
+
+def old_iterative(u, rho_in, tolerance=1e-12, max_iterations=MAX_ITERATIONS):
+    rho = np.eye(2, dtype=complex) / 2
+    for iteration in range(1, max_iterations + 1):
+        nxt = old_reduce(u, np.kron(rho_in.matrix, rho))
+        trace = np.trace(nxt).real
+        if abs(trace - 1.0) > 1e-12 / 2:
+            nxt = nxt / trace
+        step = float(0.5 * np.abs(np.linalg.eigvalsh(nxt - rho)).sum())
+        rho = nxt
+        if step <= tolerance:
+            return rho, iteration
+    return rho, None
+
+
+def test_iterative_solver_is_bitwise_the_old_loop():
+    rng = np.random.default_rng(19)
+    states = special_densities() + random_pure_and_mixed(rng, 2)
+    for gate in kernel_couplings(rng, 6):
+        for rho_in in states:
+            old_rho, old_iterations = old_iterative(gate, rho_in, max_iterations=300)
+            try:
+                solution = solve_deutsch_fixed_point(gate, rho_in, "iterative", max_iterations=300)
+            except FixedPointError as exc:
+                assert old_iterations is None
+                assert_same_bytes(exc.rho.matrix, old_rho)
+                continue
+            assert solution.iterations == old_iterations
+            assert_same_bytes(solution.rho.matrix, old_rho)
+
+
+# ----------------------------------------------------------------- work count
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_interior_density_from_bloch_skips_the_eigenvalue_check(monkeypatch):
+    calls = counting(monkeypatch, np.linalg, "eigvalsh")
+    for point in bloch_grid(16):
+        if np.linalg.norm(point) < 0.999:
+            density_from_bloch(point)
+    assert calls == []
+    density_from_bloch([0.0, 0.0, 1.0])
+    assert calls == ["eigvalsh"]
+
+
+def test_non_degenerate_fixed_set_distance_takes_no_trace_or_lstsq(monkeypatch):
+    solution = solve_deutsch_fixed_point(swap(), random_density(), "spectral")
+    assert not solution.degenerate
+    probes = [random_density() for _ in range(3)]
+    traces = counting(monkeypatch, np, "trace")
+    lstsqs = counting(monkeypatch, np.linalg, "lstsq")
+    for rho in probes:
+        fixed_set_distance(solution, rho)
+    assert traces == lstsqs == []
+
+
+def test_classify_grid_scan_builds_no_density_operators(monkeypatch, capsys):
+    from ctcsim import cli
+
+    calls = []
+    trusted = DensityOperator._trusted.__func__
+
+    def counted(cls, matrix):
+        calls.append(matrix.shape)
+        return trusted(cls, matrix)
+
+    monkeypatch.setattr(DensityOperator, "_trusted", classmethod(counted))
+    args = ["classify-consistency", "--unitary", "identity"]
+    assert cli.main(args) == 0
+    without_grid = len(calls)
+    assert cli.main(args + ["--grid", "16"]) == 0
+    assert len(calls) - without_grid == without_grid > 0
+    scan = json.loads(capsys.readouterr().out.splitlines()[-1])["results"]["admissible_scan"]
+    assert scan["admissible_count"] == len(bloch_grid(16))

@@ -11,12 +11,16 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from ctcsim.consistency import (  # noqa: E402
+    SOLVER_AGREEMENT_TOL,
     FixedPointError,
+    bloch_grid,
+    check_deutsch,
     density_from_bloch,
     deutsch_map,
+    scan_admissible_inputs,
     solve_deutsch_fixed_point,
 )
 from ctcsim.gates import UnitaryGate  # noqa: E402
@@ -26,6 +30,7 @@ from ctcsim.states import (  # noqa: E402
     measure_projective,
     partial_trace,
     tensor_product,
+    trace_distance,
 )
 from test_consistency import haar_unitary  # noqa: E402
 
@@ -117,3 +122,40 @@ def test_solver_outputs_are_density_operators(seed):
         assert_valid(solve_deutsch_fixed_point(u, rho_in, "iterative").rho)
     except FixedPointError as exc:
         assert_valid(exc.rho)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, st.integers(8, 12))
+def test_scan_matches_check_deutsch_per_point(seed, resolution):
+    rng = np.random.default_rng(seed)
+    u = UnitaryGate(haar_unitary(rng))
+    rho = random_density(rng)
+    grid = bloch_grid(resolution)
+    reference = np.array([check_deutsch(u, density_from_bloch(p), rho).residual for p in grid])
+    everything = scan_admissible_inputs(u, rho, resolution, residual_tolerance=np.inf)
+    assert len(everything) == len(grid)
+    assert np.allclose([r for _, r in everything], reference, rtol=0.0, atol=1e-12)
+    # a tolerance inside the widest gap between residuals near the median,
+    # so rounding cannot move a point across it
+    ordered = np.sort(reference)
+    middle = len(ordered) // 2
+    gaps = np.diff(ordered[middle - 10 : middle + 10])
+    cut = middle - 10 + int(np.argmax(gaps))
+    tolerance = 0.5 * (ordered[cut] + ordered[cut + 1])
+    kept = scan_admissible_inputs(u, rho, resolution, residual_tolerance=tolerance)
+    assert len(kept) == int(np.sum(reference <= tolerance)) == cut + 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds)
+def test_converged_iterative_solution_agrees_with_spectral(seed):
+    rng = np.random.default_rng(seed)
+    u = UnitaryGate(haar_unitary(rng))
+    rho_in = random_density(rng)
+    spectral = solve_deutsch_fixed_point(u, rho_in, "spectral")
+    assume(spectral.fixed_space_dim == 1)
+    try:
+        iterative = solve_deutsch_fixed_point(u, rho_in, "iterative")
+    except FixedPointError:
+        assume(False)
+    assert trace_distance(iterative.rho, spectral.rho) <= SOLVER_AGREEMENT_TOL
