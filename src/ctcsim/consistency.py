@@ -247,7 +247,7 @@ def bloch_vector(rho: DensityOperator) -> np.ndarray:
 
 def density_from_bloch(r) -> DensityOperator:
     r = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(r)):
+    if not all(map(math.isfinite, r.flat)):
         raise ValueError(f"Bloch vector must be finite, got {r.tolist()}")
     norm = float(np.linalg.norm(r))
     if norm > 1.0 + 1e-9:
