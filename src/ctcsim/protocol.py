@@ -224,7 +224,6 @@ class Session:
         self.events: list[TranscriptEvent] = []
         self.resource_entries: list[LedgerEntry] = []
         self.collapse_reasons: list[str] = []
-        self.messages: list[ClassicalMessage] = []
         self.stage = "created"
         self._order = 0
         self._bob_started = False
@@ -257,7 +256,7 @@ class Session:
         evt = TranscriptEvent(self._order, actor, kind, detail, time_direction)
         self._order += 1
         self.events.append(evt)
-        self.ledger.touch(self.branch_id, evt.order)
+        self.ledger.touch(self.branch_id)
         return evt
 
     def book(self, kind: ResourceKind, delta: int, event_ref: Optional[int] = None) -> None:
@@ -356,7 +355,6 @@ def run_alice_stage(config: ProtocolConfig, session: Session) -> Optional[Classi
     session.detail["alice_outcome"] = outcome
     session.detail["alice_probabilities"] = probabilities
     message = ClassicalMessage("alice", (outcome,), session._order)
-    session.messages.append(message)
     session.event("alice", "message", message.to_json())
     session.book(ResourceKind.CBIT, -1)
     session.stage = "alice_done"
@@ -405,7 +403,6 @@ def _bob_coupling(config: ProtocolConfig, session: Session, ancilla: StateVector
             time_direction="forward",
         )
         illegal = ClassicalMessage("bob", (bob_outcome,), session._order, channel="ctc")
-        session.messages.append(illegal)
         session.event("bob", "message", illegal.to_json())
         session.collapse("self_signal")
 

@@ -9,13 +9,11 @@ share every neighborhood) witness the failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
 from .states import DensityOperator, _Frozen, trace_distance
-
-BRANCH_STATUSES = ("fresh", "in_use", "consumed", "collapsed")
 
 
 class BranchError(RuntimeError):
@@ -26,10 +24,11 @@ class TopologySpace(_Frozen):
     """A finite set of labeled points plus a collection of open sets.
 
     ``_minimal`` maps each point that lies in some open to U_x, the
-    intersection of the opens that contain it.
+    intersection of the opens that contain it. The axioms are checked
+    once, here, and ``_violations`` keeps what that check found.
     """
 
-    __slots__ = ("points", "opens", "_minimal")
+    __slots__ = ("points", "opens", "_minimal", "_violations")
 
     def __init__(self, points: Iterable[str], opens: Iterable[Iterable[str]]):
         pts = tuple(str(p) for p in points)
@@ -50,6 +49,33 @@ class TopologySpace(_Frozen):
             if containing:
                 minimal[p] = frozenset.intersection(*containing)
         self._set(points=pts, opens=tuple(unique_opens), _minimal=minimal)
+        self._set(_violations=tuple(self._axiom_violations()))
+
+    def _axiom_violations(self) -> list:
+        """Check the axioms on minimal opens; returns the violations.
+
+        A family holding the empty and the full set is a topology exactly
+        when it holds every U_x and every O | U_x: an intersection of opens
+        is the union of the U_x of its points, and a union is reached by
+        adding one U_x at a time. That is one pass over points x opens.
+        Each missing set is reported once, sorted by kind, size and labels.
+        """
+        opens = set(self.opens)
+        full = frozenset(self.points)
+        violations = []
+        if frozenset() not in opens:
+            violations.append("the empty set is not open")
+        if full not in opens:
+            violations.append("the full point set is not open")
+        minimal = self._minimal
+        missing = {u: "intersection" for u in minimal.values() if u not in opens and u != full}
+        for x, u in minimal.items():
+            if u in opens:
+                for union in {o | u for o in self.opens if x not in o} - opens - {full}:
+                    missing.setdefault(union, "union")
+        for subset, kind in sorted(missing.items(), key=lambda m: (m[1], len(m[0]), sorted(m[0]))):
+            violations.append(f"{kind} {sorted(subset)} of opens is not open")
+        return violations
 
     @classmethod
     def discrete(cls, points: Iterable[str]) -> "TopologySpace":
@@ -94,29 +120,8 @@ class TopologySpace(_Frozen):
 
 
 def validate_topology(space: TopologySpace):
-    """Check the axioms on minimal opens; returns (ok, violations).
-
-    A family holding the empty and the full set is a topology exactly when
-    it holds every U_x and every O | U_x: an intersection of opens is the
-    union of the U_x of its points, and a union is reached by adding one
-    U_x at a time. That is one pass over points x opens. Each missing set
-    is reported once, sorted by kind, size and labels.
-    """
-    opens = set(space.opens)
-    full = frozenset(space.points)
-    violations = []
-    if frozenset() not in opens:
-        violations.append("the empty set is not open")
-    if full not in opens:
-        violations.append("the full point set is not open")
-    missing = {u: "intersection" for u in space._minimal.values() if u not in opens and u != full}
-    for x, u in space._minimal.items():
-        if u in opens:
-            for union in {o | u for o in space.opens if x not in o} - opens - {full}:
-                missing.setdefault(union, "union")
-    for subset, kind in sorted(missing.items(), key=lambda m: (m[1], len(m[0]), sorted(m[0]))):
-        violations.append(f"{kind} {sorted(subset)} of opens is not open")
-    return (not violations, violations)
+    """The axiom check made when the space was built; returns (ok, violations)."""
+    return (not space._violations, list(space._violations))
 
 
 def is_hausdorff(space: TopologySpace):
@@ -127,9 +132,8 @@ def is_hausdorff(space: TopologySpace):
     disjoint. On failure the witness is the first non-separable pair in
     point-list order.
     """
-    ok, violations = validate_topology(space)
-    if not ok:
-        raise ValueError(f"not a topology: {violations[0]}")
+    if space._violations:
+        raise ValueError(f"not a topology: {space._violations[0]}")
     for x, y in combinations(space.points, 2):
         if space._minimal[x] & space._minimal[y]:
             return False, (x, y)
@@ -172,16 +176,16 @@ class EventPoint:
             raise ValueError(f"event label must be P or Q, got {self.label!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class _BranchRecord:
+    """Read-only snapshot of an accessible branch, built by ``record()``."""
+
     branch_id: int
-    status: str = "fresh"
-    p_event: Optional[EventPoint] = None
-    q_event: Optional[EventPoint] = None
-    transcript_ref: Optional[int] = None
-    initial_state: Optional[DensityOperator] = None
-    final_state: Optional[DensityOperator] = None
-    access_log: list = field(default_factory=list)
+    status: str
+    p_event: EventPoint
+    q_event: EventPoint
+    initial_state: Optional[DensityOperator]
+    final_state: Optional[DensityOperator]
 
 
 class BranchLedger:
@@ -189,87 +193,82 @@ class BranchLedger:
 
     At most one branch is accessible (in_use) at a time; consuming a
     branch — merged when the loop closed, collapsed when it did not — is
-    terminal, and any later access raises :class:`BranchError`. A ledger
-    is single-threaded: it takes no lock, so it must not be shared between
+    terminal, and any later access raises :class:`BranchError`. Branch ids
+    run 0, 1, 2, ...; each has one status row and its P/Q orders, and loop
+    states are kept only for branches given some. A ledger is
+    single-threaded: it takes no lock, so it must not be shared between
     threads.
     """
 
     def __init__(self):
-        self._records: dict[int, _BranchRecord] = {}
-        self._next_id = 0
-        self._in_use: Optional[int] = None
+        self._status: list[str] = []
+        self._orders: list[tuple[int, int]] = []
+        self._states: dict[int, tuple] = {}
 
     def allocate(self, p_order: int = 0, q_order: int = 1) -> int:
-        if self._in_use is not None:
+        branch_id = len(self._status)
+        if branch_id and self._status[-1] == "in_use":
             raise BranchError(
-                f"branch {self._in_use} is already in use; only one branch "
+                f"branch {branch_id - 1} is already in use; only one branch "
                 "is accessible at a time"
             )
-        branch_id = self._next_id
-        self._next_id += 1
-        record = _BranchRecord(branch_id)
-        record.p_event = EventPoint("P", branch_id, p_order)
-        record.q_event = EventPoint("Q", branch_id, q_order)
-        record.status = "in_use"
-        self._records[branch_id] = record
-        self._in_use = branch_id
+        self._status.append("in_use")
+        self._orders.append((p_order, q_order))
         return branch_id
 
-    def _accessible(self, branch_id: int) -> _BranchRecord:
-        if branch_id not in self._records:
-            raise BranchError(f"unknown branch id {branch_id}")
-        record = self._records[branch_id]
-        if record.status in ("consumed", "collapsed"):
+    def _accessible(self, branch_id: int) -> None:
+        status = self._known(branch_id)
+        if status != "in_use":
             raise BranchError(
-                f"branch {branch_id} is {record.status}; a used branch can never "
+                f"branch {branch_id} is {status}; a used branch can never "
                 "be accessed again"
             )
-        return record
 
-    def touch(self, branch_id: int, event_ref: Optional[int] = None) -> None:
-        """Record a protocol event referencing the branch."""
-        record = self._accessible(branch_id)
-        record.access_log.append(event_ref)
+    def _known(self, branch_id: int) -> str:
+        # a bare list index would read branch -1 as the newest branch
+        if not 0 <= branch_id < len(self._status):
+            raise BranchError(f"unknown branch id {branch_id}")
+        return self._status[branch_id]
+
+    def touch(self, branch_id: int) -> None:
+        """Check that a protocol event may still use the branch."""
+        self._accessible(branch_id)
 
     def set_states(self, branch_id: int, initial=None, final=None) -> None:
-        record = self._accessible(branch_id)
-        if initial is not None:
-            record.initial_state = initial
-        if final is not None:
-            record.final_state = final
+        self._accessible(branch_id)
+        old = self._states.get(branch_id, (None, None))
+        self._states[branch_id] = (
+            old[0] if initial is None else initial, old[1] if final is None else final
+        )
 
-    def consume(self, branch_id: int, outcome: str, transcript_ref: Optional[int] = None) -> None:
+    def consume(self, branch_id: int, outcome: str) -> None:
         if outcome not in ("merged", "collapsed"):
             raise ValueError(f"outcome must be merged or collapsed, got {outcome!r}")
-        record = self._accessible(branch_id)
-        if record.status != "in_use":
-            raise BranchError(f"branch {branch_id} is not in use")
-        record.status = "consumed" if outcome == "merged" else "collapsed"
-        record.transcript_ref = transcript_ref
-        self._in_use = None
+        self._accessible(branch_id)
+        self._status[branch_id] = "consumed" if outcome == "merged" else "collapsed"
 
     def status(self, branch_id: int) -> str:
-        if branch_id not in self._records:
-            raise BranchError(f"unknown branch id {branch_id}")
-        return self._records[branch_id].status
+        return self._known(branch_id)
 
     def record(self, branch_id: int) -> _BranchRecord:
-        """Raw record access; raises for consumed/collapsed branches."""
-        return self._accessible(branch_id)
+        """Snapshot of the branch; raises for consumed/collapsed branches."""
+        self._accessible(branch_id)
+        p_order, q_order = self._orders[branch_id]
+        events = EventPoint("P", branch_id, p_order), EventPoint("Q", branch_id, q_order)
+        states = self._states.get(branch_id, (None, None))
+        return _BranchRecord(branch_id, "in_use", *events, *states)
 
     def loop_closure_error(self, branch_id: int) -> float:
         """Trace distance between a merged branch's final and initial state."""
-        if branch_id not in self._records:
-            raise BranchError(f"unknown branch id {branch_id}")
-        record = self._records[branch_id]
-        if record.status != "consumed":
+        if self._known(branch_id) != "consumed":
             raise BranchError(f"branch {branch_id} was not merged")
-        if record.initial_state is None or record.final_state is None:
+        initial, final = self._states.get(branch_id, (None, None))
+        if initial is None or final is None:
             raise BranchError(f"branch {branch_id} has no recorded loop states")
-        return trace_distance(record.initial_state, record.final_state)
+        return trace_distance(initial, final)
 
     def summary(self) -> dict:
-        return {str(bid): rec.status for bid, rec in self._records.items()}
+        return {str(bid): status for bid, status in enumerate(self._status)}
 
 
 def allocate_branch(ledger: BranchLedger) -> int:

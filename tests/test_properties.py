@@ -12,12 +12,15 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule  # noqa: E402
 
 from ctcsim.consistency import (  # noqa: E402
     SOLVER_AGREEMENT_TOL,
     FixedPointError,
+    LoopRecord,
     bloch_grid,
     check_deutsch,
+    check_weak,
     density_from_bloch,
     deutsch_map,
     scan_admissible_inputs,
@@ -32,6 +35,7 @@ from ctcsim.states import (  # noqa: E402
     tensor_product,
     trace_distance,
 )
+from ctcsim.topology import BranchError, BranchLedger, EventPoint  # noqa: E402
 from test_consistency import haar_unitary  # noqa: E402
 
 seeds = st.integers(0, 2**32 - 1)
@@ -159,3 +163,131 @@ def test_converged_iterative_solution_agrees_with_spectral(seed):
     except FixedPointError:
         assume(False)
     assert trace_distance(iterative.rho, spectral.rho) <= SOLVER_AGREEMENT_TOL
+
+
+@examples
+@given(seeds, st.integers(-8, 8), st.booleans())
+def test_check_weak_does_not_depend_on_where_the_loop_starts(seed, start, closed):
+    rng = np.random.default_rng(seed)
+    rho_in, rho_out = random_density(rng), random_density(rng)
+    if closed:
+        loop = LoopRecord.from_states(rho_in, rho_out, rho_out, rho_in)
+    else:
+        loop = LoopRecord.from_states(rho_in, rho_out, random_density(rng), random_density(rng))
+    assert check_weak(loop.rotated(start)) == check_weak(loop)
+
+
+LOOP_STATES = (
+    None,
+    DensityOperator(np.diag([1.0, 0.0])),
+    DensityOperator(np.diag([0.25, 0.75])),
+)
+
+
+class BranchLedgerMachine(RuleBasedStateMachine):
+    """Random operation sequences against a dict model of the ledger: ids
+    0, 1, 2, ... are never reused, at most one branch is in use, and every
+    access to an unknown, consumed or collapsed branch raises."""
+
+    def __init__(self):
+        super().__init__()
+        self.ledger = BranchLedger()
+        self.status = {}
+        self.orders = {}
+        self.states = {}
+
+    def expect_access(self, branch_id, action, accessible=("in_use",)):
+        """Run ``action`` and require it to fail exactly when the model says
+        the branch is unknown or not in an accessible status."""
+        if branch_id not in self.status:
+            with pytest.raises(BranchError, match=f"unknown branch id {branch_id}"):
+                action()
+            return False
+        if self.status[branch_id] not in accessible:
+            with pytest.raises(BranchError):
+                action()
+            return False
+        return True
+
+    def branch(self, data):
+        return data.draw(st.integers(-1, len(self.status)))
+
+    @rule(p_order=st.integers(0, 9), q_order=st.integers(0, 9))
+    def allocate(self, p_order, q_order):
+        if "in_use" in self.status.values():
+            with pytest.raises(BranchError, match="already in use"):
+                self.ledger.allocate(p_order, q_order)
+            return
+        branch_id = self.ledger.allocate(p_order, q_order)
+        assert branch_id == len(self.status) and branch_id not in self.status
+        self.status[branch_id] = "in_use"
+        self.orders[branch_id] = (p_order, q_order)
+
+    @rule(data=st.data(), outcome=st.sampled_from(["merged", "collapsed", "vanished"]))
+    def consume(self, data, outcome):
+        branch_id = self.branch(data)
+        if outcome == "vanished":
+            with pytest.raises(ValueError):
+                self.ledger.consume(branch_id, outcome)
+        elif self.expect_access(branch_id, lambda: self.ledger.consume(branch_id, outcome)):
+            self.ledger.consume(branch_id, outcome)
+            self.status[branch_id] = "consumed" if outcome == "merged" else "collapsed"
+
+    @rule(data=st.data())
+    def touch(self, data):
+        branch_id = self.branch(data)
+        if self.expect_access(branch_id, lambda: self.ledger.touch(branch_id)):
+            self.ledger.touch(branch_id)
+
+    @rule(data=st.data(), initial=st.sampled_from(LOOP_STATES), final=st.sampled_from(LOOP_STATES))
+    def set_states(self, data, initial, final):
+        branch_id = self.branch(data)
+        store = lambda: self.ledger.set_states(branch_id, initial=initial, final=final)  # noqa: E731
+        if self.expect_access(branch_id, store):
+            store()
+            old = self.states.get(branch_id, (None, None))
+            self.states[branch_id] = (
+                old[0] if initial is None else initial, old[1] if final is None else final
+            )
+
+    @rule(data=st.data())
+    def record(self, data):
+        branch_id = self.branch(data)
+        if self.expect_access(branch_id, lambda: self.ledger.record(branch_id)):
+            record = self.ledger.record(branch_id)
+            p_order, q_order = self.orders[branch_id]
+            assert (record.branch_id, record.status) == (branch_id, "in_use")
+            assert record.p_event == EventPoint("P", branch_id, p_order)
+            assert record.q_event == EventPoint("Q", branch_id, q_order)
+            initial, final = self.states.get(branch_id, (None, None))
+            assert record.initial_state is initial and record.final_state is final
+
+    @rule(data=st.data())
+    def status_of(self, data):
+        branch_id = self.branch(data)
+        accessible = ("in_use", "consumed", "collapsed")
+        if self.expect_access(branch_id, lambda: self.ledger.status(branch_id), accessible):
+            assert self.ledger.status(branch_id) == self.status[branch_id]
+
+    @rule(data=st.data())
+    def loop_closure_error(self, data):
+        branch_id = self.branch(data)
+        closure = lambda: self.ledger.loop_closure_error(branch_id)  # noqa: E731
+        initial, final = self.states.get(branch_id, (None, None))
+        if initial is None or final is None:
+            self.expect_access(branch_id, closure, accessible=())
+        elif self.expect_access(branch_id, closure, accessible=("consumed",)):
+            assert closure() == trace_distance(initial, final)
+
+    @invariant()
+    def one_branch_in_use(self):
+        assert list(self.status.values()).count("in_use") <= 1
+
+    @invariant()
+    def summary_matches_the_model(self):
+        expected = [(str(bid), status) for bid, status in self.status.items()]
+        assert list(self.ledger.summary().items()) == expected
+
+
+BranchLedgerMachine.TestCase.settings = settings(max_examples=100, deadline=None)
+test_branch_ledger_state_machine = BranchLedgerMachine.TestCase

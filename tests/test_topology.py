@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ctcsim.protocol import ProtocolConfig, run_session
+from ctcsim.protocol import ProtocolConfig, run_beam, run_session
 from ctcsim.states import StateVector
 from ctcsim.topology import (
     BranchError,
@@ -421,3 +421,62 @@ def test_sequential_sessions_allocate_distinct_branches():
         cfg = ProtocolConfig(input_state=StateVector.qubit(0.6, 0.8), seed=seed)
         ids.append(run_session(cfg, ledger).branch_id)
     assert len(set(ids)) == 10
+
+
+# ------------------------------------------------------------ work counts
+
+
+def test_validation_runs_once_at_construction(monkeypatch):
+    calls = []
+    axiom_pass = TopologySpace._axiom_violations
+
+    def counted(space):
+        calls.append(space)
+        return axiom_pass(space)
+
+    monkeypatch.setattr(TopologySpace, "_axiom_violations", counted)
+    spaces = [
+        build_line_splitting(10),
+        TopologySpace.discrete(["a", "b", "c"]),
+        TopologySpace(["a", "b"], [["a"]]),
+    ]
+    assert len(calls) == len(spaces)
+    calls.clear()
+    for space in spaces:
+        ok, _ = validate_topology(space)
+        if ok:
+            is_hausdorff(space)
+        else:
+            with pytest.raises(ValueError, match="not a topology"):
+                is_hausdorff(space)
+    assert calls == []
+
+
+def test_beam_builds_no_event_points(monkeypatch):
+    built = []
+    monkeypatch.setattr(EventPoint, "__post_init__", lambda point: built.append(point))
+    run_beam(1000, seed=3)
+    assert built == []
+
+
+# ------------------------------------------------------------ branch ids
+
+
+def test_out_of_range_branch_ids_are_unknown():
+    """-1 and the next unallocated id are unknown, with no branch, a
+    consumed one, and a consumed one plus one in use."""
+    ledger = BranchLedger()
+    for setup in (None, lambda: ledger.consume(ledger.allocate(), "merged"), ledger.allocate):
+        if setup is not None:
+            setup()
+        for branch_id in (-1, len(ledger.summary())):
+            for access in (
+                ledger.status,
+                ledger.touch,
+                ledger.set_states,
+                ledger.record,
+                lambda bid: ledger.consume(bid, "merged"),
+                ledger.loop_closure_error,
+            ):
+                with pytest.raises(BranchError, match=f"unknown branch id {branch_id}"):
+                    access(branch_id)
