@@ -44,9 +44,9 @@ SCHEMA_VERSION = "1"
 #: flag in the payload.
 EXPECTED_COLLAPSE = ("bob_skips", "self_signal")
 
-#: Line splitting has 2^copies + 3 opens: 14 copies check in well under a
-#: second, and each further copy doubles the time and memory.
-MAX_COPIES = 14
+#: Line splitting is held as its copies + 2 minimal opens and reports
+#: copies + 2 points: linear work, 1000 copies in well under a second.
+MAX_COPIES = 1000
 #: Work grows linearly in trials and storage cycles and with the cube of the
 #: grid resolution. The storage cap keeps the slowest run to about 10 s on a
 #: 2-core Xeon; there the largest beam, ``--trials 40000 --policy noise``,

@@ -20,36 +20,55 @@ class BranchError(RuntimeError):
     """Violation of the single-use branch contract."""
 
 
+def _read(points: Iterable[str], family: Iterable[Iterable[str]]):
+    """Check the labels of an outside family; returns the points, its distinct
+    sets as read, and each U_x: the intersection of the sets holding x, or all points."""
+    pts = tuple(str(p) for p in points)
+    labels = frozenset(pts)
+    if len(labels) != len(pts):
+        raise ValueError("duplicate point labels")
+    sets = {}
+    for subset in family:
+        fs = frozenset(str(p) for p in subset)
+        if not fs <= labels:
+            raise ValueError(f"open set {sorted(fs)} contains unknown points")
+        sets[fs] = None
+    minimal = {p: labels.intersection(*(s for s in sets if p in s)) for p in pts}
+    return pts, tuple(sets), minimal
+
+
 class TopologySpace(_Frozen):
-    """A finite set of labeled points plus a collection of open sets.
+    """A finite space held as ``_minimal``, each point's minimal open U_x,
+    whose unions are the opens (Alexandrov 1937). ``TopologySpace(points,
+    opens)`` keeps an outside family as read in ``_family`` and checks the
+    axioms once, into ``_violations``; the other constructors build the U_x
+    of a topology and run no check."""
 
-    ``_minimal`` maps each point that lies in some open to U_x, the
-    intersection of the opens that contain it. The axioms are checked
-    once, here, and ``_violations`` keeps what that check found.
-    """
-
-    __slots__ = ("points", "opens", "_minimal", "_violations")
+    __slots__ = ("points", "_minimal", "_family", "_violations")
 
     def __init__(self, points: Iterable[str], opens: Iterable[Iterable[str]]):
-        pts = tuple(str(p) for p in points)
-        if len(set(pts)) != len(pts):
-            raise ValueError("duplicate point labels")
-        seen = set()
-        unique_opens = []
-        for subset in opens:
-            fs = frozenset(str(p) for p in subset)
-            if not fs <= set(pts):
-                raise ValueError(f"open set {sorted(fs)} contains unknown points")
-            if fs not in seen:
-                seen.add(fs)
-                unique_opens.append(fs)
-        minimal = {}
-        for p in pts:
-            containing = [o for o in unique_opens if p in o]
-            if containing:
-                minimal[p] = frozenset.intersection(*containing)
-        self._set(points=pts, opens=tuple(unique_opens), _minimal=minimal)
+        pts, family, minimal = _read(points, opens)
+        self._set(points=pts, _minimal=minimal, _family=family)
         self._set(_violations=tuple(self._axiom_violations()))
+
+    @classmethod
+    def _trusted(cls, points, minimal: dict) -> "TopologySpace":
+        """Store, unchecked, U_x with x in U_x and U_y ⊆ U_x for y in U_x."""
+        space = cls.__new__(cls)
+        space._set(points=tuple(points), _minimal=minimal, _family=None, _violations=())
+        return space
+
+    @property
+    def opens(self) -> tuple:
+        """The family as read, or else every union of the U_x in (size,
+        labels) order. Line splitting with k copies lists 2^k + 3 sets, so
+        the CLI never asks for them."""
+        if self._family is not None:
+            return self._family
+        opens = {frozenset()}
+        for u in set(self._minimal.values()):
+            opens |= {o | u for o in opens}
+        return tuple(sorted(opens, key=lambda s: (len(s), sorted(s))))
 
     def _axiom_violations(self) -> list:
         """Check the axioms on minimal opens; returns the violations.
@@ -58,20 +77,20 @@ class TopologySpace(_Frozen):
         when it holds every U_x and every O | U_x: an intersection of opens
         is the union of the U_x of its points, and a union is reached by
         adding one U_x at a time. That is one pass over points x opens.
-        Each missing set is reported once, sorted by kind, size and labels.
+        Each missing set is reported once, sorted by kind, size and labels;
+        a point in no open has U_x = full, reported by the full-set message.
         """
-        opens = set(self.opens)
+        opens = set(self._family)
         full = frozenset(self.points)
         violations = []
         if frozenset() not in opens:
             violations.append("the empty set is not open")
         if full not in opens:
             violations.append("the full point set is not open")
-        minimal = self._minimal
-        missing = {u: "intersection" for u in minimal.values() if u not in opens and u != full}
-        for x, u in minimal.items():
+        missing = {u: "intersection" for u in self._minimal.values() if u not in opens and u != full}
+        for x, u in self._minimal.items():
             if u in opens:
-                for union in {o | u for o in self.opens if x not in o} - opens - {full}:
+                for union in {o | u for o in self._family if x not in o} - opens - {full}:
                     missing.setdefault(union, "union")
         for subset, kind in sorted(missing.items(), key=lambda m: (m[1], len(m[0]), sorted(m[0]))):
             violations.append(f"{kind} {sorted(subset)} of opens is not open")
@@ -79,40 +98,30 @@ class TopologySpace(_Frozen):
 
     @classmethod
     def discrete(cls, points: Iterable[str]) -> "TopologySpace":
-        pts = [str(p) for p in points]
-        opens = [[]]
-        for r in range(1, len(pts) + 1):
-            opens.extend(list(c) for c in combinations(pts, r))
-        return cls(pts, opens)
+        points = list(points)
+        return cls.from_subbasis(points, [[p] for p in points])
 
     @classmethod
     def indiscrete(cls, points: Iterable[str]) -> "TopologySpace":
-        pts = [str(p) for p in points]
-        return cls(pts, [[], pts])
+        return cls.from_subbasis(points, [])
 
     @classmethod
     def from_subbasis(cls, points: Iterable[str], subbasis: Iterable[Iterable[str]]) -> "TopologySpace":
-        """Generate the coarsest topology containing the given sets: the
-        unions of the minimal opens, U_x being the intersection of the
-        generators that hold x (the full set when none does)."""
-        generators = cls(points, subbasis)
-        full = frozenset(generators.points)
-        opens = {frozenset()}
-        for u in {generators._minimal.get(p, full) for p in generators.points}:
-            opens |= {o | u for o in opens}
-        return cls(generators.points, sorted(opens, key=lambda s: (len(s), sorted(s))))
+        """The coarsest topology containing the given sets: U_x is the
+        intersection of the generators holding x (all points if none does)."""
+        pts, _, minimal = _read(points, subbasis)
+        return cls._trusted(pts, minimal)
 
     def subspace(self, subset: Iterable[str]) -> "TopologySpace":
-        """Induced topology: traces of the opens on the subset."""
-        sub = [p for p in self.points if p in set(subset)]
-        traces = {frozenset(sub) & o for o in self.opens}
-        return TopologySpace(sub, traces)
+        """Induced topology on the listed points, in point order: U_x ∩ S."""
+        if self._violations:
+            raise ValueError(f"not a topology: {self._violations[0]}")
+        kept = frozenset(subset)
+        sub = [p for p in self.points if p in kept]
+        return self._trusted(sub, {p: self._minimal[p] & kept for p in sub})
 
     def to_json(self) -> dict:
-        return {
-            "points": list(self.points),
-            "opens": [sorted(o) for o in self.opens],
-        }
+        return {"points": list(self.points), "opens": [sorted(o) for o in self.opens]}
 
     @classmethod
     def from_json(cls, document: dict) -> "TopologySpace":
@@ -142,7 +151,8 @@ def is_hausdorff(space: TopologySpace):
 
 def build_line_splitting(copies: int) -> TopologySpace:
     """Finite line-splitting model: one past, ``copies`` branch points,
-    one future, with each branch chart {past, branch_i, future} open.
+    one future. Its minimal opens are {past}, {future} and each branch
+    chart {past, branch_i, future}.
 
     Branch points share every neighborhood pairwise, so the space is
     never Hausdorff; branch points are listed first so they form the
@@ -151,12 +161,9 @@ def build_line_splitting(copies: int) -> TopologySpace:
     if copies < 2:
         raise ValueError(f"line splitting needs at least 2 copies, got {copies}")
     branch_points = [f"0_{i}" for i in range(1, copies + 1)]
-    # every union of the minimal opens {-1}, {+1} and {-1, 0_i, +1}, in
-    # (size, sorted labels) order: "+1" < "-1" < "0_..." as strings
-    opens = [[], ["+1"], ["-1"], ["+1", "-1"]]
-    for size in range(1, copies + 1):
-        opens.extend(["+1", "-1", *c] for c in combinations(sorted(branch_points), size))
-    return TopologySpace(branch_points + ["-1", "+1"], opens)
+    minimal = {b: frozenset({"-1", b, "+1"}) for b in branch_points}
+    minimal.update({"-1": frozenset({"-1"}), "+1": frozenset({"+1"})})
+    return TopologySpace._trusted(branch_points + ["-1", "+1"], minimal)
 
 
 @dataclass(frozen=True)

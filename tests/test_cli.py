@@ -215,7 +215,7 @@ def test_topology_check_violations_do_not_depend_on_hash_seed(tmp_path):
 def test_topology_check_caps_copies(capsys):
     code, out, err = run_main(capsys, ["topology-check", "--copies", str(cli.MAX_COPIES + 1)])
     assert code == cli.EXIT_ERROR and out == ""
-    assert err == f"error: --copies must be at most 14, got {cli.MAX_COPIES + 1}\n"
+    assert err == f"error: --copies must be at most {cli.MAX_COPIES}, got {cli.MAX_COPIES + 1}\n"
 
 
 def _no_work(*args, **kwargs):

@@ -1,4 +1,8 @@
 import ast
+import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -318,6 +322,72 @@ def test_line_splitting_requires_two_copies():
         build_line_splitting(1)
 
 
+def built_spaces(rng):
+    """Spaces built from their U_x: generated topologies, discrete and
+    indiscrete spaces, line splittings with 2-8 copies, and a random
+    subspace of each."""
+    spaces = [random_topology(rng) for _ in range(100)]
+    for labels in ([], ["a"], ["c", "a", "b"], ["p1", "p0", "p3", "p2"]):
+        spaces += [TopologySpace.discrete(labels), TopologySpace.indiscrete(labels)]
+    spaces += [build_line_splitting(k) for k in range(2, 9)]
+    return spaces + [s.subspace([p for p in s.points if rng.random() < 0.5]) for s in spaces]
+
+
+def test_built_spaces_pass_the_boundary_check():
+    for space in built_spaces(np.random.default_rng(14)):
+        again = TopologySpace(space.points, space.opens)
+        assert validate_topology(again) == (True, [])
+        assert again._minimal == space._minimal
+        assert list(space.opens) == sorted(space.opens, key=lambda s: (len(s), sorted(s)))
+        if len(space.opens) <= 64:
+            assert is_hausdorff(space) == brute_force_hausdorff(space)
+
+
+def test_subspace_keeps_the_traces_of_the_opens():
+    rng = np.random.default_rng(15)
+    for _ in range(100):
+        space = random_topology(rng)
+        subset = [p for p in space.points if rng.random() < 0.5]
+        traces = {frozenset(subset) & o for o in space.opens}
+        sub = space.subspace(subset)
+        assert sub.points == tuple(subset)
+        assert set(sub.opens) == traces and len(sub.opens) == len(traces)
+
+
+def test_subspace_does_not_depend_on_hash_seed():
+    code = (
+        "import json; from ctcsim.topology import build_line_splitting; "
+        "print(json.dumps(build_line_splitting(3).subspace(['-1', '0_1', '0_2', '+1']).to_json()))"
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+        )
+        for seed in ("0", "1")
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["opens"][:4] == [[], ["+1"], ["-1"], ["+1", "-1"]]
+
+
+def test_subspace_of_invalid_space_raises():
+    with pytest.raises(ValueError, match="not a topology"):
+        TopologySpace(["a", "b"], [["a"]]).subspace(["a"])
+
+
+def test_built_spaces_reject_duplicate_labels():
+    for build in (
+        TopologySpace.discrete,
+        TopologySpace.indiscrete,
+        lambda points: TopologySpace.from_subbasis(points, [["a"]]),
+    ):
+        with pytest.raises(ValueError, match="duplicate point labels"):
+            build(["a", "b", "a"])
+
+
 def test_topology_json_round_trip():
     space = build_line_splitting(2)
     again = TopologySpace.from_json(space.to_json())
@@ -427,6 +497,8 @@ def test_sequential_sessions_allocate_distinct_branches():
 
 
 def test_validation_runs_once_at_construction(monkeypatch):
+    """The axiom pass runs once for a family read from outside and never
+    for a space built from its U_x."""
     calls = []
     axiom_pass = TopologySpace._axiom_violations
 
@@ -435,14 +507,18 @@ def test_validation_runs_once_at_construction(monkeypatch):
         return axiom_pass(space)
 
     monkeypatch.setattr(TopologySpace, "_axiom_violations", counted)
-    spaces = [
+    built = [
         build_line_splitting(10),
         TopologySpace.discrete(["a", "b", "c"]),
-        TopologySpace(["a", "b"], [["a"]]),
+        TopologySpace.indiscrete(["a", "b"]),
+        TopologySpace.from_subbasis(["a", "b"], [["a"]]),
+        build_line_splitting(3).subspace(["-1", "0_1"]),
     ]
-    assert len(calls) == len(spaces)
+    assert calls == []
+    family = TopologySpace(["a", "b"], [["a"]])
+    assert calls == [family]
     calls.clear()
-    for space in spaces:
+    for space in built + [family]:
         ok, _ = validate_topology(space)
         if ok:
             is_hausdorff(space)
@@ -450,6 +526,16 @@ def test_validation_runs_once_at_construction(monkeypatch):
             with pytest.raises(ValueError, match="not a topology"):
                 is_hausdorff(space)
     assert calls == []
+
+
+def test_line_splitting_of_1000_copies_runs_no_axiom_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(TopologySpace, "_axiom_violations", lambda space: calls.append(space))
+    space = build_line_splitting(1000)
+    assert calls == []
+    assert len(space.points) == 1002
+    assert validate_topology(space) == (True, [])
+    assert is_hausdorff(space) == (False, ("0_1", "0_2"))
 
 
 def test_beam_builds_no_event_points(monkeypatch):
