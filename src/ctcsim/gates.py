@@ -11,19 +11,6 @@ import numpy as np
 from . import serialize
 from .states import ATOL, StateVector, _Frozen, _kron
 
-GATE_NAMES = (
-    "swap",
-    "controlled_rotation",
-    "controlled_phase",
-    "hadamard",
-    "pauli_x",
-    "pauli_z",
-    "cnot",
-    "identity",
-    "custom",
-)
-
-
 class UnitaryGate(_Frozen):
     """Square complex matrix with U-dagger U = I within 1e-12."""
 
@@ -108,28 +95,37 @@ def identity(num_qubits: int = 2) -> UnitaryGate:
     return UnitaryGate(np.eye(2**num_qubits, dtype=complex), label="identity")
 
 
-def build_gate(spec: GateSpec) -> UnitaryGate:
-    """Construct the gate a spec names; unitarity is validated on build."""
-    if spec.name == "swap":
-        return swap()
-    if spec.name == "controlled_rotation":
-        return controlled_rotation()
-    if spec.name == "controlled_phase":
-        return controlled_phase(np.pi if spec.params is None else float(spec.params))
-    if spec.name == "hadamard":
-        return hadamard()
-    if spec.name == "pauli_x":
-        return pauli_x()
-    if spec.name == "pauli_z":
-        return pauli_z()
-    if spec.name == "cnot":
-        return cnot()
-    if spec.name == "identity":
-        return identity()
-    arr = serialize.load_array(spec.custom_path)
+def _custom(path: Union[str, Path]) -> UnitaryGate:
+    """The matrix in a JSON matrix file, checked for unitarity."""
+    arr = serialize.load_array(path)
     if arr.ndim != 2:
-        raise ValueError(f"custom gate file {spec.custom_path} holds a vector, not a matrix")
-    return UnitaryGate(arr, label=f"custom:{spec.custom_path}")
+        raise ValueError(f"custom gate file {path} holds a vector, not a matrix")
+    return UnitaryGate(arr, label=f"custom:{path}")
+
+
+#: Gate name -> factory, in the order error messages list them; ``custom``
+#: comes last, so ``GATE_NAMES[:-1]`` are the built-in gates.
+_FACTORIES = {
+    "swap": swap,
+    "controlled_rotation": controlled_rotation,
+    "controlled_phase": controlled_phase,
+    "hadamard": hadamard,
+    "pauli_x": pauli_x,
+    "pauli_z": pauli_z,
+    "cnot": cnot,
+    "identity": identity,
+    "custom": _custom,
+}
+GATE_NAMES = tuple(_FACTORIES)
+
+
+def build_gate(spec: GateSpec) -> UnitaryGate:
+    """Construct the gate a spec names; unitarity is validated on build.
+    Only ``controlled_phase`` takes an angle and only ``custom`` a path."""
+    factory = _FACTORIES[spec.name]
+    if spec.name == "custom":
+        return factory(spec.custom_path)
+    return factory() if spec.params is None else factory(float(spec.params))
 
 
 def bell_pair() -> StateVector:

@@ -25,10 +25,12 @@ from .resources import LedgerEntry, ResourceKind
 from .states import (
     DensityOperator,
     StateVector,
+    _branches,
+    _COMPUTATIONAL,
     _kron,
+    _sample,
     apply_unitary,
     fidelity,
-    measurement_branch,
     partial_trace,
     purity,
     tensor_product,
@@ -43,19 +45,9 @@ BEAM_POLICIES = ("collapse", "discard", "noise")
 PURITY_TOL = 1e-10
 TRANSFER_FIDELITY = 1.0 - 1e-12
 
-_BASIS_VECTORS = {
-    "computational": (
-        np.array([1.0, 0.0], dtype=complex),
-        np.array([0.0, 1.0], dtype=complex),
-    ),
-    "hadamard": (
-        np.array([1.0, 1.0], dtype=complex) / np.sqrt(2),
-        np.array([1.0, -1.0], dtype=complex) / np.sqrt(2),
-    ),
-}
-_CHRONOLOGY_PROJECTORS = tuple(
-    _kron(np.outer(vec, vec.conj()), np.eye(2, dtype=complex))
-    for vec in _BASIS_VECTORS["computational"]
+_HADAMARD = (
+    np.array([1.0, 1.0], dtype=complex) / np.sqrt(2),
+    np.array([1.0, -1.0], dtype=complex) / np.sqrt(2),
 )
 
 
@@ -135,9 +127,10 @@ class ProtocolConfig:
 
     @classmethod
     def from_json(cls, document: dict) -> "ProtocolConfig":
-        gate_doc = document.get("gate", {"name": "swap"})
+        state_doc = serialize.entry(document, "input_state", dict, "config")
+        gate_doc = serialize.entry(document, "gate", dict, "config", default={"name": "swap"})
         kwargs = {
-            "input_state": StateVector.from_json(document["input_state"]),
+            "input_state": StateVector.from_json(state_doc),
             "gate": GateSpec(
                 gate_doc.get("name", "swap"),
                 gate_doc.get("params"),
@@ -145,10 +138,12 @@ class ProtocolConfig:
             ),
         }
         if "ctc_initial" in document:
-            kwargs["ctc_initial"] = StateVector.from_json(document["ctc_initial"])
-        for key in ("formalism", "scenario", "bob_measures", "seed", "storage_cycles"):
+            ctc_doc = serialize.entry(document, "ctc_initial", dict, "config")
+            kwargs["ctc_initial"] = StateVector.from_json(ctc_doc)
+        kinds = dict(formalism=str, scenario=str, bob_measures=bool, seed=int, storage_cycles=int)
+        for key, kind in kinds.items():
             if key in document:
-                kwargs[key] = document[key]
+                kwargs[key] = serialize.entry(document, key, kind, "config")
         return cls(**kwargs)
 
     @classmethod
@@ -271,11 +266,6 @@ class Session:
         return _density(self.carried)
 
 
-def _sample_outcome(rng, probabilities) -> int:
-    draw = rng.random()
-    return 0 if draw < probabilities[0] else 1
-
-
 def _density(state: Union[StateVector, DensityOperator]) -> DensityOperator:
     return state.density() if isinstance(state, StateVector) else state
 
@@ -303,21 +293,17 @@ def _measure_chronology(session: Session, joint, actor: str):
     Alice's pure-state event also records both unnormalized branches.
     """
     detail = {"subsystem": "chronology", "basis": "computational"}
-    if isinstance(joint, StateVector):
-        branches = [measurement_branch(joint, 0, vec) for vec in _BASIS_VECTORS["computational"]]
-        probabilities = [b.norm() ** 2 for b in branches]
-        outcome = _sample_outcome(session.rng, probabilities)
-        ctc_factor = branches[outcome].normalize()
+    vector = isinstance(joint, StateVector)
+    branches = _branches(joint.amplitudes if vector else joint.matrix, 0)
+    probabilities = [prob for prob, _ in branches]
+    outcome = _sample(session.rng, probabilities)
+    rest = branches[outcome][1]
+    if vector:
+        ctc_factor = StateVector(rest / np.linalg.norm(rest))
         if actor == "alice":
-            detail["unnormalized_branches"] = [
-                serialize.complex_to_pairs(b.amplitudes) for b in branches
-            ]
+            detail["unnormalized_branches"] = [serialize.complex_to_pairs(r) for _, r in branches]
     else:
-        projected = [proj @ joint.matrix @ proj for proj in _CHRONOLOGY_PROJECTORS]
-        probabilities = [float(np.real(np.trace(p))) for p in projected]
-        outcome = _sample_outcome(session.rng, probabilities)
-        post = DensityOperator._trusted(projected[outcome] / probabilities[outcome])
-        ctc_factor = partial_trace(post, keep=1)
+        ctc_factor = DensityOperator._trusted(rest / probabilities[outcome])
     detail.update(probabilities=probabilities, outcome=outcome)
     session.event(actor, "measurement", detail)
     return outcome, probabilities, ctc_factor
@@ -539,7 +525,8 @@ def run_beam(
     basis_names = ("computational", "hadamard")
     swap_matrix = build_gate(GateSpec("swap")).matrix
     probe = StateVector.basis(0)
-    states = [[StateVector(vec) for vec in _BASIS_VECTORS[name]] for name in basis_names]
+    bases = (_COMPUTATIONAL, _HADAMARD)
+    states = [[StateVector(vec) for vec in basis] for basis in bases]
     mismatch_action = {"collapse": "collapsed", "discard": "discarded", "noise": "noise"}[policy]
     # after the swap a trial depends only on (prep_basis, prep_bit,
     # meas_basis), so its outcome probabilities, action and per-outcome
@@ -549,9 +536,8 @@ def run_beam(
         prep_state = states[prep_basis][prep_bit]
         # swap the known probe in; Alice's chronology qubit now holds the
         # beam state and the CTC carries the probe
-        joint = (swap_matrix @ _kron(probe.amplitudes, prep_state.amplitudes)).reshape(2, 2)
-        basis_pair = _BASIS_VECTORS[basis_names[meas_basis]]
-        probabilities = [float(np.linalg.norm(vec.conj() @ joint) ** 2) for vec in basis_pair]
+        joint = swap_matrix @ _kron(probe.amplitudes, prep_state.amplitudes)
+        probabilities = [prob for prob, _ in _branches(joint, 0, bases[meas_basis])]
         matched = meas_basis == prep_basis
         residuals = (None, None)
         if matched or policy == "noise":
@@ -571,7 +557,7 @@ def run_beam(
         prep_bit = int(rng.integers(2))
         meas_basis = prep_basis if force_match else int(rng.integers(2))
         probabilities, matched, action, residuals = table[prep_basis, prep_bit, meas_basis]
-        outcome = _sample_outcome(rng, probabilities)
+        outcome = _sample(rng, probabilities)
         matches += matched
         ledger.consume(ledger.allocate(), "merged" if matched else "collapsed")
         records.append(
@@ -624,35 +610,22 @@ def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Trans
     psi = apply_unitary(psi, embed(hadamard(), [0], 3))
     emit("alice", "gate", {"gate": "hadamard", "targets": [0]})
 
-    x_mat = np.array([[0, 1], [1, 0]], dtype=complex)
-    z_mat = np.array([[1, 0], [0, -1]], dtype=complex)
-    comp = _BASIS_VECTORS["computational"]
+    # Bob's corrections X^m1 then Z^m0, indexed by the two measured bits
+    x_pow = (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex))
+    z_pow = (np.eye(2, dtype=complex), np.array([[1, 0], [0, -1]], dtype=complex))
     outcome_table = {}
     corrected_states = {}
-    probabilities = []
-    for m0 in (0, 1):
-        first = measurement_branch(psi, 0, comp[m0])
-        for m1 in (0, 1):
-            second = measurement_branch(first, 0, comp[m1])
-            prob = second.norm() ** 2
-            corrected = np.linalg.matrix_power(z_mat, m0) @ (
-                np.linalg.matrix_power(x_mat, m1) @ second.amplitudes
-            )
+    for m0, (_, first) in enumerate(_branches(psi.amplitudes, 0)):
+        for m1, (prob, second) in enumerate(_branches(first, 0)):
+            corrected = z_pow[m0] @ (x_pow[m1] @ second)
             corrected = corrected / np.linalg.norm(corrected)
             fid = fidelity(input_state, StateVector(corrected))
             key = f"{m0}{m1}"
             outcome_table[key] = {"probability": float(prob), "fidelity": float(fid)}
             corrected_states[key] = StateVector(corrected)
-            probabilities.append(prob)
 
-    draw = rng.random()
-    cumulative = 0.0
-    sampled = "11"
-    for key, entry in outcome_table.items():
-        cumulative += entry["probability"]
-        if draw < cumulative:
-            sampled = key
-            break
+    probabilities = [entry["probability"] for entry in outcome_table.values()]
+    sampled = list(outcome_table)[_sample(rng, probabilities)]
     m0, m1 = int(sampled[0]), int(sampled[1])
 
     emit("alice", "measurement", {"subsystem": 0, "basis": "bell_via_cnot_h", "outcome": m0})

@@ -65,6 +65,18 @@ def document_to_array(document: dict) -> np.ndarray:
     )
 
 
+def entry(document, key: str, kind: type, what: str, default=None):
+    """``document[key]`` if it is a ``kind`` (``default`` stands in for a
+    missing key); otherwise a ValueError that names the key."""
+    if not isinstance(document, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(document).__name__}")
+    value = document.get(key, default)
+    if not isinstance(value, kind):
+        got = type(value).__name__ if key in document else "nothing"
+        raise ValueError(f"{what} key {key!r} must be a {kind.__name__}, got {got}")
+    return value
+
+
 def load_array(path: str | Path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)

@@ -9,6 +9,7 @@ most significant bit of the basis index.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -22,6 +23,9 @@ PSD_FLOOR = -1e-10
 #: Sentinel for :func:`measure_projective`: return the whole outcome
 #: distribution instead of sampling a single outcome.
 DETERMINISTIC_REPORT = "deterministic-report"
+
+#: The computational basis pair |0>, |1>: the default measurement basis.
+_COMPUTATIONAL = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 
 
 def _as_complex(values) -> np.ndarray:
@@ -77,7 +81,10 @@ class StateVector(_Frozen):
 
     @classmethod
     def basis(cls, index: int, num_qubits: int = 1) -> "StateVector":
-        amps = np.zeros(2**num_qubits, dtype=complex)
+        dim = 2**num_qubits
+        if not 0 <= index < dim:
+            raise ValueError(f"basis index {index} is out of range 0..{dim - 1}")
+        amps = np.zeros(dim, dtype=complex)
         amps[index] = 1.0
         return cls(amps)
 
@@ -223,16 +230,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
-def _lift_single(op2: np.ndarray, subsystem: int, num_qubits: int) -> np.ndarray:
-    """Embed a single-qubit operator at the given qubit position."""
-    if not 0 <= subsystem < num_qubits:
-        raise ValueError(f"invalid subsystem index {subsystem} for {num_qubits} qubits")
-    full = np.array([[1.0 + 0j]])
-    for q in range(num_qubits):
-        full = _kron(full, op2 if q == subsystem else np.eye(2, dtype=complex))
-    return full
-
-
 def tensor_product(a: QuantumState, b: QuantumState) -> QuantumState:
     """Kronecker product; qubit order is [a's qubits, then b's qubits]."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
@@ -291,7 +288,7 @@ def apply_unitary(state: QuantumState, u) -> QuantumState:
 def _basis_pair(basis) -> tuple[np.ndarray, np.ndarray]:
     """Normalize a basis argument to two orthonormal single-qubit vectors."""
     if basis is None:
-        return np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
+        return _COMPUTATIONAL
     vectors = []
     for entry in basis:
         vec = entry.amplitudes if isinstance(entry, StateVector) else _as_complex(entry).reshape(-1)
@@ -318,42 +315,47 @@ def measurement_branch(state: StateVector, subsystem: int, basis_vector) -> Stat
     if not 0 <= subsystem < n:
         raise ValueError(f"invalid subsystem index {subsystem} for {n} qubits")
     vec = _as_complex(basis_vector).reshape(-1)
-    tensor = state.amplitudes.reshape((2,) * n)
-    contracted = np.tensordot(vec.conj(), tensor, axes=([0], [subsystem]))
-    return StateVector(contracted.reshape(-1), normalized=False)
+    return StateVector(_branches(state.amplitudes, subsystem, (vec,))[0][1], normalized=False)
 
 
-def _measurement_distribution(state, subsystem, b_pair):
-    """Probabilities and full-dimension post states for both outcomes."""
-    results = []
-    if isinstance(state, StateVector):
-        if not state.normalized:
-            raise ValueError("measurement requires a normalized state")
-        n = state.num_qubits
-        for label, bvec in enumerate(b_pair):
-            branch = measurement_branch(state, subsystem, bvec)
-            prob = branch.norm() ** 2
-            post = None
-            if prob > 1e-15:
-                rest = branch.amplitudes / np.sqrt(prob)
-                if n == 1:
-                    post = StateVector(bvec * rest[0])
-                else:
-                    tensor = np.tensordot(bvec, rest.reshape((2,) * (n - 1)), axes=0)
-                    order = list(range(1, subsystem + 1)) + [0] + list(range(subsystem + 1, n))
-                    post = StateVector(np.transpose(tensor, order).reshape(-1))
-            results.append((label, prob, post))
-        return results
-    if isinstance(state, DensityOperator):
-        n = state.num_qubits
-        for label, bvec in enumerate(b_pair):
-            proj = _lift_single(np.outer(bvec, bvec.conj()), subsystem, n)
-            collapsed = proj @ state.matrix @ proj
-            prob = float(np.real(np.trace(collapsed)))
-            post = DensityOperator._trusted(collapsed / prob) if prob > 1e-15 else None
-            results.append((label, max(prob, 0.0), post))
-        return results
-    raise TypeError(f"expected StateVector or DensityOperator, got {type(state).__name__}")
+def _branches(array: np.ndarray, subsystem: int, basis=_COMPUTATIONAL) -> list:
+    """The measurement kernel: (Born probability, unnormalised remainder on
+    the other qubits) for each vector b of a single-qubit basis.
+
+    Amplitudes psi give <b|psi>, with probability |<b|psi>|^2; a density
+    matrix rho gives <b|rho|b>, one contraction on each side, with
+    probability Re Tr. The arrays, subsystem and basis are trusted.
+    """
+    n = _qubit_count(len(array))
+    tensor = array.reshape((2,) * (array.ndim * n))
+    branches = []
+    for b in basis:
+        rest = np.tensordot(b.conj(), tensor, axes=([0], [subsystem]))
+        if array.ndim == 1:
+            branches.append((float(np.linalg.norm(rest)) ** 2, rest.reshape(-1)))
+        else:
+            rest = np.tensordot(rest, b, axes=([n - 1 + subsystem], [0])).reshape(2 ** (n - 1), -1)
+            branches.append((float(np.real(np.trace(rest))), rest))
+    return branches
+
+
+def _sample(rng, probabilities) -> int:
+    """The one sampler: one ``rng.random()`` draw, and the first outcome whose
+    running sum of probabilities exceeds it, or else the last outcome."""
+    draw = rng.random()
+    for outcome, total in enumerate(itertools.accumulate(probabilities)):
+        if draw < total:
+            break
+    return outcome
+
+
+def _place(single: np.ndarray, rest: np.ndarray, subsystem: int) -> np.ndarray:
+    """``single (x) rest`` with the single qubit's axes moved to ``subsystem``."""
+    joint = _kron(single, rest)
+    n = _qubit_count(len(joint))
+    axes = [0, n][: joint.ndim]
+    moved = np.moveaxis(joint.reshape((2,) * (n * joint.ndim)), axes, [a + subsystem for a in axes])
+    return moved.reshape(joint.shape)
 
 
 def measure_projective(
@@ -372,19 +374,33 @@ def measure_projective(
     zero probability raises.
     """
     b_pair = _basis_pair(basis)
-    distribution = _measurement_distribution(state, subsystem, b_pair)
+    if not isinstance(state, (StateVector, DensityOperator)):
+        raise TypeError(f"expected StateVector or DensityOperator, got {type(state).__name__}")
+    vector = isinstance(state, StateVector)
+    if vector and not state.normalized:
+        raise ValueError("measurement requires a normalized state")
+    if not 0 <= subsystem < state.num_qubits:
+        raise ValueError(f"invalid subsystem index {subsystem} for {state.num_qubits} qubits")
+    if outcome not in (None, 0, 1):
+        raise ValueError(f"outcome index {outcome!r} is out of range 0..1")
+    branches = _branches(state.amplitudes if vector else state.matrix, subsystem, b_pair)
+    results = []
+    for label, (b, (prob, rest)) in enumerate(zip(b_pair, branches)):
+        post = None
+        if prob > 1e-15 and vector:
+            post = StateVector(_place(b, rest / np.sqrt(prob), subsystem))
+        elif prob > 1e-15:
+            post = DensityOperator._trusted(_place(np.outer(b, b.conj()), rest / prob, subsystem))
+        results.append(MeasurementResult(label, max(prob, 0.0), post))
     if outcome is not None:
-        label, prob, post = distribution[outcome]
-        if post is None:
-            raise ValueError(f"outcome {outcome} has probability {prob}: no post-state exists")
-        return MeasurementResult(label, prob, post)
+        chosen = results[outcome]
+        if chosen.post_state is None:
+            message = f"outcome {outcome} has probability {chosen.probability}: no post-state"
+            raise ValueError(message)
+        return chosen
     if rng_seed == DETERMINISTIC_REPORT:
-        return [MeasurementResult(label, prob, post) for label, prob, post in distribution]
-    rng = np.random.default_rng(rng_seed)
-    probs = np.array([prob for _, prob, _ in distribution])
-    label = int(rng.choice(len(distribution), p=probs / probs.sum()))
-    _, prob, post = distribution[label]
-    return MeasurementResult(label, prob, post)
+        return results
+    return results[_sample(np.random.default_rng(rng_seed), [r.probability for r in results])]
 
 
 def trace_distance(r1: DensityOperator, r2: DensityOperator) -> float:

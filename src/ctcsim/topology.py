@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
+from . import serialize
 from .states import DensityOperator, _Frozen, trace_distance
 
 
@@ -125,7 +126,8 @@ class TopologySpace(_Frozen):
 
     @classmethod
     def from_json(cls, document: dict) -> "TopologySpace":
-        return cls(document["points"], document["opens"])
+        points, opens = (serialize.entry(document, k, list, "space") for k in ("points", "opens"))
+        return cls(points, opens)
 
 
 def validate_topology(space: TopologySpace):

@@ -299,6 +299,35 @@ def test_config_and_seed_conflict(tmp_path, capsys):
     assert "mutually exclusive" in err
 
 
+@pytest.mark.parametrize(
+    "argv, document, key",
+    [
+        (["run-protocol", "--config"], {"seed": 1}, "'input_state'"),
+        (
+            ["run-protocol", "--config"],
+            {"input_state": {"dim": 2, "data": [[1, 0], [0, 0]]}, "gate": "swap"},
+            "'gate'",
+        ),
+        (
+            ["run-protocol", "--config"],
+            {"input_state": {"dim": 2, "data": [[1, 0], [0, 0]]}, "bob_measures": "no"},
+            "'bob_measures'",
+        ),
+        (["topology-check", "--space"], {"opens": [[], ["a"]]}, "'points'"),
+        (["topology-check", "--space"], {"points": ["a"], "opens": "a"}, "'opens'"),
+        (["topology-check", "--space"], ["a"], "JSON object"),
+    ],
+)
+def test_malformed_json_files_give_one_error_line(tmp_path, argv, document, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    result = run_cli([*argv, str(path)])
+    assert result.returncode == cli.EXIT_ERROR
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0], lines
+    assert result.stdout == b""
+
+
 # ------------------------------------------------------------------------- env
 
 

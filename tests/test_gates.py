@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ctcsim.gates import (
+    GATE_NAMES,
     GateSpec,
     UnitaryGate,
     bell_pair,
@@ -64,6 +65,22 @@ def test_build_gate_dispatch():
     for name in ("swap", "controlled_rotation", "hadamard", "pauli_x", "pauli_z", "cnot", "identity"):
         gate = build_gate(GateSpec(name))
         assert gate.label == name
+
+
+def test_gate_names_list_the_builtins_then_custom():
+    assert GATE_NAMES == (
+        "swap",
+        "controlled_rotation",
+        "controlled_phase",
+        "hadamard",
+        "pauli_x",
+        "pauli_z",
+        "cnot",
+        "identity",
+        "custom",
+    )
+    gate = build_gate(GateSpec("controlled_phase", params=np.pi / 2))
+    assert np.allclose(gate.matrix, np.diag([1, 1, 1, 1j]))
 
 
 def test_gate_spec_rejects_unknown_name():

@@ -7,8 +7,9 @@ earlier, separate implementations: ``measure_projective``'s distribution
 with its full-dimension projectors, both formalisms of the chronology
 measurement, the teleportation table with its cumulative loop, and the
 beam's inline contraction. Where the new route computes the same
-operations, the tests compare bytes; the density distribution of
-``measure_projective`` now contracts instead of projecting, so it is
+operations, the tests compare bytes. ``measure_projective`` builds its
+post-states by a different route (a broadcast outer product, and for a
+density operator a contraction instead of a projector), so those are
 compared within 1e-12.
 """
 
@@ -57,6 +58,12 @@ def old_lift_single(op2, subsystem, num_qubits):
     for q in range(num_qubits):
         full = np.kron(full, op2 if q == subsystem else np.eye(2, dtype=complex))
     return full
+
+
+def old_measurement_branch(state, subsystem, basis_vector):
+    tensor = state.amplitudes.reshape((2,) * state.num_qubits)
+    contracted = np.tensordot(np.conj(basis_vector), tensor, axes=([0], [subsystem]))
+    return contracted.reshape(-1)
 
 
 def old_measurement_distribution(state, subsystem, b_pair):
@@ -195,10 +202,14 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def post_array(result):
+    return getattr(result.post_state, "amplitudes", getattr(result.post_state, "matrix", None))
+
+
 def same_result(a, b):
     """Outcome, probability and post-state agree by bytes."""
-    post = [getattr(r.post_state, "amplitudes", getattr(r.post_state, "matrix", None)) for r in (a, b)]
-    return a.outcome == b.outcome and same_bytes(a.probability, b.probability) and same_bytes(*post)
+    same_post = same_bytes(post_array(a), post_array(b))
+    return a.outcome == b.outcome and same_bytes(a.probability, b.probability) and same_post
 
 
 # ------------------------------------------------------- measure_projective
@@ -206,14 +217,18 @@ def same_result(a, b):
 
 @examples
 @given(seeds, st.integers(1, 3), st.booleans())
-def test_vector_distribution_matches_old_by_bytes(seed, n, haar):
+def test_vector_distribution_matches_old(seed, n, haar):
     state, subsystem, basis = random_case(seed, n, "vector", haar)
     old = old_measurement_distribution(state, subsystem, basis or COMPUTATIONAL)
     new = measure_projective(state, subsystem, basis=basis)
-    for (label, prob, post), result in zip(old, new, strict=True):
+    for b, (label, prob, post), result in zip(basis or COMPUTATIONAL, old, new, strict=True):
+        rest = measurement_branch(state, subsystem, b).amplitudes
+        assert same_bytes(rest, old_measurement_branch(state, subsystem, b))
         assert result.outcome == label
         assert same_bytes(result.probability, prob)
-        assert same_bytes(result.post_state.amplitudes, post.amplitudes)
+        # the post-state's outer product now broadcasts instead of calling
+        # BLAS, which rounds differently in the last bit
+        assert np.max(np.abs(result.post_state.amplitudes - post.amplitudes)) <= 1e-12
 
 
 @examples

@@ -7,6 +7,8 @@ the results without running the constructor's checks. Each test hands such
 a result, built from random inputs, back to the validating constructor.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule  # noqa: E402
 
+from ctcsim.cli import canonical_json  # noqa: E402
 from ctcsim.consistency import (  # noqa: E402
     SOLVER_AGREEMENT_TOL,
     FixedPointError,
@@ -291,3 +294,63 @@ class BranchLedgerMachine(RuleBasedStateMachine):
 
 BranchLedgerMachine.TestCase.settings = settings(max_examples=100, deadline=None)
 test_branch_ledger_state_machine = BranchLedgerMachine.TestCase
+
+
+# ---------------------------------------------------------------- canonical json
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+report_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    finite,
+    st.sampled_from([-0.0, 5e-324, 1e-5, 1e15, 1e15 + 0.5, 1e16, 0.1, 1 / 3]),
+    finite.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.text(max_size=6),
+)
+report_keys = st.one_of(st.text(max_size=4), st.integers(-3, 3), st.booleans())
+
+
+def distinct_keys(d):
+    return len({str(k) for k in d}) == len(d)
+
+
+reports = st.recursive(
+    report_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(report_keys, children, max_size=4).filter(distinct_keys),
+    ),
+    max_leaves=20,
+)
+
+
+def canonical_value(x):
+    """What ``json.loads`` must return: floats at 15 significant digits,
+    numpy scalars as Python numbers, tuples as lists, keys as strings."""
+    if x is None or isinstance(x, (bool, str)):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, (float, np.floating)):
+        return float(format(float(x) + 0.0, ".15g"))
+    if isinstance(x, (list, tuple)):
+        return [canonical_value(v) for v in x]
+    return {str(k): canonical_value(v) for k, v in x.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports)
+def test_canonical_json_round_trips(value):
+    assert json.loads(canonical_json(value)) == canonical_value(value)
+
+
+@examples
+@given(reports, st.sampled_from([float("nan"), float("inf"), -float("inf"), np.float64("nan")]))
+def test_canonical_json_rejects_non_finite_anywhere(value, bad):
+    for payload in (bad, [value, bad], {"k": [bad]}, (value, {"k": bad})):
+        with pytest.raises(ValueError):
+            canonical_json(payload)

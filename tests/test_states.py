@@ -300,6 +300,21 @@ def test_zero_probability_branch_errors():
         measure_projective(state, 0, outcome=1)
 
 
+@pytest.mark.parametrize("outcome", [-1, 2])
+@pytest.mark.parametrize("density", [False, True])
+def test_measure_rejects_outcome_out_of_range(outcome, density):
+    state = StateVector.qubit(0.6, 0.8)
+    with pytest.raises(ValueError, match=rf"outcome index {outcome} is out of range 0\.\.1"):
+        measure_projective(state.density() if density else state, 0, outcome=outcome)
+
+
+@pytest.mark.parametrize("index, num_qubits", [(-1, 1), (2, 1), (-1, 2), (4, 2)])
+def test_basis_rejects_index_out_of_range(index, num_qubits):
+    top = 2**num_qubits - 1
+    with pytest.raises(ValueError, match=rf"basis index {index} is out of range 0\.\.{top}"):
+        StateVector.basis(index, num_qubits)
+
+
 # ------------------------------------------------------------------ distances
 
 
