@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -55,6 +56,25 @@ def test_canonical_json_nesting():
 
 
 # ------------------------------------------------------------- reproducibility
+
+
+#: sha256 of the stdout of commands no other golden covers: the flat CSV,
+#: and ``1e+15``, which ``repr`` would print as ``1000000000000000.0``.
+STDOUT_SHA256 = {
+    "classify-consistency --tolerance 1e15": "b22c62508807427cf34b9849ad9441289f0d307bd27e6116d93dd5810ccd64fa",
+    "run-protocol --output csv": "d2eeac98363d33dd6e74f42f0f33f711401bf546d9a837a1da0cfc6127ef07f3",
+    "run-protocol --scenario storage --storage-cycles 50 --output csv": (
+        "ef673c9caa13206cb3958dff508749b223df560b00edd902aee9cc451cd6d1dc"
+    ),
+    "resources --output csv": "0ecbd24f411ec18084720aacea835437bbd32342e5421894bf0f9f2ae5fe2420",
+}
+
+
+@pytest.mark.parametrize("command", STDOUT_SHA256)
+def test_stdout_is_pinned(command):
+    result = run_cli(command.split())
+    assert result.returncode == 0, result.stderr.decode()
+    assert hashlib.sha256(result.stdout).hexdigest() == STDOUT_SHA256[command]
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ a result, built from random inputs, back to the validating constructor.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -304,7 +305,7 @@ report_leaves = st.one_of(
     st.booleans(),
     st.integers(-(2**70), 2**70),
     finite,
-    st.sampled_from([-0.0, 5e-324, 1e-5, 1e15, 1e15 + 0.5, 1e16, 0.1, 1 / 3]),
+    st.sampled_from([-0.0, 5e-324, 1e-5, 1e15, 1e15 + 0.5, -1e15, 9.999999999999998e15, 1e16, 0.1, 1 / 3]),
     finite.map(np.float64),
     st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
@@ -340,6 +341,79 @@ def canonical_value(x):
     if isinstance(x, (list, tuple)):
         return [canonical_value(v) for v in x]
     return {str(k): canonical_value(v) for k, v in x.items()}
+
+
+def recursive_canonical_json(value) -> str:
+    """The recursive writer ``canonical_json`` replaced, kept as its oracle."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value) + 0.0
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value in report: {value!r}")
+        return format(v, ".15g")
+    if isinstance(value, str):
+        return json.dumps(str(value))
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(recursive_canonical_json(v) for v in value) + "]"
+    if isinstance(value, dict):
+        items = sorted((str(k), v) for k, v in value.items())
+        return "{" + ",".join(json.dumps(k) + ":" + recursive_canonical_json(v) for k, v in items) + "}"
+    raise TypeError(f"cannot serialize {type(value).__name__} in a report")
+
+
+def leaves(x):
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (list, tuple)):
+        for v in x:
+            yield from leaves(v)
+    else:
+        yield x
+
+
+def overflows(x) -> bool:
+    """Whether some finite float in ``x`` reads back as infinity at 15
+    significant digits (at or above about 1.797693134862315e308)."""
+    return any(
+        isinstance(leaf, (float, np.floating)) and math.isinf(float(format(float(leaf), ".15g")))
+        for leaf in leaves(x)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports.filter(lambda value: not overflows(value)))
+def test_canonical_json_matches_recursive_oracle(value):
+    assert canonical_json(value) == recursive_canonical_json(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        1e15,
+        1e15 + 0.5,
+        -1e15,
+        9.999999999999998e15,
+        1e16,
+        5e-324,
+        -0.0,
+        np.float32(0.1),
+        np.int64(-(2**63)),
+        {True: 1, 2: [False, None], -1: "x"},
+        (1, (2.5, ("t",))),
+        # band values in a different order from their sorted keys, next to
+        # strings that spell out a number
+        {"z": 1e15, "a": [-2.5e15, "1e+15"], "m": {"k": 9.87654321098765e15}},
+    ],
+    ids=repr,
+)
+def test_canonical_json_matches_recursive_oracle_at_boundaries(value):
+    for payload in (value, [value], {"k": (value, [value])}):
+        assert canonical_json(payload) == recursive_canonical_json(payload)
 
 
 @settings(max_examples=300, deadline=None)
