@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -82,27 +83,79 @@ class Report:
         }
 
 
+#: A band value's placeholder, as ``json.dumps`` writes it, or a string
+#: literal, which is matched only to be skipped. ``NaN`` appears outside a
+#: string only in a placeholder, since the payload's own floats are finite.
+_BAND_MARK = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|\[NaN,(\d+)\]')
+_SMALLEST_NORMAL = sys.float_info.min
+#: Types the encoder writes as they are, and the one key type it sorts as is.
+_NATIVE = frozenset((str, int, bool, type(None)))
+_STR = frozenset((str,))
+
+
 def canonical_json(value) -> str:
-    """Deterministic JSON: sorted keys, floats at 15 significant digits."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value) + 0.0
+    """Deterministic JSON: sorted keys, floats at 15 significant digits.
+
+    One pass makes a JSON-native copy in which each float is r, the value
+    its 15-digit text reads back as, or int(r) when r is integral and below
+    1e15; then the C encoder writes it, and ``repr(r)`` is that text. Two
+    bands travel as ``[NaN, i]`` placeholders instead: 1e15 <= |r| < 1e16,
+    which ``repr`` spells out in full, and subnormals, which it writes with
+    fewer digits. A container that holds only str keys and native values
+    is not copied.
+    """
+    band: list = []  # the .15g texts of the band values, by placeholder index
+
+    def plain(v):
+        kind = type(v)
+        if kind is float:
+            r = float(format(v, ".15g"))
+            if -1e15 < r < 1e15:
+                if r.is_integer():
+                    return int(r)
+                if r > _SMALLEST_NORMAL or r < -_SMALLEST_NORMAL:
+                    return r
+        elif kind is dict:
+            if _NATIVE.issuperset(map(type, v.values())) and _STR.issuperset(map(type, v)):
+                return v
+            return {
+                k if type(k) is str else str(k): x if type(x) in _NATIVE else plain(x)
+                for k, x in v.items()
+            }
+        elif kind is list or kind is tuple:
+            if _NATIVE.issuperset(map(type, v)):
+                return v
+            return [x if type(x) in _NATIVE else plain(x) for x in v]
+        elif kind in _NATIVE:
+            return v
+        elif isinstance(v, (float, np.floating)):
+            r = float(format(float(v), ".15g"))
+        elif isinstance(v, (int, np.integer)):
+            return int(v)
+        elif isinstance(v, str):
+            return str(v)
+        elif isinstance(v, (list, tuple)):
+            return [plain(x) for x in v]
+        elif isinstance(v, dict):
+            return {str(k): plain(x) for k, x in v.items()}
+        else:
+            raise TypeError(f"cannot serialize {type(v).__name__} in a report")
         if not math.isfinite(v):
-            raise ValueError(f"non-finite value in report: {value!r}")
-        return format(v, ".15g")
-    if isinstance(value, str):
-        return json.dumps(str(value))
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in value) + "]"
-    if isinstance(value, dict):
-        items = sorted((str(k), v) for k, v in value.items())
-        return "{" + ",".join(json.dumps(k) + ":" + canonical_json(v) for k, v in items) + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__} in a report")
+            raise ValueError(f"non-finite value in report: {v!r}")
+        if not math.isfinite(r):
+            raise ValueError(f"report value {v!r} rounds to infinity at 15 significant digits")
+        size = abs(r)
+        if size < 1e15 and r.is_integer():
+            return int(r)
+        if _SMALLEST_NORMAL <= size < 1e15 or size >= 1e16:
+            return r
+        band.append(format(float(v), ".15g"))
+        return [math.nan, len(band) - 1]
+
+    text = json.dumps(plain(value), sort_keys=True, separators=(",", ":"))
+    if band:
+        text = _BAND_MARK.sub(lambda m: m[0] if m[1] is None else band[int(m[1])], text)
+    return text
 
 
 def _flatten(prefix: str, value, rows: list) -> None:

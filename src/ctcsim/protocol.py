@@ -129,13 +129,14 @@ class ProtocolConfig:
     def from_json(cls, document: dict) -> "ProtocolConfig":
         state_doc = serialize.entry(document, "input_state", dict, "config")
         gate_doc = serialize.entry(document, "gate", dict, "config", default={"name": "swap"})
+        params = gate_doc.get("params")
+        if params is not None and (isinstance(params, bool) or not isinstance(params, (int, float))):
+            raise ValueError(
+                f"config key 'gate.params' must be a number or null, got {type(params).__name__}"
+            )
         kwargs = {
             "input_state": StateVector.from_json(state_doc),
-            "gate": GateSpec(
-                gate_doc.get("name", "swap"),
-                gate_doc.get("params"),
-                gate_doc.get("custom_path"),
-            ),
+            "gate": GateSpec(gate_doc.get("name", "swap"), params, gate_doc.get("custom_path")),
         }
         if "ctc_initial" in document:
             ctc_doc = serialize.entry(document, "ctc_initial", dict, "config")

@@ -319,6 +319,14 @@ def test_config_and_seed_conflict(tmp_path, capsys):
     assert "mutually exclusive" in err
 
 
+def test_value_that_rounds_to_infinity_is_one_error_line():
+    result = run_cli(["classify-consistency", "--tolerance", "1.7976931348623157e308"])
+    assert result.returncode == cli.EXIT_ERROR and result.stdout == b""
+    lines = result.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "1.7976931348623157e+308 rounds to infinity at 15 significant digits" in lines[0]
+
+
 @pytest.mark.parametrize(
     "argv, document, key",
     [
@@ -336,6 +344,16 @@ def test_config_and_seed_conflict(tmp_path, capsys):
         (["topology-check", "--space"], {"opens": [[], ["a"]]}, "'points'"),
         (["topology-check", "--space"], {"points": ["a"], "opens": "a"}, "'opens'"),
         (["topology-check", "--space"], ["a"], "JSON object"),
+        (
+            ["run-protocol", "--config"],
+            {"input_state": {"dim": 2, "data": [[1, 0], [0, 0]]}, "gate": {"name": "controlled_phase", "params": [1]}},
+            "'gate.params'",
+        ),
+        (
+            ["run-protocol", "--config"],
+            {"input_state": {"dim": 2, "data": [[1, 0], [0, 0]]}, "gate": {"name": "controlled_phase", "params": True}},
+            "'gate.params'",
+        ),
     ],
 )
 def test_malformed_json_files_give_one_error_line(tmp_path, argv, document, key):

@@ -9,6 +9,7 @@ a result, built from random inputs, back to the validating constructor.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -406,8 +407,8 @@ def test_canonical_json_matches_recursive_oracle(value):
         {True: 1, 2: [False, None], -1: "x"},
         (1, (2.5, ("t",))),
         # band values in a different order from their sorted keys, next to
-        # strings that spell out a number
-        {"z": 1e15, "a": [-2.5e15, "1e+15"], "m": {"k": 9.87654321098765e15}},
+        # strings that spell out a number or a placeholder
+        {"z": 1e15, "a": [-2.5e15, "1e+15", '[NaN,0]"'], "m": {"k": 9.87654321098765e15, "[NaN,1]": 1e-310}},
     ],
     ids=repr,
 )
@@ -419,7 +420,18 @@ def test_canonical_json_matches_recursive_oracle_at_boundaries(value):
 @settings(max_examples=300, deadline=None)
 @given(reports)
 def test_canonical_json_round_trips(value):
-    assert json.loads(canonical_json(value)) == canonical_value(value)
+    if overflows(value):
+        with pytest.raises(ValueError, match="rounds to infinity at 15 significant digits"):
+            canonical_json(value)
+    else:
+        assert json.loads(canonical_json(value)) == canonical_value(value)
+
+
+@pytest.mark.parametrize("big", [1.7976931348623157e308, -1.7976931348623157e308, np.float64(1.7976931348623151e308)])
+def test_canonical_json_rejects_values_that_round_to_infinity(big):
+    with pytest.raises(ValueError, match=re.escape(f"{big!r} rounds to infinity at 15 significant digits")):
+        canonical_json({"k": [1.0, big]})
+    assert json.loads(canonical_json(1.797693134862314e308)) == 1.79769313486231e308
 
 
 @examples

@@ -376,6 +376,15 @@ def test_config_from_json_round_trip():
     assert not t.collapse_flag
 
 
+@pytest.mark.parametrize("params", [1, 0.5, None])
+def test_config_gate_params_accepts_a_number_or_null(params):
+    doc = {
+        "input_state": {"dim": 2, "data": [[0.6, 0.0], [0.8, 0.0]]},
+        "gate": {"name": "controlled_phase", "params": params},
+    }
+    assert ProtocolConfig.from_json(doc).gate.params == params
+
+
 def test_config_rejects_two_qubit_input():
     with pytest.raises(ProtocolError):
         ProtocolConfig(input_state=bell_pair())
