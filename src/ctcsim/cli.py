@@ -49,12 +49,12 @@ EXPECTED_COLLAPSE = ("bob_skips", "self_signal")
 #: copies + 2 points: linear work, 1000 copies in well under a second.
 MAX_COPIES = 1000
 #: Work grows linearly in trials and storage cycles and with the cube of the
-#: grid resolution. The storage cap keeps the slowest run to about 10 s on a
-#: 2-core Xeon; there the largest beam, ``--trials 40000 --policy noise``,
-#: takes about 3 s with JSON output and 2 s with CSV, serialization
-#: included. Memory sets the grid cap: with the identity gate, which admits
-#: all 3,875,251 points, ``--grid 250`` takes 1-2 s and peaks at about
-#: 450 MiB resident.
+#: grid resolution. The trials and storage caps once kept the slowest run to
+#: about 10 s on a 2-core Xeon; there, serialization included, storage at
+#: the cap now takes about 4.5 s and the largest beam, ``--trials 40000
+#: --policy noise``, about 2 s with JSON output and 1.6 s with CSV. Memory
+#: sets the grid cap: with the identity gate, which admits all 3,875,251
+#: points, ``--grid 250`` takes 1-2 s and peaks at about 450 MiB resident.
 MAX_TRIALS = 40_000
 MAX_STORAGE_CYCLES = 300_000
 MAX_GRID = 250
@@ -140,6 +140,7 @@ def canonical_json(value) -> str:
             return {str(k): plain(x) for k, x in v.items()}
         else:
             raise TypeError(f"cannot serialize {type(v).__name__} in a report")
+        # only floats the fast path did not settle fall through to here
         if not math.isfinite(v):
             raise ValueError(f"non-finite value in report: {v!r}")
         if not math.isfinite(r):
