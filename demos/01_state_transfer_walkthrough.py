@@ -33,7 +33,7 @@ session = Session(config)
 message = run_alice_stage(config, session)
 print("Alice swaps her qubit with the CTC qubit and measures hers.")
 print(f"  measurement probabilities: {session.detail['alice_probabilities']}")
-print(f"  outcome sent to Bob:       {message.payload[0]}  (always 0 for the swap)")
+print(f"  outcome sent to Bob:       {message['payload'][0]}  (always 0 for the swap)")
 print(f"  CTC qubit now carries:     {np.round(session.carried.amplitudes, 3)}")
 print()
 

@@ -25,7 +25,6 @@ from .gates import GateSpec, UnitaryGate, bell_pair, build_gate
 from .protocol import (
     BeamReport,
     CausalityError,
-    ClassicalMessage,
     ProtocolConfig,
     ProtocolError,
     Session,
@@ -49,7 +48,6 @@ from .states import (
     DETERMINISTIC_REPORT,
     DensityOperator,
     MeasurementResult,
-    Projector,
     StateVector,
     apply_unitary,
     fidelity,
@@ -78,7 +76,6 @@ __all__ = [
     "BranchError",
     "BranchLedger",
     "CausalityError",
-    "ClassicalMessage",
     "ConsistencyVerdict",
     "ConversionRelation",
     "DETERMINISTIC_REPORT",
@@ -90,7 +87,6 @@ __all__ = [
     "LedgerEntry",
     "LoopRecord",
     "MeasurementResult",
-    "Projector",
     "ProtocolConfig",
     "ProtocolError",
     "ResourceKind",

@@ -197,9 +197,13 @@ def _parse_state(text: str) -> StateVector:
                 f"inline state needs 4 comma-separated numbers (a_re,a_im,b_re,b_im), got {len(parts)}"
             )
         try:
-            a_re, a_im, b_re, b_im = (float(p) for p in parts)
+            a_re, a_im, b_re, b_im = values = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"invalid inline state {text!r}: {exc}") from exc
+        # no normalised state has a component above 1 in size; checking
+        # that first keeps the squares below from overflowing
+        if max(map(abs, values)) > 1.0 + 1e-9:
+            raise ValueError(f"state is not normalized: {text!r} has a component above 1 in size")
         amps = np.array([complex(a_re, a_im), complex(b_re, b_im)])
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > 1e-9:
@@ -378,8 +382,7 @@ def _topology(args) -> dict:
     if (args.space is None) == (args.copies is None):
         raise ValueError("topology-check needs exactly one of --space or --copies")
     if args.space is not None:
-        with open(args.space, "r", encoding="utf-8") as handle:
-            space = TopologySpace.from_json(json.load(handle))
+        space = TopologySpace.from_json(serialize.load_json(args.space))
     else:
         space = build_line_splitting(_at_most("--copies", args.copies, MAX_COPIES))
     ok, violations = validate_topology(space)
@@ -406,12 +409,6 @@ def _resources(args, seed) -> dict:
         for rel in STANDARD_RELATIONS
     }
     return {"tallies": tallies, "relations": relations}
-
-
-def parse_and_dispatch(argv) -> Report:
-    """Parse arguments, run the named subcommand, and build its report."""
-    report, _, _ = dispatch(argv)
-    return report
 
 
 def dispatch(argv) -> tuple[Report, int, str]:

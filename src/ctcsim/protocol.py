@@ -12,7 +12,6 @@ the branch instead of transferring a state.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -80,22 +79,6 @@ class TranscriptEvent:
 
 
 @dataclass(frozen=True)
-class ClassicalMessage:
-    sender: str
-    payload: tuple
-    timestamp_order: int
-    channel: str = "classical"
-
-    def to_json(self) -> dict:
-        return {
-            "sender": self.sender,
-            "payload": list(self.payload),
-            "timestamp_order": self.timestamp_order,
-            "channel": self.channel,
-        }
-
-
-@dataclass(frozen=True)
 class ProtocolConfig:
     """Inputs for one session; states must be normalized single qubits.
 
@@ -149,8 +132,7 @@ class ProtocolConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ProtocolConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(json.load(handle))
+        return cls.from_json(serialize.load_json(path))
 
 
 @dataclass
@@ -169,25 +151,18 @@ class Transcript:
     detail: dict
 
     def __post_init__(self):
-        orders = [e.order for e in self.events]
-        if orders != sorted(orders) or len(set(orders)) != len(orders):
-            raise ProtocolError("transcript events must be strictly ordered")
-        bob_started = False
+        recorder = _Recorder()
         for event in self.events:
-            if event.time_direction is not None and event.time_direction != "forward":
-                raise CausalityError(
-                    f"contact event {event.order} must run parallel to linear time"
-                )
-            if event.actor == "bob":
-                bob_started = True
-            elif event.actor == "alice" and bob_started:
-                raise CausalityError("Alice events must precede all of Bob's")
-            if (
-                event.kind == "message"
-                and event.detail.get("sender") == "bob"
-                and not self.collapse_flag
-            ):
-                raise ProtocolError("a Bob-to-Alice message requires a collapsed run")
+            recorder._admit(event)
+        recorder._close(self.collapse_flag)
+
+    @classmethod
+    def _trusted(cls, **fields) -> "Transcript":
+        """Store, unchecked, the fields of a run whose events a recorder
+        admitted one by one."""
+        transcript = cls.__new__(cls)
+        transcript.__dict__.update(fields)
+        return transcript
 
     def to_json(self) -> dict:
         from .resources import tally
@@ -209,20 +184,71 @@ class Transcript:
         }
 
 
-class Session:
-    """Mutable state for one protocol run; owns one ledger branch."""
+class _Recorder:
+    """One run's events, numbered and checked as they arrive, and its ledger
+    entries, each tied to the newest event. Event kinds in ``contact``
+    (where the CTC touches linear time) must run forward."""
+
+    def __init__(self, contact: tuple = ()):
+        self.contact = contact
+        self.events: list[TranscriptEvent] = []
+        self.resource_entries: list[LedgerEntry] = []
+        self._bob_started = False
+        self._bob_signalled = False
+
+    def _admit(self, event: TranscriptEvent) -> None:
+        """The ordering and causality rules, applied to one more event."""
+        if self.events and event.order <= self.events[-1].order:
+            raise ProtocolError("transcript events must be strictly ordered")
+        if event.actor == "bob":
+            self._bob_started = True
+        elif event.actor == "alice" and self._bob_started:
+            raise CausalityError("Alice events must precede all of Bob's")
+        direction = event.time_direction
+        if direction != "forward" and (direction is not None or event.kind in self.contact):
+            raise CausalityError("contact events must run parallel to linear time")
+        if event.kind == "message" and event.detail.get("sender") == "bob":
+            self._bob_signalled = True
+        self.events.append(event)
+
+    def _close(self, collapse_flag: bool) -> None:
+        # Bob's message precedes the collapse it causes, so this rule
+        # waits for the run's verdict
+        if self._bob_signalled and not collapse_flag:
+            raise ProtocolError("a Bob-to-Alice message requires a collapsed run")
+
+    def event(
+        self, actor: str, kind: str, detail: dict, time_direction: Optional[str] = None
+    ) -> TranscriptEvent:
+        evt = TranscriptEvent(len(self.events), actor, kind, detail, time_direction)
+        self._admit(evt)
+        return evt
+
+    def book(self, kind: ResourceKind, delta: int) -> None:
+        self.resource_entries.append(LedgerEntry(kind, delta, len(self.events) - 1))
+
+    def transcript(self, **fields) -> Transcript:
+        """The run as a transcript; ``fields`` are all but its events and
+        ledger entries."""
+        self._close(fields["collapse_flag"])
+        return Transcript._trusted(
+            events=self.events, resource_entries=self.resource_entries, **fields
+        )
+
+
+class Session(_Recorder):
+    """Mutable state for one protocol run; owns one ledger branch and
+    records its events, whose CTC contacts are the gates, the encoding
+    and the storage cycles."""
 
     def __init__(self, config: ProtocolConfig, ledger: Optional[BranchLedger] = None):
+        super().__init__(contact=("gate", "encode", "storage_cycle"))
         self.config = config
         self.gate: UnitaryGate = config.coupling
         self.ledger = ledger if ledger is not None else BranchLedger()
         self.rng = np.random.default_rng(config.seed)
-        self.events: list[TranscriptEvent] = []
-        self.resource_entries: list[LedgerEntry] = []
         self.collapse_reasons: list[str] = []
         self.stage = "created"
-        self._order = 0
-        self._bob_started = False
 
         self.rho_in = config.ctc_initial.density()
         self.carried: Union[StateVector, DensityOperator, None] = None
@@ -240,25 +266,6 @@ class Session:
         self.event("system", "branch_allocate", {"branch_id": self.branch_id})
         self.book(ResourceKind.CTCBIT, -1)
 
-    def event(
-        self, actor: str, kind: str, detail: dict, time_direction: Optional[str] = None
-    ) -> TranscriptEvent:
-        if actor == "bob":
-            self._bob_started = True
-        elif actor == "alice" and self._bob_started:
-            raise CausalityError("Alice events must precede all of Bob's")
-        if kind in ("gate", "encode", "storage_cycle") and time_direction != "forward":
-            raise CausalityError("contact events must run parallel to linear time")
-        evt = TranscriptEvent(self._order, actor, kind, detail, time_direction)
-        self._order += 1
-        self.events.append(evt)
-        self.ledger.touch(self.branch_id)
-        return evt
-
-    def book(self, kind: ResourceKind, delta: int, event_ref: Optional[int] = None) -> None:
-        ref = event_ref if event_ref is not None else (self._order - 1)
-        self.resource_entries.append(LedgerEntry(kind, delta, ref))
-
     def collapse(self, reason: str) -> None:
         self.collapse_reasons.append(reason)
         self.event("system", "collapse", {"reason": reason})
@@ -269,6 +276,14 @@ class Session:
 
 def _density(state: Union[StateVector, DensityOperator]) -> DensityOperator:
     return state.density() if isinstance(state, StateVector) else state
+
+
+def _send(session: Session, sender: str, bit: int, channel: str) -> dict:
+    """Record one bit sent by ``sender`` as a message event; returns it."""
+    order = len(session.events)
+    message = {"sender": sender, "payload": [bit], "timestamp_order": order, "channel": channel}
+    session.event(sender, "message", message)
+    return message
 
 
 def _couple(session: Session, chrono, ctc, actor: str):
@@ -314,7 +329,7 @@ def _in_formalism(config: ProtocolConfig, state: StateVector):
     return state.density() if config.formalism == "density" else state
 
 
-def run_alice_stage(config: ProtocolConfig, session: Session) -> Optional[ClassicalMessage]:
+def run_alice_stage(config: ProtocolConfig, session: Session) -> Optional[dict]:
     """Couple Alice's qubit to the CTC, measure, emit the classical bit.
 
     Returns None when the coupling collapses the branch (an entangling
@@ -341,8 +356,7 @@ def run_alice_stage(config: ProtocolConfig, session: Session) -> Optional[Classi
     session.loop_states["rho_out"] = session.carried_density()
     session.detail["alice_outcome"] = outcome
     session.detail["alice_probabilities"] = probabilities
-    message = ClassicalMessage("alice", (outcome,), session._order)
-    session.event("alice", "message", message.to_json())
+    message = _send(session, "alice", outcome, "classical")
     session.book(ResourceKind.CBIT, -1)
     session.stage = "alice_done"
     return message
@@ -389,21 +403,23 @@ def _bob_coupling(config: ProtocolConfig, session: Session, ancilla: StateVector
             },
             time_direction="forward",
         )
-        illegal = ClassicalMessage("bob", (bob_outcome,), session._order, channel="ctc")
-        session.event("bob", "message", illegal.to_json())
+        _send(session, "bob", bob_outcome, "ctc")
         session.collapse("self_signal")
 
 
-def run_bob_stage(config: ProtocolConfig, session: Session, msg: ClassicalMessage) -> Session:
-    """Bob prepares |outcome>, couples it to the CTC, optionally measures."""
+def run_bob_stage(config: ProtocolConfig, session: Session, msg: Optional[dict]) -> Session:
+    """Bob prepares |outcome>, couples it to the CTC, optionally measures.
+
+    ``msg`` is the message dict that :func:`run_alice_stage` returned.
+    """
     if session.stage != "alice_done":
         raise ProtocolError(f"Bob stage cannot run from stage {session.stage!r}")
-    if msg is None or msg.sender != "alice":
+    if msg is None or msg.get("sender") != "alice":
         raise ProtocolError("Bob's stage needs Alice's classical message")
     session.loop_states["rho_in_prime"] = session.carried_density()
 
-    reported = int(msg.payload[0])
-    session.event("bob", "prepare", {"ancilla": reported, "from_message": msg.to_json()})
+    reported = int(msg["payload"][0])
+    session.event("bob", "prepare", {"ancilla": reported, "from_message": msg})
     session.book(ResourceKind.ANCILLA, -1)
 
     if config.scenario == "bob_skips":
@@ -467,15 +483,13 @@ def run_session(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -
         session.book(ResourceKind.QUBIT, 1)
 
     session.detail["collapse_reasons"] = list(session.collapse_reasons)
-    return Transcript(
+    return session.transcript(
         protocol="ctc_transfer",
         seed=config.seed,
-        events=session.events,
         final_verdicts={"weak": weak, "deutsch": deutsch},
         collapse_flag=collapse_flag,
         transferred_state=session.transferred,
         transfer_fidelity=session.transfer_fidelity,
-        resource_entries=session.resource_entries,
         branch_id=session.branch_id,
         detail=session.detail,
     )
@@ -591,25 +605,18 @@ def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Trans
     if input_state.dim != 2:
         raise ProtocolError("teleportation input must be a single qubit")
     rng = np.random.default_rng(seed)
-    events: list[TranscriptEvent] = []
-    entries: list[LedgerEntry] = []
-    order = 0
-
-    def emit(actor, kind, detail):
-        nonlocal order
-        events.append(TranscriptEvent(order, actor, kind, detail))
-        order += 1
-        return order - 1
+    # no CTC here: the gates are ordinary and carry no time direction
+    record = _Recorder()
 
     pair = bell_pair()
-    ref = emit("alice", "prepare", {"state": "bell_pair", "shared_with": "bob"})
-    entries.append(LedgerEntry(ResourceKind.EBIT, -1, ref))
+    record.event("alice", "prepare", {"state": "bell_pair", "shared_with": "bob"})
+    record.book(ResourceKind.EBIT, -1)
 
     psi = tensor_product(input_state, pair)
     psi = apply_unitary(psi, embed(cnot(), [0, 1], 3))
-    emit("alice", "gate", {"gate": "cnot", "targets": [0, 1]})
+    record.event("alice", "gate", {"gate": "cnot", "targets": [0, 1]})
     psi = apply_unitary(psi, embed(hadamard(), [0], 3))
-    emit("alice", "gate", {"gate": "hadamard", "targets": [0]})
+    record.event("alice", "gate", {"gate": "hadamard", "targets": [0]})
 
     # Bob's corrections X^m1 then Z^m0, indexed by the two measured bits
     x_pow = (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex))
@@ -629,27 +636,22 @@ def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Trans
     sampled = list(outcome_table)[_sample(rng, probabilities)]
     m0, m1 = int(sampled[0]), int(sampled[1])
 
-    emit("alice", "measurement", {"subsystem": 0, "basis": "bell_via_cnot_h", "outcome": m0})
-    emit("alice", "measurement", {"subsystem": 1, "basis": "bell_via_cnot_h", "outcome": m1})
-    ref = emit("alice", "message", {"sender": "alice", "payload": [m0], "channel": "classical"})
-    entries.append(LedgerEntry(ResourceKind.CBIT, -1, ref))
-    ref = emit("alice", "message", {"sender": "alice", "payload": [m1], "channel": "classical"})
-    entries.append(LedgerEntry(ResourceKind.CBIT, -1, ref))
-    emit("bob", "correction", {"apply_x": m1, "apply_z": m0})
-    transferred = corrected_states[sampled].density()
-    transfer_fid = outcome_table[sampled]["fidelity"]
-    ref = emit("bob", "transfer_complete", {"outcome": sampled})
-    entries.append(LedgerEntry(ResourceKind.QUBIT, 1, ref))
+    record.event("alice", "measurement", {"subsystem": 0, "basis": "bell_via_cnot_h", "outcome": m0})
+    record.event("alice", "measurement", {"subsystem": 1, "basis": "bell_via_cnot_h", "outcome": m1})
+    for bit in (m0, m1):
+        record.event("alice", "message", {"sender": "alice", "payload": [bit], "channel": "classical"})
+        record.book(ResourceKind.CBIT, -1)
+    record.event("bob", "correction", {"apply_x": m1, "apply_z": m0})
+    record.event("bob", "transfer_complete", {"outcome": sampled})
+    record.book(ResourceKind.QUBIT, 1)
 
-    return Transcript(
+    return record.transcript(
         protocol="teleportation",
         seed=seed,
-        events=events,
         final_verdicts={},
         collapse_flag=False,
-        transferred_state=transferred,
-        transfer_fidelity=transfer_fid,
-        resource_entries=entries,
+        transferred_state=corrected_states[sampled].density(),
+        transfer_fidelity=outcome_table[sampled]["fidelity"],
         branch_id=None,
         detail={"outcome_table": outcome_table, "sampled_outcome": sampled},
     )
@@ -657,30 +659,21 @@ def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Trans
 
 def run_ebit_distribution(seed: int = 0) -> Transcript:
     """Turn one use of a noiseless qubit channel into one shared ebit."""
-    events = []
-    entries = []
+    record = _Recorder()
     pair = bell_pair()
-    events.append(
-        TranscriptEvent(0, "alice", "prepare", {"state": "bell_pair", "location": "local"})
-    )
-    events.append(
-        TranscriptEvent(1, "alice", "channel_send", {"what": "second half", "channel": "qubit"})
-    )
-    entries.append(LedgerEntry(ResourceKind.QUBIT, -1, 1))
-    events.append(
-        TranscriptEvent(2, "system", "shared_state", {"holders": ["alice", "bob"]})
-    )
-    entries.append(LedgerEntry(ResourceKind.EBIT, 1, 2))
+    record.event("alice", "prepare", {"state": "bell_pair", "location": "local"})
+    record.event("alice", "channel_send", {"what": "second half", "channel": "qubit"})
+    record.book(ResourceKind.QUBIT, -1)
+    record.event("system", "shared_state", {"holders": ["alice", "bob"]})
+    record.book(ResourceKind.EBIT, 1)
     shared = pair.density()
-    return Transcript(
+    return record.transcript(
         protocol="ebit_distribution",
         seed=seed,
-        events=events,
         final_verdicts={},
         collapse_flag=False,
         transferred_state=shared,
         transfer_fidelity=fidelity(pair, shared),
-        resource_entries=entries,
         branch_id=None,
         detail={"target": "bell_pair"},
     )

@@ -71,16 +71,24 @@ def entry(document, key: str, kind: type, what: str, default=None):
     if not isinstance(document, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(document).__name__}")
     value = document.get(key, default)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         got = type(value).__name__ if key in document else "nothing"
         raise ValueError(f"{what} key {key!r} must be a {kind.__name__}, got {got}")
     return value
 
 
-def load_array(path: str | Path) -> np.ndarray:
+def load_json(path: str | Path):
+    """The JSON document in the file at ``path``; a ValueError that names
+    the file when the file holds none."""
     with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    return document_to_array(document)
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path} does not hold a JSON document: {exc}") from exc
+
+
+def load_array(path: str | Path) -> np.ndarray:
+    return document_to_array(load_json(path))
 
 
 def save_array(path: str | Path, values: np.ndarray) -> None:

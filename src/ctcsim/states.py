@@ -185,27 +185,6 @@ class DensityOperator(_Frozen):
         return f"DensityOperator({np.array2string(self.matrix, precision=6)})"
 
 
-class Projector(_Frozen):
-    """Idempotent Hermitian matrix; P**2 = P within 1e-12."""
-
-    __slots__ = ("matrix", "dim")
-
-    def __init__(self, matrix):
-        mat = _as_complex(matrix)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"projector must be square, got shape {mat.shape}")
-        if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
-            raise ValueError("projector must be Hermitian within 1e-12")
-        if not np.allclose(mat @ mat, mat, atol=ATOL, rtol=0.0):
-            raise ValueError("projector must be idempotent within 1e-12")
-        self._set(matrix=mat, dim=mat.shape[0])
-
-    @classmethod
-    def onto(cls, state: StateVector) -> "Projector":
-        amps = state.normalize().amplitudes
-        return cls(np.outer(amps, amps.conj()))
-
-
 @dataclass(frozen=True)
 class MeasurementResult:
     """One measurement branch: outcome label, Born probability, post state.
@@ -302,20 +281,6 @@ def _basis_pair(basis) -> tuple[np.ndarray, np.ndarray]:
     if not np.allclose(gram, np.eye(2), atol=ATOL, rtol=0.0):
         raise ValueError("measurement basis is not orthonormal within 1e-12")
     return b0, b1
-
-
-def measurement_branch(state: StateVector, subsystem: int, basis_vector) -> StateVector:
-    """Unnormalized remainder (<b| on one qubit applied) of a pure state.
-
-    This is the |v_m> in the decomposition |j> = sum_m |b_m> (x) |v_m>:
-    the squared norm is the outcome probability and the normalized vector
-    is the post-measurement state of the untouched qubits.
-    """
-    n = state.num_qubits
-    if not 0 <= subsystem < n:
-        raise ValueError(f"invalid subsystem index {subsystem} for {n} qubits")
-    vec = _as_complex(basis_vector).reshape(-1)
-    return StateVector(_branches(state.amplitudes, subsystem, (vec,))[0][1], normalized=False)
 
 
 def _branches(array: np.ndarray, subsystem: int, basis=_COMPUTATIONAL) -> list:

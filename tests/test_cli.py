@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,15 @@ def test_unnormalized_state_is_descriptive(capsys):
     code, _, err = run_main(capsys, ["run-protocol", "--state", "1,0,1,0"])
     assert code == cli.EXIT_ERROR
     assert "not normalized" in err
+
+
+def test_overflowing_inline_state_is_one_error_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(capsys, ["run-protocol", "--state", "1e308,0,1e308,0"])
+    assert code == cli.EXIT_ERROR and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "not normalized" in lines[0], lines
 
 
 def test_missing_state_file(capsys):
@@ -354,6 +364,16 @@ def test_value_that_rounds_to_infinity_is_one_error_line():
             {"input_state": {"dim": 2, "data": [[1, 0], [0, 0]]}, "gate": {"name": "controlled_phase", "params": True}},
             "'gate.params'",
         ),
+        (
+            ["run-protocol", "--config"],
+            {
+                "input_state": {"dim": 2, "data": [[1, 0], [0, 0]]},
+                "seed": True,
+                "storage_cycles": False,
+                "scenario": "storage",
+            },
+            "'seed'",
+        ),
     ],
 )
 def test_malformed_json_files_give_one_error_line(tmp_path, argv, document, key):
@@ -364,6 +384,19 @@ def test_malformed_json_files_give_one_error_line(tmp_path, argv, document, key)
     lines = result.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0], lines
     assert result.stdout == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fixed-point", "--unitary"], ["run-protocol", "--config"], ["topology-check", "--space"]],
+)
+def test_empty_json_file_is_named_in_one_error_line(tmp_path, capsys, argv):
+    path = tmp_path / "empty.json"
+    path.write_text("")
+    code, out, err = run_main(capsys, [*argv, str(path)])
+    assert code == cli.EXIT_ERROR and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path} does not hold a JSON document"), lines
 
 
 # ------------------------------------------------------------------------- env
@@ -471,7 +504,7 @@ def test_classify_with_grid_scan(capsys):
 
 
 def test_parse_and_dispatch_returns_report():
-    report = cli.parse_and_dispatch(["fixed-point", "--unitary", "swap", "--state", "1,0,0,0"])
+    report = cli.dispatch(["fixed-point", "--unitary", "swap", "--state", "1,0,0,0"])[0]
     assert report.schema_version == "1"
     assert report.results["methods_agree"] is True
     assert report.wall_time_ms >= 0.0

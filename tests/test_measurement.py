@@ -35,7 +35,6 @@ from ctcsim.states import (  # noqa: E402
     apply_unitary,
     fidelity,
     measure_projective,
-    measurement_branch,
     tensor_product,
 )
 from test_consistency import haar_unitary  # noqa: E402
@@ -71,7 +70,7 @@ def old_measurement_distribution(state, subsystem, b_pair):
     if isinstance(state, StateVector):
         n = state.num_qubits
         for label, bvec in enumerate(b_pair):
-            branch = measurement_branch(state, subsystem, bvec)
+            branch = StateVector(old_measurement_branch(state, subsystem, bvec), normalized=False)
             prob = branch.norm() ** 2
             post = None
             if prob > 1e-15:
@@ -114,7 +113,10 @@ def old_sample_outcome(rng, probabilities):
 def old_measure_chronology(rng, joint):
     """Outcome, probabilities, CTC factor and (vector only) both branches."""
     if isinstance(joint, StateVector):
-        branches = [measurement_branch(joint, 0, vec) for vec in COMPUTATIONAL]
+        branches = [
+            StateVector(old_measurement_branch(joint, 0, vec), normalized=False)
+            for vec in COMPUTATIONAL
+        ]
         probabilities = [b.norm() ** 2 for b in branches]
         outcome = old_sample_outcome(rng, probabilities)
         pairs = [[[float(z.real), float(z.imag)] for z in b.amplitudes] for b in branches]
@@ -146,9 +148,9 @@ def old_teleport_table(input_state):
     z_mat = np.array([[1, 0], [0, -1]], dtype=complex)
     table = {}
     for m0 in (0, 1):
-        first = measurement_branch(psi, 0, COMPUTATIONAL[m0])
+        first = StateVector(old_measurement_branch(psi, 0, COMPUTATIONAL[m0]), normalized=False)
         for m1 in (0, 1):
-            second = measurement_branch(first, 0, COMPUTATIONAL[m1])
+            second = StateVector(old_measurement_branch(first, 0, COMPUTATIONAL[m1]), normalized=False)
             prob = second.norm() ** 2
             corrected = np.linalg.matrix_power(z_mat, m0) @ (
                 np.linalg.matrix_power(x_mat, m1) @ second.amplitudes
@@ -222,7 +224,7 @@ def test_vector_distribution_matches_old(seed, n, haar):
     old = old_measurement_distribution(state, subsystem, basis or COMPUTATIONAL)
     new = measure_projective(state, subsystem, basis=basis)
     for b, (label, prob, post), result in zip(basis or COMPUTATIONAL, old, new, strict=True):
-        rest = measurement_branch(state, subsystem, b).amplitudes
+        rest = states._branches(state.amplitudes, subsystem, (b,))[0][1]
         assert same_bytes(rest, old_measurement_branch(state, subsystem, b))
         assert result.outcome == label
         assert same_bytes(result.probability, prob)

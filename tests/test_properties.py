@@ -7,6 +7,7 @@ the results without running the constructor's checks. Each test hands such
 a result, built from random inputs, back to the validating constructor.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -31,9 +32,19 @@ from ctcsim.consistency import (  # noqa: E402
     scan_admissible_inputs,
     solve_deutsch_fixed_point,
 )
-from ctcsim.gates import UnitaryGate  # noqa: E402
+from ctcsim.gates import GATE_NAMES, GateSpec, UnitaryGate, build_gate  # noqa: E402
+from ctcsim.protocol import (  # noqa: E402
+    FORMALISMS,
+    SCENARIOS,
+    ProtocolConfig,
+    Transcript,
+    run_ebit_distribution,
+    run_session,
+    run_teleportation_baseline,
+)
 from ctcsim.states import (  # noqa: E402
     DensityOperator,
+    StateVector,
     apply_unitary,
     measure_projective,
     partial_trace,
@@ -440,3 +451,45 @@ def test_canonical_json_rejects_non_finite_anywhere(value, bad):
     for payload in (bad, [value, bad], {"k": [bad]}, (value, {"k": bad})):
         with pytest.raises(ValueError):
             canonical_json(payload)
+
+
+# ------------------------------------------------------------ transcripts
+
+
+def rebuilt(transcript: Transcript) -> Transcript:
+    """The same fields through the public constructor, which checks them."""
+    fields = dataclasses.fields(Transcript)
+    return Transcript(**{f.name: getattr(transcript, f.name) for f in fields})
+
+
+COUPLINGS = [name for name in GATE_NAMES[:-1] if build_gate(GateSpec(name)).dim == 4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([s for s in SCENARIOS if s != "beam"]),
+    st.sampled_from(FORMALISMS),
+    st.sampled_from(COUPLINGS),
+    st.booleans(),
+    seeds,
+)
+def test_recorded_transcripts_pass_the_public_check(scenario, formalism, gate, bob_measures, seed):
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.normal(size=2) + 1j * rng.normal(size=2)
+    state = StateVector(amplitudes / np.linalg.norm(amplitudes))
+    config = ProtocolConfig(
+        input_state=state,
+        gate=GateSpec(gate),
+        formalism=formalism,
+        scenario=scenario,
+        bob_measures=bob_measures,
+        seed=seed,
+        storage_cycles=3,
+    )
+    built = [
+        run_session(config),
+        run_teleportation_baseline(state, seed),
+        run_ebit_distribution(seed),
+    ]
+    for transcript in built:
+        assert rebuilt(transcript).to_json() == transcript.to_json()

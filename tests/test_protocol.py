@@ -20,7 +20,6 @@ from ctcsim.protocol import (
     SCENARIOS,
     BeamReport,
     CausalityError,
-    ClassicalMessage,
     ProtocolConfig,
     ProtocolError,
     Session,
@@ -56,8 +55,8 @@ def config(state=None, **kwargs):
 def test_alice_stage_deterministic_outcome_and_ctc_load():
     session = Session(config(seed=1))
     msg = run_alice_stage(config(seed=1), session)
-    assert msg.sender == "alice"
-    assert msg.payload == (0,)
+    assert msg["sender"] == "alice"
+    assert msg["payload"] == [0]
     assert session.detail["alice_probabilities"] == pytest.approx([1.0, 0.0], abs=1e-12)
     assert np.allclose(session.carried.amplitudes, [0.6, 0.8])
 
@@ -66,7 +65,7 @@ def test_alice_stage_basis_input_is_trivial():
     cfg = config(StateVector.basis(0), seed=1)
     session = Session(cfg)
     msg = run_alice_stage(cfg, session)
-    assert msg.payload == (0,)
+    assert msg["payload"] == [0]
     assert np.allclose(session.carried.amplitudes, [1.0, 0.0])
 
 
@@ -77,7 +76,7 @@ def test_alice_stage_one_input():
     cfg = config(StateVector.basis(1), seed=1)
     session = Session(cfg)
     msg = run_alice_stage(cfg, session)
-    assert msg.payload == (0,)
+    assert msg["payload"] == [0]
     assert np.allclose(session.carried.amplitudes, [0.0, 1.0])
 
 
@@ -150,7 +149,7 @@ def test_bob_stage_zero_input_deterministic():
 def test_bob_stage_requires_alice_first():
     cfg = config(seed=1)
     session = Session(cfg)
-    msg = ClassicalMessage("alice", (0,), 0)
+    msg = {"sender": "alice", "payload": [0], "timestamp_order": 0, "channel": "classical"}
     with pytest.raises(ProtocolError):
         run_bob_stage(cfg, session, msg)
 
@@ -294,6 +293,22 @@ def test_no_bob_message_without_collapse():
             branch_id=0,
             detail={},
         )
+
+
+def test_bob_message_needs_a_collapse_when_the_transcript_is_built():
+    fields = dict(
+        protocol="ctc_transfer", seed=1, final_verdicts={}, transferred_state=None,
+        transfer_fidelity=None, branch_id=0, detail={},
+    )
+    for collapse_flag in (False, True):
+        session = Session(config(seed=1))
+        # recording passes: the collapse that must follow comes later
+        session.event("bob", "message", {"sender": "bob", "payload": [0], "channel": "ctc"})
+        if collapse_flag:
+            assert session.transcript(collapse_flag=True, **fields).collapse_flag
+        else:
+            with pytest.raises(ProtocolError, match="requires a collapsed run"):
+                session.transcript(collapse_flag=False, **fields)
 
 
 def test_transcript_rejects_unordered_events():

@@ -4,12 +4,11 @@ import pytest
 from ctcsim.states import (
     DETERMINISTIC_REPORT,
     DensityOperator,
-    Projector,
     StateVector,
+    _branches,
     apply_unitary,
     fidelity,
     measure_projective,
-    measurement_branch,
     partial_trace,
     purity,
     tensor_product,
@@ -73,16 +72,6 @@ def test_density_rejects_bad_trace():
 def test_density_rejects_negative_eigenvalue():
     with pytest.raises(ValueError):
         DensityOperator([[1.5, 0.0], [0.0, -0.5]])
-
-
-def test_projector_rejects_non_idempotent():
-    with pytest.raises(ValueError):
-        Projector([[0.5, 0.0], [0.0, 0.5]])
-
-
-def test_projector_onto_state():
-    p = Projector.onto(StateVector.qubit(0.6, 0.8))
-    assert np.allclose(p.matrix @ p.matrix, p.matrix)
 
 
 def test_immutability():
@@ -234,8 +223,8 @@ def test_measure_deterministic_outcome():
     results = measure_projective(state, 0, rng_seed=DETERMINISTIC_REPORT)
     assert results[0].probability == pytest.approx(1.0, abs=1e-12)
     assert results[1].probability == pytest.approx(0.0, abs=1e-12)
-    ctc_factor = measurement_branch(state, 0, [1, 0])
-    assert np.allclose(ctc_factor.amplitudes, [0.6, 0.8])
+    ctc_factor = _branches(state.amplitudes, 0)[0][1]
+    assert np.allclose(ctc_factor, [0.6, 0.8])
 
 
 def test_measure_probabilistic_branches_share_ctc_factor():
@@ -246,8 +235,8 @@ def test_measure_probabilistic_branches_share_ctc_factor():
     assert results[0].probability == pytest.approx(0.36)
     assert results[1].probability == pytest.approx(0.64)
     for outcome, scale in ((0, 0.6), (1, 0.8)):
-        branch = measurement_branch(state, 0, np.eye(2)[outcome])
-        assert np.allclose(branch.amplitudes, [scale, 0.0])
+        branch = _branches(state.amplitudes, 0)[outcome][1]
+        assert np.allclose(branch, [scale, 0.0])
 
 
 def test_measure_plus_state_is_even():
