@@ -614,7 +614,9 @@ def test_fixed_set_distance_is_bitwise_the_old_one():
 
 
 def old_iterative(u, rho_in, tolerance=1e-12, max_iterations=MAX_ITERATIONS):
+    """The per-step loop: (last iterate, iterations or None, last step)."""
     rho = np.eye(2, dtype=complex) / 2
+    step = float("inf")
     for iteration in range(1, max_iterations + 1):
         nxt = old_reduce(u, np.kron(rho_in.matrix, rho))
         trace = np.trace(nxt).real
@@ -623,8 +625,26 @@ def old_iterative(u, rho_in, tolerance=1e-12, max_iterations=MAX_ITERATIONS):
         step = float(0.5 * np.abs(np.linalg.eigvalsh(nxt - rho)).sum())
         rho = nxt
         if step <= tolerance:
-            return rho, iteration
-    return rho, None
+            return rho, iteration, step
+    return rho, None, step
+
+
+def assert_iterative_is_the_old_loop(gate, rho_in, tolerance, max_iterations):
+    old_rho, old_iterations, old_step = old_iterative(gate, rho_in, tolerance, max_iterations)
+    try:
+        solution = solve_deutsch_fixed_point(
+            gate, rho_in, "iterative", tolerance=tolerance, max_iterations=max_iterations
+        )
+    except FixedPointError as exc:
+        assert old_iterations is None
+        assert_same_bytes(exc.rho.matrix, old_rho)
+        assert_same_bytes(exc.residual, old_step)
+        message = f"no convergence after {max_iterations} iterations (last step {old_step:.3e})"
+        assert str(exc) == message
+        return None
+    assert solution.iterations == old_iterations
+    assert_same_bytes(solution.rho.matrix, old_rho)
+    return solution.iterations
 
 
 def test_iterative_solver_is_bitwise_the_old_loop():
@@ -632,15 +652,22 @@ def test_iterative_solver_is_bitwise_the_old_loop():
     states = special_densities() + random_pure_and_mixed(rng, 2)
     for gate in kernel_couplings(rng, 6):
         for rho_in in states:
-            old_rho, old_iterations = old_iterative(gate, rho_in, max_iterations=300)
-            try:
-                solution = solve_deutsch_fixed_point(gate, rho_in, "iterative", max_iterations=300)
-            except FixedPointError as exc:
-                assert old_iterations is None
-                assert_same_bytes(exc.rho.matrix, old_rho)
-                continue
-            assert solution.iterations == old_iterations
-            assert_same_bytes(solution.rho.matrix, old_rho)
+            assert_iterative_is_the_old_loop(gate, rho_in, 1e-12, 300)
+
+
+# caps on each side of the solver's batch boundaries (1, 3, 7, 15, then every 16)
+@pytest.mark.parametrize("max_iterations", [-1, 0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 300])
+@pytest.mark.parametrize("tolerance", [0.0, 1e-12, 1e-6, 0.1])
+def test_iterative_solver_is_bitwise_the_old_loop_at_every_cap(tolerance, max_iterations):
+    rng = np.random.default_rng(21)
+    states = special_densities()[::2] + random_pure_and_mixed(rng, 1)
+    outcomes = set()
+    for gate in kernel_couplings(rng, 3):
+        for rho_in in states:
+            iterations = assert_iterative_is_the_old_loop(gate, rho_in, tolerance, max_iterations)
+            outcomes.add(iterations is None)
+    if max_iterations <= 0:
+        assert outcomes == {True}
 
 
 # ----------------------------------------------------------------- work count
