@@ -93,6 +93,18 @@ _NATIVE = frozenset((str, int, bool, type(None)))
 _STR = frozenset((str,))
 
 
+#: ``json.dumps(v, sort_keys=True, separators=(",", ":"))``, built once.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: The flat CSV's encoder writes a NUL between items. The ASCII-escaped text
+#: has no other NUL, so a list's element boundaries can be told apart.
+_CSV_ENCODER = json.JSONEncoder(sort_keys=True, separators=("\x00", ":"))
+
+
+class _Band(tuple):
+    """A band value's placeholder ``(NaN, i)``, written as ``[NaN,i]``; a type
+    of its own so that the flat CSV can tell it from a list."""
+
+
 def canonical_json(value) -> str:
     """Deterministic JSON: sorted keys, floats at 15 significant digits.
 
@@ -105,68 +117,83 @@ def canonical_json(value) -> str:
     is not copied.
     """
     band: list = []  # the .15g texts of the band values, by placeholder index
+    return _fill(_ENCODER.encode(_plain(value, band)), band)
 
-    def plain(v):
-        kind = type(v)
-        if kind is float:
-            r = float(format(v, ".15g"))
-            if -1e15 < r < 1e15:
-                if r.is_integer():
-                    return int(r)
-                if r > _SMALLEST_NORMAL or r < -_SMALLEST_NORMAL:
-                    return r
-        elif kind is dict:
-            if _NATIVE.issuperset(map(type, v.values())) and _STR.issuperset(map(type, v)):
-                return v
-            return {
-                k if type(k) is str else str(k): x if type(x) in _NATIVE else plain(x)
-                for k, x in v.items()
-            }
-        elif kind is list or kind is tuple:
-            if _NATIVE.issuperset(map(type, v)):
-                return v
-            return [x if type(x) in _NATIVE else plain(x) for x in v]
-        elif kind in _NATIVE:
+
+def _plain(v, band: list):
+    """The JSON-native copy of ``v`` that :func:`canonical_json` encodes; the
+    text of each band value is appended to ``band``."""
+    kind = type(v)
+    if kind is float:
+        r = float(format(v, ".15g"))
+        if -1e15 < r < 1e15:
+            if r.is_integer():
+                return int(r)
+            if r > _SMALLEST_NORMAL or r < -_SMALLEST_NORMAL:
+                return r
+    elif kind is dict:
+        if _NATIVE.issuperset(map(type, v.values())) and _STR.issuperset(map(type, v)):
             return v
-        elif isinstance(v, (float, np.floating)):
-            r = float(format(float(v), ".15g"))
-        elif isinstance(v, (int, np.integer)):
-            return int(v)
-        elif isinstance(v, str):
-            return str(v)
-        elif isinstance(v, (list, tuple)):
-            return [plain(x) for x in v]
-        elif isinstance(v, dict):
-            return {str(k): plain(x) for k, x in v.items()}
-        else:
-            raise TypeError(f"cannot serialize {type(v).__name__} in a report")
-        # only floats the fast path did not settle fall through to here
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite value in report: {v!r}")
-        if not math.isfinite(r):
-            raise ValueError(f"report value {v!r} rounds to infinity at 15 significant digits")
-        size = abs(r)
-        if size < 1e15 and r.is_integer():
-            return int(r)
-        if _SMALLEST_NORMAL <= size < 1e15 or size >= 1e16:
-            return r
-        band.append(format(float(v), ".15g"))
-        return [math.nan, len(band) - 1]
+        return {
+            k if type(k) is str else str(k): x if type(x) in _NATIVE else _plain(x, band)
+            for k, x in v.items()
+        }
+    elif kind is list or kind is tuple:
+        if _NATIVE.issuperset(map(type, v)):
+            return v
+        return [x if type(x) in _NATIVE else _plain(x, band) for x in v]
+    elif kind in _NATIVE:
+        return v
+    elif isinstance(v, (float, np.floating)):
+        r = float(format(float(v), ".15g"))
+    elif isinstance(v, (int, np.integer)):
+        return int(v)
+    elif isinstance(v, str):
+        return str(v)
+    elif isinstance(v, (list, tuple)):
+        return [_plain(x, band) for x in v]
+    elif isinstance(v, dict):
+        return {str(k): _plain(x, band) for k, x in v.items()}
+    else:
+        raise TypeError(f"cannot serialize {type(v).__name__} in a report")
+    # only floats the fast path did not settle fall through to here
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value in report: {v!r}")
+    if not math.isfinite(r):
+        raise ValueError(f"report value {v!r} rounds to infinity at 15 significant digits")
+    size = abs(r)
+    if size < 1e15 and r.is_integer():
+        return int(r)
+    if _SMALLEST_NORMAL <= size < 1e15 or size >= 1e16:
+        return r
+    band.append(format(float(v), ".15g"))
+    return _Band((math.nan, len(band) - 1))
 
-    text = json.dumps(plain(value), sort_keys=True, separators=(",", ":"))
+
+def _fill(text: str, band: list) -> str:
+    """Put each band value's text in place of its placeholder."""
     if band:
         text = _BAND_MARK.sub(lambda m: m[0] if m[1] is None else band[int(m[1])], text)
     return text
 
 
-def _flatten(prefix: str, value, rows: list) -> None:
-    if isinstance(value, dict):
-        for key in sorted(str(k) for k in value):
-            _flatten(f"{prefix}.{key}" if prefix else key, value[key], rows)
-    elif isinstance(value, (list, tuple)):
-        rows.append((prefix, "|".join(canonical_json(v) for v in value)))
-    elif isinstance(value, (bool, int, float, str)) or value is None:
-        rows.append((prefix, canonical_json(value)))
+def _flatten(prefix: str, value, parts: list, band: list) -> None:
+    """The flat CSV's rows, ``\\n<key path>,<text>``, of a :func:`_plain`
+    payload, appended to ``parts`` as two pieces each. A list's elements,
+    each in its canonical text, are joined by ``|``: the list is encoded once
+    with a bare NaN between each two elements, and only that NaN follows a
+    separator, since a report's own floats are finite."""
+    if type(value) is dict:
+        for key in sorted(value):
+            _flatten(f"{prefix}.{key}" if prefix else key, value[key], parts, band)
+        return
+    if type(value) is list or type(value) is tuple:
+        spaced = [math.nan] * (2 * len(value) - 1)
+        spaced[::2] = value
+        text = _CSV_ENCODER.encode(spaced)[1:-1].replace("\x00NaN\x00", "|")
+    else:
+        text = _CSV_ENCODER.encode(value)
+    parts += (f"\n{prefix},", _fill(text.replace("\x00", ","), band))
 
 
 def emit_report(report: Report, output: str = "json") -> str:
@@ -183,9 +210,10 @@ def emit_report(report: Report, output: str = "json") -> str:
         for record in results["records"]:
             lines.append(",".join(str(record.get(c, "")) for c in columns))
         return "\n".join(lines)
-    rows: list = []
-    _flatten("", report.to_payload(), rows)
-    return "\n".join(["key,value"] + [f"{k},{v}" for k, v in rows])
+    parts = ["key,value"]
+    band: list = []
+    _flatten("", _plain(report.to_payload(), band), parts, band)
+    return "".join(parts)
 
 
 def _parse_state(text: str) -> StateVector:

@@ -8,6 +8,7 @@ requires the state sequence around the loop to be well-ordered and cyclic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,7 +21,6 @@ from .states import (
     ATOL,
     DensityOperator,
     StateVector,
-    _half_trace_norm,
     _kron,
     apply_unitary,
     fidelity,
@@ -35,6 +35,9 @@ MAX_ITERATIONS = 10_000
 # inside this radius the smallest eigenvalue, (1 - |r|)/2 >= 5e-13, dwarfs
 # LAPACK's error (about 4e-16), so a Bloch matrix needs no positivity check
 _SURFACE_SHELL = 1.0 - 1e-12
+# run lengths of the iterative solver's batched step check; short first runs
+# spare a solve of few steps the surplus iterates of a long run
+_RUNS = (1, 2, 4, 8, 16)
 
 LOOP_LABELS = ("rho_in", "rho_out", "rho_in_prime", "rho_out_prime")
 
@@ -168,10 +171,10 @@ def _require_coupling_shapes(u: UnitaryGate, *single_qubit_dims):
             raise ValueError(f"expected a single-qubit state, got dim {dim}")
 
 
-def _reduce(u: UnitaryGate, joint: np.ndarray) -> np.ndarray:
-    """Tr_A[U J U-dagger] for any 4x4 matrix J, tracing out the
-    chronology-respecting qubit A; linear in J."""
-    evolved = u.matrix @ joint @ u.matrix.conj().T
+def _reduce(u: np.ndarray, u_dag: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """Tr_A[U J U-dagger] for any 4x4 matrix J, given U and U-dagger,
+    tracing out the chronology-respecting qubit A; linear in J."""
+    evolved = u @ joint @ u_dag
     return evolved[:2, :2] + evolved[2:, 2:]
 
 
@@ -193,8 +196,9 @@ def _pauli_coefficients(mat: np.ndarray) -> tuple:
 def _pauli_transfer(u: UnitaryGate, joints) -> np.ndarray:
     """4x4 real matrix m[i, j] = Tr(sigma_i Tr_A[U J_j U-dagger]) / 2."""
     m = np.empty((4, 4))
+    u_dag = u.matrix.conj().T
     for j, joint in enumerate(joints):
-        m[:, j] = _pauli_coefficients(_reduce(u, joint))
+        m[:, j] = _pauli_coefficients(_reduce(u.matrix, u_dag, joint))
     return 0.5 * m
 
 
@@ -202,7 +206,8 @@ def deutsch_map(u: UnitaryGate, rho_in: DensityOperator, rho: DensityOperator) -
     """The reduced coupling map: trace the chronology-respecting qubit
     out of U (rho_in (x) rho) U-dagger."""
     _require_coupling_shapes(u, rho_in.dim, rho.dim)
-    return DensityOperator._trusted(_reduce(u, _kron(rho_in.matrix, rho.matrix)))
+    joint = _kron(rho_in.matrix, rho.matrix)
+    return DensityOperator._trusted(_reduce(u.matrix, u.matrix.conj().T, joint))
 
 
 def check_strong(
@@ -256,11 +261,21 @@ def density_from_bloch(r) -> DensityOperator:
         r = r / norm
     mat = 0.5 * (_PAULI[0] + r[0] * _PAULI[1] + r[1] * _PAULI[2] + r[2] * _PAULI[3])
     if norm >= _SURFACE_SHELL:
-        smallest = float(np.linalg.eigvalsh(mat).min())
-        if smallest < 0.0:
-            # fp fuzz on the ball surface; mix infinitesimally toward center
-            mat = (mat - smallest * np.eye(2)) / (1.0 - 2.0 * smallest)
+        mat = _onto_ball(mat[None])[0]
     return DensityOperator._trusted(mat)
+
+
+def _onto_ball(mats: np.ndarray) -> np.ndarray:
+    """A stack of Bloch matrices of points on or near the ball's surface,
+    each with a negative eigenvalue (fp fuzz) mixed infinitesimally toward
+    the center; one stacked ``eigvalsh``."""
+    smallest = np.linalg.eigvalsh(mats).min(axis=1)[:, None, None]
+    fuzzy = (smallest < 0.0)[:, 0, 0]
+    if fuzzy.any():
+        mats = mats.copy()
+        s = smallest[fuzzy]
+        mats[fuzzy] = (mats[fuzzy] - s * np.eye(2)) / (1.0 - 2.0 * s)
+    return mats
 
 
 def transfer_matrix(u: UnitaryGate, rho_in: DensityOperator) -> np.ndarray:
@@ -287,6 +302,45 @@ def _fixed_space(u: UnitaryGate, rho_in: DensityOperator):
     _, svals, vt = np.linalg.svd(k)
     null_basis = [vt[i] for i in range(3) if svals[i] < 1e-10]
     return r, null_basis, defect
+
+
+def _iterate(u: UnitaryGate, rho_in: np.ndarray, tolerance: float, max_iterations: int):
+    """The iterative solver's loop: the first iterate whose step from the one
+    before is within ``tolerance``, and its iteration number.
+
+    Iterates are computed in runs of ``_RUNS`` steps, and one stacked
+    ``eigvalsh`` of their differences gives a run's steps (the bits of one
+    call per difference); the iterates past the first close step are
+    dropped. Raises FixedPointError with the last iterate and step.
+    """
+    u_dag = u.matrix.conj().T
+    left = rho_in[:, None, :, None]  # _kron(rho_in, mat), broadcast once
+    mat = DensityOperator.maximally_mixed().matrix
+    step = float("inf")
+    done = 0
+    for run in itertools.chain(_RUNS, itertools.repeat(_RUNS[-1])):
+        run = min(run, max_iterations - done)
+        if run <= 0:
+            break
+        iterates = [mat]
+        for _ in range(run):
+            mat = _reduce(u.matrix, u_dag, (left * mat[None, :, None, :]).reshape(4, 4))
+            trace = mat.trace().real
+            if abs(trace - 1.0) > ATOL / 2:
+                mat = mat / trace
+            iterates.append(mat)
+        stack = np.array(iterates)
+        steps = 0.5 * np.abs(np.linalg.eigvalsh(stack[1:] - stack[:-1])).sum(axis=1)
+        close = np.flatnonzero(steps <= tolerance)
+        if close.size:
+            return stack[close[0] + 1], done + int(close[0]) + 1
+        done += run
+        step = float(steps[-1])
+    raise FixedPointError(
+        f"no convergence after {max_iterations} iterations (last step {step:.3e})",
+        rho=DensityOperator._trusted(mat),
+        residual=step,
+    )
 
 
 def solve_deutsch_fixed_point(
@@ -322,24 +376,7 @@ def solve_deutsch_fixed_point(
     basis += [0.5 * sum(v[i] * _PAULI[i + 1] for i in range(3)) for v in null_basis]
 
     if method == "iterative":
-        # deutsch_map and trace_distance on raw matrices; only the result is wrapped
-        mat = DensityOperator.maximally_mixed().matrix
-        step = float("inf")
-        for iteration in range(1, max_iterations + 1):
-            nxt = _reduce(u, _kron(rho_in.matrix, mat))
-            trace = nxt.trace().real
-            if abs(trace - 1.0) > ATOL / 2:
-                nxt = nxt / trace
-            step = _half_trace_norm(nxt - mat)
-            mat = nxt
-            if step <= tolerance:
-                break
-        else:
-            raise FixedPointError(
-                f"no convergence after {max_iterations} iterations (last step {step:.3e})",
-                rho=DensityOperator._trusted(mat),
-                residual=step,
-            )
+        mat, iteration = _iterate(u, rho_in.matrix, tolerance, max_iterations)
         rho = DensityOperator._trusted(mat)
     else:
         if defect > 1e-10:
@@ -425,12 +462,17 @@ def scan_admissible_inputs(
     calling check_deutsch per point.
     """
     points, residuals = _admissible_points(u, rho.matrix, grid_resolution, residual_tolerance)
-    # density_from_bloch's expression, broadcast; only near-surface points need its check
+    # density_from_bloch, batched: only near-surface points need its check,
+    # and they are scaled by its own per-point norm, since the row-wise norm
+    # can differ from it in the last bit
+    near = np.flatnonzero(np.linalg.norm(points, axis=1) >= _SURFACE_SHELL)
+    norms = np.array([float(np.linalg.norm(points[i])) for i in near])
+    outside = norms > 1.0
+    if outside.any():
+        points = points.copy()
+        points[near[outside]] /= norms[outside, None]
     r = points[:, :, None, None]
     mats = 0.5 * (_PAULI[0] + r[:, 0] * _PAULI[1] + r[:, 1] * _PAULI[2] + r[:, 2] * _PAULI[3])
-    near = np.linalg.norm(points, axis=1) >= _SURFACE_SHELL
-    rhos = [
-        density_from_bloch(p) if surface else DensityOperator._trusted(m)
-        for p, m, surface in zip(points, mats, near)
-    ]
-    return list(zip(rhos, residuals.tolist()))
+    if near.size:
+        mats[near] = _onto_ball(mats[near])
+    return list(zip(DensityOperator._trusted_stack(mats), residuals.tolist()))

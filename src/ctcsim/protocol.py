@@ -44,6 +44,10 @@ BEAM_POLICIES = ("collapse", "discard", "noise")
 PURITY_TOL = 1e-10
 TRANSFER_FIDELITY = 1.0 - 1e-12
 
+#: The event kinds of a CTC transfer where the CTC touches linear time: the
+#: gates, the encoding and the storage cycles.
+_CTC_CONTACT = ("gate", "encode", "storage_cycle")
+
 _HADAMARD = (
     np.array([1.0, 1.0], dtype=complex) / np.sqrt(2),
     np.array([1.0, -1.0], dtype=complex) / np.sqrt(2),
@@ -151,7 +155,7 @@ class Transcript:
     detail: dict
 
     def __post_init__(self):
-        recorder = _Recorder()
+        recorder = _Recorder(_CTC_CONTACT if self.protocol == "ctc_transfer" else ())
         for event in self.events:
             recorder._admit(event)
         recorder._close(self.collapse_flag)
@@ -238,11 +242,10 @@ class _Recorder:
 
 class Session(_Recorder):
     """Mutable state for one protocol run; owns one ledger branch and
-    records its events, whose CTC contacts are the gates, the encoding
-    and the storage cycles."""
+    records its events, whose CTC contacts are ``_CTC_CONTACT``."""
 
     def __init__(self, config: ProtocolConfig, ledger: Optional[BranchLedger] = None):
-        super().__init__(contact=("gate", "encode", "storage_cycle"))
+        super().__init__(contact=_CTC_CONTACT)
         self.config = config
         self.gate: UnitaryGate = config.coupling
         self.ledger = ledger if ledger is not None else BranchLedger()

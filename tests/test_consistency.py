@@ -725,3 +725,47 @@ def test_classify_grid_scan_builds_no_density_operators(monkeypatch, capsys):
     assert len(calls) - without_grid == without_grid > 0
     scan = json.loads(capsys.readouterr().out.splitlines()[-1])["results"]["admissible_scan"]
     assert scan["admissible_count"] == len(bloch_grid(16))
+
+
+def test_iterative_solve_checks_its_steps_in_stacked_runs(monkeypatch):
+    rng = np.random.default_rng(23)
+    theta = 0.05
+    partial_swap = UnitaryGate(np.cos(theta) * np.eye(4) + 1j * np.sin(theta) * swap().matrix)
+    cases = [(partial_swap, StateVector.qubit(0.6, 0.8).density())]
+    cases += [(gate, random_density(rng)) for gate in kernel_couplings(rng, 6)]
+    calls = counting(monkeypatch, np.linalg, "eigvalsh")
+    long_solves = 0
+    for gate, rho_in in cases:
+        del calls[:]
+        steps = solve_deutsch_fixed_point(gate, rho_in, "iterative").iterations
+        long_solves += steps > 16
+        # runs of 1, 2, 4, 8, then 16 steps, plus the returned solution's residual
+        assert len(calls) <= -(-steps // 16) + 4 + 1
+    assert long_solves >= 2
+
+
+def test_scan_takes_one_eigvalsh_and_no_per_point_construction(monkeypatch):
+    calls = []
+    trusted = DensityOperator._trusted.__func__
+
+    def counted(cls, matrix):
+        calls.append(matrix.shape)
+        return trusted(cls, matrix)
+
+    monkeypatch.setattr(DensityOperator, "_trusted", classmethod(counted))
+    eigvalsh = counting(monkeypatch, np.linalg, "eigvalsh")
+    rng = np.random.default_rng(24)
+    scanned = 0
+    for gate in (identity(), swap(), controlled_rotation(), UnitaryGate(haar_unitary(rng))):
+        rho = random_density(rng)
+        for tolerance in (SOLVER_AGREEMENT_TOL, 0.3, np.inf):
+            del eigvalsh[:]
+            scan = scan_admissible_inputs(gate, rho, 16, tolerance)
+            assert len(eigvalsh) <= 1
+            assert calls == []
+            scanned += len(scan)
+            for candidate, _ in scan:
+                assert not candidate.matrix.flags.writeable
+                with pytest.raises(ValueError):
+                    candidate.matrix.flags.writeable = True
+    assert scanned > len(bloch_grid(16))

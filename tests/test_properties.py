@@ -19,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule  # noqa: E402
 
-from ctcsim.cli import canonical_json  # noqa: E402
+from ctcsim.cli import Report, canonical_json, emit_report  # noqa: E402
 from ctcsim.consistency import (  # noqa: E402
     SOLVER_AGREEMENT_TOL,
     FixedPointError,
@@ -426,6 +426,53 @@ def test_canonical_json_matches_recursive_oracle(value):
 def test_canonical_json_matches_recursive_oracle_at_boundaries(value):
     for payload in (value, [value], {"k": (value, [value])}):
         assert canonical_json(payload) == recursive_canonical_json(payload)
+
+
+def per_leaf_flatten(prefix, value, rows):
+    """The flat CSV's walk before the payload was normalised once: one
+    ``canonical_json`` call per list element and per scalar leaf."""
+    if isinstance(value, dict):
+        for key in sorted(str(k) for k in value):
+            per_leaf_flatten(f"{prefix}.{key}" if prefix else key, value[key], rows)
+    elif isinstance(value, (list, tuple)):
+        rows.append((prefix, "|".join(canonical_json(v) for v in value)))
+    elif isinstance(value, (bool, int, float, str)) or value is None:
+        rows.append((prefix, canonical_json(value)))
+
+
+# what the per-leaf walk could flatten: str keys, and no numpy scalars
+# other than np.float64 (a float), which it skipped
+flat_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    finite,
+    st.sampled_from([-0.0, 5e-324, 1e15, 1e15 + 0.5, -1e15, 9.999999999999998e15, 1e16, 1 / 3]),
+    finite.map(np.float64),
+    st.text(max_size=6),
+)
+flat_results = st.dictionaries(
+    st.text(max_size=4),
+    st.recursive(
+        flat_leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=4), children, max_size=4),
+        ),
+        max_leaves=20,
+    ),
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(flat_results.filter(lambda value: not overflows(value)))
+def test_flat_csv_matches_the_per_leaf_walk(results):
+    report = Report("1", ["cmd", "--flag"], 7, results, 0.0)
+    rows = []
+    per_leaf_flatten("", report.to_payload(), rows)
+    assert emit_report(report, "csv") == "\n".join(["key,value"] + [f"{k},{v}" for k, v in rows])
 
 
 @settings(max_examples=300, deadline=None)

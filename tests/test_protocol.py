@@ -326,6 +326,14 @@ def test_transcript_rejects_backward_contact():
         Transcript("ctc_transfer", 0, events, {}, False, None, None, [], 0, {})
 
 
+def test_transcript_rejects_a_ctc_contact_without_a_time_direction():
+    events = [TranscriptEvent(0, "alice", "gate", {})]
+    with pytest.raises(CausalityError, match="parallel to linear time"):
+        Transcript("ctc_transfer", 0, events, {}, False, None, None, [], 0, {})
+    # only a CTC transfer touches the CTC
+    assert Transcript("teleportation", 0, events, {}, False, None, None, [], 0, {}).events == events
+
+
 def test_transcript_rejects_alice_after_bob():
     events = [
         TranscriptEvent(0, "bob", "prepare", {}),
