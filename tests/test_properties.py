@@ -450,15 +450,18 @@ flat_leaves = st.one_of(
     st.sampled_from([-0.0, 5e-324, 1e15, 1e15 + 0.5, -1e15, 9.999999999999998e15, 1e16, 1 / 3]),
     finite.map(np.float64),
     st.text(max_size=6),
+    # the flat CSV's own separators and placeholders, spelled out in strings
+    st.sampled_from(["NaN", "\x00NaN\x00", ",NaN,", "\x00", "[NaN,0]", "a|b"]),
 )
+flat_keys = st.one_of(st.text(max_size=4), st.sampled_from(["\x00", "NaN", "\x00NaN\x00"]))
 flat_results = st.dictionaries(
-    st.text(max_size=4),
+    flat_keys,
     st.recursive(
         flat_leaves,
         lambda children: st.one_of(
             st.lists(children, max_size=4),
             st.lists(children, max_size=4).map(tuple),
-            st.dictionaries(st.text(max_size=4), children, max_size=4),
+            st.dictionaries(flat_keys, children, max_size=4),
         ),
         max_leaves=20,
     ),
