@@ -123,6 +123,67 @@ BEAM_DIGESTS = {
 }
 
 
+#: Seeds wider than one 32-bit word: SeedSequence reads a seed as its
+#: little-endian 32-bit words, so these pin the beam's multi-word path.
+MULTIWORD_SEEDS = (2**32, 2**64, 10**26)
+MULTIWORD_BEAM_DIGESTS = {
+    "collapse/random/4294967296/1": "a167df7b853e0d5608710a97f9c131212ac1aa20ceeaac70213a8dafb7d4d0d5",
+    "collapse/random/4294967296/37": "8f24dcce61e36ee45c9c2b468dbc264b8e5ee4df19ed561b668012c0dca27b77",
+    "collapse/random/4294967296/2000": "ab4e7f90b3405c1d9d05d380e6d69fc5ccbc7fba4708da007d9fc1eddadeaa6a",
+    "collapse/random/18446744073709551616/1": "e70ad96f51cd41d06a45fb400dd141885a41b7e1a0557c17aaebd202fae1dca9",
+    "collapse/random/18446744073709551616/37": "71e1c201bca8dd4b30db3110b175aad5f373be9bdfc4270af9f002f029c371f0",
+    "collapse/random/18446744073709551616/2000": "4713becafcc2c2c3edfb564ff5cbdab3a5ba56bccdd9b13c65fd110df920b87c",
+    "collapse/random/100000000000000000000000000/1": "64821bc5b05b6531241698dd0e8b4d25d948a19b9aa34dec54a76ac5c91aae5f",
+    "collapse/random/100000000000000000000000000/37": "46c4bc25e89320143b8a57f39d7ae849f7419a866f5b3777dd493a3ec34e25a8",
+    "collapse/random/100000000000000000000000000/2000": "dad928870c9b00641a0c9e2d26baca52b4174febf7ac8505002de6412e3d821c",
+    "collapse/forced/4294967296/1": "a167df7b853e0d5608710a97f9c131212ac1aa20ceeaac70213a8dafb7d4d0d5",
+    "collapse/forced/4294967296/37": "66df48b830d4a645cfd0e05039e4962fb2c65478f3846b390e8ac8d894155606",
+    "collapse/forced/4294967296/2000": "8cf389d3687295cfe93630e91049b272c7628fba678748c7f51d8e69ce4d5dc6",
+    "collapse/forced/18446744073709551616/1": "f49cf80d2322fed7bc070818ca08d422f13a5c9d5db00a4734c48d524d911b55",
+    "collapse/forced/18446744073709551616/37": "f3f367a1beb24ec1a105d330b562085b90a17ce530c03b3899405b3b6e72a2c3",
+    "collapse/forced/18446744073709551616/2000": "1f70a604ca8301c272fec92730de22ed91f9e978c621d78e1a32a8faaf3298b6",
+    "collapse/forced/100000000000000000000000000/1": "64821bc5b05b6531241698dd0e8b4d25d948a19b9aa34dec54a76ac5c91aae5f",
+    "collapse/forced/100000000000000000000000000/37": "718b1f424edeb46c44879df3663fe1d6f8d6d77d5cd308f36b1afe1724792937",
+    "collapse/forced/100000000000000000000000000/2000": "a25051300302700d64882ed436613ec2a7aed2ed040b77fc8b4f52615c3aa6ee",
+    "discard/random/4294967296/1": "5def7a8935730c61b433e4cadfbc62b6c9df4b42b5de2362c4daaaac624bb79e",
+    "discard/random/4294967296/37": "d4f0e67509854b74346faa128dae9029c58340402ba70311afd0c4a7f6ab646e",
+    "discard/random/4294967296/2000": "0fcfe66268dbf1f6f84bf845d0e5a8255cdd73fee36171a86968a8d7f0379a71",
+    "discard/random/18446744073709551616/1": "598e1cc26afc744dcd1a03197e9da5cf3d96d52f7880be8690fae1e448c2cd67",
+    "discard/random/18446744073709551616/37": "515de34709992d9e543e70c3af63443264a42695b5a6c21a7602247922a64892",
+    "discard/random/18446744073709551616/2000": "54437f33d2ebcc13af52ea89fdc789354a87e9ca4ea90c14e4aadcdaa360cf1d",
+    "discard/random/100000000000000000000000000/1": "8388778f7198a35aac96570ebe684cabc2a6c03d8eb8a18e4f05b8de709ff5da",
+    "discard/random/100000000000000000000000000/37": "9ef69a9894eafcba7440b20f9620298bdc31aef182332f1dd444297985ba3aee",
+    "discard/random/100000000000000000000000000/2000": "95953107477b0bc0b8564f16107616dc4753ebf4742208f436bca6e5279c4213",
+    "discard/forced/4294967296/1": "5def7a8935730c61b433e4cadfbc62b6c9df4b42b5de2362c4daaaac624bb79e",
+    "discard/forced/4294967296/37": "400ab17c17f474fc5036e50adca6cfcee501a4e280d16ccc771ca86356d113d8",
+    "discard/forced/4294967296/2000": "da4c5796afa183f943590e0f5549517b1369084cd0d1585e5f8b2d9a56b12fad",
+    "discard/forced/18446744073709551616/1": "29143cfd67fc4b71e701a6a538ea0b8faa60c52965ae0de4f9db005c694208e9",
+    "discard/forced/18446744073709551616/37": "a1ff5764b1f128d2a7f7c9249ada0856ce4048887294aeef26a0ba0a4f55283c",
+    "discard/forced/18446744073709551616/2000": "41aa8df700bbef9aeb25a93b61e4d69660d2aaa456dcd1e71caad1f06ffef9e9",
+    "discard/forced/100000000000000000000000000/1": "8388778f7198a35aac96570ebe684cabc2a6c03d8eb8a18e4f05b8de709ff5da",
+    "discard/forced/100000000000000000000000000/37": "cf62aedebf0b68bf8c59ac6d0b85350b255282b931b3345600cd4f8eb6a13b0a",
+    "discard/forced/100000000000000000000000000/2000": "3752bfdf56a9ea1b857d93d2368ed62ac3e1aaeece39c412858eb7a878ec2dbe",
+    "noise/random/4294967296/1": "10080938fccd988b63e7c1d0cdab09308ad0bbfc39aa007e15a2ad47593644e0",
+    "noise/random/4294967296/37": "bed5b36c0f855344e99330afaf043795566e9b78428312d5b7716759b88d83c0",
+    "noise/random/4294967296/2000": "e0c34c61a3e955131529ba0a86f07015ec171a8115cdbdbe4b353d15e4e0fe9b",
+    "noise/random/18446744073709551616/1": "4ffae90a2f8b83cd3171938b28dd065e8104257a9818ee2ccceff2927b42f599",
+    "noise/random/18446744073709551616/37": "f3ae5f1fcbd7019496861a3598257a7c155bef8f4d4ba927a585fdd5fbff2d43",
+    "noise/random/18446744073709551616/2000": "b9c28e630484aaaed36f0540e3425d8504223606a11523700e1bbd32e20fc705",
+    "noise/random/100000000000000000000000000/1": "20c686c74a995973fd2e2c835267df7b85cbc79557f5486e92f4ad898188c305",
+    "noise/random/100000000000000000000000000/37": "e5ed527c13342d969d1ac4f7dd111c358a76069d5d7ce24e1ea61cec9551952b",
+    "noise/random/100000000000000000000000000/2000": "64aeb10153be010681c1d688d5a50fc7cebb279bd038a45305c29c2d5b0f2f7c",
+    "noise/forced/4294967296/1": "10080938fccd988b63e7c1d0cdab09308ad0bbfc39aa007e15a2ad47593644e0",
+    "noise/forced/4294967296/37": "a45da84a995d43c5b50b8c46269ef5f05cfc9dae14f659c8173a4feb768fa22f",
+    "noise/forced/4294967296/2000": "e88c2400db6845efbd06a172f610d99c875476e213c36636f8a7575cc4d37fc1",
+    "noise/forced/18446744073709551616/1": "4c15f251c97f86b46ea4281735ee9495cb0e08b2bcfaa05d7cdf2dc8afece850",
+    "noise/forced/18446744073709551616/37": "e782877552470c24ebe36aeb558b47370c4f5a4624a5ec3cf53869fb2124430e",
+    "noise/forced/18446744073709551616/2000": "36fe8904fe976763cd5cf44954dc58271f38cee79489526ada7db81463197d1c",
+    "noise/forced/100000000000000000000000000/1": "20c686c74a995973fd2e2c835267df7b85cbc79557f5486e92f4ad898188c305",
+    "noise/forced/100000000000000000000000000/37": "7990d55359c39362fc57d331a6f95bf7a43cb7c2071ab8618817d47eaeaf2245",
+    "noise/forced/100000000000000000000000000/2000": "db57c4b3f9513228ebc7e382954f997e4f62d37f53401fe211a8998d86db6012",
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -160,6 +221,20 @@ def test_beam_reports_match_golden(policy, force_match):
         for trials in (1, 37, 2000)
     }
     assert digests == {key: BEAM_DIGESTS[key] for key in digests}
+
+
+@pytest.mark.parametrize("policy", BEAM_POLICIES)
+@pytest.mark.parametrize("force_match", (False, True))
+def test_multiword_seed_beam_reports_match_golden(policy, force_match):
+    bases = "forced" if force_match else "random"
+    digests = {
+        f"{policy}/{bases}/{seed}/{trials}": _sha(
+            cli.canonical_json(run_beam(trials, policy, seed, force_match).to_json())
+        )
+        for seed in MULTIWORD_SEEDS
+        for trials in (1, 37, 2000)
+    }
+    assert digests == {key: MULTIWORD_BEAM_DIGESTS[key] for key in digests}
 
 
 CLI_ARGVS = {

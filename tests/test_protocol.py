@@ -497,6 +497,30 @@ def test_beam_argument_validation():
         run_beam(10, "explode")
 
 
+def live_beam_draws(seed, trial, force_match=False):
+    """A beam trial's bits and uniform draw, read from a live
+    ``np.random.default_rng([seed, trial])``: ``integers(2)`` for the
+    preparation basis, the bit and (unless ``force_match``) the measurement
+    basis, then one ``random()``."""
+    rng = np.random.default_rng([seed, trial])
+    bits = [int(rng.integers(2)) for _ in range(2 if force_match else 3)]
+    return bits, rng.random()
+
+
+@pytest.mark.parametrize("seed", (0, 2**32, 2**64, 10**26))
+@pytest.mark.parametrize("force_match", (False, True))
+def test_beam_records_follow_the_live_generator(seed, force_match):
+    names = ("computational", "hadamard")
+    for record in run_beam(40, "noise", seed, force_match).records:
+        bits, draw = live_beam_draws(seed, record["trial"], force_match)
+        prep_basis, prep_bit, meas_basis = bits if len(bits) == 3 else (*bits, bits[0])
+        assert record["prep_basis"] == names[prep_basis]
+        assert record["prep_bit"] == prep_bit
+        assert record["meas_basis"] == names[meas_basis]
+        # a matched trial reads its bit back; a mismatched one is a fair coin
+        assert record["outcome"] == (prep_bit if prep_basis == meas_basis else int(draw >= 0.5))
+
+
 @pytest.mark.parametrize("policy", BEAM_POLICIES)
 def test_beam_state_work_does_not_grow_with_trials(policy, monkeypatch):
     # a trial's outcome and residual depend on three bits only, so the state
