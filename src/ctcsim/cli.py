@@ -275,9 +275,23 @@ def _tolerance(value: float) -> float:
     return value
 
 
-def _default_seed() -> int:
-    env = os.environ.get("CTC_SIM_SEED")
-    return int(env) if env else 0
+#: The subcommands whose report draws from the seed; the others print it.
+_SEEDED = ("run-protocol", "classify-consistency", "beam", "teleport-baseline", "resources")
+
+
+def _seed(args) -> int:
+    """``--seed``, else ``CTC_SIM_SEED``, else 0. A seed that a generator
+    reads must be >= 0; ``run-protocol --config`` reads the file's."""
+    name, seed = "--seed", args.seed
+    if seed is None:
+        name, text = "CTC_SIM_SEED", os.environ.get("CTC_SIM_SEED") or "0"
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"CTC_SIM_SEED must be an integer >= 0, got {text!r}") from None
+    if seed < 0 and args.subcommand in _SEEDED and not getattr(args, "config", None):
+        raise ValueError(f"{name} must be an integer >= 0, got {seed}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -336,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_protocol(args) -> tuple[dict, int, int]:
+def _run_protocol(args, seed) -> tuple[dict, int, int]:
     if args.config:
         config = ProtocolConfig.from_json_file(args.config)
         if args.seed is not None:
@@ -349,7 +363,7 @@ def _run_protocol(args) -> tuple[dict, int, int]:
             formalism=args.formalism,
             scenario=args.scenario,
             bob_measures=args.bob_measures,
-            seed=args.seed if args.seed is not None else _default_seed(),
+            seed=seed,
             storage_cycles=args.storage_cycles,
         )
     _at_most("--storage-cycles", config.storage_cycles, MAX_STORAGE_CYCLES)
@@ -442,11 +456,11 @@ def _resources(args, seed) -> dict:
 def dispatch(argv) -> tuple[Report, int, str]:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     code = EXIT_OK
     started = time.perf_counter()
     if args.subcommand == "run-protocol":
-        results, code, seed = _run_protocol(args)
+        results, code, seed = _run_protocol(args, seed)
     elif args.subcommand == "fixed-point":
         results = _fixed_point(args, seed)
     elif args.subcommand == "classify-consistency":

@@ -12,6 +12,7 @@ the branch instead of transferring a state.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -132,6 +133,8 @@ class ProtocolConfig:
         for key, kind in kinds.items():
             if key in document:
                 kwargs[key] = serialize.entry(document, key, kind, "config")
+        if kwargs.get("seed", 0) < 0:
+            raise ValueError(f"config key 'seed' must be an integer >= 0, got {kwargs['seed']}")
         return cls(**kwargs)
 
     @classmethod
@@ -315,7 +318,7 @@ def _measure_chronology(session: Session, joint, actor: str):
     vector = isinstance(joint, StateVector)
     branches = _branches(joint.amplitudes if vector else joint.matrix, 0)
     probabilities = [prob for prob, _ in branches]
-    outcome = _sample(session.rng, probabilities)
+    outcome = _sample(session.rng.random(), probabilities)
     rest = branches[outcome][1]
     if vector:
         ctc_factor = StateVector(rest / np.linalg.norm(rest))
@@ -520,6 +523,106 @@ class BeamReport:
         }
 
 
+#: Trials whose seeded draws one :func:`_beam_draws` call derives; a block
+#: bounds the arrays held at once.
+_DRAW_BLOCK = 1024
+#: A trial index is one 32-bit word of a trial's seed, so a beam has at most
+#: 2**32 trials.
+_MAX_BEAM_TRIALS = 2**32
+
+_U32, _U64 = np.uint32, np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+#: SeedSequence's hash constants (start, multiplier) for mixing the entropy
+#: and for generating the state, and its two mixing multipliers.
+_HASH_MIX, _HASH_STATE = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_LEFT, _MIX_RIGHT = _U32(0xCA01F9DD), _U32(0x4973F715)
+#: PCG64's 128-bit multiplier as (high, low) halves, and the low half's
+#: 32-bit limbs.
+_PCG_MULT = (_U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645))
+_PCG_MULT_LIMBS = (_U64(0x9FCCF645), _U64(0x4385DF64))
+
+
+def _hash_constants(start: int, multiplier: int):
+    """SeedSequence's running hash constant h, as pairs (h, h·multiplier mod
+    2³²): each hash xors with the first and multiplies by the second."""
+    while True:
+        following = start * multiplier & 0xFFFFFFFF
+        yield _U32(start), _U32(following)
+        start = following
+
+
+def _hash(words: np.ndarray, constants) -> np.ndarray:
+    xor, multiplier = next(constants)
+    words = (words ^ xor) * multiplier
+    return words ^ (words >> _U32(16))
+
+
+def _pcg_step(state: tuple, inc: tuple) -> tuple:
+    """state·M + inc mod 2¹²⁸ on (high, low) uint64 halves; the high half of
+    the low halves' product comes from 32-bit limbs."""
+    high, low = state
+    a0, a1 = low & _LOW32, low >> _U64(32)
+    b0, b1 = _PCG_MULT_LIMBS
+    middle = a1 * b0 + (a0 * b0 >> _U64(32))
+    product_high = a1 * b1 + (middle >> _U64(32)) + ((middle & _LOW32) + a0 * b1 >> _U64(32))
+    product_low = low * _PCG_MULT[1]
+    new_low = product_low + inc[1]
+    high = product_high + high * _PCG_MULT[1] + low * _PCG_MULT[0] + inc[0] + (new_low < product_low)
+    return high, new_low
+
+
+def _beam_draws(seed: int, trials: range, force_match: bool) -> tuple:
+    """The draws ``np.random.default_rng([seed, t])`` gives each trial t in
+    ``trials`` (t < 2**32), derived for all of them in one numpy pass.
+
+    Returns the 0/1 arrays of the preparation basis, the prepared bit and,
+    unless ``force_match``, the measurement basis, then the uniform draws.
+    NumPy keeps this stream fixed (NEP 19). SeedSequence hashes the entropy
+    words (the seed's little-endian 32-bit words, then t) into four uint64s;
+    PCG64 takes the first two as its initial state s and the last two as its
+    stream i, sets inc = i << 1 | 1 and state = (inc + s)·M + inc, and steps
+    before each XSL-RR output. Each ``integers(2)`` is the top bit of a
+    32-bit half: output 1's low half, its high half, then output 2's low
+    half. ``random()`` is (next output >> 11)·2⁻⁵³: output 3, or output 2
+    with ``force_match``.
+    """
+    count = len(trials)
+    shifts = range(0, max(seed.bit_length(), 1), 32)
+    words = [np.full(count, seed >> shift & 0xFFFFFFFF, _U32) for shift in shifts]
+    words.append(np.arange(trials.start, trials.stop, dtype=_U32))
+    constants = _hash_constants(*_HASH_MIX)
+    pool = [_hash(words[i] if i < len(words) else np.zeros(count, _U32), constants) for i in range(4)]
+
+    def mix(x, y):
+        mixed = _MIX_LEFT * x - _MIX_RIGHT * y
+        return mixed ^ (mixed >> _U32(16))
+
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], _hash(pool[src], constants))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], _hash(word, constants))
+    constants = _hash_constants(*_HASH_STATE)
+    halves = [_hash(pool[i % 4], constants).astype(_U64) for i in range(8)]
+    start_high, start_low, seq_high, seq_low = (
+        halves[j] | halves[j + 1] << _U64(32) for j in (0, 2, 4, 6)
+    )
+    inc = (seq_high << _U64(1) | seq_low >> _U64(63), seq_low << _U64(1) | _U64(1))
+    low = inc[1] + start_low
+    state = _pcg_step((inc[0] + start_high + (low < start_low), low), inc)
+    outputs = []
+    for _ in range(2 if force_match else 3):
+        state = _pcg_step(state, inc)
+        folded, rotation = state[0] ^ state[1], state[0] >> _U64(58)
+        outputs.append(folded >> rotation | folded << (-rotation & _U64(63)))
+    bits = [outputs[0] >> _U64(31) & _U64(1), outputs[0] >> _U64(63)]
+    if not force_match:
+        bits.append(outputs[1] >> _U64(31) & _U64(1))
+    return *bits, (outputs[-1] >> _U64(11)).astype(np.float64) * 2.0**-53
+
+
 def run_beam(
     trials: int,
     policy: str = "collapse",
@@ -534,12 +637,21 @@ def run_beam(
     when her basis guess matches the preparation. Mismatched trials are
     handled per ``policy``: collapse the branch, discard the trial, or
     proceed and accept noise. Per-trial RNG streams derive from
-    (seed, trial index) so aggregates do not depend on scheduling.
+    (seed, trial index) so aggregates do not depend on scheduling: trial t
+    draws what ``np.random.default_rng([seed, t])`` would, derived for a
+    block of trials at once by :func:`_beam_draws`. The seed is a
+    non-negative int of any width; a trial index is one 32-bit word of the
+    stream's seed, so ``trials`` is at most 2**32.
     """
     if trials < 1:
         raise ProtocolError(f"trials must be at least 1, got {trials}")
+    if trials > _MAX_BEAM_TRIALS:
+        raise ProtocolError(f"trials must be at most {_MAX_BEAM_TRIALS}, got {trials}")
     if policy not in BEAM_POLICIES:
         raise ProtocolError(f"unknown policy {policy!r}; expected one of {BEAM_POLICIES}")
+    stream_seed = operator.index(seed)
+    if stream_seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     basis_names = ("computational", "hadamard")
     swap_matrix = build_gate(GateSpec("swap")).matrix
     probe = StateVector.basis(0)
@@ -569,27 +681,30 @@ def run_beam(
     ledger = BranchLedger()
     records = []
     matches = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        prep_basis = int(rng.integers(2))
-        prep_bit = int(rng.integers(2))
-        meas_basis = prep_basis if force_match else int(rng.integers(2))
-        probabilities, matched, action, residuals = table[prep_basis, prep_bit, meas_basis]
-        outcome = _sample(rng, probabilities)
-        matches += matched
-        ledger.consume(ledger.allocate(), "merged" if matched else "collapsed")
-        records.append(
-            {
-                "trial": trial,
-                "prep_basis": basis_names[prep_basis],
-                "prep_bit": prep_bit,
-                "meas_basis": basis_names[meas_basis],
-                "outcome": outcome,
-                "matched": matched,
-                "action": action,
-                "closure_residual": residuals[outcome],
-            }
-        )
+    for start in range(0, trials, _DRAW_BLOCK):
+        block = range(start, min(start + _DRAW_BLOCK, trials))
+        *bits, draws = _beam_draws(stream_seed, block, force_match)
+        if force_match:
+            bits.append(bits[0])
+        for trial, prep_basis, prep_bit, meas_basis, draw in zip(
+            block, *(column.tolist() for column in bits), draws.tolist()
+        ):
+            probabilities, matched, action, residuals = table[prep_basis, prep_bit, meas_basis]
+            outcome = _sample(draw, probabilities)
+            matches += matched
+            ledger.consume(ledger.allocate(), "merged" if matched else "collapsed")
+            records.append(
+                {
+                    "trial": trial,
+                    "prep_basis": basis_names[prep_basis],
+                    "prep_bit": prep_bit,
+                    "meas_basis": basis_names[meas_basis],
+                    "outcome": outcome,
+                    "matched": matched,
+                    "action": action,
+                    "closure_residual": residuals[outcome],
+                }
+            )
     statuses = ledger.summary().values()
     summary = {
         "merged": sum(1 for s in statuses if s == "consumed"),
@@ -636,7 +751,7 @@ def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Trans
             corrected_states[key] = StateVector(corrected)
 
     probabilities = [entry["probability"] for entry in outcome_table.values()]
-    sampled = list(outcome_table)[_sample(rng, probabilities)]
+    sampled = list(outcome_table)[_sample(rng.random(), probabilities)]
     m0, m1 = int(sampled[0]), int(sampled[1])
 
     record.event("alice", "measurement", {"subsystem": 0, "basis": "bell_via_cnot_h", "outcome": m0})

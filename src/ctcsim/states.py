@@ -44,11 +44,13 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _set(self, **fields) -> None:
-        """Store the fields; arrays become read-only C-ordered complex copies."""
+        """Store the fields; an array becomes a view of a private read-only
+        C-ordered complex copy, so the view cannot be made writeable."""
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
                 value = np.array(value, dtype=complex, order="C")
                 value.flags.writeable = False
+                value = value.view()
             object.__setattr__(self, name, value)
 
 
@@ -318,10 +320,9 @@ def _branches(array: np.ndarray, subsystem: int, basis=_COMPUTATIONAL) -> list:
     return branches
 
 
-def _sample(rng, probabilities) -> int:
-    """The one sampler: one ``rng.random()`` draw, and the first outcome whose
-    running sum of probabilities exceeds it, or else the last outcome."""
-    draw = rng.random()
+def _sample(draw: float, probabilities) -> int:
+    """The one sampler: the first outcome whose running sum of probabilities
+    exceeds the uniform ``draw``, or else the last outcome."""
     for outcome, total in enumerate(itertools.accumulate(probabilities)):
         if draw < total:
             break
@@ -379,7 +380,7 @@ def measure_projective(
         return chosen
     if rng_seed == DETERMINISTIC_REPORT:
         return results
-    return results[_sample(np.random.default_rng(rng_seed), [r.probability for r in results])]
+    return results[_sample(np.random.default_rng(rng_seed).random(), [r.probability for r in results])]
 
 
 def trace_distance(r1: DensityOperator, r2: DensityOperator) -> float:

@@ -410,6 +410,50 @@ def test_env_seed_default():
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "argv,env,message",
+    (
+        (["beam", "--seed", "-1"], None, "--seed must be an integer >= 0, got -1"),
+        (["run-protocol", "--seed", "-1"], None, "--seed must be an integer >= 0, got -1"),
+        (["beam", "--trials", "2"], "-1", "CTC_SIM_SEED must be an integer >= 0, got -1"),
+        (["beam", "--trials", "2"], "abc", "CTC_SIM_SEED must be an integer >= 0, got 'abc'"),
+        (["fixed-point"], "abc", "CTC_SIM_SEED must be an integer >= 0, got 'abc'"),
+    ),
+    ids=("beam_flag", "run_protocol_flag", "env_negative", "env_text", "fixed_point_env_text"),
+)
+def test_bad_seeds_end_in_one_error_line_naming_the_input(argv, env, message, capsys, monkeypatch):
+    monkeypatch.delenv("CTC_SIM_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("CTC_SIM_SEED", env)
+    code, out, err = run_main(capsys, argv)
+    assert (code, out, err.splitlines()) == (cli.EXIT_ERROR, "", [f"error: {message}"])
+
+
+def test_negative_config_seed_names_the_key(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"input_state": {"dim": 2, "data": [[1, 0], [0, 0]]}, "seed": -1}))
+    code, out, err = run_main(capsys, ["run-protocol", "--config", str(path)])
+    expected = ["error: config key 'seed' must be an integer >= 0, got -1"]
+    assert (code, out, err.splitlines()) == (cli.EXIT_ERROR, "", expected)
+
+
+@pytest.mark.parametrize("argv,env", ((["--seed", "-1"], None), ([], "-1")))
+def test_a_seed_that_is_only_printed_may_be_negative(argv, env, capsys, monkeypatch):
+    monkeypatch.delenv("CTC_SIM_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("CTC_SIM_SEED", env)
+    for command in (["fixed-point"], ["topology-check", "--copies", "3"]):
+        code, out, _ = run_main(capsys, [*command, *argv])
+        assert code == 0 and json.loads(out)["seed"] == -1
+
+
+def test_multiword_seed_beam_csv(capsys, monkeypatch):
+    monkeypatch.delenv("CTC_SIM_SEED", raising=False)
+    argv = ["beam", "--trials", "3", "--seed", "99999999999999999999999999", "--output", "csv"]
+    code, out, _ = run_main(capsys, argv)
+    assert code == 0 and len(out.splitlines()) == 4
+
+
 # ------------------------------------------------------------------------- csv
 
 

@@ -302,7 +302,7 @@ def test_sampler_matches_old_samplers(seed, weights):
     total = sum(weights)
     probabilities = [w / total for w in weights] if total > 0 else weights
     draw = np.random.default_rng(seed).random()
-    outcome = states._sample(np.random.default_rng(seed), probabilities)
+    outcome = states._sample(draw, probabilities)
     if len(probabilities) == 2:
         assert outcome == old_sample_outcome(np.random.default_rng(seed), probabilities)
     if len(probabilities) == 4:
@@ -314,10 +314,13 @@ def test_sampler_matches_old_samplers(seed, weights):
 
 
 def test_sampler_makes_one_draw():
-    rng, reference = np.random.default_rng(3), np.random.default_rng(3)
-    states._sample(rng, [0.25, 0.25, 0.25, 0.25])
+    # the sampler reads one uniform draw, so a session's measurement takes
+    # one draw from the session's generator
+    session = Session(ProtocolConfig(input_state=StateVector.basis(0), seed=3))
+    protocol._measure_chronology(session, random_vector(np.random.default_rng(3), 2), "alice")
+    reference = np.random.default_rng(3)
     reference.random()
-    assert rng.random() == reference.random()
+    assert session.rng.random() == reference.random()
 
 
 # ------------------------------------------------ teleportation and beam

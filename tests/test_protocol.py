@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -507,18 +509,78 @@ def live_beam_draws(seed, trial, force_match=False):
     return bits, rng.random()
 
 
+def assert_record_follows_the_live_generator(record, seed, force_match):
+    names = ("computational", "hadamard")
+    bits, draw = live_beam_draws(seed, record["trial"], force_match)
+    prep_basis, prep_bit, meas_basis = bits if len(bits) == 3 else (*bits, bits[0])
+    assert record["prep_basis"] == names[prep_basis]
+    assert record["prep_bit"] == prep_bit
+    assert record["meas_basis"] == names[meas_basis]
+    # a matched trial reads its bit back; a mismatched one is a fair coin
+    assert record["outcome"] == (prep_bit if prep_basis == meas_basis else int(draw >= 0.5))
+
+
 @pytest.mark.parametrize("seed", (0, 2**32, 2**64, 10**26))
 @pytest.mark.parametrize("force_match", (False, True))
 def test_beam_records_follow_the_live_generator(seed, force_match):
-    names = ("computational", "hadamard")
     for record in run_beam(40, "noise", seed, force_match).records:
-        bits, draw = live_beam_draws(seed, record["trial"], force_match)
-        prep_basis, prep_bit, meas_basis = bits if len(bits) == 3 else (*bits, bits[0])
-        assert record["prep_basis"] == names[prep_basis]
-        assert record["prep_bit"] == prep_bit
-        assert record["meas_basis"] == names[meas_basis]
-        # a matched trial reads its bit back; a mismatched one is a fair coin
-        assert record["outcome"] == (prep_bit if prep_basis == meas_basis else int(draw >= 0.5))
+        assert_record_follows_the_live_generator(record, seed, force_match)
+
+
+STREAM_SEEDS = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 10**26)
+#: Trial indices on both sides of the edges of the first two 1024-trial
+#: blocks, and the last index a trial can have.
+BLOCK_EDGE_TRIALS = (0, 1023, 1024, 1025, 2047, 2048, 2**32 - 1)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("force_match", (False, True))
+def test_batched_draws_match_the_live_generator(seed, force_match):
+    block = protocol._DRAW_BLOCK
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in BLOCK_EDGE_TRIALS:
+            # the block run_beam derives this trial in
+            start = trial - trial % block
+            *bits, draws = protocol._beam_draws(seed, range(start, start + block), force_match)
+            index = trial - start
+            assert len(bits) == (2 if force_match else 3)
+            assert ([int(b[index]) for b in bits], float(draws[index])) == live_beam_draws(
+                seed, trial, force_match
+            ), trial
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+@pytest.mark.parametrize("force_match", (False, True))
+def test_beam_records_follow_the_live_generator_across_blocks(seed, force_match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_beam(2049, "noise", seed, force_match).records
+    for trial in BLOCK_EDGE_TRIALS[:-1]:
+        assert_record_follows_the_live_generator(records[trial], seed, force_match)
+
+
+def test_beam_builds_no_generator(monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    run_beam(1000)
+    assert calls == []
+
+
+def test_beam_seed_and_trial_limits():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        run_beam(1, seed=-1)
+    for seed in (1.5, "5", None):
+        with pytest.raises(TypeError):
+            run_beam(1, seed=seed)
+    with pytest.raises(ProtocolError, match=f"trials must be at most {2**32}, got {2**32 + 1}"):
+        run_beam(2**32 + 1)
 
 
 @pytest.mark.parametrize("policy", BEAM_POLICIES)

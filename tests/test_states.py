@@ -375,3 +375,19 @@ def test_density_json_round_trip():
     rho = random_density()
     again = DensityOperator.from_json(rho.to_json())
     assert np.allclose(rho.matrix, again.matrix)
+
+
+@pytest.mark.parametrize(
+    "array",
+    (
+        lambda: DensityOperator.maximally_mixed().matrix,
+        lambda: swap().matrix,
+        lambda: StateVector.basis(0).amplitudes,
+    ),
+    ids=("maximally_mixed", "swap", "basis"),
+)
+def test_stored_arrays_cannot_be_made_writeable(array):
+    stored = array()
+    with pytest.raises(ValueError):
+        stored.flags.writeable = True
+    assert not stored.flags.writeable
