@@ -52,7 +52,7 @@ MAX_COPIES = 1000
 #: grid resolution. The trials and storage caps once kept the slowest run to
 #: about 10 s on a 2-core Xeon; there, serialization included, storage at
 #: the cap now takes about 4.5 s and the largest beam, ``--trials 40000
-#: --policy noise``, about 2 s with JSON output and 1.6 s with CSV. Memory
+#: --policy noise``, about 1 s with JSON output and 0.7 s with CSV. Memory
 #: sets the grid cap: with the identity gate, which admits all 3,875,251
 #: points, ``--grid 250`` takes 1-2 s and peaks at about 450 MiB resident.
 MAX_TRIALS = 40_000

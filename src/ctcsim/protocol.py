@@ -539,7 +539,7 @@ _MIX_LEFT, _MIX_RIGHT = _U32(0xCA01F9DD), _U32(0x4973F715)
 #: PCG64's 128-bit multiplier as (high, low) halves, and the low half's
 #: 32-bit limbs.
 _PCG_MULT = (_U64(0x2360ED051FC65DA4), _U64(0x4385DF649FCCF645))
-_PCG_MULT_LIMBS = (_U64(0x9FCCF645), _U64(0x4385DF64))
+_PCG_MULT_LIMBS = (_PCG_MULT[1] & _LOW32, _PCG_MULT[1] >> _U64(32))
 
 
 def _hash_constants(start: int, multiplier: int):
@@ -555,6 +555,11 @@ def _hash(words: np.ndarray, constants) -> np.ndarray:
     xor, multiplier = next(constants)
     words = (words ^ xor) * multiplier
     return words ^ (words >> _U32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_LEFT * x - _MIX_RIGHT * y
+    return mixed ^ (mixed >> _U32(16))
 
 
 def _pcg_step(state: tuple, inc: tuple) -> tuple:
@@ -592,18 +597,13 @@ def _beam_draws(seed: int, trials: range, force_match: bool) -> tuple:
     words.append(np.arange(trials.start, trials.stop, dtype=_U32))
     constants = _hash_constants(*_HASH_MIX)
     pool = [_hash(words[i] if i < len(words) else np.zeros(count, _U32), constants) for i in range(4)]
-
-    def mix(x, y):
-        mixed = _MIX_LEFT * x - _MIX_RIGHT * y
-        return mixed ^ (mixed >> _U32(16))
-
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                pool[dst] = mix(pool[dst], _hash(pool[src], constants))
+                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
     for word in words[4:]:
         for dst in range(4):
-            pool[dst] = mix(pool[dst], _hash(word, constants))
+            pool[dst] = _mix(pool[dst], _hash(word, constants))
     constants = _hash_constants(*_HASH_STATE)
     halves = [_hash(pool[i % 4], constants).astype(_U64) for i in range(8)]
     start_high, start_low, seq_high, seq_low = (
