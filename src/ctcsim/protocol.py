@@ -243,6 +243,15 @@ class _Recorder:
         )
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` as an int; a non-int raises TypeError, a negative one a
+    ValueError that names it (numpy's generators take seeds >= 0)."""
+    value = operator.index(seed)
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return value
+
+
 class Session(_Recorder):
     """Mutable state for one protocol run; owns one ledger branch and
     records its events, whose CTC contacts are ``_CTC_CONTACT``."""
@@ -252,7 +261,7 @@ class Session(_Recorder):
         self.config = config
         self.gate: UnitaryGate = config.coupling
         self.ledger = ledger if ledger is not None else BranchLedger()
-        self.rng = np.random.default_rng(config.seed)
+        self.rng = np.random.default_rng(_checked_seed(config.seed))
         self.collapse_reasons: list[str] = []
         self.stage = "created"
 
@@ -649,9 +658,7 @@ def run_beam(
         raise ProtocolError(f"trials must be at most {_MAX_BEAM_TRIALS}, got {trials}")
     if policy not in BEAM_POLICIES:
         raise ProtocolError(f"unknown policy {policy!r}; expected one of {BEAM_POLICIES}")
-    stream_seed = operator.index(seed)
-    if stream_seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    stream_seed = _checked_seed(seed)
     basis_names = ("computational", "hadamard")
     swap_matrix = build_gate(GateSpec("swap")).matrix
     probe = StateVector.basis(0)
@@ -705,11 +712,11 @@ def run_beam(
                     "closure_residual": residuals[outcome],
                 }
             )
-    statuses = ledger.summary().values()
+    statuses = ledger._tally()
     summary = {
-        "merged": sum(1 for s in statuses if s == "consumed"),
-        "collapsed": sum(1 for s in statuses if s == "collapsed"),
-        "distinct_branches": len(statuses),
+        "merged": statuses["consumed"],
+        "collapsed": statuses["collapsed"],
+        "distinct_branches": statuses.total(),
     }
     return BeamReport(trials, policy, seed, matches / trials, records, summary)
 
@@ -722,7 +729,7 @@ def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Trans
     """
     if input_state.dim != 2:
         raise ProtocolError("teleportation input must be a single qubit")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     # no CTC here: the gates are ordinary and carry no time direction
     record = _Recorder()
 

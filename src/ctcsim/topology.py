@@ -9,8 +9,11 @@ share every neighborhood) witness the failure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import combinations
+from operator import and_
 from typing import Iterable, Optional
 
 from . import serialize
@@ -21,21 +24,61 @@ class BranchError(RuntimeError):
     """Violation of the single-use branch contract."""
 
 
+class _Malformed(ValueError):
+    """A point or open of the wrong type; the message opens with its key."""
+
+
+def _decode(mask: int, points: tuple) -> frozenset:
+    """The points whose bits ``mask`` sets; bit i stands for points[i]."""
+    labels = []
+    while mask:
+        low = mask & -mask
+        labels.append(points[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(labels)
+
+
+def _open_error(family: tuple, labels) -> ValueError:
+    """Why the first bad open of ``family`` has no bitmask."""
+    for index, subset in enumerate(family):
+        if isinstance(subset, (str, dict)) or not isinstance(subset, Iterable):
+            return _Malformed(f"'opens' entry {index} must be a list, got {type(subset).__name__}")
+        for label in subset:
+            if not isinstance(label, str):
+                return _Malformed(
+                    f"'opens' entry {index} must hold only strings, got {type(label).__name__}"
+                )
+        if not labels.issuperset(subset):
+            return ValueError(f"open set {sorted(set(subset))} contains unknown points")
+
+
 def _read(points: Iterable[str], family: Iterable[Iterable[str]]):
-    """Check the labels of an outside family; returns the points, its distinct
-    sets as read, and each U_x: the intersection of the sets holding x, or all points."""
-    pts = tuple(str(p) for p in points)
-    labels = frozenset(pts)
-    if len(labels) != len(pts):
+    """Check the labels of an outside family. Returns the points, its
+    distinct sets as read, each U_x (the intersection of the sets holding
+    x, or all points), and the bitmasks of those sets and of the U_x in
+    point order: bit i stands for points[i]."""
+    pts = tuple(points)
+    for index, point in enumerate(pts):
+        if not isinstance(point, str):
+            raise _Malformed(f"'points' entry {index} must be a string, got {type(point).__name__}")
+    bit = {p: 1 << i for i, p in enumerate(pts)}
+    if len(bit) != len(pts):
         raise ValueError("duplicate point labels")
-    sets = {}
-    for subset in family:
-        fs = frozenset(str(p) for p in subset)
-        if not fs <= labels:
-            raise ValueError(f"open set {sorted(fs)} contains unknown points")
-        sets[fs] = None
-    minimal = {p: labels.intersection(*(s for s in sets if p in s)) for p in pts}
-    return pts, tuple(sets), minimal
+    family = tuple(family)
+    try:
+        # a string or a mapping iterates as labels, but is no list of them
+        if any(issubclass(kind, (str, dict)) for kind in set(map(type, family))):
+            raise TypeError
+        sets = dict.fromkeys(map(frozenset, family))
+        # a set holds each label once, so its bits sum to their OR; a label
+        # that is no point, or no string, has no bit
+        masks = list(map(sum, map(partial(map, bit.__getitem__), sets)))
+    except (KeyError, TypeError):
+        raise _open_error(family, frozenset(pts)) from None
+    full = (1 << len(pts)) - 1
+    minimal = [reduce(and_, [m for m in masks if m & b], full) for b in bit.values()]
+    decoded = {p: _decode(u, pts) for p, u in zip(pts, minimal)}
+    return pts, tuple(sets), decoded, (masks, minimal)
 
 
 class TopologySpace(_Frozen):
@@ -43,14 +86,14 @@ class TopologySpace(_Frozen):
     whose unions are the opens (Alexandrov 1937). ``TopologySpace(points,
     opens)`` keeps an outside family as read in ``_family`` and checks the
     axioms once, into ``_violations``; the other constructors build the U_x
-    of a topology and run no check."""
+    of a topology and run no check. Point labels are strings."""
 
     __slots__ = ("points", "_minimal", "_family", "_violations")
 
     def __init__(self, points: Iterable[str], opens: Iterable[Iterable[str]]):
-        pts, family, minimal = _read(points, opens)
+        pts, family, minimal, masks = _read(points, opens)
         self._set(points=pts, _minimal=minimal, _family=family)
-        self._set(_violations=tuple(self._axiom_violations()))
+        self._set(_violations=tuple(self._axiom_violations(*masks)))
 
     @classmethod
     def _trusted(cls, points, minimal: dict) -> "TopologySpace":
@@ -66,35 +109,46 @@ class TopologySpace(_Frozen):
         the CLI never asks for them."""
         if self._family is not None:
             return self._family
-        opens = {frozenset()}
-        for u in set(self._minimal.values()):
+        # bits in descending label order, so that among sets of one size
+        # the one with the smaller labels has the larger mask
+        labels = tuple(sorted(self.points, reverse=True))
+        bit = {p: 1 << i for i, p in enumerate(labels)}
+        opens = {0}
+        for u in {sum(map(bit.__getitem__, u)) for u in self._minimal.values()}:
             opens |= {o | u for o in opens}
-        return tuple(sorted(opens, key=lambda s: (len(s), sorted(s))))
+        ordered = sorted(sorted(opens, reverse=True), key=int.bit_count)
+        return tuple(_decode(o, labels) for o in ordered)
 
-    def _axiom_violations(self) -> list:
-        """Check the axioms on minimal opens; returns the violations.
+    def _axiom_violations(self, sets: list, minimal: list) -> list:
+        """Check the axioms on minimal opens, given the family's distinct
+        sets and each U_x as bitmasks; returns the violations.
 
         A family holding the empty and the full set is a topology exactly
         when it holds every U_x and every O | U_x: an intersection of opens
         is the union of the U_x of its points, and a union is reached by
-        adding one U_x at a time. That is one pass over points x opens.
+        adding one U_x at a time. That is one pass over points x opens; an
+        open O holding x needs none, as U_x ⊆ O gives O | U_x = O.
         Each missing set is reported once, sorted by kind, size and labels;
         a point in no open has U_x = full, reported by the full-set message.
         """
-        opens = set(self._family)
-        full = frozenset(self.points)
+        opens = set(sets)
+        full = (1 << len(self.points)) - 1
         violations = []
-        if frozenset() not in opens:
+        if 0 not in opens:
             violations.append("the empty set is not open")
         if full not in opens:
             violations.append("the full point set is not open")
-        missing = {u: "intersection" for u in self._minimal.values() if u not in opens and u != full}
-        for x, u in self._minimal.items():
+        missing = {u: "intersection" for u in minimal if u not in opens and u != full}
+        unions = set()
+        for x, u in enumerate(minimal):
             if u in opens:
-                for union in {o | u for o in self._family if x not in o} - opens - {full}:
-                    missing.setdefault(union, "union")
-        for subset, kind in sorted(missing.items(), key=lambda m: (m[1], len(m[0]), sorted(m[0]))):
-            violations.append(f"{kind} {sorted(subset)} of opens is not open")
+                bit = 1 << x
+                unions |= {o | u for o in sets if not o & bit}
+        for union in unions - opens - {full}:
+            missing.setdefault(union, "union")
+        found = [(kind, sorted(_decode(m, self.points))) for m, kind in missing.items()]
+        for kind, labels in sorted(found, key=lambda f: (f[0], len(f[1]), f[1])):
+            violations.append(f"{kind} {labels} of opens is not open")
         return violations
 
     @classmethod
@@ -110,7 +164,7 @@ class TopologySpace(_Frozen):
     def from_subbasis(cls, points: Iterable[str], subbasis: Iterable[Iterable[str]]) -> "TopologySpace":
         """The coarsest topology containing the given sets: U_x is the
         intersection of the generators holding x (all points if none does)."""
-        pts, _, minimal = _read(points, subbasis)
+        pts, _, minimal, _ = _read(points, subbasis)
         return cls._trusted(pts, minimal)
 
     def subspace(self, subset: Iterable[str]) -> "TopologySpace":
@@ -127,7 +181,10 @@ class TopologySpace(_Frozen):
     @classmethod
     def from_json(cls, document: dict) -> "TopologySpace":
         points, opens = (serialize.entry(document, k, list, "space") for k in ("points", "opens"))
-        return cls(points, opens)
+        try:
+            return cls(points, opens)
+        except _Malformed as exc:
+            raise ValueError(f"space key {exc}") from None
 
 
 def validate_topology(space: TopologySpace):
@@ -278,6 +335,10 @@ class BranchLedger:
 
     def summary(self) -> dict:
         return {str(bid): status for bid, status in enumerate(self._status)}
+
+    def _tally(self) -> Counter:
+        """The number of branches in each status."""
+        return Counter(self._status)
 
 
 def allocate_branch(ledger: BranchLedger) -> int:

@@ -387,6 +387,32 @@ def test_malformed_json_files_give_one_error_line(tmp_path, argv, document, key)
 
 
 @pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"points": ["a", "b"], "opens": ["ab", [], ["a"]]}, "'opens' entry 0 must be a list, got str"),
+        ({"points": ["a", "b"], "opens": [[], 5]}, "'opens' entry 1 must be a list, got int"),
+        ({"points": ["a", "b"], "opens": [[], {"a": 1}]}, "'opens' entry 1 must be a list, got dict"),
+        ({"points": ["a", ["b"]], "opens": [[]]}, "'points' entry 1 must be a string, got list"),
+        ({"points": ["a", 1], "opens": [[]]}, "'points' entry 1 must be a string, got int"),
+        (
+            {"points": ["a", "b"], "opens": [[], ["a"], ["a", 1]]},
+            "'opens' entry 2 must hold only strings, got int",
+        ),
+        (
+            {"points": ["a", "b"], "opens": [[], ["a", ["b"]]]},
+            "'opens' entry 1 must hold only strings, got list",
+        ),
+    ],
+)
+def test_topology_labels_and_opens_of_the_wrong_type_give_one_error_line(tmp_path, document, message):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(document))
+    result = run_cli(["topology-check", "--space", str(path)])
+    assert result.returncode == cli.EXIT_ERROR and result.stdout == b""
+    assert result.stderr.decode().splitlines() == [f"error: space key {message}"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [["fixed-point", "--unitary"], ["run-protocol", "--config"], ["topology-check", "--space"]],
 )

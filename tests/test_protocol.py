@@ -583,6 +583,27 @@ def test_beam_seed_and_trial_limits():
         run_beam(2**32 + 1)
 
 
+def test_session_checks_its_seed():
+    ledger = BranchLedger()
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        run_session(config(seed=-1), ledger)
+    for seed in (1.5, "5", None):
+        with pytest.raises(TypeError):
+            run_session(config(seed=seed), ledger)
+    assert ledger.summary() == {}
+    assert run_session(config(seed=np.int64(2))).seed == 2
+
+
+def test_teleportation_checks_its_seed():
+    state = StateVector.qubit(0.6, 0.8)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        run_teleportation_baseline(state, seed=-1)
+    for seed in (1.5, "5", None):
+        with pytest.raises(TypeError):
+            run_teleportation_baseline(state, seed=seed)
+    assert run_teleportation_baseline(state, seed=2**64).seed == 2**64
+
+
 @pytest.mark.parametrize("policy", BEAM_POLICIES)
 def test_beam_state_work_does_not_grow_with_trials(policy, monkeypatch):
     # a trial's outcome and residual depend on three bits only, so the state
@@ -632,6 +653,9 @@ def test_beam_uses_each_branch_once(policy, monkeypatch):
     }
     merged = sum(record["matched"] for record in report.records)
     assert report.branch_summary["merged"] == merged
+    # the counts come from the ledger's statuses, not from its id-keyed summary
+    monkeypatch.setattr(RecordingLedger, "summary", None)
+    assert run_beam(200, policy, seed=5).branch_summary == report.branch_summary
     for branch_id in (0, 199):
         with pytest.raises(BranchError):
             ledger.consume(branch_id, "collapsed")

@@ -87,18 +87,22 @@ def random_topology(rng, max_points=6):
     return TopologySpace.from_subbasis(*random_subbasis(rng, max_points))
 
 
-def random_family(rng, max_points=6):
-    """A family of subsets that may or may not be a topology: random
-    subsets, or a generated topology with one open dropped."""
+def random_family_input(rng, max_points=6):
+    """Points and a family of subsets that may or may not be a topology:
+    random subsets, or a generated topology with one open dropped."""
     points = [f"p{i}" for i in range(int(rng.integers(1, max_points + 1)))]
     if rng.random() < 0.5:
         opens = random_subsets(rng, points, int(rng.integers(0, 9)))
         opens += [[], points][: int(rng.integers(0, 3))]
-        return TopologySpace(points, opens)
+        return points, opens
     opens = list(TopologySpace.from_subbasis(points, random_subsets(rng, points, 3)).opens)
     if rng.random() < 0.7:
         opens.pop(int(rng.integers(len(opens))))
-    return TopologySpace(points, opens)
+    return points, opens
+
+
+def random_family(rng, max_points=6):
+    return TopologySpace(*random_family_input(rng, max_points))
 
 
 # ------------------------------------------------------------------- validate
@@ -210,6 +214,23 @@ def test_from_subbasis_rejects_unknown_points():
 def test_space_rejects_unknown_points_in_opens():
     with pytest.raises(ValueError):
         TopologySpace(["a"], [["a", "z"]])
+
+
+def test_labels_must_be_strings_and_opens_must_not_be():
+    """A string open is refused, not read as its characters, and a label
+    that is not a string is refused, not turned into one."""
+    for build in (TopologySpace, TopologySpace.from_subbasis):
+        with pytest.raises(ValueError, match="'points' entry 1 must be a string, got int"):
+            build(["a", 1], [])
+        with pytest.raises(ValueError, match="'opens' entry 1 must be a list, got str"):
+            build(["a", "b"], [["a"], "ab"])
+        with pytest.raises(ValueError, match="'opens' entry 0 must be a list, got int"):
+            build(["a", "b"], [5])
+        with pytest.raises(ValueError, match="'opens' entry 0 must hold only strings, got tuple"):
+            build(["a", "b"], [["a", ("b",)]])
+    # any iterable of labels is an open
+    space = TopologySpace(["a", "b"], [(), {"a"}, frozenset("ab"), iter(["b", "a"])])
+    assert space._family == (frozenset(), frozenset("a"), frozenset("ab"))
 
 
 # ---------------------------------------------------------------- is_hausdorff
@@ -341,6 +362,115 @@ def test_built_spaces_pass_the_boundary_check():
         assert list(space.opens) == sorted(space.opens, key=lambda s: (len(s), sorted(s)))
         if len(space.opens) <= 64:
             assert is_hausdorff(space) == brute_force_hausdorff(space)
+
+
+# ------------------------------------------------------------ frozenset oracle
+
+
+def oracle_read(points, family):
+    """Oracle: the frozenset reader; returns the points, the distinct sets
+    as read, and each U_x."""
+    pts = tuple(str(p) for p in points)
+    labels = frozenset(pts)
+    if len(labels) != len(pts):
+        raise ValueError("duplicate point labels")
+    sets = {}
+    for subset in family:
+        fs = frozenset(str(p) for p in subset)
+        if not fs <= labels:
+            raise ValueError(f"open set {sorted(fs)} contains unknown points")
+        sets[fs] = None
+    minimal = {p: labels.intersection(*(s for s in sets if p in s)) for p in pts}
+    return pts, tuple(sets), minimal
+
+
+def oracle_violations(points, family, minimal):
+    """Oracle: the frozenset axiom pass, one O | U_x per point and open."""
+    opens = set(family)
+    full = frozenset(points)
+    violations = []
+    if frozenset() not in opens:
+        violations.append("the empty set is not open")
+    if full not in opens:
+        violations.append("the full point set is not open")
+    missing = {u: "intersection" for u in minimal.values() if u not in opens and u != full}
+    for x, u in minimal.items():
+        if u in opens:
+            for union in {o | u for o in family if x not in o} - opens - {full}:
+                missing.setdefault(union, "union")
+    for subset, kind in sorted(missing.items(), key=lambda m: (m[1], len(m[0]), sorted(m[0]))):
+        violations.append(f"{kind} {sorted(subset)} of opens is not open")
+    return violations
+
+
+def oracle_opens(minimal):
+    """Oracle: every union of the U_x as frozensets, in (size, labels) order."""
+    opens = {frozenset()}
+    for u in set(minimal.values()):
+        opens |= {o | u for o in opens}
+    return tuple(sorted(opens, key=lambda s: (len(s), sorted(s))))
+
+
+def shuffled_splitting(rng, copies):
+    """A line splitting as an outside document: the built space's opens,
+    with points, opens and each open's labels in seeded order."""
+    space = build_line_splitting(copies)
+    points = [space.points[i] for i in rng.permutation(len(space.points))]
+    opens = [sorted(o) for o in space.opens]
+    opens = [[o[i] for i in rng.permutation(len(o))] for o in opens]
+    return points, [opens[i] for i in rng.permutation(len(opens))]
+
+
+def wide_family(rng):
+    """65 to 100 points, so a set passes one 64-bit word: random subsets,
+    or a generated topology with one open dropped."""
+    points = [f"w{i}" for i in range(int(rng.integers(65, 101)))]
+    if rng.random() < 0.5:
+        opens = random_subsets(rng, points, int(rng.integers(0, 12)))
+        return points, opens + [[], points][: int(rng.integers(0, 3))]
+    opens = list(TopologySpace.from_subbasis(points, random_subsets(rng, points, 3)).opens)
+    if rng.random() < 0.7:
+        opens.pop(int(rng.integers(len(opens))))
+    return points, opens
+
+
+def relisted(rng, points, opens):
+    """The family with one open listed again, labels reversed, and one open
+    with a label repeated; the distinct sets stay the same."""
+    opens = [list(o) for o in opens]
+    if opens:
+        opens.append(opens[int(rng.integers(len(opens)))][::-1])
+        chosen = opens[int(rng.integers(len(opens)))]
+        if chosen:
+            opens.append(chosen + chosen[:1])
+    return points, opens
+
+
+def oracle_inputs(rng):
+    inputs = [random_family_input(rng) for _ in range(300)]
+    inputs += [(s.points, s.opens) for s in built_spaces(rng)]
+    inputs += [shuffled_splitting(rng, k) for k in range(2, 11) for _ in range(2)]
+    inputs += [wide_family(rng) for _ in range(40)]
+    return inputs + [relisted(rng, *pair) for pair in inputs[::3]]
+
+
+def test_bitmask_kernel_matches_the_frozenset_oracle():
+    rng = np.random.default_rng(16)
+    invalid = wide = 0
+    for points, family in oracle_inputs(rng):
+        document = json.dumps({"points": list(points), "opens": [list(o) for o in family]})
+        space = TopologySpace.from_json(json.loads(document))
+        pts, sets, minimal = oracle_read(*json.loads(document).values())
+        assert space.points == pts
+        assert space._family == sets
+        assert list(space._minimal.items()) == list(minimal.items())
+        assert list(space._violations) == oracle_violations(pts, sets, minimal)
+        invalid += bool(space._violations)
+        wide += len(pts) > 64
+        if len(set(minimal.values())) <= 12:
+            built = TopologySpace._trusted(pts, minimal)
+            assert built.opens == oracle_opens(minimal)
+    assert 100 < invalid and wide >= 40
 
 
 def test_subspace_keeps_the_traces_of_the_opens():
@@ -502,9 +632,9 @@ def test_validation_runs_once_at_construction(monkeypatch):
     calls = []
     axiom_pass = TopologySpace._axiom_violations
 
-    def counted(space):
+    def counted(space, *masks):
         calls.append(space)
-        return axiom_pass(space)
+        return axiom_pass(space, *masks)
 
     monkeypatch.setattr(TopologySpace, "_axiom_violations", counted)
     built = [
@@ -530,7 +660,7 @@ def test_validation_runs_once_at_construction(monkeypatch):
 
 def test_line_splitting_of_1000_copies_runs_no_axiom_pass(monkeypatch):
     calls = []
-    monkeypatch.setattr(TopologySpace, "_axiom_violations", lambda space: calls.append(space))
+    monkeypatch.setattr(TopologySpace, "_axiom_violations", lambda space, *masks: calls.append(space))
     space = build_line_splitting(1000)
     assert calls == []
     assert len(space.points) == 1002
