@@ -87,10 +87,10 @@ def random_topology(rng, max_points=6):
     return TopologySpace.from_subbasis(*random_subbasis(rng, max_points))
 
 
-def random_family_input(rng, max_points=6):
+def random_family_input(rng, max_points=6, min_points=1):
     """Points and a family of subsets that may or may not be a topology:
     random subsets, or a generated topology with one open dropped."""
-    points = [f"p{i}" for i in range(int(rng.integers(1, max_points + 1)))]
+    points = [f"p{i}" for i in range(int(rng.integers(min_points, max_points + 1)))]
     if rng.random() < 0.5:
         opens = random_subsets(rng, points, int(rng.integers(0, 9)))
         opens += [[], points][: int(rng.integers(0, 3))]
@@ -421,19 +421,6 @@ def shuffled_splitting(rng, copies):
     return points, [opens[i] for i in rng.permutation(len(opens))]
 
 
-def wide_family(rng):
-    """65 to 100 points, so a set passes one 64-bit word: random subsets,
-    or a generated topology with one open dropped."""
-    points = [f"w{i}" for i in range(int(rng.integers(65, 101)))]
-    if rng.random() < 0.5:
-        opens = random_subsets(rng, points, int(rng.integers(0, 12)))
-        return points, opens + [[], points][: int(rng.integers(0, 3))]
-    opens = list(TopologySpace.from_subbasis(points, random_subsets(rng, points, 3)).opens)
-    if rng.random() < 0.7:
-        opens.pop(int(rng.integers(len(opens))))
-    return points, opens
-
-
 def relisted(rng, points, opens):
     """The family with one open listed again, labels reversed, and one open
     with a label repeated; the distinct sets stay the same."""
@@ -450,7 +437,8 @@ def oracle_inputs(rng):
     inputs = [random_family_input(rng) for _ in range(300)]
     inputs += [(s.points, s.opens) for s in built_spaces(rng)]
     inputs += [shuffled_splitting(rng, k) for k in range(2, 11) for _ in range(2)]
-    inputs += [wide_family(rng) for _ in range(40)]
+    # 65 to 100 points, so a mask passes one 64-bit word
+    inputs += [random_family_input(rng, 100, min_points=65) for _ in range(40)]
     return inputs + [relisted(rng, *pair) for pair in inputs[::3]]
 
 
