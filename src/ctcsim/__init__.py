@@ -62,9 +62,7 @@ from .topology import (
     BranchLedger,
     EventPoint,
     TopologySpace,
-    allocate_branch,
     build_line_splitting,
-    consume_branch,
     is_hausdorff,
     validate_topology,
 )
@@ -96,7 +94,6 @@ __all__ = [
     "TopologySpace",
     "Transcript",
     "UnitaryGate",
-    "allocate_branch",
     "apply_unitary",
     "bell_pair",
     "build_gate",
@@ -104,7 +101,6 @@ __all__ = [
     "check_deutsch",
     "check_strong",
     "check_weak",
-    "consume_branch",
     "deutsch_map",
     "fidelity",
     "is_hausdorff",

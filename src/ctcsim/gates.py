@@ -9,27 +9,26 @@ from typing import Optional, Union
 import numpy as np
 
 from . import serialize
-from .states import ATOL, StateVector, _Frozen, _kron
+from .states import ATOL, StateVector, _Frozen, _as_complex, _kron, _qubit_count
+
 
 class UnitaryGate(_Frozen):
-    """Square complex matrix with U-dagger U = I within 1e-12."""
+    """Square complex matrix over 2**n dims with U-dagger U = I within 1e-12."""
 
     __slots__ = ("matrix", "dim", "label")
 
     def __init__(self, matrix, label: str = "custom"):
-        mat = np.asarray(matrix, dtype=complex)
+        mat = _as_complex(matrix, "matrix is not unitary")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"gate must be square, got shape {mat.shape}")
+        _qubit_count(mat.shape[0])
         if not np.allclose(mat.conj().T @ mat, np.eye(mat.shape[0]), atol=ATOL, rtol=0.0):
-            raise ValueError(f"matrix is not unitary within 1e-12 (label {label!r})")
+            raise ValueError("matrix is not unitary within 1e-12")
         self._set(matrix=mat, dim=mat.shape[0], label=str(label))
 
     @property
     def num_qubits(self) -> int:
-        n = self.dim.bit_length() - 1
-        if 2**n != self.dim:
-            raise ValueError(f"gate dimension {self.dim} is not a power of 2")
-        return n
+        return _qubit_count(self.dim)
 
     def to_json(self) -> dict:
         return serialize.matrix_to_document(self.matrix)
@@ -96,11 +95,10 @@ def identity(num_qubits: int = 2) -> UnitaryGate:
 
 
 def _custom(path: Union[str, Path]) -> UnitaryGate:
-    """The matrix in a JSON matrix file, checked for unitarity."""
-    arr = serialize.load_array(path)
-    if arr.ndim != 2:
-        raise ValueError(f"custom gate file {path} holds a vector, not a matrix")
-    return UnitaryGate(arr, label=f"custom:{path}")
+    """The matrix in a JSON matrix file, checked as a gate."""
+    return serialize.load(
+        path, lambda document: UnitaryGate(serialize.document_to_array(document), f"custom:{path}")
+    )
 
 
 #: Gate name -> factory, in the order error messages list them; ``custom``

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import serialize
 from .consistency import LoopRecord, check_deutsch, check_weak, deutsch_map
-from .gates import GateSpec, UnitaryGate, bell_pair, build_gate, cnot, embed, hadamard
-from .resources import LedgerEntry, ResourceKind
+from .gates import GateSpec, UnitaryGate, bell_pair, build_gate, cnot, embed, hadamard, pauli_x, pauli_z
+from .resources import LedgerEntry, ResourceKind, tally
 from .states import (
     DensityOperator,
     StateVector,
@@ -49,10 +49,8 @@ TRANSFER_FIDELITY = 1.0 - 1e-12
 #: gates, the encoding and the storage cycles.
 _CTC_CONTACT = ("gate", "encode", "storage_cycle")
 
-_HADAMARD = (
-    np.array([1.0, 1.0], dtype=complex) / np.sqrt(2),
-    np.array([1.0, -1.0], dtype=complex) / np.sqrt(2),
-)
+#: The Hadamard basis pair |+>, |->: the rows of the Hadamard gate.
+_HADAMARD = tuple(hadamard().matrix)
 
 
 class ProtocolError(RuntimeError):
@@ -123,12 +121,12 @@ class ProtocolConfig:
                 f"config key 'gate.params' must be a number or null, got {type(params).__name__}"
             )
         kwargs = {
-            "input_state": StateVector.from_json(state_doc),
+            "input_state": _state(state_doc, "input_state"),
             "gate": GateSpec(gate_doc.get("name", "swap"), params, gate_doc.get("custom_path")),
         }
         if "ctc_initial" in document:
             ctc_doc = serialize.entry(document, "ctc_initial", dict, "config")
-            kwargs["ctc_initial"] = StateVector.from_json(ctc_doc)
+            kwargs["ctc_initial"] = _state(ctc_doc, "ctc_initial")
         kinds = dict(formalism=str, scenario=str, bob_measures=bool, seed=int, storage_cycles=int)
         for key, kind in kinds.items():
             if key in document:
@@ -140,6 +138,14 @@ class ProtocolConfig:
     @classmethod
     def from_json_file(cls, path) -> "ProtocolConfig":
         return cls.from_json(serialize.load_json(path))
+
+
+def _state(document: dict, key: str) -> StateVector:
+    """The state a config key holds; its error names the key."""
+    try:
+        return StateVector.from_json(document)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
 
 
 @dataclass
@@ -172,8 +178,6 @@ class Transcript:
         return transcript
 
     def to_json(self) -> dict:
-        from .resources import tally
-
         return {
             "protocol": self.protocol,
             "seed": self.seed,
@@ -744,8 +748,8 @@ def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Trans
     record.event("alice", "gate", {"gate": "hadamard", "targets": [0]})
 
     # Bob's corrections X^m1 then Z^m0, indexed by the two measured bits
-    x_pow = (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex))
-    z_pow = (np.eye(2, dtype=complex), np.array([[1, 0], [0, -1]], dtype=complex))
+    x_pow = (np.eye(2, dtype=complex), pauli_x().matrix)
+    z_pow = (np.eye(2, dtype=complex), pauli_z().matrix)
     outcome_table = {}
     corrected_states = {}
     for m0, (_, first) in enumerate(_branches(psi.amplitudes, 0)):

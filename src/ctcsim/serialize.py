@@ -13,6 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
+#: The types a JSON number decodes to; ``bool`` is not one of them.
+_NUMBERS = frozenset((int, float))
+_DOCUMENT = "vector/matrix document"
+_DATA = f"{_DOCUMENT} key 'data'"
+
 
 def complex_to_pairs(values: np.ndarray) -> list[list[float]]:
     """Flatten a complex array to row-major [re, im] pairs."""
@@ -21,12 +26,18 @@ def complex_to_pairs(values: np.ndarray) -> list[list[float]]:
 
 
 def pairs_to_complex(pairs) -> np.ndarray:
-    out = np.empty(len(pairs), dtype=complex)
-    for i, pair in enumerate(pairs):
-        if len(pair) != 2:
-            raise ValueError(f"entry {i} is not a [re, im] pair: {pair!r}")
-        out[i] = complex(float(pair[0]), float(pair[1]))
-    return out
+    """The complex array of a list of [re, im] pairs of JSON numbers (int or
+    float, not bool). Each part is converted with ``float`` and no arithmetic,
+    so it keeps its bits."""
+    parts: list = []
+    try:
+        for i, pair in enumerate(pairs):
+            if type(pair) is not list or len(pair) != 2 or not _NUMBERS.issuperset(map(type, pair)):
+                raise ValueError(f"{_DATA} entry {i} must be a [re, im] pair of numbers, got {pair!r}")
+            parts += map(float, pair)
+    except OverflowError:
+        raise ValueError(f"{_DATA} entry {i} holds an integer too large for a float") from None
+    return np.array(parts, dtype=float).view(complex)
 
 
 def vector_to_document(values: np.ndarray) -> dict:
@@ -47,13 +58,10 @@ def document_to_array(document: dict) -> np.ndarray:
     The shape is inferred from the data length: ``dim`` entries decode to a
     vector, ``dim**2`` entries to a row-major ``dim x dim`` matrix.
     """
-    try:
-        dim = int(document["dim"])
-        data = document["data"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed vector/matrix document: {exc}") from exc
+    dim = entry(document, "dim", int, _DOCUMENT)
+    data = entry(document, "data", list, _DOCUMENT)
     if dim <= 0:
-        raise ValueError(f"dim must be positive, got {dim}")
+        raise ValueError(f"{_DOCUMENT} key 'dim' must be positive, got {dim}")
     flat = pairs_to_complex(data)
     if flat.size == dim:
         return flat
@@ -87,8 +95,15 @@ def load_json(path: str | Path):
             raise ValueError(f"{path} does not hold a JSON document: {exc}") from exc
 
 
-def load_array(path: str | Path) -> np.ndarray:
-    return document_to_array(load_json(path))
+def load(path: str | Path, build):
+    """``build`` of the JSON document in the file at ``path``; a ValueError
+    from ``build`` is prefixed once with the path, so its line names the
+    file."""
+    document = load_json(path)
+    try:
+        return build(document)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_array(path: str | Path, values: np.ndarray) -> None:

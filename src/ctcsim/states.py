@@ -28,10 +28,22 @@ DETERMINISTIC_REPORT = "deterministic-report"
 _COMPUTATIONAL = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 
 
-def _as_complex(values) -> np.ndarray:
+#: No part of an entry of a normalised vector, a density operator or a
+#: unitary exceeds 1 in size; the slack is one that no valid input reaches.
+_PART_BOUND = 1.0 + 1e-6
+
+
+def _as_complex(values, what: str) -> np.ndarray:
+    """``values`` as a complex array, refused before any product is taken
+    unless each real and imaginary part is finite and at most 1 in size.
+    The parts are tested, not the modulus, which overflows near 1.8e308;
+    one ``<=`` fails on NaN and Inf too. ``what`` opens the message."""
     arr = np.asarray(values, dtype=complex)
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise ValueError("amplitudes must be finite (no NaN/Inf)")
+    parts = np.abs(arr.ravel().view(float))
+    if arr.size and not parts.max() <= _PART_BOUND:
+        if not np.isfinite(parts).all():
+            raise ValueError(f"{what}: an entry is not finite (NaN or Inf)")
+        raise ValueError(f"{what}: an entry has a part of size {float(parts.max())!r}; no part may exceed 1")
     return arr
 
 
@@ -62,24 +74,19 @@ def _qubit_count(dim: int) -> int:
 
 
 class StateVector(_Frozen):
-    """A complex amplitude vector over 2**n basis states.
+    """A normalised complex amplitude vector over 2**n basis states."""
 
-    ``normalized=False`` admits unnormalized vectors, used for the
-    per-outcome branch decomposition of a measurement.
-    """
+    __slots__ = ("amplitudes", "dim")
 
-    __slots__ = ("amplitudes", "dim", "normalized")
-
-    def __init__(self, amplitudes, normalized: bool = True):
-        amps = _as_complex(amplitudes).reshape(-1)
+    def __init__(self, amplitudes):
+        amps = _as_complex(amplitudes, "state is not normalized").reshape(-1)
         _qubit_count(amps.size)
-        if normalized:
-            norm = np.linalg.norm(amps)
-            if abs(norm**2 - 1.0) > 1e-9:
-                raise ValueError(f"state is not normalized: |psi|^2 = {norm**2}")
-            if abs(norm**2 - 1.0) > ATOL:
-                amps = amps / norm
-        self._set(amplitudes=amps, dim=amps.size, normalized=bool(normalized))
+        norm = np.linalg.norm(amps)
+        if abs(norm**2 - 1.0) > 1e-9:
+            raise ValueError(f"state is not normalized: |psi|^2 = {norm**2} (tolerance 1e-9)")
+        if abs(norm**2 - 1.0) > ATOL:
+            amps = amps / norm
+        self._set(amplitudes=amps, dim=amps.size)
 
     @classmethod
     def basis(cls, index: int, num_qubits: int = 1) -> "StateVector":
@@ -102,15 +109,7 @@ class StateVector(_Frozen):
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalize(self) -> "StateVector":
-        n = self.norm()
-        if n < 1e-15:
-            raise ValueError("cannot normalize a zero vector")
-        return StateVector(self.amplitudes / n)
-
     def density(self) -> "DensityOperator":
-        if not self.normalized:
-            raise ValueError("density() requires a normalized state")
         return DensityOperator._trusted(np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def equals_up_to_phase(self, other: "StateVector", atol: float = ATOL) -> bool:
@@ -124,11 +123,11 @@ class StateVector(_Frozen):
         return serialize.vector_to_document(self.amplitudes)
 
     @classmethod
-    def from_json(cls, document: dict, normalized: bool = True) -> "StateVector":
+    def from_json(cls, document: dict) -> "StateVector":
         arr = serialize.document_to_array(document)
         if arr.ndim != 1:
             raise ValueError("document holds a matrix, not a vector")
-        return cls(arr, normalized=normalized)
+        return cls(arr)
 
     def __repr__(self):
         return f"StateVector({np.array2string(self.amplitudes, precision=6)})"
@@ -140,7 +139,7 @@ class DensityOperator(_Frozen):
     __slots__ = ("matrix", "dim")
 
     def __init__(self, matrix):
-        mat = _as_complex(matrix)
+        mat = _as_complex(matrix, "not a density operator")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density operator must be square, got shape {mat.shape}")
         _qubit_count(mat.shape[0])
@@ -228,10 +227,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def tensor_product(a: QuantumState, b: QuantumState) -> QuantumState:
     """Kronecker product; qubit order is [a's qubits, then b's qubits]."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(
-            _kron(a.amplitudes, b.amplitudes),
-            normalized=a.normalized and b.normalized,
-        )
+        return StateVector(_kron(a.amplitudes, b.amplitudes))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
         return DensityOperator._trusted(_kron(a.matrix, b.matrix))
     raise TypeError(
@@ -263,20 +259,18 @@ def partial_trace(rho: DensityOperator, keep: Union[int, Sequence[int]]) -> Dens
 def apply_unitary(state: QuantumState, u) -> QuantumState:
     """U|psi> for vectors, U rho U-dagger for density operators.
 
-    ``u`` is a :class:`~ctcsim.gates.UnitaryGate` or a raw matrix; a raw
-    matrix is checked for unitarity before a density result is trusted.
+    ``u`` is a :class:`~ctcsim.gates.UnitaryGate` or a raw matrix, which is
+    outside input and so is built into a gate, checked, first.
     """
     from .gates import UnitaryGate  # gates imports this module
 
     if not isinstance(state, (StateVector, DensityOperator)):
         raise TypeError(f"expected StateVector or DensityOperator, got {type(state).__name__}")
-    matrix = u.matrix if hasattr(u, "matrix") else np.asarray(u, dtype=complex)
+    matrix = (u if isinstance(u, UnitaryGate) else UnitaryGate(u)).matrix
     if matrix.shape[1] != state.dim:
         raise ValueError(f"dimension mismatch: gate {matrix.shape} vs state dim {state.dim}")
     if isinstance(state, StateVector):
-        return StateVector(matrix @ state.amplitudes, normalized=state.normalized)
-    if not isinstance(u, UnitaryGate):
-        UnitaryGate(matrix)  # a raw matrix is outside input: raises unless unitary
+        return StateVector(matrix @ state.amplitudes)
     return DensityOperator._trusted(matrix @ state.matrix @ matrix.conj().T)
 
 
@@ -286,7 +280,10 @@ def _basis_pair(basis) -> tuple[np.ndarray, np.ndarray]:
         return _COMPUTATIONAL
     vectors = []
     for entry in basis:
-        vec = entry.amplitudes if isinstance(entry, StateVector) else _as_complex(entry).reshape(-1)
+        if isinstance(entry, StateVector):
+            vec = entry.amplitudes
+        else:
+            vec = _as_complex(entry, "measurement basis vector is not normalized").reshape(-1)
         if vec.size != 2:
             raise ValueError("measurement basis vectors must be single-qubit")
         vectors.append(vec)
@@ -357,8 +354,6 @@ def measure_projective(
     if not isinstance(state, (StateVector, DensityOperator)):
         raise TypeError(f"expected StateVector or DensityOperator, got {type(state).__name__}")
     vector = isinstance(state, StateVector)
-    if vector and not state.normalized:
-        raise ValueError("measurement requires a normalized state")
     if not 0 <= subsystem < state.num_qubits:
         raise ValueError(f"invalid subsystem index {subsystem} for {state.num_qubits} qubits")
     if outcome not in (None, 0, 1):

@@ -172,6 +172,9 @@ class TopologySpace(_Frozen):
         if self._violations:
             raise ValueError(f"not a topology: {self._violations[0]}")
         kept = frozenset(subset)
+        unknown = kept.difference(self._minimal)
+        if unknown:
+            raise ValueError(f"subspace labels {sorted(unknown, key=repr)} are not points of the space")
         sub = [p for p in self.points if p in kept]
         return self._trusted(sub, {p: self._minimal[p] & kept for p in sub})
 
@@ -339,12 +342,3 @@ class BranchLedger:
     def _tally(self) -> Counter:
         """The number of branches in each status."""
         return Counter(self._status)
-
-
-def allocate_branch(ledger: BranchLedger) -> int:
-    return ledger.allocate()
-
-
-def consume_branch(ledger: BranchLedger, branch_id: int, outcome: str) -> BranchLedger:
-    ledger.consume(branch_id, outcome)
-    return ledger

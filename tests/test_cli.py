@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -167,6 +168,65 @@ def test_overflowing_inline_state_is_one_error_line(capsys):
     assert code == cli.EXIT_ERROR and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "not normalized" in lines[0], lines
+
+
+@pytest.mark.parametrize(
+    "argv, document, limit",
+    (
+        (
+            ["run-protocol", "--state"],
+            {"dim": 2, "data": [[1e308, 0], [1e308, 0]]},
+            "state is not normalized: an entry has a part of size 1e+308; no part may exceed 1",
+        ),
+        (
+            ["fixed-point", "--state"],
+            {"dim": 2, "data": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]},
+            "not a density operator: an entry has a part of size 1e+308; no part may exceed 1",
+        ),
+        (
+            ["fixed-point", "--unitary"],
+            {"dim": 4, "data": [[1e308, 0]] * 16},
+            "matrix is not unitary: an entry has a part of size 1e+308; no part may exceed 1",
+        ),
+        (
+            ["run-protocol", "--unitary"],
+            {"dim": 4, "data": [[0, 0]] * 15 + [[math.inf, 0]]},
+            "matrix is not unitary: an entry is not finite (NaN or Inf)",
+        ),
+        (["run-protocol", "--state"], {"dim": True, "data": [[1, 0], [0, 0]]}, "key 'dim' must be a int"),
+        (["run-protocol", "--state"], {"dim": 2, "data": [5, 6]}, "key 'data' entry 0 must be a [re, im] pair"),
+        (["run-protocol", "--state"], {"dim": 2, "data": None}, "key 'data' must be a list, got NoneType"),
+        (
+            ["run-protocol", "--state"],
+            {"dim": 2, "data": [["1", "0"], [False, False]]},
+            "key 'data' entry 0 must be a [re, im] pair of numbers",
+        ),
+    ),
+    ids=("state", "density", "fixed_point_unitary", "protocol_unitary", "dim_bool", "data_ints",
+         "data_null", "data_strings"),
+)
+def test_malformed_number_files_end_in_one_error_line_naming_the_file(tmp_path, capsys, argv, document, limit):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(capsys, [*argv, str(path)])
+    assert code == cli.EXIT_ERROR and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ") and limit in lines[0], lines
+
+
+def test_config_state_with_a_huge_part_ends_in_one_error_line_naming_the_key(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"input_state": {"dim": 2, "data": [[1e200, 0], [0, 0]]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(capsys, ["run-protocol", "--config", str(path)])
+    expected = (
+        "error: config key 'input_state': state is not normalized: "
+        "an entry has a part of size 1e+200; no part may exceed 1"
+    )
+    assert (code, out, err.splitlines()) == (cli.EXIT_ERROR, "", [expected])
 
 
 def test_missing_state_file(capsys):

@@ -52,6 +52,21 @@ HADAMARD = (
 # ------------------------------------------------------------------ oracles
 
 
+class Unnormalised:
+    """An unnormalised amplitude vector, as the oracles below hold a branch;
+    ``StateVector`` holds only normalised states."""
+
+    def __init__(self, amplitudes):
+        self.amplitudes = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        self.num_qubits = self.amplitudes.size.bit_length() - 1
+
+    def norm(self):
+        return float(np.linalg.norm(self.amplitudes))
+
+    def normalize(self):
+        return StateVector(self.amplitudes / self.norm())
+
+
 def old_lift_single(op2, subsystem, num_qubits):
     full = np.array([[1.0 + 0j]])
     for q in range(num_qubits):
@@ -70,7 +85,7 @@ def old_measurement_distribution(state, subsystem, b_pair):
     if isinstance(state, StateVector):
         n = state.num_qubits
         for label, bvec in enumerate(b_pair):
-            branch = StateVector(old_measurement_branch(state, subsystem, bvec), normalized=False)
+            branch = Unnormalised(old_measurement_branch(state, subsystem, bvec))
             prob = branch.norm() ** 2
             post = None
             if prob > 1e-15:
@@ -114,7 +129,7 @@ def old_measure_chronology(rng, joint):
     """Outcome, probabilities, CTC factor and (vector only) both branches."""
     if isinstance(joint, StateVector):
         branches = [
-            StateVector(old_measurement_branch(joint, 0, vec), normalized=False)
+            Unnormalised(old_measurement_branch(joint, 0, vec))
             for vec in COMPUTATIONAL
         ]
         probabilities = [b.norm() ** 2 for b in branches]
@@ -148,9 +163,9 @@ def old_teleport_table(input_state):
     z_mat = np.array([[1, 0], [0, -1]], dtype=complex)
     table = {}
     for m0 in (0, 1):
-        first = StateVector(old_measurement_branch(psi, 0, COMPUTATIONAL[m0]), normalized=False)
+        first = Unnormalised(old_measurement_branch(psi, 0, COMPUTATIONAL[m0]))
         for m1 in (0, 1):
-            second = StateVector(old_measurement_branch(first, 0, COMPUTATIONAL[m1]), normalized=False)
+            second = Unnormalised(old_measurement_branch(first, 0, COMPUTATIONAL[m1]))
             prob = second.norm() ** 2
             corrected = np.linalg.matrix_power(z_mat, m0) @ (
                 np.linalg.matrix_power(x_mat, m1) @ second.amplitudes

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from ctcsim.consistency import (  # noqa: E402
     scan_admissible_inputs,
     solve_deutsch_fixed_point,
 )
-from ctcsim.gates import GATE_NAMES, GateSpec, UnitaryGate, build_gate  # noqa: E402
+from ctcsim.gates import GATE_NAMES, GateSpec, UnitaryGate, build_gate, embed  # noqa: E402
 from ctcsim.protocol import (  # noqa: E402
     FORMALISMS,
     SCENARIOS,
@@ -129,6 +130,42 @@ def test_density_from_bloch_rejects_non_finite(seed, value, index):
     r[index] = value
     with pytest.raises(ValueError):
         density_from_bloch(r)
+
+
+_CONSTRUCTORS = {"vector": (StateVector, 1), "density": (DensityOperator, 2), "unitary": (UnitaryGate, 2)}
+bad_parts = st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan])
+finite_parts = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@examples
+@given(st.sampled_from(sorted(_CONSTRUCTORS)), st.integers(1, 3), st.data())
+def test_constructors_refuse_huge_and_non_finite_parts_without_a_warning(kind, num_qubits, data):
+    """One bad part among any finite ones is refused before any product is
+    taken, so no overflow or invalid-value warning is raised first."""
+    build, rank = _CONSTRUCTORS[kind]
+    size = 2 * 2 ** (num_qubits * rank)
+    parts = data.draw(st.lists(st.one_of(bad_parts, finite_parts), min_size=size, max_size=size))
+    parts[data.draw(st.integers(0, size - 1))] = data.draw(bad_parts)
+    values = np.array(parts).view(complex).reshape((2**num_qubits,) * rank)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no part may exceed 1|not finite"):
+            build(values)
+
+
+@examples
+@given(seeds, st.integers(1, 3))
+def test_constructors_accept_every_valid_input(seed, num_qubits):
+    rng = np.random.default_rng(seed)
+    dim = 2**num_qubits
+    amplitudes = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    targets = [int(t) for t in rng.permutation(3)[:2]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        StateVector(amplitudes / np.linalg.norm(amplitudes))
+        assert_valid(random_density(rng, num_qubits))
+        UnitaryGate(haar_unitary(rng, dim))
+        UnitaryGate(embed(UnitaryGate(haar_unitary(rng, 4)), targets, 3).matrix)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ctcsim import serialize
 from ctcsim.states import (
     DETERMINISTIC_REPORT,
     DensityOperator,
@@ -52,11 +53,6 @@ def test_state_vector_rejects_non_power_of_two():
 def test_state_vector_rejects_nan():
     with pytest.raises(ValueError):
         StateVector([np.nan, 0.0])
-
-
-def test_unnormalized_variant_allowed():
-    v = StateVector([0.3, 0.0], normalized=False)
-    assert v.norm() == pytest.approx(0.3)
 
 
 def test_density_rejects_non_hermitian():
@@ -375,6 +371,38 @@ def test_density_json_round_trip():
     rho = random_density()
     again = DensityOperator.from_json(rho.to_json())
     assert np.allclose(rho.matrix, again.matrix)
+
+
+def test_document_keeps_the_bits_of_every_part():
+    rng = np.random.default_rng(7)
+    parts = [[1, 0], [-3, 2**60 + 1]] + rng.normal(size=(6, 2)).tolist()
+    flat = serialize.document_to_array({"dim": 8, "data": parts})
+    expected = [complex(float(re), float(im)) for re, im in parts]
+    assert flat.tobytes() == np.array(expected, dtype=complex).tobytes()
+    again = serialize.document_to_array(serialize.vector_to_document(flat))
+    assert again.tobytes() == flat.tobytes()
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    (
+        ({"dim": True, "data": [[1, 0], [0, 0]]}, "key 'dim' must be a int, got bool"),
+        ({"dim": "2", "data": [[1, 0], [0, 0]]}, "key 'dim' must be a int, got str"),
+        ({"dim": 2.9, "data": [[1, 0], [0, 0]]}, "key 'dim' must be a int, got float"),
+        ({"dim": 0, "data": []}, "key 'dim' must be positive, got 0"),
+        ({"dim": 2, "data": None}, "key 'data' must be a list, got NoneType"),
+        ({"dim": 2, "data": [5, 6]}, "key 'data' entry 0 must be a [re, im] pair of numbers, got 5"),
+        ({"dim": 2, "data": [[1, 0], ["0.6", 0]]}, "key 'data' entry 1 must be a [re, im] pair"),
+        ({"dim": 2, "data": [[1, 0], [False, False]]}, "key 'data' entry 1 must be a [re, im] pair"),
+        ({"dim": 2, "data": [[1, 0], [0, 0, 0]]}, "key 'data' entry 1 must be a [re, im] pair"),
+        ({"dim": 2, "data": [[1, 0], [10**400, 0]]}, "key 'data' entry 1 holds an integer too large"),
+        ([[1, 0], [0, 0]], "document must be a JSON object, got list"),
+    ),
+)
+def test_document_reader_refuses_what_is_not_a_number_document(document, message):
+    with pytest.raises(ValueError) as info:
+        serialize.document_to_array(document)
+    assert str(info.value).startswith("vector/matrix document ") and message in str(info.value)
 
 
 @pytest.mark.parametrize(

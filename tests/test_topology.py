@@ -15,9 +15,7 @@ from ctcsim.topology import (
     BranchLedger,
     EventPoint,
     TopologySpace,
-    allocate_branch,
     build_line_splitting,
-    consume_branch,
     is_hausdorff,
     validate_topology,
 )
@@ -496,6 +494,11 @@ def test_subspace_of_invalid_space_raises():
         TopologySpace(["a", "b"], [["a"]]).subspace(["a"])
 
 
+def test_subspace_refuses_labels_that_are_not_points():
+    with pytest.raises(ValueError, match=r"subspace labels \['nope'\] are not points of the space"):
+        build_line_splitting(2).subspace(["-1", "nope"])
+
+
 def test_built_spaces_reject_duplicate_labels():
     for build in (
         TopologySpace.discrete,
@@ -518,25 +521,25 @@ def test_topology_json_round_trip():
 
 def test_allocate_and_consume_lifecycle():
     ledger = BranchLedger()
-    first = allocate_branch(ledger)
+    first = ledger.allocate()
     assert ledger.status(first) == "in_use"
-    consume_branch(ledger, first, "merged")
+    ledger.consume(first, "merged")
     assert ledger.status(first) == "consumed"
-    second = allocate_branch(ledger)
+    second = ledger.allocate()
     assert second != first
 
 
 def test_single_branch_in_use():
     ledger = BranchLedger()
-    allocate_branch(ledger)
+    ledger.allocate()
     with pytest.raises(BranchError):
-        allocate_branch(ledger)
+        ledger.allocate()
 
 
 def test_consumed_branch_rejects_all_access():
     ledger = BranchLedger()
-    bid = allocate_branch(ledger)
-    consume_branch(ledger, bid, "collapsed")
+    bid = ledger.allocate()
+    ledger.consume(bid, "collapsed")
     with pytest.raises(BranchError):
         ledger.touch(bid)
     with pytest.raises(BranchError):
@@ -544,7 +547,7 @@ def test_consumed_branch_rejects_all_access():
     with pytest.raises(BranchError):
         ledger.record(bid)
     with pytest.raises(BranchError):
-        consume_branch(ledger, bid, "merged")
+        ledger.consume(bid, "merged")
 
 
 def test_unknown_branch_errors():
