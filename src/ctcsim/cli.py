@@ -29,6 +29,9 @@ from .consistency import (
 )
 from .gates import GATE_NAMES, GateSpec, build_gate
 from .protocol import (
+    BEAM_POLICIES,
+    FORMALISMS,
+    SCENARIOS,
     ProtocolConfig,
     run_beam,
     run_ebit_distribution,
@@ -54,7 +57,8 @@ MAX_COPIES = 1000
 #: the cap now takes about 4.5 s and the largest beam, ``--trials 40000
 #: --policy noise``, about 1 s with JSON output and 0.7 s with CSV. Memory
 #: sets the grid cap: with the identity gate, which admits all 3,875,251
-#: points, ``--grid 250`` takes 1-2 s and peaks at about 450 MiB resident.
+#: points, ``--grid 250`` takes about 0.8 s and peaks at about 280 MiB
+#: resident, most of it the grid itself.
 MAX_TRIALS = 40_000
 MAX_STORAGE_CYCLES = 300_000
 MAX_GRID = 250
@@ -230,8 +234,6 @@ def _parse_state(text: str) -> StateVector:
             return StateVector([complex(a_re, a_im), complex(b_re, b_im)])
         except ValueError as exc:
             raise ValueError(f"invalid inline state {text!r}: {exc}") from None
-    if not Path(text).exists():
-        raise ValueError(f"state file not found: {text}")
     return serialize.load(text, StateVector.from_json)
 
 
@@ -242,7 +244,7 @@ def _density(document) -> DensityOperator:
 
 def _parse_density(text: str) -> DensityOperator:
     """A state flag interpreted as a density operator; matrix files allowed."""
-    if "," in text or not Path(text).exists():
+    if "," in text:
         return _parse_state(text).density()
     return serialize.load(text, _density)
 
@@ -304,12 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-protocol", help="execute one Alice/Bob session")
     common(p, state=True, unitary=True)
     p.add_argument("--ctc", default="1,0,0,0", help="initial CTC state (same format as --state)")
-    p.add_argument("--formalism", choices=("wavefunction", "density"), default="wavefunction")
-    p.add_argument(
-        "--scenario",
-        choices=("nominal", "bob_skips", "self_signal", "storage"),
-        default="nominal",
-    )
+    p.add_argument("--formalism", choices=FORMALISMS, default="wavefunction")
+    p.add_argument("--scenario", choices=[s for s in SCENARIOS if s != "beam"], default="nominal")
     p.add_argument("--bob-measures", action="store_true")
     p.add_argument("--storage-cycles", type=int, default=5)
     p.add_argument("--config", default=None, help="JSON file mirroring ProtocolConfig fields")
@@ -327,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beam", help="random-basis beam of CTC qubits")
     common(p)
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--policy", choices=("collapse", "discard", "noise"), default="collapse")
+    p.add_argument("--policy", choices=BEAM_POLICIES, default="collapse")
 
     p = sub.add_parser("teleport-baseline", help="standard teleportation with resource accounting")
     common(p, state=True)
@@ -344,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run_protocol(args, seed) -> tuple[dict, int, int]:
     if args.config:
-        config = ProtocolConfig.from_json_file(args.config)
+        config = serialize.load(args.config, ProtocolConfig.from_json)
         if args.seed is not None:
             raise ValueError("--config and --seed are mutually exclusive; set seed in the file")
     else:
@@ -416,7 +414,7 @@ def _topology(args) -> dict:
     if (args.space is None) == (args.copies is None):
         raise ValueError("topology-check needs exactly one of --space or --copies")
     if args.space is not None:
-        space = TopologySpace.from_json(serialize.load_json(args.space))
+        space = serialize.load(args.space, TopologySpace.from_json)
     else:
         space = build_line_splitting(_at_most("--copies", args.copies, MAX_COPIES))
     ok, violations = validate_topology(space)

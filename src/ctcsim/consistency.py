@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +38,8 @@ _SURFACE_SHELL = 1.0 - 1e-12
 # run lengths of the iterative solver's batched step check; short first runs
 # spare a solve of few steps the surplus iterates of a long run
 _RUNS = (1, 2, 4, 8, 16)
+# rows of the Bloch grid whose residuals the admissible scan computes at once
+_SCAN_ROWS = 65_536
 
 LOOP_LABELS = ("rho_in", "rho_out", "rho_in_prime", "rho_out_prime")
 
@@ -292,15 +294,23 @@ def _fixed_space(u: UnitaryGate, rho_in: DensityOperator):
     """Solve (I - A) r = b for the Bloch part of the vectorized map.
 
     Returns the min-norm fixed Bloch vector, the null-space basis of
-    (I - A), and the defect of the affine system.
+    (I - A), and the defect of the affine system. A direction is free when
+    its singular value is below 1e-10; the solve then inverts only the
+    kept singular values, so rounding noise in ``b`` along a free direction
+    is not amplified and the fixed point moves with a change of basis.
     """
     m = transfer_matrix(u, rho_in)
     a, b = m[1:, 1:], m[1:, 0]
     k = np.eye(3) - a
-    r, *_ = np.linalg.lstsq(k, b, rcond=None)
+    left, svals, vt = np.linalg.svd(k)
+    free = svals < 1e-10
+    null_basis = list(vt[free])
+    if free.any():
+        kept = ~free
+        r = vt[kept].T @ ((left[:, kept].T @ b) / svals[kept])
+    else:
+        r, *_ = np.linalg.lstsq(k, b, rcond=None)
     defect = float(np.linalg.norm(k @ r - b, ord=np.inf))
-    _, svals, vt = np.linalg.svd(k)
-    null_basis = [vt[i] for i in range(3) if svals[i] < 1e-10]
     return r, null_basis, defect
 
 
@@ -441,8 +451,11 @@ def _admissible_points(u: UnitaryGate, rho: np.ndarray, grid_resolution: int, to
     a, b = m[1:, 1:], m[1:, 0]
     grid = bloch_grid(grid_resolution)
     target = np.array(_pauli_coefficients(rho)[1:])
-    images = grid @ a.T + b
-    residuals = 0.5 * np.linalg.norm(images - target, axis=1)
+    # row chunks bound the temporaries; each row's residual keeps its bits
+    residuals = np.concatenate([
+        0.5 * np.linalg.norm(grid[i : i + _SCAN_ROWS] @ a.T + b - target, axis=1)
+        for i in range(0, len(grid), _SCAN_ROWS)
+    ])
     keep = residuals <= tolerance
     return grid[keep], residuals[keep]
 

@@ -135,10 +135,6 @@ class ProtocolConfig:
             raise ValueError(f"config key 'seed' must be an integer >= 0, got {kwargs['seed']}")
         return cls(**kwargs)
 
-    @classmethod
-    def from_json_file(cls, path) -> "ProtocolConfig":
-        return cls.from_json(serialize.load_json(path))
-
 
 def _state(document: dict, key: str) -> StateVector:
     """The state a config key holds; its error names the key."""

@@ -85,30 +85,26 @@ def entry(document, key: str, kind: type, what: str, default=None):
     return value
 
 
-def load_json(path: str | Path):
-    """The JSON document in the file at ``path``; a ValueError that names
-    the file when the file holds none."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"{path} does not hold a JSON document: {exc}") from exc
-
-
 def load(path: str | Path, build):
-    """``build`` of the JSON document in the file at ``path``; a ValueError
-    from ``build`` is prefixed once with the path, so its line names the
-    file."""
-    document = load_json(path)
+    """``build`` of the JSON document in the file at ``path``: the one file
+    reader. Each failure is one line that names the file: a file that cannot
+    be read or holds no JSON document is a ValueError, and a ValueError or
+    RuntimeError from ``build`` is raised again, of the same type, with the
+    path in front."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except OSError as exc:  # missing, a directory, no permission
+        raise ValueError(f"{path}: cannot be read: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"{path} does not hold a JSON document: {exc}") from None
     try:
         return build(document)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except (ValueError, RuntimeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_array(path: str | Path, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=complex)
     document = matrix_to_document(values) if values.ndim == 2 else vector_to_document(values)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle)
-        handle.write("\n")
+    Path(path).write_text(json.dumps(document) + "\n", encoding="utf-8")

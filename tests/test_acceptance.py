@@ -14,12 +14,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ctcsim.consistency import (
-    bloch_vector,
-    fixed_set_distance,
-    scan_admissible_inputs,
-    solve_deutsch_fixed_point,
-)
+from ctcsim.consistency import fixed_set_distance, scan_admissible_inputs, solve_deutsch_fixed_point
 from ctcsim.gates import controlled_rotation, swap
 from ctcsim.protocol import (
     ProtocolConfig,
@@ -28,7 +23,7 @@ from ctcsim.protocol import (
     run_session,
     run_teleportation_baseline,
 )
-from ctcsim.resources import STANDARD_RELATIONS, ResourceKind, tally, verify_conversion
+from ctcsim.resources import STANDARD_RELATIONS, tally, verify_conversion
 from ctcsim.states import DensityOperator, StateVector, purity, trace_distance
 from ctcsim.topology import BranchLedger, TopologySpace, build_line_splitting, is_hausdorff
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ctcsim import cli
-from ctcsim.gates import hadamard
+from ctcsim.gates import GATE_NAMES, hadamard
 from ctcsim.serialize import save_array
 
 
@@ -223,7 +223,7 @@ def test_config_state_with_a_huge_part_ends_in_one_error_line_naming_the_key(tmp
         warnings.simplefilter("error")
         code, out, err = run_main(capsys, ["run-protocol", "--config", str(path)])
     expected = (
-        "error: config key 'input_state': state is not normalized: "
+        f"error: {path}: config key 'input_state': state is not normalized: "
         "an entry has a part of size 1e+200; no part may exceed 1"
     )
     assert (code, out, err.splitlines()) == (cli.EXIT_ERROR, "", [expected])
@@ -232,7 +232,7 @@ def test_config_state_with_a_huge_part_ends_in_one_error_line_naming_the_key(tmp
 def test_missing_state_file(capsys):
     code, _, err = run_main(capsys, ["run-protocol", "--state", "/does/not/exist.json"])
     assert code == cli.EXIT_ERROR
-    assert "not found" in err
+    assert err == "error: /does/not/exist.json: cannot be read: No such file or directory\n"
 
 
 # ------------------------------------------------------------------ file inputs
@@ -469,20 +469,42 @@ def test_topology_labels_and_opens_of_the_wrong_type_give_one_error_line(tmp_pat
     path.write_text(json.dumps(document))
     result = run_cli(["topology-check", "--space", str(path)])
     assert result.returncode == cli.EXIT_ERROR and result.stdout == b""
-    assert result.stderr.decode().splitlines() == [f"error: space key {message}"]
+    assert result.stderr.decode().splitlines() == [f"error: {path}: space key {message}"]
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["fixed-point", "--unitary"], ["run-protocol", "--config"], ["topology-check", "--space"]],
+    [
+        ["fixed-point", "--unitary"],
+        ["run-protocol", "--config"],
+        ["topology-check", "--space"],
+        ["run-protocol", "--state"],
+        ["run-protocol", "--ctc"],
+        ["fixed-point", "--state"],
+    ],
 )
 def test_empty_json_file_is_named_in_one_error_line(tmp_path, capsys, argv):
-    path = tmp_path / "empty.json"
-    path.write_text("")
-    code, out, err = run_main(capsys, [*argv, str(path)])
-    assert code == cli.EXIT_ERROR and out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {path} does not hold a JSON document"), lines
+    """Every file flag reads through one reader: an empty file, a directory
+    and a missing path each end in one error line that names the path."""
+    empty, missing = tmp_path / "empty.json", tmp_path / "missing.json"
+    empty.write_text("")
+    cases = {
+        empty: f"{empty} does not hold a JSON document: Expecting value: line 1 column 1 (char 0)",
+        tmp_path: f"{tmp_path}: cannot be read: Is a directory",
+        missing: f"{missing}: cannot be read: No such file or directory",
+    }
+    if argv[1] == "--unitary":  # a path that does not exist may be a mistyped gate name
+        cases[missing] = f"--unitary must be one of {GATE_NAMES[:-1]} or an existing file, got {str(missing)!r}"
+    if argv[1] == "--config":
+        state = {"dim": 2, "data": [[1, 0], [0, 0]]}
+        formalism, custom = tmp_path / "formalism.json", tmp_path / "custom.json"
+        formalism.write_text(json.dumps({"input_state": state, "formalism": "x"}))
+        custom.write_text(json.dumps({"input_state": state, "gate": {"name": "custom", "custom_path": str(missing)}}))
+        cases[formalism] = f"{formalism}: unknown formalism 'x'"
+        cases[custom] = f"{custom}: {missing}: cannot be read: No such file or directory"
+    for path, line in cases.items():
+        code, out, err = run_main(capsys, [*argv, str(path)])
+        assert (code, out, err.splitlines()) == (cli.EXIT_ERROR, "", [f"error: {line}"])
 
 
 # ------------------------------------------------------------------------- env
@@ -519,7 +541,7 @@ def test_negative_config_seed_names_the_key(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"input_state": {"dim": 2, "data": [[1, 0], [0, 0]]}, "seed": -1}))
     code, out, err = run_main(capsys, ["run-protocol", "--config", str(path)])
-    expected = ["error: config key 'seed' must be an integer >= 0, got -1"]
+    expected = [f"error: {path}: config key 'seed' must be an integer >= 0, got -1"]
     assert (code, out, err.splitlines()) == (cli.EXIT_ERROR, "", expected)
 
 

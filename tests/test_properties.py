@@ -73,6 +73,26 @@ def assert_valid(rho: DensityOperator) -> None:
     DensityOperator(rho.matrix)
 
 
+COUPLINGS = [name for name in GATE_NAMES[:-1] if build_gate(GateSpec(name)).dim == 4]
+
+
+def coupling(rng, name: str) -> np.ndarray:
+    """A named two-qubit gate's matrix, or a Haar 4x4 for ``"haar"``."""
+    return haar_unitary(rng) if name == "haar" else build_gate(GateSpec(name)).matrix
+
+
+def moved(w: np.ndarray, rho: DensityOperator) -> DensityOperator:
+    return DensityOperator(w @ rho.matrix @ w.conj().T)
+
+
+def conjugated(rng, u: np.ndarray, rho_in: DensityOperator):
+    """A Haar local change of basis V (x) W applied to a coupling and its
+    input: ((V (x) W) U (V (x) W)+, V rho_in V+, W)."""
+    v, w = haar_unitary(rng, 2), haar_unitary(rng, 2)
+    x = np.kron(v, w)
+    return UnitaryGate(x @ u @ x.conj().T), moved(v, rho_in), w
+
+
 @examples
 @given(seeds)
 def test_deutsch_map_output_is_a_density_operator(seed):
@@ -215,6 +235,67 @@ def test_converged_iterative_solution_agrees_with_spectral(seed):
         iterative = solve_deutsch_fixed_point(u, rho_in, "iterative")
     except FixedPointError:
         assume(False)
+    assert trace_distance(iterative.rho, spectral.rho) <= SOLVER_AGREEMENT_TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.sampled_from([*COUPLINGS, "haar"]), st.sampled_from(["iterative", "spectral"]))
+def test_fixed_points_move_with_a_local_change_of_basis(seed, name, method):
+    """The reduced map of ((V (x) W) U (V (x) W)+, V rho_in V+) is
+    rho -> W M(W+ rho W) W+, so its fixed set is W's image of U's. A
+    degenerate set is resolved to its maximal-entropy member (Deutsch 1991),
+    and entropy does not change under W, so the solution is W rho* W+."""
+    rng = np.random.default_rng(seed)
+    u = coupling(rng, name)
+    rho_in = random_density(rng)
+    image_gate, image_in, w = conjugated(rng, u, rho_in)
+    try:
+        solution = solve_deutsch_fixed_point(UnitaryGate(u), rho_in, method)
+        image = solve_deutsch_fixed_point(image_gate, image_in, method)
+    except FixedPointError:
+        # only the iterative solver may stop at its iteration cap
+        assert method == "iterative"
+        assume(False)
+    assert image.fixed_space_dim == solution.fixed_space_dim
+    assert trace_distance(image.rho, moved(w, solution.rho)) <= SOLVER_AGREEMENT_TOL
+
+
+@examples
+@given(seeds, st.sampled_from([*COUPLINGS, "haar"]), st.booleans())
+def test_consistency_verdicts_do_not_depend_on_the_local_basis(seed, name, closed):
+    """check_deutsch and check_weak give the same verdict, and residuals
+    equal to rounding, when the coupling, its input and every loop state
+    are moved by the same local change of basis."""
+    rng = np.random.default_rng(seed)
+    u = coupling(rng, name)
+    rho_in = random_density(rng)
+    image_gate, image_in, w = conjugated(rng, u, rho_in)
+    gate = UnitaryGate(u)
+    fixed = solve_deutsch_fixed_point(gate, rho_in).rho
+    for rho in (fixed, random_density(rng)):
+        verdict = check_deutsch(gate, rho_in, rho)
+        image = check_deutsch(image_gate, image_in, moved(w, rho))
+        assert image.passed == verdict.passed
+        assert abs(image.residual - verdict.residual) <= 1e-12
+    a, b = random_density(rng), random_density(rng)
+    states = [a, b, b, a] if closed else [a, b, random_density(rng), random_density(rng)]
+    verdict = check_weak(LoopRecord.from_states(*states))
+    image = check_weak(LoopRecord.from_states(*(moved(w, rho) for rho in states)))
+    assert image.passed == verdict.passed == closed
+    assert abs(image.residual - verdict.residual) <= 1e-12
+
+
+@examples
+@given(seeds, st.sampled_from(COUPLINGS))
+def test_solvers_agree_on_rounding_perturbed_named_gates(seed, name):
+    """(V (x) W)(V (x) W)+ U is U to within a few ulps in floats; the solvers
+    must still agree, as they do on U itself."""
+    rng = np.random.default_rng(seed)
+    x = np.kron(haar_unitary(rng, 2), haar_unitary(rng, 2))
+    u = UnitaryGate((x @ x.conj().T) @ build_gate(GateSpec(name)).matrix)
+    rho_in = random_density(rng)
+    iterative = solve_deutsch_fixed_point(u, rho_in, "iterative")
+    spectral = solve_deutsch_fixed_point(u, rho_in, "spectral")
     assert trace_distance(iterative.rho, spectral.rho) <= SOLVER_AGREEMENT_TOL
 
 
@@ -547,9 +628,6 @@ def rebuilt(transcript: Transcript) -> Transcript:
     """The same fields through the public constructor, which checks them."""
     fields = dataclasses.fields(Transcript)
     return Transcript(**{f.name: getattr(transcript, f.name) for f in fields})
-
-
-COUPLINGS = [name for name in GATE_NAMES[:-1] if build_gate(GateSpec(name)).dim == 4]
 
 
 @settings(max_examples=60, deadline=None)
