@@ -30,14 +30,14 @@ print()
 config = ProtocolConfig(input_state=StateVector.qubit(a, b), seed=7)
 session = Session(config)
 
-message = run_alice_stage(config, session)
+message = run_alice_stage(session)
 print("Alice swaps her qubit with the CTC qubit and measures hers.")
 print(f"  measurement probabilities: {session.detail['alice_probabilities']}")
 print(f"  outcome sent to Bob:       {message['payload'][0]}  (always 0 for the swap)")
 print(f"  CTC qubit now carries:     {np.round(session.carried.amplitudes, 3)}")
 print()
 
-run_bob_stage(config, session, message)
+run_bob_stage(session, message)
 print("Bob prepares |0> from Alice's bit and swaps it with the CTC qubit.")
 print(f"  Bob now holds:        {np.round(session.transferred.matrix.diagonal().real, 3)} (diagonal)")
 print(f"  CTC qubit returned to: {np.round(session.carried_density().matrix.diagonal().real, 3)} (diagonal)")

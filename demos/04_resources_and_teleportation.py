@@ -42,7 +42,7 @@ print("note: no ebit consumed, and one cbit instead of two")
 
 print()
 print("=== ebit from a qubit channel =============================")
-ebit = run_ebit_distribution(seed=2)
+ebit = run_ebit_distribution()
 print(f"tally: { {k.value: v for k, v in sorted(tally(ebit).items())} }")
 
 print()

@@ -45,7 +45,6 @@ from .resources import (
     verify_conversion,
 )
 from .states import (
-    DETERMINISTIC_REPORT,
     DensityOperator,
     MeasurementResult,
     StateVector,
@@ -76,7 +75,6 @@ __all__ = [
     "CausalityError",
     "ConsistencyVerdict",
     "ConversionRelation",
-    "DETERMINISTIC_REPORT",
     "DensityOperator",
     "EventPoint",
     "FixedPointError",

@@ -22,9 +22,11 @@ import numpy as np
 from . import serialize
 from .consistency import (
     SOLVER_AGREEMENT_TOL,
-    ConsistencyVerdict,
+    LoopRecord,
     _admissible_points,
+    check_deutsch,
     check_strong,
+    check_weak,
     solve_deutsch_fixed_point,
 )
 from .gates import GATE_NAMES, GateSpec, build_gate
@@ -33,6 +35,7 @@ from .protocol import (
     FORMALISMS,
     SCENARIOS,
     ProtocolConfig,
+    _run_stages,
     run_beam,
     run_ebit_distribution,
     run_session,
@@ -220,10 +223,20 @@ def emit_report(report: Report, output: str = "json") -> str:
     return "".join(parts)
 
 
+def _inline(text: str) -> bool:
+    """A state flag holds inline amplitudes, not a path, when it has a comma
+    or reads as one number."""
+    try:
+        float(text)
+    except ValueError:
+        return "," in text
+    return True
+
+
 def _parse_state(text: str) -> StateVector:
     """Inline 'a_re,a_im,b_re,b_im' amplitudes or a JSON vector file; the
     constructor's error is prefixed with the text or the file path."""
-    if "," in text:
+    if _inline(text):
         parts = text.split(",")
         if len(parts) != 4:
             raise ValueError(
@@ -244,7 +257,7 @@ def _density(document) -> DensityOperator:
 
 def _parse_density(text: str) -> DensityOperator:
     """A state flag interpreted as a density operator; matrix files allowed."""
-    if "," in text:
+    if _inline(text):
         return _parse_state(text).density()
     return serialize.load(text, _density)
 
@@ -257,7 +270,11 @@ def _gate_spec(text: str) -> GateSpec:
     raise ValueError(f"--unitary must be one of {GATE_NAMES[:-1]} or an existing file, got {text!r}")
 
 
-def _at_most(flag: str, value: int, cap: int) -> int:
+def _bounded(flag: str, value: int, low: int, cap: int) -> int:
+    """``value`` when ``low <= value <= cap``; checked before any work, so
+    the error names the flag."""
+    if value < low:
+        raise ValueError(f"{flag} must be at least {low}, got {value}")
     if value > cap:
         raise ValueError(f"{flag} must be at most {cap}, got {value}")
     return value
@@ -345,6 +362,7 @@ def _run_protocol(args, seed) -> tuple[dict, int, int]:
         config = serialize.load(args.config, ProtocolConfig.from_json)
         if args.seed is not None:
             raise ValueError("--config and --seed are mutually exclusive; set seed in the file")
+        _bounded("--storage-cycles", config.storage_cycles, 0, MAX_STORAGE_CYCLES)
     else:
         config = ProtocolConfig(
             input_state=_parse_state(args.state),
@@ -354,9 +372,8 @@ def _run_protocol(args, seed) -> tuple[dict, int, int]:
             scenario=args.scenario,
             bob_measures=args.bob_measures,
             seed=seed,
-            storage_cycles=args.storage_cycles,
+            storage_cycles=_bounded("--storage-cycles", args.storage_cycles, 0, MAX_STORAGE_CYCLES),
         )
-    _at_most("--storage-cycles", config.storage_cycles, MAX_STORAGE_CYCLES)
     transcript = run_session(config)
     code = EXIT_OK
     if transcript.collapse_flag and config.scenario not in EXPECTED_COLLAPSE:
@@ -381,22 +398,19 @@ def _fixed_point(args, seed) -> dict:
 
 def _classify(args, seed) -> dict:
     if args.grid is not None:
-        _at_most("--grid", args.grid, MAX_GRID)
+        _bounded("--grid", args.grid, 8, MAX_GRID)
     gate_spec = _gate_spec(args.unitary)
     state = _parse_state(args.state)
     ctc = _parse_state(args.ctc)
     tolerance = _tolerance(args.tolerance)
     config = ProtocolConfig(input_state=state, ctc_initial=ctc, gate=gate_spec, seed=seed)
     gate = config.coupling
-    strong = check_strong(gate, state, ctc, tolerance=tolerance)
-    # the session checks the Deutsch condition on these same states
-    verdicts = run_session(config).final_verdicts
-    weak, residual = verdicts["weak"], verdicts["deutsch"].residual
-    deutsch = ConsistencyVerdict("deutsch", residual, residual <= tolerance, tolerance)
+    # the weak verdict of the session's loop, as its transcript reports it
+    loop = LoopRecord(_run_stages(config).loop_states.items())
     results = {
-        "strong": strong.to_json(),
-        "deutsch": deutsch.to_json(),
-        "weak": weak.to_json(),
+        "strong": check_strong(gate, state, ctc, tolerance=tolerance).to_json(),
+        "deutsch": check_deutsch(gate, state.density(), ctc.density(), tolerance).to_json(),
+        "weak": check_weak(loop).to_json(),
     }
     if args.grid is not None:
         # the report reads only the residuals: no density operator per grid point
@@ -416,7 +430,7 @@ def _topology(args) -> dict:
     if args.space is not None:
         space = serialize.load(args.space, TopologySpace.from_json)
     else:
-        space = build_line_splitting(_at_most("--copies", args.copies, MAX_COPIES))
+        space = build_line_splitting(_bounded("--copies", args.copies, 2, MAX_COPIES))
     ok, violations = validate_topology(space)
     results = {"valid": ok, "violations": violations, "points": list(space.points)}
     if ok:
@@ -430,7 +444,7 @@ def _resources(args, seed) -> dict:
     state = _parse_state(args.state)
     ctc_run = run_session(ProtocolConfig(input_state=state, seed=seed))
     teleport_run = run_teleportation_baseline(state, seed=seed)
-    ebit_run = run_ebit_distribution(seed=seed)
+    ebit_run = run_ebit_distribution()
     transcripts = [ctc_run, teleport_run, ebit_run]
     tallies = {
         t.protocol: {kind.value: delta for kind, delta in sorted(tally(t).items())}
@@ -456,7 +470,7 @@ def dispatch(argv) -> tuple[Report, int, str]:
     elif args.subcommand == "classify-consistency":
         results = _classify(args, seed)
     elif args.subcommand == "beam":
-        results = run_beam(_at_most("--trials", args.trials, MAX_TRIALS), args.policy, seed).to_json()
+        results = run_beam(_bounded("--trials", args.trials, 1, MAX_TRIALS), args.policy, seed).to_json()
     elif args.subcommand == "teleport-baseline":
         transcript = run_teleportation_baseline(_parse_state(args.state), seed)
         results = transcript.to_json()

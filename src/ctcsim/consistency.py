@@ -236,13 +236,13 @@ def check_deutsch(
     return _verdict("deutsch", residual, tolerance)
 
 
-def check_weak(loop: LoopRecord, tolerance: float = STRICT_TOL) -> ConsistencyVerdict:
+def check_weak(loop: LoopRecord) -> ConsistencyVerdict:
     """Loop closure: rho_out = rho_in' and rho_out' = rho_in."""
     residual = max(
         trace_distance(loop["rho_out"], loop["rho_in_prime"]),
         trace_distance(loop["rho_out_prime"], loop["rho_in"]),
     )
-    return _verdict("weak", residual, tolerance)
+    return _verdict("weak", residual, STRICT_TOL)
 
 
 def bloch_vector(rho: DensityOperator) -> np.ndarray:

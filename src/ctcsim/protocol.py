@@ -21,7 +21,7 @@ import numpy as np
 from . import serialize
 from .consistency import LoopRecord, check_deutsch, check_weak, deutsch_map
 from .gates import GateSpec, UnitaryGate, bell_pair, build_gate, cnot, embed, hadamard, pauli_x, pauli_z
-from .resources import LedgerEntry, ResourceKind, tally
+from .resources import FIDELITY_THRESHOLD, LedgerEntry, ResourceKind, tally
 from .states import (
     DensityOperator,
     StateVector,
@@ -43,7 +43,6 @@ FORMALISMS = ("wavefunction", "density")
 BEAM_POLICIES = ("collapse", "discard", "noise")
 
 PURITY_TOL = 1e-10
-TRANSFER_FIDELITY = 1.0 - 1e-12
 
 #: The event kinds of a CTC transfer where the CTC touches linear time: the
 #: gates, the encoding and the storage cycles.
@@ -276,7 +275,7 @@ class Session(_Recorder):
             "gate": self.gate.label,
         }
 
-        self.branch_id = self.ledger.allocate(p_order=0, q_order=1)
+        self.branch_id = self.ledger.allocate()
         self.ledger.set_states(self.branch_id, initial=self.rho_in)
         self.event("system", "branch_allocate", {"branch_id": self.branch_id})
         self.book(ResourceKind.CTCBIT, -1)
@@ -344,7 +343,7 @@ def _in_formalism(config: ProtocolConfig, state: StateVector):
     return state.density() if config.formalism == "density" else state
 
 
-def run_alice_stage(config: ProtocolConfig, session: Session) -> Optional[dict]:
+def run_alice_stage(session: Session) -> Optional[dict]:
     """Couple Alice's qubit to the CTC, measure, emit the classical bit.
 
     Returns None when the coupling collapses the branch (an entangling
@@ -352,6 +351,7 @@ def run_alice_stage(config: ProtocolConfig, session: Session) -> Optional[dict]:
     """
     if session.stage != "created":
         raise ProtocolError(f"Alice stage cannot run from stage {session.stage!r}")
+    config = session.config
     joint, _, pure = _couple(
         session,
         _in_formalism(config, config.input_state),
@@ -377,18 +377,19 @@ def run_alice_stage(config: ProtocolConfig, session: Session) -> Optional[dict]:
     return message
 
 
-def run_storage_cycles(config: ProtocolConfig, session: Session) -> None:
+def run_storage_cycles(session: Session) -> None:
     """Idle circulations of the loop; the CTC segment does not evolve."""
-    for cycle in range(config.storage_cycles):
+    for cycle in range(session.config.storage_cycles):
         session.event(
             "system", "storage_cycle", {"cycle": cycle, "evolution": "identity"},
             time_direction="forward",
         )
-    session.detail["storage_cycles"] = config.storage_cycles
+    session.detail["storage_cycles"] = session.config.storage_cycles
 
 
-def _bob_coupling(config: ProtocolConfig, session: Session, ancilla: StateVector) -> None:
+def _bob_coupling(session: Session, ancilla: StateVector) -> None:
     """Bob's gate, then his measurement or the transfer, then self-signaling."""
+    config = session.config
     joint, reduced_ctc, pure = _couple(
         session, _in_formalism(config, ancilla), session.carried, "bob"
     )
@@ -422,7 +423,7 @@ def _bob_coupling(config: ProtocolConfig, session: Session, ancilla: StateVector
         session.collapse("self_signal")
 
 
-def run_bob_stage(config: ProtocolConfig, session: Session, msg: Optional[dict]) -> Session:
+def run_bob_stage(session: Session, msg: Optional[dict]) -> Session:
     """Bob prepares |outcome>, couples it to the CTC, optionally measures.
 
     ``msg`` is the message dict that :func:`run_alice_stage` returned.
@@ -437,37 +438,36 @@ def run_bob_stage(config: ProtocolConfig, session: Session, msg: Optional[dict])
     session.event("bob", "prepare", {"ancilla": reported, "from_message": msg})
     session.book(ResourceKind.ANCILLA, -1)
 
-    if config.scenario == "bob_skips":
+    if session.config.scenario == "bob_skips":
         session.event("bob", "skip", {"reason": "gate and measurement omitted"})
         session.collapse("bob_skipped_gate")
     else:
-        _bob_coupling(config, session, StateVector.basis(reported))
+        _bob_coupling(session, StateVector.basis(reported))
     session.loop_states["rho_out_prime"] = session.carried_density()
     session.stage = "bob_done"
     return session
 
 
-def run_session(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -> Transcript:
-    """Execute one full protocol run and return its transcript."""
+def _run_stages(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -> Session:
+    """A session run through its stages, up to the four states of its loop."""
     if config.scenario == "beam":
         raise ProtocolError("the beam scenario aggregates many trials; use run_beam()")
     session = Session(config, ledger)
-    message = run_alice_stage(config, session)
+    message = run_alice_stage(session)
     if session.stage == "alice_done":
         if config.scenario == "storage":
-            run_storage_cycles(config, session)
-        run_bob_stage(config, session, message)
+            run_storage_cycles(session)
+        run_bob_stage(session, message)
     else:
         session.loop_states.setdefault("rho_in_prime", session.carried_density())
         session.loop_states.setdefault("rho_out_prime", session.carried_density())
+    return session
 
-    loop = LoopRecord.from_states(
-        session.loop_states["rho_in"],
-        session.loop_states["rho_out"],
-        session.loop_states["rho_in_prime"],
-        session.loop_states["rho_out_prime"],
-    )
-    weak = check_weak(loop)
+
+def run_session(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -> Transcript:
+    """Execute one full protocol run and return its transcript."""
+    session = _run_stages(config, ledger)
+    weak = check_weak(LoopRecord(session.loop_states.items()))
     deutsch = check_deutsch(
         session.gate, config.input_state.density(), config.ctc_initial.density()
     )
@@ -492,7 +492,7 @@ def run_session(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -
     success = (
         not collapse_flag
         and weak.passed
-        and (session.transfer_fidelity is None or session.transfer_fidelity >= TRANSFER_FIDELITY)
+        and (session.transfer_fidelity is None or session.transfer_fidelity >= FIDELITY_THRESHOLD)
     )
     if success:
         session.book(ResourceKind.QUBIT, 1)
@@ -585,20 +585,19 @@ def _pcg_step(state: tuple, inc: tuple) -> tuple:
     return high, new_low
 
 
-def _beam_draws(seed: int, trials: range, force_match: bool) -> tuple:
+def _beam_draws(seed: int, trials: range) -> tuple:
     """The draws ``np.random.default_rng([seed, t])`` gives each trial t in
     ``trials`` (t < 2**32), derived for all of them in one numpy pass.
 
-    Returns the 0/1 arrays of the preparation basis, the prepared bit and,
-    unless ``force_match``, the measurement basis, then the uniform draws.
-    NumPy keeps this stream fixed (NEP 19). SeedSequence hashes the entropy
-    words (the seed's little-endian 32-bit words, then t) into four uint64s;
-    PCG64 takes the first two as its initial state s and the last two as its
-    stream i, sets inc = i << 1 | 1 and state = (inc + s)·M + inc, and steps
-    before each XSL-RR output. Each ``integers(2)`` is the top bit of a
-    32-bit half: output 1's low half, its high half, then output 2's low
-    half. ``random()`` is (next output >> 11)·2⁻⁵³: output 3, or output 2
-    with ``force_match``.
+    Returns the 0/1 arrays of the preparation basis, the prepared bit and
+    the measurement basis, then the uniform draws. NumPy keeps this stream
+    fixed (NEP 19). SeedSequence hashes the entropy words (the seed's
+    little-endian 32-bit words, then t) into four uint64s; PCG64 takes the
+    first two as its initial state s and the last two as its stream i, sets
+    inc = i << 1 | 1 and state = (inc + s)·M + inc, and steps before each
+    XSL-RR output. Each ``integers(2)`` is the top bit of a 32-bit half:
+    output 1's low half, its high half, then output 2's low half.
+    ``random()`` is (output 3 >> 11)·2⁻⁵³.
     """
     count = len(trials)
     shifts = range(0, max(seed.bit_length(), 1), 32)
@@ -622,22 +621,16 @@ def _beam_draws(seed: int, trials: range, force_match: bool) -> tuple:
     low = inc[1] + start_low
     state = _pcg_step((inc[0] + start_high + (low < start_low), low), inc)
     outputs = []
-    for _ in range(2 if force_match else 3):
+    for _ in range(3):
         state = _pcg_step(state, inc)
         folded, rotation = state[0] ^ state[1], state[0] >> _U64(58)
         outputs.append(folded >> rotation | folded << (-rotation & _U64(63)))
-    bits = [outputs[0] >> _U64(31) & _U64(1), outputs[0] >> _U64(63)]
-    if not force_match:
-        bits.append(outputs[1] >> _U64(31) & _U64(1))
-    return *bits, (outputs[-1] >> _U64(11)).astype(np.float64) * 2.0**-53
+    first, second, third = outputs
+    bits = first >> _U64(31) & _U64(1), first >> _U64(63), second >> _U64(31) & _U64(1)
+    return *bits, (third >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
-def run_beam(
-    trials: int,
-    policy: str = "collapse",
-    seed: int = 0,
-    force_match: bool = False,
-) -> BeamReport:
+def run_beam(trials: int, policy: str = "collapse", seed: int = 0) -> BeamReport:
     """BB84-style use of a beam of CTC qubits in random bases.
 
     Each trial's CTC qubit arrives in a random basis (computational or
@@ -690,9 +683,7 @@ def run_beam(
     matches = 0
     for start in range(0, trials, _DRAW_BLOCK):
         block = range(start, min(start + _DRAW_BLOCK, trials))
-        *bits, draws = _beam_draws(stream_seed, block, force_match)
-        if force_match:
-            bits.append(bits[0])
+        *bits, draws = _beam_draws(stream_seed, block)
         for trial, prep_basis, prep_bit, meas_basis, draw in zip(
             block, *(column.tolist() for column in bits), draws.tolist()
         ):
@@ -782,8 +773,9 @@ def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Trans
     )
 
 
-def run_ebit_distribution(seed: int = 0) -> Transcript:
-    """Turn one use of a noiseless qubit channel into one shared ebit."""
+def run_ebit_distribution() -> Transcript:
+    """Turn one use of a noiseless qubit channel into one shared ebit; the
+    run draws nothing, so its transcript has no seed."""
     record = _Recorder()
     pair = bell_pair()
     record.event("alice", "prepare", {"state": "bell_pair", "location": "local"})
@@ -794,7 +786,7 @@ def run_ebit_distribution(seed: int = 0) -> Transcript:
     shared = pair.density()
     return record.transcript(
         protocol="ebit_distribution",
-        seed=seed,
+        seed=None,
         final_verdicts={},
         collapse_flag=False,
         transferred_state=shared,

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
 
+#: The transfer fidelity at or above which a run moved its qubit: what a
+#: session needs to book a qubit, and a witness to demonstrate a relation.
 FIDELITY_THRESHOLD = 1.0 - 1e-12
 
 
@@ -111,16 +113,12 @@ def _consumed_produced(transcript):
     return consumed, produced
 
 
-def verify_conversion(
-    relation: ConversionRelation,
-    transcripts: Sequence,
-    fidelity_threshold: float = FIDELITY_THRESHOLD,
-) -> ConversionVerdict:
+def verify_conversion(relation: ConversionRelation, transcripts: Sequence) -> ConversionVerdict:
     """Find a transcript demonstrating the relation.
 
     A witness must consume at least the relation's inputs, produce the
     output, not have collapsed, and achieve transfer fidelity at or above
-    the threshold.
+    ``FIDELITY_THRESHOLD``.
     """
     reasons = []
     for index, transcript in enumerate(transcripts):
@@ -140,7 +138,7 @@ def verify_conversion(
             reasons.append(f"transcript {index}: run collapsed")
             continue
         fidelity = getattr(transcript, "transfer_fidelity", None)
-        if fidelity is None or fidelity < fidelity_threshold:
+        if fidelity is None or fidelity < FIDELITY_THRESHOLD:
             reasons.append(f"transcript {index}: transfer fidelity {fidelity} below threshold")
             continue
         return ConversionVerdict(relation.relation_id, True, index, "demonstrated")

@@ -21,8 +21,7 @@ _DATA = f"{_DOCUMENT} key 'data'"
 
 def complex_to_pairs(values: np.ndarray) -> list[list[float]]:
     """Flatten a complex array to row-major [re, im] pairs."""
-    flat = np.asarray(values, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.ascontiguousarray(values, dtype=complex).reshape(-1, 1).view(float).tolist()
 
 
 def pairs_to_complex(pairs) -> np.ndarray:

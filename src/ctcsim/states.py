@@ -20,10 +20,6 @@ from . import serialize
 ATOL = 1e-12
 PSD_FLOOR = -1e-10
 
-#: Sentinel for :func:`measure_projective`: return the whole outcome
-#: distribution instead of sampling a single outcome.
-DETERMINISTIC_REPORT = "deterministic-report"
-
 #: The computational basis pair |0>, |1>: the default measurement basis.
 _COMPUTATIONAL = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
 
@@ -204,8 +200,7 @@ class DensityOperator(_Frozen):
 class MeasurementResult:
     """One measurement branch: outcome label, Born probability, post state.
 
-    ``post_state`` is None for zero-probability branches in a
-    deterministic report.
+    ``post_state`` is None for a zero-probability branch.
     """
 
     outcome: int
@@ -335,20 +330,10 @@ def _place(single: np.ndarray, rest: np.ndarray, subsystem: int) -> np.ndarray:
     return moved.reshape(joint.shape)
 
 
-def measure_projective(
-    state: QuantumState,
-    subsystem: int,
-    basis=None,
-    rng_seed: Union[int, str] = DETERMINISTIC_REPORT,
-    outcome: Union[int, None] = None,
-):
-    """Projective measurement of one qubit in an orthonormal basis pair.
-
-    With ``rng_seed=DETERMINISTIC_REPORT`` the full Born distribution is
-    returned as a list of :class:`MeasurementResult`, one per outcome.
-    With an integer seed a single outcome is sampled reproducibly. With
-    ``outcome=m`` the branch m is selected; requesting a branch of (near)
-    zero probability raises.
+def measure_projective(state: QuantumState, subsystem: int, basis=None) -> list:
+    """Projective measurement of one qubit in an orthonormal basis pair: the
+    full Born distribution, one :class:`MeasurementResult` per outcome. A
+    caller that wants one outcome draws it with :func:`_sample`.
     """
     b_pair = _basis_pair(basis)
     if not isinstance(state, (StateVector, DensityOperator)):
@@ -356,8 +341,6 @@ def measure_projective(
     vector = isinstance(state, StateVector)
     if not 0 <= subsystem < state.num_qubits:
         raise ValueError(f"invalid subsystem index {subsystem} for {state.num_qubits} qubits")
-    if outcome not in (None, 0, 1):
-        raise ValueError(f"outcome index {outcome!r} is out of range 0..1")
     branches = _branches(state.amplitudes if vector else state.matrix, subsystem, b_pair)
     results = []
     for label, (b, (prob, rest)) in enumerate(zip(b_pair, branches)):
@@ -367,15 +350,7 @@ def measure_projective(
         elif prob > 1e-15:
             post = DensityOperator._trusted(_place(np.outer(b, b.conj()), rest / prob, subsystem))
         results.append(MeasurementResult(label, max(prob, 0.0), post))
-    if outcome is not None:
-        chosen = results[outcome]
-        if chosen.post_state is None:
-            message = f"outcome {outcome} has probability {chosen.probability}: no post-state"
-            raise ValueError(message)
-        return chosen
-    if rng_seed == DETERMINISTIC_REPORT:
-        return results
-    return results[_sample(np.random.default_rng(rng_seed).random(), [r.probability for r in results])]
+    return results
 
 
 def trace_distance(r1: DensityOperator, r2: DensityOperator) -> float:

@@ -263,18 +263,17 @@ class BranchLedger:
     At most one branch is accessible (in_use) at a time; consuming a
     branch — merged when the loop closed, collapsed when it did not — is
     terminal, and any later access raises :class:`BranchError`. Branch ids
-    run 0, 1, 2, ...; each has one status row and its P/Q orders, and loop
-    states are kept only for branches given some. A ledger is
+    run 0, 1, 2, ...; each has one status row, and loop states are kept
+    only for branches given some. A ledger is
     single-threaded: it takes no lock, so it must not be shared between
     threads.
     """
 
     def __init__(self):
         self._status: list[str] = []
-        self._orders: list[tuple[int, int]] = []
         self._states: dict[int, tuple] = {}
 
-    def allocate(self, p_order: int = 0, q_order: int = 1) -> int:
+    def allocate(self) -> int:
         branch_id = len(self._status)
         if branch_id and self._status[-1] == "in_use":
             raise BranchError(
@@ -282,7 +281,6 @@ class BranchLedger:
                 "is accessible at a time"
             )
         self._status.append("in_use")
-        self._orders.append((p_order, q_order))
         return branch_id
 
     def _accessible(self, branch_id: int) -> None:
@@ -320,10 +318,10 @@ class BranchLedger:
         return self._known(branch_id)
 
     def record(self, branch_id: int) -> _BranchRecord:
-        """Snapshot of the branch; raises for consumed/collapsed branches."""
+        """Snapshot of the branch; raises for consumed/collapsed branches.
+        P and Q sit at loop orders 0 and 1, as :class:`EventPoint` defines."""
         self._accessible(branch_id)
-        p_order, q_order = self._orders[branch_id]
-        events = EventPoint("P", branch_id, p_order), EventPoint("Q", branch_id, q_order)
+        events = EventPoint("P", branch_id, 0), EventPoint("Q", branch_id, 1)
         states = self._states.get(branch_id, (None, None))
         return _BranchRecord(branch_id, "in_use", *events, *states)
 

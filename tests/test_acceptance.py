@@ -243,7 +243,7 @@ def test_criterion_08_resource_accounting():
         "ancilla": -1,
         "qubit": 1,
     }
-    transcripts = [ctc, teleport, run_ebit_distribution(seed=1)]
+    transcripts = [ctc, teleport, run_ebit_distribution()]
     relations = {r.relation_id: verify_conversion(r, transcripts).passed for r in STANDARD_RELATIONS}
     verdict(
         8,

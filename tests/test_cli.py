@@ -235,6 +235,13 @@ def test_missing_state_file(capsys):
     assert err == "error: /does/not/exist.json: cannot be read: No such file or directory\n"
 
 
+@pytest.mark.parametrize("argv", (["run-protocol", "--state"], ["run-protocol", "--ctc"], ["fixed-point", "--state"]))
+def test_one_number_is_an_inline_state_not_a_path(capsys, argv):
+    code, out, err = run_main(capsys, [*argv, "0.6"])
+    expected = "error: inline state needs 4 comma-separated numbers (a_re,a_im,b_re,b_im), got 1"
+    assert (code, out, err.splitlines()) == (cli.EXIT_ERROR, "", [expected])
+
+
 # ------------------------------------------------------------------ file inputs
 
 
@@ -330,6 +337,21 @@ def test_work_caps_reject_before_any_work(capsys, monkeypatch, argv, flag, cap, 
     code, out, err = run_main(capsys, [*argv, str(cap + 1)])
     assert code == cli.EXIT_ERROR and out == ""
     assert err == f"error: {flag} must be at most {cap}, got {cap + 1}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, low, first_work",
+    [
+        (["beam", "--trials"], "--trials", 1, "run_beam"),
+        (["classify-consistency", "--grid"], "--grid", 8, "_gate_spec"),
+        (["topology-check", "--copies"], "--copies", 2, "build_line_splitting"),
+        (["run-protocol", "--storage-cycles"], "--storage-cycles", 0, "ProtocolConfig"),
+    ],
+)
+def test_lower_limits_name_their_flag_before_any_work(capsys, monkeypatch, argv, flag, low, first_work):
+    monkeypatch.setattr(cli, first_work, _no_work)
+    code, out, err = run_main(capsys, [*argv, str(low - 1)])
+    assert (code, out, err) == (cli.EXIT_ERROR, "", f"error: {flag} must be at least {low}, got {low - 1}\n")
 
 
 def test_storage_cycles_cap_applies_to_config_files(tmp_path, capsys, monkeypatch):

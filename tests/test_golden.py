@@ -63,8 +63,7 @@ CLI_DIGESTS = {
     "beam_csv": "91e96305cdacba797b864fe8fc7b6baf9fe858afa974cc77f291a4277ced2475",
 }
 
-#: Keyed by policy/bases/seed/trials, where bases is "forced" when the
-#: measurement basis is forced to match the preparation.
+#: Keyed by policy/random/seed/trials: each trial draws both of its bases.
 BEAM_DIGESTS = {
     "collapse/random/0/1": "01f59e09d89e02468e5b75e8aa83a7cdca710ea0e91eca2e87c364d00154fa79",
     "collapse/random/0/37": "f42457b59dbc943cf6b154c11719a0d8d5a839c38e5d082fa40ad998c95f5b1c",
@@ -75,15 +74,6 @@ BEAM_DIGESTS = {
     "collapse/random/7919/1": "7f3b5fb0d32f13314acb6ecde70556b47dec34fc4a2594f7e6cb15fe61bac668",
     "collapse/random/7919/37": "d95e1126051354f576d35156d6388addc53ec20b0362a7b7a957a7e615d513fd",
     "collapse/random/7919/2000": "f1320ea4ccf2363b2f9b4b9d3c99395c667fd4760b9abd8198f6ad243b65348b",
-    "collapse/forced/0/1": "01f59e09d89e02468e5b75e8aa83a7cdca710ea0e91eca2e87c364d00154fa79",
-    "collapse/forced/0/37": "dbed2cec6466467ba039966c147617334fd06602468b69446c9dc5a2ceac6ed0",
-    "collapse/forced/0/2000": "3bffda763593d5d7045992f48df161d5eab9dcc9327094561976872585172247",
-    "collapse/forced/11/1": "568f5d754635657347fa403e4fc77db859f711b7d1b7c1cf4859021f27b381e6",
-    "collapse/forced/11/37": "784dbad8c2e8f3ba2b5bd77be36614c2cc4a7fc627b579ab842ad91bc2f8089f",
-    "collapse/forced/11/2000": "12724efd437db35647a834b4571fe3e390b7758bfb6c49a8546d26f17f5f2771",
-    "collapse/forced/7919/1": "07d312e3d1061881525c77763f8617ed7995d5ef69a5b065bad8b33e8a31bcc1",
-    "collapse/forced/7919/37": "dbcdc473821598be75db59e2550765ab9e04bbc9d526e78f5c4b7aeabbbb73c4",
-    "collapse/forced/7919/2000": "040a59ac7d09159e5eea7bfe3a23f116be5c5ede4c7d57427e5ece2fc75a41a7",
     "discard/random/0/1": "dea44d654868f2803cb1cc640acdcaf2caca03b44840dddcd2527438be1b6e59",
     "discard/random/0/37": "68952bf1d6317ecc3046a08dcaa86fb03d6752bc3258ab79dcb7273c4c343acc",
     "discard/random/0/2000": "40ec812e467031aa1b0845c7b4b5e2a63dee47301404951e4f5bc75a6f1d8fc3",
@@ -93,15 +83,6 @@ BEAM_DIGESTS = {
     "discard/random/7919/1": "a5bfda031d4ec5c92c5594028de4f47245f7345f42e082623c0e135f335fe2ec",
     "discard/random/7919/37": "a25142d6807db2cfe2d91b37031e891c7c7ab12163774865ce5dd76a9251e244",
     "discard/random/7919/2000": "b9df5cc0b20d4655708116f30d2fc3b55c80a0893890e8700947b468da0e9974",
-    "discard/forced/0/1": "dea44d654868f2803cb1cc640acdcaf2caca03b44840dddcd2527438be1b6e59",
-    "discard/forced/0/37": "dc44691506fc4a9139beed7c206f3607656274d98e6598904104bef6a82a006c",
-    "discard/forced/0/2000": "bc9c1f0392d8965ad6c8c0e538b11bb533b26a19a89656f51399f4b70d59713a",
-    "discard/forced/11/1": "2fc80924d134f1707864d39c31d56d98e1a352ce4dfa449c6769e47007aa66a5",
-    "discard/forced/11/37": "511459b5dd52fc7c138a0d5414d72d1a81663577629418d58652c0cc0cf2edf1",
-    "discard/forced/11/2000": "ecfa893c2f08768bc3f595688eb99f0f7bea9ccd8fe3a065b5955171f50df26d",
-    "discard/forced/7919/1": "68d7116c2c12025afd4a38726ae06a0115fb9a950691aa774e7cced07dd59cda",
-    "discard/forced/7919/37": "9dd53737ff1b9c9e1de422e47d341a1dc50ee54a002f556c2bed8765cf5e8f22",
-    "discard/forced/7919/2000": "e2e897261643208b0a5e9ac39c67f7996aaaad6e787ce416db644f9b38eaac18",
     "noise/random/0/1": "0d8a227d7e250ac9a5d638c2f826f4575d558d093322e551d288ab734d39c9e2",
     "noise/random/0/37": "5631407be506b5db9976394f298408b39de8186a77e86fdced6c4dd7d42e96e0",
     "noise/random/0/2000": "7eebebbe500bc4e3060ba02af94c0096e470bd1f42c4aaf269a32e92e573f9c9",
@@ -111,15 +92,6 @@ BEAM_DIGESTS = {
     "noise/random/7919/1": "499baf59f11308281c571417d1df41d6f22569f729ff0dc6948df12d4bf07476",
     "noise/random/7919/37": "37f765a4ae722c24dbdd6f845ee76a127345fcb68e037b4ce4fdf1e6c7f64563",
     "noise/random/7919/2000": "0341b54daa0ac020186f7c9b3d74719c14507d4478f7755d49588c152c55e35a",
-    "noise/forced/0/1": "0d8a227d7e250ac9a5d638c2f826f4575d558d093322e551d288ab734d39c9e2",
-    "noise/forced/0/37": "d36b00ddaea7cacee0f90c69c52b91e83afd13335bf4359471b9538f1e44a2d5",
-    "noise/forced/0/2000": "804663e1a3b434e6ab2e5fe539fb6a058082eb1c144c79830f4a29a1209cc404",
-    "noise/forced/11/1": "83830df26a085d6dbef54736f34f9da8b4339b58c5852a9358ba865060952739",
-    "noise/forced/11/37": "0d27798cbe74b37fc83773d0310b1a1c969cc724d00681823f16b5f3d845a86e",
-    "noise/forced/11/2000": "999c72d90f842499087dacc910e67cbfba55ae6b62db19c50a03d632ba111b35",
-    "noise/forced/7919/1": "2a2a1ba845249f5830846adb644b48c35d5da199b4c0b1448cdfccedf466aa20",
-    "noise/forced/7919/37": "f5ae2ac61fe74505e031db541b77bd21132d55c76eb66cd9f20b6155ae5e8294",
-    "noise/forced/7919/2000": "f0f23191c62391aa8e78b8a3d40c3dcfdafd3d988e0a27a0116a07a1728f129b",
 }
 
 
@@ -136,15 +108,6 @@ MULTIWORD_BEAM_DIGESTS = {
     "collapse/random/100000000000000000000000000/1": "64821bc5b05b6531241698dd0e8b4d25d948a19b9aa34dec54a76ac5c91aae5f",
     "collapse/random/100000000000000000000000000/37": "46c4bc25e89320143b8a57f39d7ae849f7419a866f5b3777dd493a3ec34e25a8",
     "collapse/random/100000000000000000000000000/2000": "dad928870c9b00641a0c9e2d26baca52b4174febf7ac8505002de6412e3d821c",
-    "collapse/forced/4294967296/1": "a167df7b853e0d5608710a97f9c131212ac1aa20ceeaac70213a8dafb7d4d0d5",
-    "collapse/forced/4294967296/37": "66df48b830d4a645cfd0e05039e4962fb2c65478f3846b390e8ac8d894155606",
-    "collapse/forced/4294967296/2000": "8cf389d3687295cfe93630e91049b272c7628fba678748c7f51d8e69ce4d5dc6",
-    "collapse/forced/18446744073709551616/1": "f49cf80d2322fed7bc070818ca08d422f13a5c9d5db00a4734c48d524d911b55",
-    "collapse/forced/18446744073709551616/37": "f3f367a1beb24ec1a105d330b562085b90a17ce530c03b3899405b3b6e72a2c3",
-    "collapse/forced/18446744073709551616/2000": "1f70a604ca8301c272fec92730de22ed91f9e978c621d78e1a32a8faaf3298b6",
-    "collapse/forced/100000000000000000000000000/1": "64821bc5b05b6531241698dd0e8b4d25d948a19b9aa34dec54a76ac5c91aae5f",
-    "collapse/forced/100000000000000000000000000/37": "718b1f424edeb46c44879df3663fe1d6f8d6d77d5cd308f36b1afe1724792937",
-    "collapse/forced/100000000000000000000000000/2000": "a25051300302700d64882ed436613ec2a7aed2ed040b77fc8b4f52615c3aa6ee",
     "discard/random/4294967296/1": "5def7a8935730c61b433e4cadfbc62b6c9df4b42b5de2362c4daaaac624bb79e",
     "discard/random/4294967296/37": "d4f0e67509854b74346faa128dae9029c58340402ba70311afd0c4a7f6ab646e",
     "discard/random/4294967296/2000": "0fcfe66268dbf1f6f84bf845d0e5a8255cdd73fee36171a86968a8d7f0379a71",
@@ -154,15 +117,6 @@ MULTIWORD_BEAM_DIGESTS = {
     "discard/random/100000000000000000000000000/1": "8388778f7198a35aac96570ebe684cabc2a6c03d8eb8a18e4f05b8de709ff5da",
     "discard/random/100000000000000000000000000/37": "9ef69a9894eafcba7440b20f9620298bdc31aef182332f1dd444297985ba3aee",
     "discard/random/100000000000000000000000000/2000": "95953107477b0bc0b8564f16107616dc4753ebf4742208f436bca6e5279c4213",
-    "discard/forced/4294967296/1": "5def7a8935730c61b433e4cadfbc62b6c9df4b42b5de2362c4daaaac624bb79e",
-    "discard/forced/4294967296/37": "400ab17c17f474fc5036e50adca6cfcee501a4e280d16ccc771ca86356d113d8",
-    "discard/forced/4294967296/2000": "da4c5796afa183f943590e0f5549517b1369084cd0d1585e5f8b2d9a56b12fad",
-    "discard/forced/18446744073709551616/1": "29143cfd67fc4b71e701a6a538ea0b8faa60c52965ae0de4f9db005c694208e9",
-    "discard/forced/18446744073709551616/37": "a1ff5764b1f128d2a7f7c9249ada0856ce4048887294aeef26a0ba0a4f55283c",
-    "discard/forced/18446744073709551616/2000": "41aa8df700bbef9aeb25a93b61e4d69660d2aaa456dcd1e71caad1f06ffef9e9",
-    "discard/forced/100000000000000000000000000/1": "8388778f7198a35aac96570ebe684cabc2a6c03d8eb8a18e4f05b8de709ff5da",
-    "discard/forced/100000000000000000000000000/37": "cf62aedebf0b68bf8c59ac6d0b85350b255282b931b3345600cd4f8eb6a13b0a",
-    "discard/forced/100000000000000000000000000/2000": "3752bfdf56a9ea1b857d93d2368ed62ac3e1aaeece39c412858eb7a878ec2dbe",
     "noise/random/4294967296/1": "10080938fccd988b63e7c1d0cdab09308ad0bbfc39aa007e15a2ad47593644e0",
     "noise/random/4294967296/37": "bed5b36c0f855344e99330afaf043795566e9b78428312d5b7716759b88d83c0",
     "noise/random/4294967296/2000": "e0c34c61a3e955131529ba0a86f07015ec171a8115cdbdbe4b353d15e4e0fe9b",
@@ -172,15 +126,6 @@ MULTIWORD_BEAM_DIGESTS = {
     "noise/random/100000000000000000000000000/1": "20c686c74a995973fd2e2c835267df7b85cbc79557f5486e92f4ad898188c305",
     "noise/random/100000000000000000000000000/37": "e5ed527c13342d969d1ac4f7dd111c358a76069d5d7ce24e1ea61cec9551952b",
     "noise/random/100000000000000000000000000/2000": "64aeb10153be010681c1d688d5a50fc7cebb279bd038a45305c29c2d5b0f2f7c",
-    "noise/forced/4294967296/1": "10080938fccd988b63e7c1d0cdab09308ad0bbfc39aa007e15a2ad47593644e0",
-    "noise/forced/4294967296/37": "a45da84a995d43c5b50b8c46269ef5f05cfc9dae14f659c8173a4feb768fa22f",
-    "noise/forced/4294967296/2000": "e88c2400db6845efbd06a172f610d99c875476e213c36636f8a7575cc4d37fc1",
-    "noise/forced/18446744073709551616/1": "4c15f251c97f86b46ea4281735ee9495cb0e08b2bcfaa05d7cdf2dc8afece850",
-    "noise/forced/18446744073709551616/37": "e782877552470c24ebe36aeb558b47370c4f5a4624a5ec3cf53869fb2124430e",
-    "noise/forced/18446744073709551616/2000": "36fe8904fe976763cd5cf44954dc58271f38cee79489526ada7db81463197d1c",
-    "noise/forced/100000000000000000000000000/1": "20c686c74a995973fd2e2c835267df7b85cbc79557f5486e92f4ad898188c305",
-    "noise/forced/100000000000000000000000000/37": "7990d55359c39362fc57d331a6f95bf7a43cb7c2071ab8618817d47eaeaf2245",
-    "noise/forced/100000000000000000000000000/2000": "db57c4b3f9513228ebc7e382954f997e4f62d37f53401fe211a8998d86db6012",
 }
 
 
@@ -210,12 +155,10 @@ def test_session_transcripts_match_golden(scenario, formalism, gate):
 
 
 @pytest.mark.parametrize("policy", BEAM_POLICIES)
-@pytest.mark.parametrize("force_match", (False, True))
-def test_beam_reports_match_golden(policy, force_match):
-    bases = "forced" if force_match else "random"
+def test_beam_reports_match_golden(policy):
     digests = {
-        f"{policy}/{bases}/{seed}/{trials}": _sha(
-            cli.canonical_json(run_beam(trials, policy, seed, force_match).to_json())
+        f"{policy}/random/{seed}/{trials}": _sha(
+            cli.canonical_json(run_beam(trials, policy, seed).to_json())
         )
         for seed in (0, 11, 7919)
         for trials in (1, 37, 2000)
@@ -224,12 +167,10 @@ def test_beam_reports_match_golden(policy, force_match):
 
 
 @pytest.mark.parametrize("policy", BEAM_POLICIES)
-@pytest.mark.parametrize("force_match", (False, True))
-def test_multiword_seed_beam_reports_match_golden(policy, force_match):
-    bases = "forced" if force_match else "random"
+def test_multiword_seed_beam_reports_match_golden(policy):
     digests = {
-        f"{policy}/{bases}/{seed}/{trials}": _sha(
-            cli.canonical_json(run_beam(trials, policy, seed, force_match).to_json())
+        f"{policy}/random/{seed}/{trials}": _sha(
+            cli.canonical_json(run_beam(trials, policy, seed).to_json())
         )
         for seed in MULTIWORD_SEEDS
         for trials in (1, 37, 2000)

@@ -327,7 +327,6 @@ class BranchLedgerMachine(RuleBasedStateMachine):
         super().__init__()
         self.ledger = BranchLedger()
         self.status = {}
-        self.orders = {}
         self.states = {}
 
     def expect_access(self, branch_id, action, accessible=("in_use",)):
@@ -346,16 +345,15 @@ class BranchLedgerMachine(RuleBasedStateMachine):
     def branch(self, data):
         return data.draw(st.integers(-1, len(self.status)))
 
-    @rule(p_order=st.integers(0, 9), q_order=st.integers(0, 9))
-    def allocate(self, p_order, q_order):
+    @rule()
+    def allocate(self):
         if "in_use" in self.status.values():
             with pytest.raises(BranchError, match="already in use"):
-                self.ledger.allocate(p_order, q_order)
+                self.ledger.allocate()
             return
-        branch_id = self.ledger.allocate(p_order, q_order)
+        branch_id = self.ledger.allocate()
         assert branch_id == len(self.status) and branch_id not in self.status
         self.status[branch_id] = "in_use"
-        self.orders[branch_id] = (p_order, q_order)
 
     @rule(data=st.data(), outcome=st.sampled_from(["merged", "collapsed", "vanished"]))
     def consume(self, data, outcome):
@@ -389,10 +387,9 @@ class BranchLedgerMachine(RuleBasedStateMachine):
         branch_id = self.branch(data)
         if self.expect_access(branch_id, lambda: self.ledger.record(branch_id)):
             record = self.ledger.record(branch_id)
-            p_order, q_order = self.orders[branch_id]
             assert (record.branch_id, record.status) == (branch_id, "in_use")
-            assert record.p_event == EventPoint("P", branch_id, p_order)
-            assert record.q_event == EventPoint("Q", branch_id, q_order)
+            assert record.p_event == EventPoint("P", branch_id, 0)
+            assert record.q_event == EventPoint("Q", branch_id, 1)
             initial, final = self.states.get(branch_id, (None, None))
             assert record.initial_state is initial and record.final_state is final
 
@@ -654,7 +651,7 @@ def test_recorded_transcripts_pass_the_public_check(scenario, formalism, gate, b
     built = [
         run_session(config),
         run_teleportation_baseline(state, seed),
-        run_ebit_distribution(seed),
+        run_ebit_distribution(),
     ]
     for transcript in built:
         assert rebuilt(transcript).to_json() == transcript.to_json()

@@ -56,7 +56,7 @@ def config(state=None, **kwargs):
 
 def test_alice_stage_deterministic_outcome_and_ctc_load():
     session = Session(config(seed=1))
-    msg = run_alice_stage(config(seed=1), session)
+    msg = run_alice_stage(session)
     assert msg["sender"] == "alice"
     assert msg["payload"] == [0]
     assert session.detail["alice_probabilities"] == pytest.approx([1.0, 0.0], abs=1e-12)
@@ -66,7 +66,7 @@ def test_alice_stage_deterministic_outcome_and_ctc_load():
 def test_alice_stage_basis_input_is_trivial():
     cfg = config(StateVector.basis(0), seed=1)
     session = Session(cfg)
-    msg = run_alice_stage(cfg, session)
+    msg = run_alice_stage(session)
     assert msg["payload"] == [0]
     assert np.allclose(session.carried.amplitudes, [1.0, 0.0])
 
@@ -77,7 +77,7 @@ def test_alice_stage_one_input():
     assert np.allclose(swap().matrix @ np.kron([0, 1], [1, 0]), [0, 1, 0, 0])
     cfg = config(StateVector.basis(1), seed=1)
     session = Session(cfg)
-    msg = run_alice_stage(cfg, session)
+    msg = run_alice_stage(session)
     assert msg["payload"] == [0]
     assert np.allclose(session.carried.amplitudes, [0.0, 1.0])
 
@@ -99,7 +99,7 @@ def test_session_builds_its_gate_once(monkeypatch):
 def test_alice_stage_entangling_gate_collapses():
     cfg = config(gate=GateSpec("cnot"), seed=1)
     session = Session(cfg)
-    result = run_alice_stage(cfg, session)
+    result = run_alice_stage(session)
     assert result is None
     assert session.collapse_reasons == ["alice_coupling_left_ctc_mixed"]
 
@@ -119,8 +119,8 @@ def test_bob_stage_transfers_state():
 
     cfg = config(seed=1)
     session = Session(cfg)
-    msg = run_alice_stage(cfg, session)
-    run_bob_stage(cfg, session, msg)
+    msg = run_alice_stage(session)
+    run_bob_stage(session, msg)
     assert session.transferred is not None
     assert fidelity(cfg.input_state, session.transferred) == pytest.approx(1.0, abs=1e-12)
 
@@ -130,8 +130,8 @@ def test_bob_stage_measurement_distribution_and_restored_ctc():
     for seed in range(12):
         cfg = config(bob_measures=True, seed=seed)
         session = Session(cfg)
-        msg = run_alice_stage(cfg, session)
-        run_bob_stage(cfg, session, msg)
+        msg = run_alice_stage(session)
+        run_bob_stage(session, msg)
         assert session.detail["bob_probabilities"] == pytest.approx([0.36, 0.64], abs=1e-12)
         found.add(session.detail["bob_outcome"])
         # the CTC returns to |0> regardless of Bob's outcome
@@ -142,8 +142,8 @@ def test_bob_stage_measurement_distribution_and_restored_ctc():
 def test_bob_stage_zero_input_deterministic():
     cfg = config(StateVector.basis(0), bob_measures=True, seed=4)
     session = Session(cfg)
-    msg = run_alice_stage(cfg, session)
-    run_bob_stage(cfg, session, msg)
+    msg = run_alice_stage(session)
+    run_bob_stage(session, msg)
     assert session.detail["bob_outcome"] == 0
     assert session.detail["bob_probabilities"][0] == pytest.approx(1.0, abs=1e-12)
 
@@ -153,15 +153,15 @@ def test_bob_stage_requires_alice_first():
     session = Session(cfg)
     msg = {"sender": "alice", "payload": [0], "timestamp_order": 0, "channel": "classical"}
     with pytest.raises(ProtocolError):
-        run_bob_stage(cfg, session, msg)
+        run_bob_stage(session, msg)
 
 
 def test_bob_stage_requires_alice_message():
     cfg = config(seed=1)
     session = Session(cfg)
-    run_alice_stage(cfg, session)
+    run_alice_stage(session)
     with pytest.raises(ProtocolError):
-        run_bob_stage(cfg, session, None)
+        run_bob_stage(session, None)
 
 
 # ---------------------------------------------------------------- run_session
@@ -369,8 +369,8 @@ def test_transcript_weak_verdict_recomputable_from_loop():
     # the recorded verdict must be a pure function of the loop segments
     cfg = config(seed=6)
     session = Session(cfg)
-    msg = run_alice_stage(cfg, session)
-    run_bob_stage(cfg, session, msg)
+    msg = run_alice_stage(session)
+    run_bob_stage(session, msg)
     from ctcsim.consistency import LoopRecord
 
     loop = LoopRecord.from_states(
@@ -457,13 +457,6 @@ def test_beam_fraction_near_half():
     assert 0.45 <= report.basis_match_fraction <= 0.55
 
 
-def test_beam_single_forced_match():
-    report = run_beam(1, "collapse", seed=0, force_match=True)
-    assert report.basis_match_fraction == 1.0
-    assert report.records[0]["action"] == "completed"
-    assert report.records[0]["closure_residual"] == pytest.approx(0.0, abs=1e-12)
-
-
 def test_beam_matched_trials_close_the_loop():
     report = run_beam(300, "noise", seed=7)
     for record in report.records:
@@ -499,20 +492,19 @@ def test_beam_argument_validation():
         run_beam(10, "explode")
 
 
-def live_beam_draws(seed, trial, force_match=False):
+def live_beam_draws(seed, trial):
     """A beam trial's bits and uniform draw, read from a live
     ``np.random.default_rng([seed, trial])``: ``integers(2)`` for the
-    preparation basis, the bit and (unless ``force_match``) the measurement
-    basis, then one ``random()``."""
+    preparation basis, the bit and the measurement basis, then one
+    ``random()``."""
     rng = np.random.default_rng([seed, trial])
-    bits = [int(rng.integers(2)) for _ in range(2 if force_match else 3)]
+    bits = [int(rng.integers(2)) for _ in range(3)]
     return bits, rng.random()
 
 
-def assert_record_follows_the_live_generator(record, seed, force_match):
+def assert_record_follows_the_live_generator(record, seed):
     names = ("computational", "hadamard")
-    bits, draw = live_beam_draws(seed, record["trial"], force_match)
-    prep_basis, prep_bit, meas_basis = bits if len(bits) == 3 else (*bits, bits[0])
+    (prep_basis, prep_bit, meas_basis), draw = live_beam_draws(seed, record["trial"])
     assert record["prep_basis"] == names[prep_basis]
     assert record["prep_bit"] == prep_bit
     assert record["meas_basis"] == names[meas_basis]
@@ -521,10 +513,9 @@ def assert_record_follows_the_live_generator(record, seed, force_match):
 
 
 @pytest.mark.parametrize("seed", (0, 2**32, 2**64, 10**26))
-@pytest.mark.parametrize("force_match", (False, True))
-def test_beam_records_follow_the_live_generator(seed, force_match):
-    for record in run_beam(40, "noise", seed, force_match).records:
-        assert_record_follows_the_live_generator(record, seed, force_match)
+def test_beam_records_follow_the_live_generator(seed):
+    for record in run_beam(40, "noise", seed).records:
+        assert_record_follows_the_live_generator(record, seed)
 
 
 STREAM_SEEDS = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 10**26)
@@ -534,30 +525,27 @@ BLOCK_EDGE_TRIALS = (0, 1023, 1024, 1025, 2047, 2048, 2**32 - 1)
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
-@pytest.mark.parametrize("force_match", (False, True))
-def test_batched_draws_match_the_live_generator(seed, force_match):
+def test_batched_draws_match_the_live_generator(seed):
     block = protocol._DRAW_BLOCK
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for trial in BLOCK_EDGE_TRIALS:
             # the block run_beam derives this trial in
             start = trial - trial % block
-            *bits, draws = protocol._beam_draws(seed, range(start, start + block), force_match)
+            *bits, draws = protocol._beam_draws(seed, range(start, start + block))
             index = trial - start
-            assert len(bits) == (2 if force_match else 3)
             assert ([int(b[index]) for b in bits], float(draws[index])) == live_beam_draws(
-                seed, trial, force_match
+                seed, trial
             ), trial
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
-@pytest.mark.parametrize("force_match", (False, True))
-def test_beam_records_follow_the_live_generator_across_blocks(seed, force_match):
+def test_beam_records_follow_the_live_generator_across_blocks(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        records = run_beam(2049, "noise", seed, force_match).records
+        records = run_beam(2049, "noise", seed).records
     for trial in BLOCK_EDGE_TRIALS[:-1]:
-        assert_record_follows_the_live_generator(records[trial], seed, force_match)
+        assert_record_follows_the_live_generator(records[trial], seed)
 
 
 def test_beam_builds_no_generator(monkeypatch):
@@ -717,7 +705,7 @@ def test_teleportation_ledger():
 
 
 def test_ebit_distribution_tally_and_fidelity():
-    t = run_ebit_distribution(seed=0)
+    t = run_ebit_distribution()
     totals = {kind.value: delta for kind, delta in tally(t).items()}
     assert totals == {"qubit": -1, "ebit": 1}
     assert t.transfer_fidelity >= 1 - 1e-12

@@ -95,14 +95,14 @@ def test_ctcbit_to_qubit_demonstrated_by_ctc_run():
 
 
 def test_qubit_to_ebit_demonstrated_by_channel_run():
-    assert verify_conversion(QUBIT_TO_EBIT, [run_ebit_distribution(seed=0)]).passed
+    assert verify_conversion(QUBIT_TO_EBIT, [run_ebit_distribution()]).passed
 
 
 def test_all_standard_relations_pass_with_full_transcript_set():
     transcripts = [
         nominal_run(),
         run_teleportation_baseline(StateVector.qubit(0.6, 0.8), seed=0),
-        run_ebit_distribution(seed=0),
+        run_ebit_distribution(),
     ]
     for relation in STANDARD_RELATIONS:
         assert verify_conversion(relation, transcripts).passed

@@ -571,10 +571,11 @@ def test_branch_ids_never_reused():
 
 def test_event_points_order():
     ledger = BranchLedger()
-    bid = ledger.allocate(p_order=3, q_order=9)
+    ledger.consume(ledger.allocate(), "merged")
+    bid = ledger.allocate()
     record = ledger.record(bid)
-    assert record.p_event == EventPoint("P", bid, 3)
-    assert record.q_event == EventPoint("Q", bid, 9)
+    assert record.p_event == EventPoint("P", bid, 0)
+    assert record.q_event == EventPoint("Q", bid, 1)
 
 
 def test_event_point_label_validation():
