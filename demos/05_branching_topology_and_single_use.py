@@ -50,7 +50,7 @@ for seed in range(3):
     transcript = run_session(
         ProtocolConfig(input_state=StateVector.qubit(0.6, 0.8), seed=seed), ledger
     )
-    closure = ledger.loop_closure_error(transcript.branch_id)
+    closure = transcript.final_verdicts["weak"].residual
     print(
         f"session {seed}: branch {transcript.branch_id} "
         f"{ledger.status(transcript.branch_id)}, loop closure error {closure:.2e}"

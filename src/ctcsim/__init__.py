@@ -13,7 +13,6 @@ from .consistency import (
     ConsistencyVerdict,
     FixedPointError,
     FixedPointSolution,
-    LoopRecord,
     check_deutsch,
     check_strong,
     check_weak,
@@ -59,7 +58,6 @@ from .states import (
 from .topology import (
     BranchError,
     BranchLedger,
-    EventPoint,
     TopologySpace,
     build_line_splitting,
     is_hausdorff,
@@ -76,12 +74,10 @@ __all__ = [
     "ConsistencyVerdict",
     "ConversionRelation",
     "DensityOperator",
-    "EventPoint",
     "FixedPointError",
     "FixedPointSolution",
     "GateSpec",
     "LedgerEntry",
-    "LoopRecord",
     "MeasurementResult",
     "ProtocolConfig",
     "ProtocolError",

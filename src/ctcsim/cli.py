@@ -22,7 +22,6 @@ import numpy as np
 from . import serialize
 from .consistency import (
     SOLVER_AGREEMENT_TOL,
-    LoopRecord,
     _admissible_points,
     check_deutsch,
     check_strong,
@@ -322,12 +321,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-protocol", help="execute one Alice/Bob session")
     common(p, state=True, unitary=True)
-    p.add_argument("--ctc", default="1,0,0,0", help="initial CTC state (same format as --state)")
-    p.add_argument("--formalism", choices=FORMALISMS, default="wavefunction")
-    p.add_argument("--scenario", choices=[s for s in SCENARIOS if s != "beam"], default="nominal")
-    p.add_argument("--bob-measures", action="store_true")
-    p.add_argument("--storage-cycles", type=int, default=5)
+    p.add_argument("--ctc", help="initial CTC state (same format as --state)")
+    p.add_argument("--formalism", choices=FORMALISMS)
+    p.add_argument("--scenario", choices=[s for s in SCENARIOS if s != "beam"])
+    p.add_argument("--bob-measures", action="store_true", default=None)
+    p.add_argument("--storage-cycles", type=int)
     p.add_argument("--config", default=None, help="JSON file mirroring ProtocolConfig fields")
+    # a session flag left out reads None, so that --config can refuse each one given
+    p.set_defaults(state=None, unitary=None)
 
     p = sub.add_parser("fixed-point", help="solve the Deutsch condition for a coupling")
     common(p, state=True, unitary=True)
@@ -357,13 +358,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The run-protocol flags that a --config file replaces, by dest, and the
+#: value each takes when not given; a flag left out parses as None.
+_SESSION_DEFAULTS = dict(
+    seed=None, state="0.6,0,0.8,0", ctc="1,0,0,0", unitary="swap", formalism="wavefunction",
+    scenario="nominal", bob_measures=False, storage_cycles=5,
+)
+
+
 def _run_protocol(args, seed) -> tuple[dict, int, int]:
+    given = [dest for dest in _SESSION_DEFAULTS if getattr(args, dest) is not None]
     if args.config:
+        if given:
+            flag = "--" + given[0].replace("_", "-")
+            raise ValueError(f"--config and {flag} are mutually exclusive; the file sets the session")
         config = serialize.load(args.config, ProtocolConfig.from_json)
-        if args.seed is not None:
-            raise ValueError("--config and --seed are mutually exclusive; set seed in the file")
         _bounded("--storage-cycles", config.storage_cycles, 0, MAX_STORAGE_CYCLES)
     else:
+        vars(args).update((d, value) for d, value in _SESSION_DEFAULTS.items() if d not in given)
         config = ProtocolConfig(
             input_state=_parse_state(args.state),
             ctc_initial=_parse_state(args.ctc),
@@ -405,12 +417,11 @@ def _classify(args, seed) -> dict:
     tolerance = _tolerance(args.tolerance)
     config = ProtocolConfig(input_state=state, ctc_initial=ctc, gate=gate_spec, seed=seed)
     gate = config.coupling
-    # the weak verdict of the session's loop, as its transcript reports it
-    loop = LoopRecord(_run_stages(config).loop_states.items())
     results = {
         "strong": check_strong(gate, state, ctc, tolerance=tolerance).to_json(),
         "deutsch": check_deutsch(gate, state.density(), ctc.density(), tolerance).to_json(),
-        "weak": check_weak(loop).to_json(),
+        # the weak verdict of the session's loop, as its transcript reports it
+        "weak": check_weak(_run_stages(config).loop_states).to_json(),
     }
     if args.grid is not None:
         # the report reads only the residuals: no density operator per grid point

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -130,41 +130,6 @@ class FixedPointSolution:
         }
 
 
-class LoopRecord:
-    """The four CTC segment states in loop order.
-
-    Labels are fixed (rho_in, rho_out, rho_in_prime, rho_out_prime); the
-    sequence may start anywhere on the loop since the closure condition
-    is cyclic.
-    """
-
-    def __init__(self, segments: Sequence[tuple]):
-        segments = [(str(label), rho) for label, rho in segments]
-        labels = [label for label, _ in segments]
-        if sorted(labels) != sorted(LOOP_LABELS):
-            missing = set(LOOP_LABELS) - set(labels)
-            raise ValueError(f"loop record needs segments {LOOP_LABELS}; missing {sorted(missing)}")
-        for label, rho in segments:
-            if not isinstance(rho, DensityOperator):
-                raise TypeError(f"segment {label!r} is not a DensityOperator")
-        self.segments = tuple(segments)
-
-    @classmethod
-    def from_states(cls, rho_in, rho_out, rho_in_prime, rho_out_prime) -> "LoopRecord":
-        return cls(list(zip(LOOP_LABELS, (rho_in, rho_out, rho_in_prime, rho_out_prime))))
-
-    def __getitem__(self, label: str) -> DensityOperator:
-        for seg_label, rho in self.segments:
-            if seg_label == label:
-                return rho
-        raise KeyError(label)
-
-    def rotated(self, start: int) -> "LoopRecord":
-        """Same loop, relabeled to start at another segment."""
-        items = list(self.segments)
-        return LoopRecord(items[start:] + items[:start])
-
-
 def _require_coupling_shapes(u: UnitaryGate, *single_qubit_dims):
     if u.dim != 4:
         raise ValueError(f"coupling gate must act on 2 qubits, got dim {u.dim}")
@@ -236,8 +201,15 @@ def check_deutsch(
     return _verdict("deutsch", residual, tolerance)
 
 
-def check_weak(loop: LoopRecord) -> ConsistencyVerdict:
-    """Loop closure: rho_out = rho_in' and rho_out' = rho_in."""
+def check_weak(loop: Mapping[str, DensityOperator]) -> ConsistencyVerdict:
+    """Loop closure: rho_out = rho_in' and rho_out' = rho_in, read from a
+    session's four loop states keyed by ``LOOP_LABELS``. A mapping has no
+    start, so the verdict does not depend on where the loop starts."""
+    if set(loop) != set(LOOP_LABELS):
+        raise ValueError(f"loop states must be keyed by {LOOP_LABELS}, got {list(loop)}")
+    for label, rho in loop.items():
+        if not isinstance(rho, DensityOperator):
+            raise TypeError(f"loop state {label!r} is not a DensityOperator")
     residual = max(
         trace_distance(loop["rho_out"], loop["rho_in_prime"]),
         trace_distance(loop["rho_out_prime"], loop["rho_in"]),

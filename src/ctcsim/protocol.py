@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import serialize
-from .consistency import LoopRecord, check_deutsch, check_weak, deutsch_map
+from .consistency import check_deutsch, check_weak, deutsch_map
 from .gates import GateSpec, UnitaryGate, bell_pair, build_gate, cnot, embed, hadamard, pauli_x, pauli_z
 from .resources import FIDELITY_THRESHOLD, LedgerEntry, ResourceKind, tally
 from .states import (
@@ -264,9 +264,8 @@ class Session(_Recorder):
         self.collapse_reasons: list[str] = []
         self.stage = "created"
 
-        self.rho_in = config.ctc_initial.density()
         self.carried: Union[StateVector, DensityOperator, None] = None
-        self.loop_states: dict[str, DensityOperator] = {"rho_in": self.rho_in}
+        self.loop_states: dict[str, DensityOperator] = {"rho_in": config.ctc_initial.density()}
         self.transferred: Optional[DensityOperator] = None
         self.transfer_fidelity: Optional[float] = None
         self.detail: dict = {
@@ -276,7 +275,6 @@ class Session(_Recorder):
         }
 
         self.branch_id = self.ledger.allocate()
-        self.ledger.set_states(self.branch_id, initial=self.rho_in)
         self.event("system", "branch_allocate", {"branch_id": self.branch_id})
         self.book(ResourceKind.CTCBIT, -1)
 
@@ -467,7 +465,7 @@ def _run_stages(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -
 def run_session(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -> Transcript:
     """Execute one full protocol run and return its transcript."""
     session = _run_stages(config, ledger)
-    weak = check_weak(LoopRecord(session.loop_states.items()))
+    weak = check_weak(session.loop_states)
     deutsch = check_deutsch(
         session.gate, config.input_state.density(), config.ctc_initial.density()
     )
@@ -479,9 +477,6 @@ def run_session(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -
     collapse_flag = bool(session.collapse_reasons) or not weak.passed
 
     branch_outcome = "collapsed" if collapse_flag else "merged"
-    session.ledger.set_states(
-        session.branch_id, final=session.loop_states["rho_out_prime"]
-    )
     # the consume event is the branch's terminal access; record it first
     session.event(
         "system", "branch_consume", {"branch_id": session.branch_id, "outcome": branch_outcome}

@@ -80,7 +80,8 @@ def entry(document, key: str, kind: type, what: str, default=None):
     value = document.get(key, default)
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         got = type(value).__name__ if key in document else "nothing"
-        raise ValueError(f"{what} key {key!r} must be a {kind.__name__}, got {got}")
+        article = "an" if kind is int else "a"
+        raise ValueError(f"{what} key {key!r} must be {article} {kind.__name__}, got {got}")
     return value
 
 

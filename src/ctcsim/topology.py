@@ -10,14 +10,13 @@ share every neighborhood) witness the failure.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import combinations
 from operator import and_
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import serialize
-from .states import DensityOperator, _Frozen, trace_distance
+from .states import _Frozen
 
 
 class BranchError(RuntimeError):
@@ -228,50 +227,19 @@ def build_line_splitting(copies: int) -> TopologySpace:
     return TopologySpace._trusted(branch_points + ["-1", "+1"], minimal)
 
 
-@dataclass(frozen=True)
-class EventPoint:
-    """A removed-and-copied spacetime event on one branch.
-
-    P marks where the CTC qubit exits the coupling gate (loop event 0)
-    and Q where it re-enters (loop event 1); P precedes Q in loop order.
-    """
-
-    label: str
-    branch_id: int
-    linear_time_order: int
-
-    def __post_init__(self):
-        if self.label not in ("P", "Q"):
-            raise ValueError(f"event label must be P or Q, got {self.label!r}")
-
-
-@dataclass(frozen=True)
-class _BranchRecord:
-    """Read-only snapshot of an accessible branch, built by ``record()``."""
-
-    branch_id: int
-    status: str
-    p_event: EventPoint
-    q_event: EventPoint
-    initial_state: Optional[DensityOperator]
-    final_state: Optional[DensityOperator]
-
-
 class BranchLedger:
     """Registry enforcing single use of the CTC qubit.
 
     At most one branch is accessible (in_use) at a time; consuming a
     branch — merged when the loop closed, collapsed when it did not — is
     terminal, and any later access raises :class:`BranchError`. Branch ids
-    run 0, 1, 2, ...; each has one status row, and loop states are kept
-    only for branches given some. A ledger is
-    single-threaded: it takes no lock, so it must not be shared between
-    threads.
+    run 0, 1, 2, ...; each has one status row and nothing else: whether a
+    loop closed is its session's weak verdict. A ledger is single-threaded:
+    it takes no lock, so it must not be shared between threads.
     """
 
     def __init__(self):
         self._status: list[str] = []
-        self._states: dict[int, tuple] = {}
 
     def allocate(self) -> int:
         branch_id = len(self._status)
@@ -301,13 +269,6 @@ class BranchLedger:
         """Check that a protocol event may still use the branch."""
         self._accessible(branch_id)
 
-    def set_states(self, branch_id: int, initial=None, final=None) -> None:
-        self._accessible(branch_id)
-        old = self._states.get(branch_id, (None, None))
-        self._states[branch_id] = (
-            old[0] if initial is None else initial, old[1] if final is None else final
-        )
-
     def consume(self, branch_id: int, outcome: str) -> None:
         if outcome not in ("merged", "collapsed"):
             raise ValueError(f"outcome must be merged or collapsed, got {outcome!r}")
@@ -316,23 +277,6 @@ class BranchLedger:
 
     def status(self, branch_id: int) -> str:
         return self._known(branch_id)
-
-    def record(self, branch_id: int) -> _BranchRecord:
-        """Snapshot of the branch; raises for consumed/collapsed branches.
-        P and Q sit at loop orders 0 and 1, as :class:`EventPoint` defines."""
-        self._accessible(branch_id)
-        events = EventPoint("P", branch_id, 0), EventPoint("Q", branch_id, 1)
-        states = self._states.get(branch_id, (None, None))
-        return _BranchRecord(branch_id, "in_use", *events, *states)
-
-    def loop_closure_error(self, branch_id: int) -> float:
-        """Trace distance between a merged branch's final and initial state."""
-        if self._known(branch_id) != "consumed":
-            raise BranchError(f"branch {branch_id} was not merged")
-        initial, final = self._states.get(branch_id, (None, None))
-        if initial is None or final is None:
-            raise BranchError(f"branch {branch_id} has no recorded loop states")
-        return trace_distance(initial, final)
 
     def summary(self) -> dict:
         return {str(bid): status for bid, status in enumerate(self._status)}

@@ -193,7 +193,7 @@ def test_overflowing_inline_state_is_one_error_line(capsys):
             {"dim": 4, "data": [[0, 0]] * 15 + [[math.inf, 0]]},
             "matrix is not unitary: an entry is not finite (NaN or Inf)",
         ),
-        (["run-protocol", "--state"], {"dim": True, "data": [[1, 0], [0, 0]]}, "key 'dim' must be a int"),
+        (["run-protocol", "--state"], {"dim": True, "data": [[1, 0], [0, 0]]}, "key 'dim' must be an int"),
         (["run-protocol", "--state"], {"dim": 2, "data": [5, 6]}, "key 'data' entry 0 must be a [re, im] pair"),
         (["run-protocol", "--state"], {"dim": 2, "data": None}, "key 'data' must be a list, got NoneType"),
         (
@@ -409,6 +409,30 @@ def test_config_and_seed_conflict(tmp_path, capsys):
     code, _, err = run_main(capsys, ["run-protocol", "--config", str(path), "--seed", "1"])
     assert code == cli.EXIT_ERROR
     assert "mutually exclusive" in err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--state", "0.6,0,0.8,0"],
+        ["--ctc", "1,0,0,0"],
+        ["--unitary", "swap"],
+        ["--formalism", "wavefunction"],
+        ["--scenario", "bob_skips"],
+        ["--bob-measures"],
+        ["--storage-cycles", "999999"],
+    ],
+    ids=lambda flag: flag[0],
+)
+def test_config_refuses_every_session_flag(tmp_path, capsys, flag):
+    # refused even at its default value: the file, not the flag, sets the session
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"input_state": {"dim": 2, "data": [[1, 0], [0, 0]]}}))
+    code, out, err = run_main(capsys, ["run-protocol", "--config", str(path), *flag])
+    assert code == cli.EXIT_ERROR and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert f"--config and {flag[0]} are mutually exclusive" in lines[0]
 
 
 def test_value_that_rounds_to_infinity_is_one_error_line():

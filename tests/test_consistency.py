@@ -8,8 +8,8 @@ from ctcsim.consistency import (
     MAX_ITERATIONS,
     SOLVER_AGREEMENT_TOL,
     ConsistencyVerdict,
+    LOOP_LABELS,
     FixedPointError,
-    LoopRecord,
     bloch_grid,
     bloch_vector,
     check_deutsch,
@@ -317,29 +317,37 @@ def test_grid_is_bitwise_the_point_by_point_grid(resolution):
 
 def test_weak_all_same_passes():
     rho = StateVector.basis(0).density()
-    assert check_weak(LoopRecord.from_states(rho, rho, rho, rho)).passed
+    assert check_weak(dict.fromkeys(LOOP_LABELS, rho)).passed
 
 
 def test_weak_orthogonal_return_fails():
     rho0 = StateVector.basis(0).density()
     rho1 = StateVector.basis(1).density()
-    v = check_weak(LoopRecord.from_states(rho0, rho0, rho0, rho1))
+    v = check_weak(dict(zip(LOOP_LABELS, (rho0, rho0, rho0, rho1))))
     assert not v.passed
     assert v.residual == pytest.approx(1.0)
 
 
 def test_weak_missing_segment_label():
     rho = StateVector.basis(0).density()
-    with pytest.raises(ValueError):
-        LoopRecord([("rho_in", rho), ("rho_out", rho), ("rho_in_prime", rho), ("rho_in", rho)])
+    with pytest.raises(ValueError, match="rho_out_prime"):
+        check_weak({"rho_in": rho, "rho_out": rho, "rho_in_prime": rho})
+
+
+def test_weak_refuses_an_extra_label_and_a_value_that_is_no_density_operator():
+    rho = StateVector.basis(0).density()
+    with pytest.raises(ValueError, match="rho_next"):
+        check_weak({**dict.fromkeys(LOOP_LABELS, rho), "rho_next": rho})
+    with pytest.raises(TypeError, match="'rho_out' is not a DensityOperator"):
+        check_weak({**dict.fromkeys(LOOP_LABELS, rho), "rho_out": StateVector.basis(0)})
 
 
 def test_weak_invariant_under_cyclic_relabeling():
     segments = [random_density() for _ in range(4)]
-    loop = LoopRecord.from_states(*segments)
-    base = check_weak(loop)
+    items = list(zip(LOOP_LABELS, segments))
+    base = check_weak(dict(items))
     for start in range(4):
-        rotated = check_weak(loop.rotated(start))
+        rotated = check_weak(dict(items[start:] + items[:start]))
         assert rotated.residual == pytest.approx(base.residual, abs=1e-15)
         assert rotated.passed == base.passed
 

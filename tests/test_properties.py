@@ -23,8 +23,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule  # noqa: 
 from ctcsim.cli import Report, canonical_json, emit_report  # noqa: E402
 from ctcsim.consistency import (  # noqa: E402
     SOLVER_AGREEMENT_TOL,
+    LOOP_LABELS,
     FixedPointError,
-    LoopRecord,
     bloch_grid,
     check_deutsch,
     check_weak,
@@ -39,6 +39,7 @@ from ctcsim.protocol import (  # noqa: E402
     SCENARIOS,
     ProtocolConfig,
     Transcript,
+    _run_stages,
     run_ebit_distribution,
     run_session,
     run_teleportation_baseline,
@@ -52,7 +53,7 @@ from ctcsim.states import (  # noqa: E402
     tensor_product,
     trace_distance,
 )
-from ctcsim.topology import BranchError, BranchLedger, EventPoint  # noqa: E402
+from ctcsim.topology import BranchError, BranchLedger  # noqa: E402
 from test_consistency import haar_unitary  # noqa: E402
 
 seeds = st.integers(0, 2**32 - 1)
@@ -279,8 +280,8 @@ def test_consistency_verdicts_do_not_depend_on_the_local_basis(seed, name, close
         assert abs(image.residual - verdict.residual) <= 1e-12
     a, b = random_density(rng), random_density(rng)
     states = [a, b, b, a] if closed else [a, b, random_density(rng), random_density(rng)]
-    verdict = check_weak(LoopRecord.from_states(*states))
-    image = check_weak(LoopRecord.from_states(*(moved(w, rho) for rho in states)))
+    verdict = check_weak(dict(zip(LOOP_LABELS, states)))
+    image = check_weak(dict(zip(LOOP_LABELS, (moved(w, rho) for rho in states))))
     assert image.passed == verdict.passed == closed
     assert abs(image.residual - verdict.residual) <= 1e-12
 
@@ -305,17 +306,48 @@ def test_check_weak_does_not_depend_on_where_the_loop_starts(seed, start, closed
     rng = np.random.default_rng(seed)
     rho_in, rho_out = random_density(rng), random_density(rng)
     if closed:
-        loop = LoopRecord.from_states(rho_in, rho_out, rho_out, rho_in)
+        states = [rho_in, rho_out, rho_out, rho_in]
     else:
-        loop = LoopRecord.from_states(rho_in, rho_out, random_density(rng), random_density(rng))
-    assert check_weak(loop.rotated(start)) == check_weak(loop)
+        states = [rho_in, rho_out, random_density(rng), random_density(rng)]
+    items = list(zip(LOOP_LABELS, states))
+    # the same loop, its states inserted from another start
+    assert check_weak(dict(items[start:] + items[:start])) == check_weak(dict(items))
 
 
-LOOP_STATES = (
-    None,
-    DensityOperator(np.diag([1.0, 0.0])),
-    DensityOperator(np.diag([0.25, 0.75])),
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["nominal", "storage", "bob_skips", "self_signal"]),
+    st.sampled_from(COUPLINGS),
+    st.sampled_from(FORMALISMS),
+    st.booleans(),
+    seeds,
 )
+def test_a_branch_merges_exactly_when_its_loop_closes(scenario, gate, formalism, basis_ctc, seed):
+    """The ledger holds only a branch's status; loop closure is the
+    transcript's weak verdict, read from the one loop a session keeps."""
+    rng = np.random.default_rng(seed)
+    if basis_ctc:
+        ctc = StateVector.basis(int(rng.integers(2)))
+    else:
+        amplitudes = rng.normal(size=2) + 1j * rng.normal(size=2)
+        ctc = StateVector(amplitudes / np.linalg.norm(amplitudes))
+    config = ProtocolConfig(
+        input_state=StateVector.qubit(0.6, 0.8),
+        ctc_initial=ctc,
+        gate=GateSpec(gate),
+        formalism=formalism,
+        scenario=scenario,
+        seed=seed,
+        storage_cycles=3,
+    )
+    ledger = BranchLedger()
+    transcript = run_session(config, ledger)
+    weak = transcript.final_verdicts["weak"]
+    consumed = ledger.status(transcript.branch_id) == "consumed"
+    assert consumed == (not transcript.collapse_flag)
+    if consumed:
+        assert weak.residual <= 1e-12
+    assert check_weak(_run_stages(config).loop_states) == weak
 
 
 class BranchLedgerMachine(RuleBasedStateMachine):
@@ -327,7 +359,6 @@ class BranchLedgerMachine(RuleBasedStateMachine):
         super().__init__()
         self.ledger = BranchLedger()
         self.status = {}
-        self.states = {}
 
     def expect_access(self, branch_id, action, accessible=("in_use",)):
         """Run ``action`` and require it to fail exactly when the model says
@@ -371,44 +402,12 @@ class BranchLedgerMachine(RuleBasedStateMachine):
         if self.expect_access(branch_id, lambda: self.ledger.touch(branch_id)):
             self.ledger.touch(branch_id)
 
-    @rule(data=st.data(), initial=st.sampled_from(LOOP_STATES), final=st.sampled_from(LOOP_STATES))
-    def set_states(self, data, initial, final):
-        branch_id = self.branch(data)
-        store = lambda: self.ledger.set_states(branch_id, initial=initial, final=final)  # noqa: E731
-        if self.expect_access(branch_id, store):
-            store()
-            old = self.states.get(branch_id, (None, None))
-            self.states[branch_id] = (
-                old[0] if initial is None else initial, old[1] if final is None else final
-            )
-
-    @rule(data=st.data())
-    def record(self, data):
-        branch_id = self.branch(data)
-        if self.expect_access(branch_id, lambda: self.ledger.record(branch_id)):
-            record = self.ledger.record(branch_id)
-            assert (record.branch_id, record.status) == (branch_id, "in_use")
-            assert record.p_event == EventPoint("P", branch_id, 0)
-            assert record.q_event == EventPoint("Q", branch_id, 1)
-            initial, final = self.states.get(branch_id, (None, None))
-            assert record.initial_state is initial and record.final_state is final
-
     @rule(data=st.data())
     def status_of(self, data):
         branch_id = self.branch(data)
         accessible = ("in_use", "consumed", "collapsed")
         if self.expect_access(branch_id, lambda: self.ledger.status(branch_id), accessible):
             assert self.ledger.status(branch_id) == self.status[branch_id]
-
-    @rule(data=st.data())
-    def loop_closure_error(self, data):
-        branch_id = self.branch(data)
-        closure = lambda: self.ledger.loop_closure_error(branch_id)  # noqa: E731
-        initial, final = self.states.get(branch_id, (None, None))
-        if initial is None or final is None:
-            self.expect_access(branch_id, closure, accessible=())
-        elif self.expect_access(branch_id, closure, accessible=("consumed",)):
-            assert closure() == trace_distance(initial, final)
 
     @invariant()
     def one_branch_in_use(self):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ctcsim.consistency import check_weak, solve_deutsch_fixed_point
+from ctcsim.consistency import LOOP_LABELS, check_weak, solve_deutsch_fixed_point
 from ctcsim.gates import (
     GateSpec,
     UnitaryGate,
@@ -371,14 +371,7 @@ def test_transcript_weak_verdict_recomputable_from_loop():
     session = Session(cfg)
     msg = run_alice_stage(session)
     run_bob_stage(session, msg)
-    from ctcsim.consistency import LoopRecord
-
-    loop = LoopRecord.from_states(
-        session.loop_states["rho_in"],
-        session.loop_states["rho_out"],
-        session.loop_states["rho_in_prime"],
-        session.loop_states["rho_out_prime"],
-    )
+    loop = {label: session.loop_states[label] for label in LOOP_LABELS}
     assert check_weak(loop).passed
 
 

@@ -387,9 +387,9 @@ def test_document_keeps_the_bits_of_every_part():
 @pytest.mark.parametrize(
     "document, message",
     (
-        ({"dim": True, "data": [[1, 0], [0, 0]]}, "key 'dim' must be a int, got bool"),
-        ({"dim": "2", "data": [[1, 0], [0, 0]]}, "key 'dim' must be a int, got str"),
-        ({"dim": 2.9, "data": [[1, 0], [0, 0]]}, "key 'dim' must be a int, got float"),
+        ({"dim": True, "data": [[1, 0], [0, 0]]}, "key 'dim' must be an int, got bool"),
+        ({"dim": "2", "data": [[1, 0], [0, 0]]}, "key 'dim' must be an int, got str"),
+        ({"dim": 2.9, "data": [[1, 0], [0, 0]]}, "key 'dim' must be an int, got float"),
         ({"dim": 0, "data": []}, "key 'dim' must be positive, got 0"),
         ({"dim": 2, "data": None}, "key 'data' must be a list, got NoneType"),
         ({"dim": 2, "data": [5, 6]}, "key 'data' entry 0 must be a [re, im] pair of numbers, got 5"),
