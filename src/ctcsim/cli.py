@@ -56,8 +56,10 @@ MAX_COPIES = 1000
 #: Work grows linearly in trials and storage cycles and with the cube of the
 #: grid resolution. The trials and storage caps once kept the slowest run to
 #: about 10 s on a 2-core Xeon; there, serialization included, storage at
-#: the cap now takes about 4.5 s and the largest beam, ``--trials 40000
-#: --policy noise``, about 1 s with JSON output and 0.7 s with CSV. Memory
+#: the cap now takes about 4.5 s. The largest beam, ``--trials 40000
+#: --policy noise``, takes about 0.4 s end to end with JSON output and
+#: 0.35 s with CSV on a 2-core Xeon, of which about 0.3 s is interpreter
+#: start and imports (0.8 s and 0.5 s with per-record dicts). Memory
 #: sets the grid cap: with the identity gate, which admits all 3,875,251
 #: points, ``--grid 250`` takes about 0.8 s and peaks at about 280 MiB
 #: resident, most of it the grid itself.
@@ -150,6 +152,9 @@ def _plain(v, band: list):
         return [x if type(x) in _NATIVE else _plain(x, band) for x in v]
     elif kind in _NATIVE:
         return v
+    elif kind is serialize.IndexedRecords:
+        band.append(f"[{_join_rows(v, canonical_json, ',')}]")
+        return _Band((math.nan, len(band) - 1))
     elif isinstance(v, (float, np.floating)):
         r = float(format(float(v), ".15g"))
     elif isinstance(v, (int, np.integer)):
@@ -174,6 +179,24 @@ def _plain(v, band: list):
         return r
     band.append(format(float(v), ".15g"))
     return _Band((math.nan, len(band) - 1))
+
+
+#: The counter value each row is rendered with and then split at: no record
+#: has it, and JSON and CSV write it alike.
+_COUNTER_MARK = -(2**63)
+
+
+def _join_rows(records: serialize.IndexedRecords, render, separator: str) -> str:
+    """The records' texts joined by ``separator``. ``render`` writes each
+    row once, with the mark as its counter; a record is its row's text with
+    its own counter in place of the mark."""
+    mark = str(_COUNTER_MARK)
+    heads, tails = [], []
+    for row in records.rows:
+        head, tail = render({records.counter: _COUNTER_MARK, **row}).split(mark)
+        heads.append(head)
+        tails.append(tail)
+    return separator.join([f"{heads[i]}{t}{tails[i]}" for t, i in enumerate(records.index)])
 
 
 def _fill(text: str, band: list) -> str:
@@ -209,13 +232,11 @@ def emit_report(report: Report, output: str = "json") -> str:
         return canonical_json(report.to_payload())
     if output != "csv":
         raise ValueError(f"unknown output format {output!r}")
-    results = report.results
-    if "records" in results and isinstance(results["records"], list):
+    records = report.results.get("records")
+    if type(records) is serialize.IndexedRecords:
         columns = ["trial", "prep_basis", "meas_basis", "outcome", "matched", "action"]
-        lines = [",".join(columns)]
-        for record in results["records"]:
-            lines.append(",".join(str(record.get(c, "")) for c in columns))
-        return "\n".join(lines)
+        rows = _join_rows(records, lambda row: ",".join(str(row.get(c, "")) for c in columns), "\n")
+        return ",".join(columns) + "\n" + rows
     parts = ["key,value"]
     band: list = []
     _flatten("", _plain(report.to_payload(), band), parts, band)

@@ -11,8 +11,10 @@ the branch instead of transferring a state.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
+import types
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -80,6 +82,11 @@ class TranscriptEvent:
         return doc
 
 
+#: The scalar keys of a config document and their JSON types.
+_CONFIG_KINDS = dict(formalism=str, scenario=str, bob_measures=bool, seed=int, storage_cycles=int)
+_CONFIG_KEYS = ("input_state", "ctc_initial", "gate", *_CONFIG_KINDS)
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Inputs for one session; states must be normalized single qubits.
@@ -113,7 +120,9 @@ class ProtocolConfig:
     @classmethod
     def from_json(cls, document: dict) -> "ProtocolConfig":
         state_doc = serialize.entry(document, "input_state", dict, "config")
+        serialize.known_keys(document, _CONFIG_KEYS, "config")
         gate_doc = serialize.entry(document, "gate", dict, "config", default={"name": "swap"})
+        serialize.known_keys(gate_doc, ("name", "params", "custom_path"), "config key 'gate'")
         params = gate_doc.get("params")
         if params is not None and (isinstance(params, bool) or not isinstance(params, (int, float))):
             raise ValueError(
@@ -126,8 +135,7 @@ class ProtocolConfig:
         if "ctc_initial" in document:
             ctc_doc = serialize.entry(document, "ctc_initial", dict, "config")
             kwargs["ctc_initial"] = _state(ctc_doc, "ctc_initial")
-        kinds = dict(formalism=str, scenario=str, bob_measures=bool, seed=int, storage_cycles=int)
-        for key, kind in kinds.items():
+        for key, kind in _CONFIG_KINDS.items():
             if key in document:
                 kwargs[key] = serialize.entry(document, key, kind, "config")
         if kwargs.get("seed", 0) < 0:
@@ -507,14 +515,29 @@ def run_session(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -
 
 @dataclass(frozen=True)
 class BeamReport:
-    """Aggregate of many single-use trials against a beam of CTC qubits."""
+    """Aggregate of many single-use trials against a beam of CTC qubits.
+
+    A trial's record is the trial number followed by one of the policy's 16
+    ``rows``: ``row_index[trial]``, which is 2·key + outcome for the trial's
+    key 4·prep_basis + 2·prep_bit + meas_basis.
+    """
 
     trials: int
     policy: str
     seed: int
     basis_match_fraction: float
-    records: list
+    rows: tuple
+    row_index: bytes
     branch_summary: dict
+
+    @property
+    def records(self) -> list:
+        """Each trial's record as a dict, built on access; the report
+        writers render the rows instead."""
+        return self._records().dicts()
+
+    def _records(self) -> serialize.IndexedRecords:
+        return serialize.IndexedRecords("trial", self.rows, self.row_index)
 
     def to_json(self) -> dict:
         return {
@@ -522,7 +545,7 @@ class BeamReport:
             "policy": self.policy,
             "seed": self.seed,
             "basis_match_fraction": self.basis_match_fraction,
-            "records": self.records,
+            "records": self._records(),
             "branch_summary": self.branch_summary,
         }
 
@@ -625,6 +648,55 @@ def _beam_draws(seed: int, trials: range) -> tuple:
     return *bits, (third >> _U64(11)).astype(np.float64) * 2.0**-53
 
 
+@functools.cache
+def _beam_table(policy: str) -> tuple:
+    """A beam trial's table under ``policy``, by its key 4·prep_basis +
+    2·prep_bit + meas_basis: the probability of outcome 0 and whether the
+    bases match, as read-only arrays, and the 16 record rows, without the
+    trial number, at 2·key + outcome.
+
+    After the swap a trial depends only on its key, so the outcome
+    probabilities, action and per-outcome closure residuals are computed
+    here once per policy.
+    """
+    basis_names = ("computational", "hadamard")
+    swap_matrix = build_gate(GateSpec("swap")).matrix
+    probe = StateVector.basis(0)
+    bases = (_COMPUTATIONAL, _HADAMARD)
+    states = [[StateVector(vec) for vec in basis] for basis in bases]
+    mismatch_action = {"collapse": "collapsed", "discard": "discarded", "noise": "noise"}[policy]
+    first_probabilities, matches, rows = [], [], []
+    for prep_basis, prep_bit, meas_basis in itertools.product((0, 1), repeat=3):
+        prep_state = states[prep_basis][prep_bit]
+        # swap the known probe in; Alice's chronology qubit now holds the
+        # beam state and the CTC carries the probe
+        joint = swap_matrix @ _kron(probe.amplitudes, prep_state.amplitudes)
+        first_probabilities.append(_branches(joint, 0, bases[meas_basis])[0][0])
+        matched = meas_basis == prep_basis
+        matches.append(matched)
+        residuals = (None, None)
+        if matched or policy == "noise":
+            residuals = tuple(
+                trace_distance(prep_state.density(), restored.density())
+                for restored in states[meas_basis]
+            )
+        for outcome, residual in enumerate(residuals):
+            row = {
+                "prep_basis": basis_names[prep_basis],
+                "prep_bit": prep_bit,
+                "meas_basis": basis_names[meas_basis],
+                "outcome": outcome,
+                "matched": matched,
+                "action": "completed" if matched else mismatch_action,
+                "closure_residual": residual,
+            }
+            # the table is shared by every beam of this policy
+            rows.append(types.MappingProxyType(row))
+    first, matched = np.array(first_probabilities), np.array(matches)
+    first.flags.writeable = matched.flags.writeable = False
+    return first, matched, tuple(rows)
+
+
 def run_beam(trials: int, policy: str = "collapse", seed: int = 0) -> BeamReport:
     """BB84-style use of a beam of CTC qubits in random bases.
 
@@ -639,6 +711,9 @@ def run_beam(trials: int, policy: str = "collapse", seed: int = 0) -> BeamReport
     block of trials at once by :func:`_beam_draws`. The seed is a
     non-negative int of any width; a trial index is one 32-bit word of the
     stream's seed, so ``trials`` is at most 2**32.
+
+    A block's keys, outcomes and row indices are array operations, and
+    one ledger step allocates and consumes the block's branches.
     """
     if trials < 1:
         raise ProtocolError(f"trials must be at least 1, got {trials}")
@@ -647,64 +722,27 @@ def run_beam(trials: int, policy: str = "collapse", seed: int = 0) -> BeamReport
     if policy not in BEAM_POLICIES:
         raise ProtocolError(f"unknown policy {policy!r}; expected one of {BEAM_POLICIES}")
     stream_seed = _checked_seed(seed)
-    basis_names = ("computational", "hadamard")
-    swap_matrix = build_gate(GateSpec("swap")).matrix
-    probe = StateVector.basis(0)
-    bases = (_COMPUTATIONAL, _HADAMARD)
-    states = [[StateVector(vec) for vec in basis] for basis in bases]
-    mismatch_action = {"collapse": "collapsed", "discard": "discarded", "noise": "noise"}[policy]
-    # after the swap a trial depends only on (prep_basis, prep_bit,
-    # meas_basis), so its outcome probabilities, action and per-outcome
-    # closure residuals are tabulated once, for those 8 keys
-    table = {}
-    for prep_basis, prep_bit, meas_basis in itertools.product((0, 1), repeat=3):
-        prep_state = states[prep_basis][prep_bit]
-        # swap the known probe in; Alice's chronology qubit now holds the
-        # beam state and the CTC carries the probe
-        joint = swap_matrix @ _kron(probe.amplitudes, prep_state.amplitudes)
-        probabilities = [prob for prob, _ in _branches(joint, 0, bases[meas_basis])]
-        matched = meas_basis == prep_basis
-        residuals = (None, None)
-        if matched or policy == "noise":
-            residuals = tuple(
-                trace_distance(prep_state.density(), restored.density())
-                for restored in states[meas_basis]
-            )
-        action = "completed" if matched else mismatch_action
-        table[prep_basis, prep_bit, meas_basis] = probabilities, matched, action, residuals
-
+    first_probability, matched, rows = _beam_table(policy)
     ledger = BranchLedger()
-    records = []
+    row_index = []
     matches = 0
     for start in range(0, trials, _DRAW_BLOCK):
         block = range(start, min(start + _DRAW_BLOCK, trials))
-        *bits, draws = _beam_draws(stream_seed, block)
-        for trial, prep_basis, prep_bit, meas_basis, draw in zip(
-            block, *(column.tolist() for column in bits), draws.tolist()
-        ):
-            probabilities, matched, action, residuals = table[prep_basis, prep_bit, meas_basis]
-            outcome = _sample(draw, probabilities)
-            matches += matched
-            ledger.consume(ledger.allocate(), "merged" if matched else "collapsed")
-            records.append(
-                {
-                    "trial": trial,
-                    "prep_basis": basis_names[prep_basis],
-                    "prep_bit": prep_bit,
-                    "meas_basis": basis_names[meas_basis],
-                    "outcome": outcome,
-                    "matched": matched,
-                    "action": action,
-                    "closure_residual": residuals[outcome],
-                }
-            )
+        prep_basis, prep_bit, meas_basis, draws = _beam_draws(stream_seed, block)
+        key = 4 * prep_basis + 2 * prep_bit + meas_basis
+        hits = matched[key]
+        matches += int(np.count_nonzero(hits))
+        ledger.consume_block(hits.tolist())
+        # _sample with two outcomes: 0 when the draw is below p0, else 1
+        outcome = draws >= first_probability[key]
+        row_index.append((2 * key + outcome).astype(np.uint8).tobytes())
     statuses = ledger._tally()
     summary = {
         "merged": statuses["consumed"],
         "collapsed": statuses["collapsed"],
         "distinct_branches": statuses.total(),
     }
-    return BeamReport(trials, policy, seed, matches / trials, records, summary)
+    return BeamReport(trials, policy, seed, matches / trials, rows, b"".join(row_index), summary)
 
 
 def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Transcript:

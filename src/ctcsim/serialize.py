@@ -9,6 +9,7 @@ CLI's ``--state``/``--unitary`` file inputs.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,30 @@ def entry(document, key: str, kind: type, what: str, default=None):
         article = "an" if kind is int else "a"
         raise ValueError(f"{what} key {key!r} must be {article} {kind.__name__}, got {got}")
     return value
+
+
+def known_keys(document: dict, keys: tuple, what: str) -> None:
+    """Refuse a key of the JSON object ``document`` that is not in ``keys``,
+    in a ValueError that names it."""
+    for key in document:
+        if key not in keys:
+            raise ValueError(f"{what} has unknown key {key!r}; expected {', '.join(keys)}")
+
+
+@dataclass(frozen=True)
+class IndexedRecords:
+    """A report's records as a few distinct rows and a row index: record t
+    is ``{counter: t}`` followed by ``rows[index[t]]``. The report writers
+    render each row once and join the texts over ``index``."""
+
+    counter: str
+    rows: tuple
+    index: bytes
+
+    def dicts(self) -> list:
+        """The records as a list of dicts."""
+        counter, rows = self.counter, self.rows
+        return [{counter: t, **rows[i]} for t, i in enumerate(self.index)]
 
 
 def load(path: str | Path, build):

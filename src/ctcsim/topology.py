@@ -183,6 +183,7 @@ class TopologySpace(_Frozen):
     @classmethod
     def from_json(cls, document: dict) -> "TopologySpace":
         points, opens = (serialize.entry(document, k, list, "space") for k in ("points", "opens"))
+        serialize.known_keys(document, ("points", "opens"), "space")
         try:
             return cls(points, opens)
         except _Malformed as exc:
@@ -242,14 +243,24 @@ class BranchLedger:
         self._status: list[str] = []
 
     def allocate(self) -> int:
-        branch_id = len(self._status)
-        if branch_id and self._status[-1] == "in_use":
+        self._refuse_in_use()
+        self._status.append("in_use")
+        return len(self._status) - 1
+
+    def consume_block(self, merged: Iterable[bool]) -> None:
+        """Allocate and consume one branch per entry of ``merged``, in order:
+        merged where it is true, collapsed where it is false. Like
+        :meth:`allocate`, it refuses while a branch is in use."""
+        self._refuse_in_use()
+        # listed first, so that a bad entry leaves the ledger as it was
+        self._status += list(map(("collapsed", "consumed").__getitem__, merged))
+
+    def _refuse_in_use(self) -> None:
+        if self._status and self._status[-1] == "in_use":
             raise BranchError(
-                f"branch {branch_id - 1} is already in use; only one branch "
+                f"branch {len(self._status) - 1} is already in use; only one branch "
                 "is accessible at a time"
             )
-        self._status.append("in_use")
-        return branch_id
 
     def _accessible(self, branch_id: int) -> None:
         status = self._known(branch_id)

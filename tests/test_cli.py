@@ -480,6 +480,22 @@ def test_value_that_rounds_to_infinity_is_one_error_line():
             },
             "'seed'",
         ),
+        # a key the reader does not know, mistyped or extra
+        (
+            ["run-protocol", "--config"],
+            {"input_state": {"dim": 2, "data": [[1, 0], [0, 0]]}, "scenaro": "bob_skips"},
+            "config has unknown key 'scenaro'",
+        ),
+        (
+            ["run-protocol", "--config"],
+            {"input_state": {"dim": 2, "data": [[1, 0], [0, 0]]}, "gate": {"name": "swap", "parms": 1}},
+            "config key 'gate' has unknown key 'parms'",
+        ),
+        (
+            ["topology-check", "--space"],
+            {"points": ["a"], "opens": [[], ["a"]], "copies": 3},
+            "space has unknown key 'copies'",
+        ),
     ],
 )
 def test_malformed_json_files_give_one_error_line(tmp_path, argv, document, key):

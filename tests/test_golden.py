@@ -61,6 +61,8 @@ CLI_DIGESTS = {
     "topology": "bfac0ec4079e4df1494f0936325755d9552f6f24b0b7165f4fd4cb698a3d4c7f",
     "resources": "557bf0c4863fe71d54d8081b4137c89f4fcafadd2721701e222b8e8a146e31b0",
     "beam_csv": "91e96305cdacba797b864fe8fc7b6baf9fe858afa974cc77f291a4277ced2475",
+    "beam_cap": "cd9e447d5751c36661e9a8dadad575cb86acb35e5c5f4fd12232340a80d9cce1",
+    "beam_cap_csv": "90bc9e220ec76126ab67cc6e86d7d344f234fd0eb2de6e9cf267aafdf3baefea",
 }
 
 #: Keyed by policy/random/seed/trials: each trial draws both of its bases.
@@ -187,6 +189,12 @@ CLI_ARGVS = {
     "topology": ["topology-check", "--copies", "3"],
     "resources": ["resources", "--seed", "5"],
     "beam_csv": ["beam", "--trials", "10000", "--policy", "noise", "--seed", "3", "--output", "csv"],
+    # the largest beam the CLI allows: 40 draw blocks
+    "beam_cap": ["beam", "--trials", "40000", "--policy", "noise", "--seed", "3"],
+    "beam_cap_csv": [
+        "beam", "--trials", "40000", "--policy", "discard",
+        "--seed", "99999999999999999999999999", "--output", "csv",
+    ],
 }
 
 

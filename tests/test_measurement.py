@@ -363,6 +363,8 @@ def test_every_measurement_reaches_the_one_kernel(monkeypatch):
     for formalism in ("wavefunction", "density"):
         config = ProtocolConfig(input_state=state, formalism=formalism, bob_measures=True)
         assert reaches(lambda: run_session(config)), formalism
+    # a beam measures when it builds its policy's table
+    protocol._beam_table.cache_clear()
     assert reaches(lambda: run_beam(4))
     assert reaches(lambda: run_teleportation_baseline(state))
     assert reaches(lambda: measure_projective(state, 0))

@@ -1,8 +1,11 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ctcsim import cli
 from ctcsim.consistency import LOOP_LABELS, check_weak, solve_deutsch_fixed_point
 from ctcsim.gates import (
     GateSpec,
@@ -35,7 +38,16 @@ from ctcsim.protocol import (
     run_teleportation_baseline,
 )
 from ctcsim.resources import ResourceKind, tally
-from ctcsim.states import DensityOperator, StateVector, fidelity, trace_distance
+from ctcsim.states import (
+    _COMPUTATIONAL,
+    DensityOperator,
+    StateVector,
+    _branches,
+    _kron,
+    _sample,
+    fidelity,
+    trace_distance,
+)
 from ctcsim.topology import BranchError, BranchLedger
 
 RNG = np.random.default_rng(55)
@@ -478,6 +490,116 @@ def test_beam_per_trial_streams_are_stable():
     assert isinstance(a, BeamReport)
 
 
+def oracle_beam(trials, policy, seed):
+    """The per-record beam that ``run_beam`` replaced, kept as its oracle:
+    per trial one ``_sample`` call, one ledger allocate and consume, and one
+    record dict. Returns the report's JSON document, with its records as a
+    list of dicts."""
+    basis_names = ("computational", "hadamard")
+    swap_matrix = build_gate(GateSpec("swap")).matrix
+    probe = StateVector.basis(0)
+    bases = (_COMPUTATIONAL, tuple(hadamard().matrix))
+    states = [[StateVector(vec) for vec in basis] for basis in bases]
+    mismatch_action = {"collapse": "collapsed", "discard": "discarded", "noise": "noise"}[policy]
+    table = {}
+    for prep_basis, prep_bit, meas_basis in itertools.product((0, 1), repeat=3):
+        prep_state = states[prep_basis][prep_bit]
+        joint = swap_matrix @ _kron(probe.amplitudes, prep_state.amplitudes)
+        probabilities = [prob for prob, _ in _branches(joint, 0, bases[meas_basis])]
+        matched = meas_basis == prep_basis
+        residuals = (None, None)
+        if matched or policy == "noise":
+            residuals = tuple(
+                trace_distance(prep_state.density(), restored.density())
+                for restored in states[meas_basis]
+            )
+        action = "completed" if matched else mismatch_action
+        table[prep_basis, prep_bit, meas_basis] = probabilities, matched, action, residuals
+
+    ledger = BranchLedger()
+    records = []
+    matches = 0
+    for start in range(0, trials, protocol._DRAW_BLOCK):
+        block = range(start, min(start + protocol._DRAW_BLOCK, trials))
+        *bits, draws = protocol._beam_draws(seed, block)
+        for trial, prep_basis, prep_bit, meas_basis, draw in zip(
+            block, *(column.tolist() for column in bits), draws.tolist()
+        ):
+            probabilities, matched, action, residuals = table[prep_basis, prep_bit, meas_basis]
+            outcome = _sample(draw, probabilities)
+            matches += matched
+            ledger.consume(ledger.allocate(), "merged" if matched else "collapsed")
+            records.append(
+                {
+                    "trial": trial,
+                    "prep_basis": basis_names[prep_basis],
+                    "prep_bit": prep_bit,
+                    "meas_basis": basis_names[meas_basis],
+                    "outcome": outcome,
+                    "matched": matched,
+                    "action": action,
+                    "closure_residual": residuals[outcome],
+                }
+            )
+    statuses = ledger._tally()
+    summary = {
+        "merged": statuses["consumed"],
+        "collapsed": statuses["collapsed"],
+        "distinct_branches": statuses.total(),
+    }
+    return {
+        "trials": trials,
+        "policy": policy,
+        "seed": seed,
+        "basis_match_fraction": matches / trials,
+        "records": records,
+        "branch_summary": summary,
+    }
+
+
+def oracle_beam_csv(records):
+    """The per-record CSV writer that the row templates replaced."""
+    columns = ["trial", "prep_basis", "meas_basis", "outcome", "matched", "action"]
+    lines = [",".join(columns)]
+    for record in records:
+        lines.append(",".join(str(record.get(c, "")) for c in columns))
+    return "\n".join(lines)
+
+
+def assert_same_text(got, expected):
+    """``got == expected``, failing with the first difference: pytest's own
+    diff of two texts of a few MiB takes minutes."""
+    if got != expected:
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), len(expected))
+        pytest.fail(f"texts differ at {at}: {got[at - 40:at + 40]!r} != {expected[at - 40:at + 40]!r}")
+
+
+@pytest.mark.parametrize("policy", BEAM_POLICIES)
+@settings(max_examples=25, deadline=None)
+@given(
+    trials=st.integers(1, 3000),
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**64, 2**96)),
+)
+# trial counts at the edges of the first two draw blocks
+@example(trials=1, seed=0)
+@example(trials=1023, seed=2**64)
+@example(trials=1024, seed=7919)
+@example(trials=1025, seed=10**26)
+@example(trials=2049, seed=2**32 - 1)
+def test_beam_report_matches_the_per_record_oracle(policy, trials, seed):
+    report = run_beam(trials, policy, seed)
+    expected = oracle_beam(trials, policy, seed)
+    assert report.records == expected["records"]
+    assert report.branch_summary == expected["branch_summary"]
+    assert report.basis_match_fraction == expected["basis_match_fraction"]
+    argv = ["beam", "--trials", str(trials), "--policy", policy, "--seed", str(seed)]
+    wrapped = cli.Report(cli.SCHEMA_VERSION, argv, seed, report.to_json(), 0.0)
+    # the JSON writer's list path is the one every other report takes
+    oracle = cli.Report(cli.SCHEMA_VERSION, argv, seed, expected, 0.0)
+    assert_same_text(cli.emit_report(wrapped, "json"), cli.canonical_json(oracle.to_payload()))
+    assert_same_text(cli.emit_report(wrapped, "csv"), oracle_beam_csv(expected["records"]))
+
+
 def test_beam_argument_validation():
     with pytest.raises(ProtocolError):
         run_beam(0, "collapse")
@@ -588,7 +710,8 @@ def test_teleportation_checks_its_seed():
 @pytest.mark.parametrize("policy", BEAM_POLICIES)
 def test_beam_state_work_does_not_grow_with_trials(policy, monkeypatch):
     # a trial's outcome and residual depend on three bits only, so the state
-    # constructions and eigendecompositions happen once per beam, not per trial
+    # constructions and eigendecompositions happen once per policy, not per
+    # trial
     calls = []
 
     def counted(name, fn):
@@ -606,10 +729,16 @@ def test_beam_state_work_does_not_grow_with_trials(policy, monkeypatch):
 
     counts = []
     for trials in (10, 1000):
+        # each beam builds its policy's table afresh
+        protocol._beam_table.cache_clear()
         calls.clear()
         run_beam(trials, policy, seed=3)
         counts.append({name: calls.count(name) for name in set(calls)})
     assert counts[0] == counts[1]
+    # and a beam whose policy's table is built does no state work at all
+    calls.clear()
+    run_beam(1000, policy, seed=4)
+    assert calls == []
 
 
 @pytest.mark.parametrize("policy", BEAM_POLICIES)
