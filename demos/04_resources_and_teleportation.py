@@ -9,8 +9,6 @@ a qubit channel can distribute an ebit.
 Run:  python demos/04_resources_and_teleportation.py
 """
 
-import numpy as np
-
 from ctcsim import (
     ProtocolConfig,
     STANDARD_RELATIONS,

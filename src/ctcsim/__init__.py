@@ -45,11 +45,9 @@ from .resources import (
 )
 from .states import (
     DensityOperator,
-    MeasurementResult,
     StateVector,
     apply_unitary,
     fidelity,
-    measure_projective,
     partial_trace,
     purity,
     tensor_product,
@@ -78,7 +76,6 @@ __all__ = [
     "FixedPointSolution",
     "GateSpec",
     "LedgerEntry",
-    "MeasurementResult",
     "ProtocolConfig",
     "ProtocolError",
     "ResourceKind",
@@ -98,7 +95,6 @@ __all__ = [
     "deutsch_map",
     "fidelity",
     "is_hausdorff",
-    "measure_projective",
     "partial_trace",
     "purity",
     "run_alice_stage",

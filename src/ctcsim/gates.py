@@ -9,7 +9,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import serialize
-from .states import ATOL, StateVector, _Frozen, _as_complex, _kron, _qubit_count
+from .states import ATOL, StateVector, _Frozen, _as_complex, _qubit_count
 
 
 class UnitaryGate(_Frozen):
@@ -22,13 +22,9 @@ class UnitaryGate(_Frozen):
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"gate must be square, got shape {mat.shape}")
         _qubit_count(mat.shape[0])
-        if not np.allclose(mat.conj().T @ mat, np.eye(mat.shape[0]), atol=ATOL, rtol=0.0):
+        if not np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max() <= ATOL:
             raise ValueError("matrix is not unitary within 1e-12")
         self._set(matrix=mat, dim=mat.shape[0], label=str(label))
-
-    @property
-    def num_qubits(self) -> int:
-        return _qubit_count(self.dim)
 
     def to_json(self) -> dict:
         return serialize.matrix_to_document(self.matrix)
@@ -130,25 +126,3 @@ def bell_pair() -> StateVector:
     """The maximally entangled pair (|00> + |11>)/sqrt(2)."""
     return StateVector(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2))
 
-
-def embed(gate: UnitaryGate, targets, num_qubits: int) -> UnitaryGate:
-    """Lift a gate onto specific qubits of a larger register.
-
-    ``targets`` lists the qubit positions (most significant first) the
-    gate's own qubits act on; remaining qubits get the identity.
-    """
-    targets = list(targets)
-    k = gate.num_qubits
-    if len(targets) != k:
-        raise ValueError(f"gate acts on {k} qubits but {len(targets)} targets given")
-    if len(set(targets)) != k or any(not 0 <= t < num_qubits for t in targets):
-        raise ValueError(f"invalid target list {targets} for {num_qubits} qubits")
-    rest = [q for q in range(num_qubits) if q not in targets]
-    big = _kron(gate.matrix, np.eye(2 ** len(rest), dtype=complex))
-    # big acts on qubit order [targets..., rest...]; permute to natural order
-    perm = targets + rest
-    inverse = [perm.index(q) for q in range(num_qubits)]
-    tensor = big.reshape((2,) * (2 * num_qubits))
-    tensor = np.transpose(tensor, inverse + [num_qubits + ax for ax in inverse])
-    dim = 2**num_qubits
-    return UnitaryGate(tensor.reshape(dim, dim), label=f"{gate.label}@{targets}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import serialize
 from .consistency import check_deutsch, check_weak, deutsch_map
-from .gates import GateSpec, UnitaryGate, bell_pair, build_gate, cnot, embed, hadamard, pauli_x, pauli_z
+from .gates import GateSpec, UnitaryGate, bell_pair, build_gate, cnot, hadamard, pauli_x, pauli_z
 from .resources import FIDELITY_THRESHOLD, LedgerEntry, ResourceKind, tally
 from .states import (
     DensityOperator,
@@ -330,7 +330,7 @@ def _measure_chronology(session: Session, joint, actor: str):
     """
     detail = {"subsystem": "chronology", "basis": "computational"}
     vector = isinstance(joint, StateVector)
-    branches = _branches(joint.amplitudes if vector else joint.matrix, 0)
+    branches = _branches(joint.amplitudes if vector else joint.matrix)
     probabilities = [prob for prob, _ in branches]
     outcome = _sample(session.rng.random(), probabilities)
     rest = branches[outcome][1]
@@ -671,7 +671,7 @@ def _beam_table(policy: str) -> tuple:
         # swap the known probe in; Alice's chronology qubit now holds the
         # beam state and the CTC carries the probe
         joint = swap_matrix @ _kron(probe.amplitudes, prep_state.amplitudes)
-        first_probabilities.append(_branches(joint, 0, bases[meas_basis])[0][0])
+        first_probabilities.append(_branches(joint, bases[meas_basis])[0][0])
         matched = meas_basis == prep_basis
         matches.append(matched)
         residuals = (None, None)
@@ -762,9 +762,9 @@ def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Trans
     record.book(ResourceKind.EBIT, -1)
 
     psi = tensor_product(input_state, pair)
-    psi = apply_unitary(psi, embed(cnot(), [0, 1], 3))
+    psi = apply_unitary(psi, _kron(cnot().matrix, np.eye(2, dtype=complex)))
     record.event("alice", "gate", {"gate": "cnot", "targets": [0, 1]})
-    psi = apply_unitary(psi, embed(hadamard(), [0], 3))
+    psi = apply_unitary(psi, _kron(hadamard().matrix, np.eye(4, dtype=complex)))
     record.event("alice", "gate", {"gate": "hadamard", "targets": [0]})
 
     # Bob's corrections X^m1 then Z^m0, indexed by the two measured bits
@@ -772,8 +772,8 @@ def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Trans
     z_pow = (np.eye(2, dtype=complex), pauli_z().matrix)
     outcome_table = {}
     corrected_states = {}
-    for m0, (_, first) in enumerate(_branches(psi.amplitudes, 0)):
-        for m1, (prob, second) in enumerate(_branches(first, 0)):
+    for m0, (_, first) in enumerate(_branches(psi.amplitudes)):
+        for m1, (prob, second) in enumerate(_branches(first)):
             corrected = z_pow[m0] @ (x_pow[m1] @ second)
             corrected = corrected / np.linalg.norm(corrected)
             fid = fidelity(input_state, StateVector(corrected))

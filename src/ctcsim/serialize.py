@@ -128,8 +128,3 @@ def load(path: str | Path, build):
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
-
-def save_array(path: str | Path, values: np.ndarray) -> None:
-    values = np.asarray(values, dtype=complex)
-    document = matrix_to_document(values) if values.ndim == 2 else vector_to_document(values)
-    Path(path).write_text(json.dumps(document) + "\n", encoding="utf-8")

@@ -10,7 +10,6 @@ most significant bit of the basis index.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -102,18 +101,8 @@ class StateVector(_Frozen):
     def num_qubits(self) -> int:
         return _qubit_count(self.dim)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def density(self) -> "DensityOperator":
         return DensityOperator._trusted(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def equals_up_to_phase(self, other: "StateVector", atol: float = ATOL) -> bool:
-        """Physical equality: global phase quotiented out via |<a|b>|."""
-        if self.dim != other.dim:
-            return False
-        overlap = abs(np.vdot(self.amplitudes, other.amplitudes))
-        return bool(overlap >= 1.0 - atol)
 
     def to_json(self) -> dict:
         return serialize.vector_to_document(self.amplitudes)
@@ -139,7 +128,7 @@ class DensityOperator(_Frozen):
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density operator must be square, got shape {mat.shape}")
         _qubit_count(mat.shape[0])
-        if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0.0):
+        if not np.abs(mat - mat.conj().T).max() <= ATOL:
             raise ValueError("density operator must be Hermitian within 1e-12")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > ATOL:
@@ -194,18 +183,6 @@ class DensityOperator(_Frozen):
 
     def __repr__(self):
         return f"DensityOperator({np.array2string(self.matrix, precision=6)})"
-
-
-@dataclass(frozen=True)
-class MeasurementResult:
-    """One measurement branch: outcome label, Born probability, post state.
-
-    ``post_state`` is None for a zero-probability branch.
-    """
-
-    outcome: int
-    probability: float
-    post_state: Union[StateVector, DensityOperator, None]
 
 
 QuantumState = Union[StateVector, DensityOperator]
@@ -269,45 +246,24 @@ def apply_unitary(state: QuantumState, u) -> QuantumState:
     return DensityOperator._trusted(matrix @ state.matrix @ matrix.conj().T)
 
 
-def _basis_pair(basis) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a basis argument to two orthonormal single-qubit vectors."""
-    if basis is None:
-        return _COMPUTATIONAL
-    vectors = []
-    for entry in basis:
-        if isinstance(entry, StateVector):
-            vec = entry.amplitudes
-        else:
-            vec = _as_complex(entry, "measurement basis vector is not normalized").reshape(-1)
-        if vec.size != 2:
-            raise ValueError("measurement basis vectors must be single-qubit")
-        vectors.append(vec)
-    if len(vectors) != 2:
-        raise ValueError("measurement basis must contain exactly two vectors")
-    b0, b1 = vectors
-    gram = np.array([[np.vdot(b0, b0), np.vdot(b0, b1)], [np.vdot(b1, b0), np.vdot(b1, b1)]])
-    if not np.allclose(gram, np.eye(2), atol=ATOL, rtol=0.0):
-        raise ValueError("measurement basis is not orthonormal within 1e-12")
-    return b0, b1
-
-
-def _branches(array: np.ndarray, subsystem: int, basis=_COMPUTATIONAL) -> list:
+def _branches(array: np.ndarray, basis=_COMPUTATIONAL) -> list:
     """The measurement kernel: (Born probability, unnormalised remainder on
-    the other qubits) for each vector b of a single-qubit basis.
+    the other qubits) for each vector b of a single-qubit basis, measured on
+    qubit 0.
 
     Amplitudes psi give <b|psi>, with probability |<b|psi>|^2; a density
     matrix rho gives <b|rho|b>, one contraction on each side, with
-    probability Re Tr. The arrays, subsystem and basis are trusted.
+    probability Re Tr. The arrays and basis are trusted.
     """
     n = _qubit_count(len(array))
     tensor = array.reshape((2,) * (array.ndim * n))
     branches = []
     for b in basis:
-        rest = np.tensordot(b.conj(), tensor, axes=([0], [subsystem]))
+        rest = np.tensordot(b.conj(), tensor, axes=([0], [0]))
         if array.ndim == 1:
             branches.append((float(np.linalg.norm(rest)) ** 2, rest.reshape(-1)))
         else:
-            rest = np.tensordot(rest, b, axes=([n - 1 + subsystem], [0])).reshape(2 ** (n - 1), -1)
+            rest = np.tensordot(rest, b, axes=([n - 1], [0])).reshape(2 ** (n - 1), -1)
             branches.append((float(np.real(np.trace(rest))), rest))
     return branches
 
@@ -319,38 +275,6 @@ def _sample(draw: float, probabilities) -> int:
         if draw < total:
             break
     return outcome
-
-
-def _place(single: np.ndarray, rest: np.ndarray, subsystem: int) -> np.ndarray:
-    """``single (x) rest`` with the single qubit's axes moved to ``subsystem``."""
-    joint = _kron(single, rest)
-    n = _qubit_count(len(joint))
-    axes = [0, n][: joint.ndim]
-    moved = np.moveaxis(joint.reshape((2,) * (n * joint.ndim)), axes, [a + subsystem for a in axes])
-    return moved.reshape(joint.shape)
-
-
-def measure_projective(state: QuantumState, subsystem: int, basis=None) -> list:
-    """Projective measurement of one qubit in an orthonormal basis pair: the
-    full Born distribution, one :class:`MeasurementResult` per outcome. A
-    caller that wants one outcome draws it with :func:`_sample`.
-    """
-    b_pair = _basis_pair(basis)
-    if not isinstance(state, (StateVector, DensityOperator)):
-        raise TypeError(f"expected StateVector or DensityOperator, got {type(state).__name__}")
-    vector = isinstance(state, StateVector)
-    if not 0 <= subsystem < state.num_qubits:
-        raise ValueError(f"invalid subsystem index {subsystem} for {state.num_qubits} qubits")
-    branches = _branches(state.amplitudes if vector else state.matrix, subsystem, b_pair)
-    results = []
-    for label, (b, (prob, rest)) in enumerate(zip(b_pair, branches)):
-        post = None
-        if prob > 1e-15 and vector:
-            post = StateVector(_place(b, rest / np.sqrt(prob), subsystem))
-        elif prob > 1e-15:
-            post = DensityOperator._trusted(_place(np.outer(b, b.conj()), rest / prob, subsystem))
-        results.append(MeasurementResult(label, max(prob, 0.0), post))
-    return results
 
 
 def trace_distance(r1: DensityOperator, r2: DensityOperator) -> float:

@@ -166,17 +166,6 @@ class TopologySpace(_Frozen):
         pts, _, minimal, _ = _read(points, subbasis)
         return cls._trusted(pts, minimal)
 
-    def subspace(self, subset: Iterable[str]) -> "TopologySpace":
-        """Induced topology on the listed points, in point order: U_x ∩ S."""
-        if self._violations:
-            raise ValueError(f"not a topology: {self._violations[0]}")
-        kept = frozenset(subset)
-        unknown = kept.difference(self._minimal)
-        if unknown:
-            raise ValueError(f"subspace labels {sorted(unknown, key=repr)} are not points of the space")
-        sub = [p for p in self.points if p in kept]
-        return self._trusted(sub, {p: self._minimal[p] & kept for p in sub})
-
     def to_json(self) -> dict:
         return {"points": list(self.points), "opens": [sorted(o) for o in self.opens]}
 

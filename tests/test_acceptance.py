@@ -12,7 +12,6 @@ import sys
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from ctcsim.consistency import fixed_set_distance, scan_admissible_inputs, solve_deutsch_fixed_point
 from ctcsim.gates import controlled_rotation, swap

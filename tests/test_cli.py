@@ -9,9 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ctcsim import cli
+from ctcsim import cli, serialize
 from ctcsim.gates import GATE_NAMES, hadamard
-from ctcsim.serialize import save_array
 
 
 def run_cli(args, env=None):
@@ -245,11 +244,15 @@ def test_one_number_is_an_inline_state_not_a_path(capsys, argv):
 # ------------------------------------------------------------------ file inputs
 
 
+def write_document(path, document):
+    path.write_text(json.dumps(document) + "\n", encoding="utf-8")
+
+
 def test_state_and_unitary_files(tmp_path, capsys):
     state_path = tmp_path / "state.json"
-    save_array(state_path, np.array([0.6, 0.8j]))
+    write_document(state_path, serialize.vector_to_document([0.6, 0.8j]))
     gate_path = tmp_path / "gate.json"
-    save_array(gate_path, hadamard().matrix)
+    write_document(gate_path, serialize.matrix_to_document(hadamard().matrix))
     code, out, _ = run_main(
         capsys,
         ["classify-consistency", "--state", str(state_path), "--unitary", "swap"],
@@ -266,7 +269,7 @@ def test_state_and_unitary_files(tmp_path, capsys):
 
 def test_fixed_point_accepts_density_matrix_file(tmp_path, capsys):
     rho_path = tmp_path / "rho.json"
-    save_array(rho_path, np.diag([0.75, 0.25]).astype(complex))
+    write_document(rho_path, serialize.matrix_to_document(np.diag([0.75, 0.25])))
     code, out, _ = run_main(
         capsys, ["fixed-point", "--unitary", "swap", "--state", str(rho_path)]
     )

@@ -12,14 +12,13 @@ from ctcsim.gates import (
     cnot,
     controlled_phase,
     controlled_rotation,
-    embed,
     hadamard,
     identity,
     pauli_x,
     pauli_z,
     swap,
 )
-from ctcsim.states import StateVector, apply_unitary, partial_trace, tensor_product
+from ctcsim.states import ATOL, StateVector, apply_unitary, partial_trace, tensor_product
 
 NAMED = [swap, controlled_rotation, controlled_phase, hadamard, pauli_x, pauli_z, cnot, identity]
 
@@ -33,6 +32,17 @@ def test_named_gates_are_unitary(factory):
 def test_unitary_gate_rejects_non_unitary():
     with pytest.raises(ValueError):
         UnitaryGate([[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
+def test_unitary_tolerance_is_atol(scale, accepted):
+    # U-dagger U - I = diag(0, scale * ATOL)
+    matrix = np.diag([1.0, np.sqrt(1.0 + scale * ATOL)])
+    if accepted:
+        UnitaryGate(matrix)
+    else:
+        with pytest.raises(ValueError, match="not unitary within 1e-12"):
+            UnitaryGate(matrix)
 
 
 def test_swap_action():
@@ -110,33 +120,9 @@ def test_custom_gate_rejects_non_unitary(tmp_path):
 def test_bell_pair_amplitudes():
     pair = bell_pair()
     assert np.allclose(pair.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2))
-    assert pair.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(pair.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bell_pair_reduced_state_is_maximally_mixed():
     reduced = partial_trace(bell_pair().density(), keep=1)
     assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
-
-
-def test_embed_matches_kron_oracle():
-    assert np.allclose(embed(pauli_x(), [1], 2).matrix, np.kron(np.eye(2), pauli_x().matrix))
-    assert np.allclose(embed(pauli_x(), [0], 2).matrix, np.kron(pauli_x().matrix, np.eye(2)))
-    assert np.allclose(embed(cnot(), [0, 1], 3).matrix, np.kron(cnot().matrix, np.eye(2)))
-
-
-def test_embed_nonadjacent_targets():
-    # control on qubit 0, target on qubit 2: |100> -> |101>, |101> -> |100>
-    gate = embed(cnot(), [0, 2], 3)
-    state = apply_unitary(StateVector.basis(0b100, num_qubits=3), gate)
-    assert np.allclose(state.amplitudes, np.eye(8)[0b101])
-    state = apply_unitary(StateVector.basis(0b001, num_qubits=3), gate)
-    assert np.allclose(state.amplitudes, np.eye(8)[0b001])
-
-
-def test_embed_rejects_bad_targets():
-    with pytest.raises(ValueError):
-        embed(cnot(), [0], 3)
-    with pytest.raises(ValueError):
-        embed(cnot(), [0, 0], 3)
-    with pytest.raises(ValueError):
-        embed(cnot(), [0, 4], 3)

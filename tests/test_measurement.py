@@ -1,16 +1,16 @@
 """One measurement kernel and one sampler, checked against the code they replaced.
 
 Every measurement in the package goes through ``states._branches`` (Born
-probability and unnormalised remainder per outcome) and ``states._sample``
-(one uniform draw against running sums). The functions below are the
-earlier, separate implementations: ``measure_projective``'s distribution
-with its full-dimension projectors, both formalisms of the chronology
+probability and unnormalised remainder per outcome, on qubit 0) and
+``states._sample`` (one uniform draw against running sums). The functions
+below are the earlier, separate implementations: a projective measurement
+with full-dimension projectors, both formalisms of the chronology
 measurement, the teleportation table with its cumulative loop, and the
 beam's inline contraction. Where the new route computes the same
-operations, the tests compare bytes. ``measure_projective`` builds its
-post-states by a different route (a broadcast outer product, and for a
-density operator a contraction instead of a projector), so those are
-compared within 1e-12.
+operations, the tests compare bytes. The old post-states were built by a
+different route (a BLAS outer product, and for a density operator a
+projector sandwich), so the kernel's remainders placed back beside the
+measured basis vector are compared with them within 1e-12.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ctcsim import protocol, states  # noqa: E402
-from ctcsim.gates import bell_pair, cnot, embed, hadamard, swap  # noqa: E402
+from ctcsim.gates import bell_pair, cnot, hadamard, swap  # noqa: E402
 from ctcsim.protocol import (  # noqa: E402
     ProtocolConfig,
     Session,
@@ -33,7 +33,6 @@ from ctcsim.states import (  # noqa: E402
     StateVector,
     apply_unitary,
     fidelity,
-    measure_projective,
     tensor_product,
 )
 from test_consistency import haar_unitary  # noqa: E402
@@ -156,8 +155,8 @@ def old_teleport_sample(draw, outcome_table):
 
 def old_teleport_table(input_state):
     psi = tensor_product(input_state, bell_pair())
-    psi = apply_unitary(psi, embed(cnot(), [0, 1], 3))
-    psi = apply_unitary(psi, embed(hadamard(), [0], 3))
+    psi = apply_unitary(psi, np.kron(cnot().matrix, np.eye(2)))
+    psi = apply_unitary(psi, np.kron(hadamard().matrix, np.eye(4)))
     x_mat = np.array([[0, 1], [1, 0]], dtype=complex)
     z_mat = np.array([[1, 0], [0, -1]], dtype=complex)
     table = {}
@@ -205,12 +204,11 @@ def random_density(rng, n):
 
 
 def random_case(seed, n, kind, haar):
-    """A random state on n qubits, a subsystem and a basis pair (or None)."""
+    """A random state on n qubits and a basis pair for qubit 0."""
     rng = np.random.default_rng(seed)
     state = random_vector(rng, n) if kind == "vector" else random_density(rng, n)
-    subsystem = int(rng.integers(n))
-    basis = tuple(haar_unitary(rng, 2).T) if haar else None
-    return state, subsystem, basis
+    basis = tuple(haar_unitary(rng, 2).T) if haar else COMPUTATIONAL
+    return state, basis
 
 
 def same_bytes(a, b):
@@ -218,48 +216,46 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# ------------------------------------------------------- measure_projective
+# ------------------------------------------------------ the kernel on qubit 0
 
 
 @examples
 @given(seeds, st.integers(1, 3), st.booleans())
 def test_vector_distribution_matches_old(seed, n, haar):
-    state, subsystem, basis = random_case(seed, n, "vector", haar)
-    old = old_measurement_distribution(state, subsystem, basis or COMPUTATIONAL)
-    new = measure_projective(state, subsystem, basis=basis)
-    for b, (label, prob, post), result in zip(basis or COMPUTATIONAL, old, new, strict=True):
-        rest = states._branches(state.amplitudes, subsystem, (b,))[0][1]
-        assert same_bytes(rest, old_measurement_branch(state, subsystem, b))
-        assert result.outcome == label
-        assert same_bytes(result.probability, prob)
-        # the post-state's outer product now broadcasts instead of calling
-        # BLAS, which rounds differently in the last bit
-        assert np.max(np.abs(result.post_state.amplitudes - post.amplitudes)) <= 1e-12
+    state, basis = random_case(seed, n, "vector", haar)
+    old = old_measurement_distribution(state, 0, basis)
+    new = states._branches(state.amplitudes, basis)
+    for b, (_, prob, post), (new_prob, rest) in zip(basis, old, new, strict=True):
+        assert same_bytes(rest, old_measurement_branch(state, 0, b))
+        assert same_bytes(new_prob, prob)
+        # the old post-state's outer product called BLAS, which rounds
+        # differently in the last bit
+        assert np.max(np.abs(np.kron(b, rest / np.sqrt(new_prob)) - post.amplitudes)) <= 1e-12
 
 
 @examples
 @given(seeds, st.integers(1, 3), st.booleans())
 def test_density_distribution_matches_old_within_tolerance(seed, n, haar):
-    state, subsystem, basis = random_case(seed, n, "density", haar)
-    old = old_measurement_distribution(state, subsystem, basis or COMPUTATIONAL)
-    new = measure_projective(state, subsystem, basis=basis)
-    for (label, prob, post), result in zip(old, new, strict=True):
-        assert result.outcome == label
-        assert abs(result.probability - prob) <= 1e-12
-        assert (result.post_state is None) == (post is None)
+    state, basis = random_case(seed, n, "density", haar)
+    old = old_measurement_distribution(state, 0, basis)
+    new = states._branches(state.matrix, basis)
+    for b, (_, prob, post), (new_prob, rest) in zip(basis, old, new, strict=True):
+        assert abs(new_prob - prob) <= 1e-12
+        assert (post is None) == (new_prob <= 1e-15)
         if post is not None:
-            assert np.max(np.abs(result.post_state.matrix - post.matrix)) <= 1e-12
+            placed = np.kron(np.outer(b, b.conj()), rest / new_prob)
+            assert np.max(np.abs(placed - post.matrix)) <= 1e-12
 
 
 @examples
 @given(seeds, st.integers(1, 3), st.sampled_from(["vector", "density"]), st.booleans(), seeds)
 def test_seeded_sampling_matches_rng_choice(seed, n, kind, haar, draw_seed):
-    state, subsystem, basis = random_case(seed, n, kind, haar)
-    old = old_measure_projective_sampled(state, subsystem, basis or COMPUTATIONAL, draw_seed)
+    state, basis = random_case(seed, n, kind, haar)
+    old = old_measure_projective_sampled(state, 0, basis, draw_seed)
     # the caller draws one outcome from the distribution with the one sampler
-    distribution = measure_projective(state, subsystem, basis=basis)
+    array = state.amplitudes if kind == "vector" else state.matrix
     draw = np.random.default_rng(draw_seed).random()
-    assert states._sample(draw, [r.probability for r in distribution]) == old
+    assert states._sample(draw, [prob for prob, _ in states._branches(array, basis)]) == old
 
 
 # ----------------------------------------------------- chronology measurement
@@ -347,12 +343,10 @@ def test_every_measurement_reaches_the_one_kernel(monkeypatch):
     kernel = states._branches
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args)
         return kernel(*args, **kwargs)
 
-    for module in (states, protocol):
-        if hasattr(module, "_branches"):
-            monkeypatch.setattr(module, "_branches", counting)
+    monkeypatch.setattr(protocol, "_branches", counting)
 
     def reaches(run):
         calls.clear()
@@ -367,5 +361,3 @@ def test_every_measurement_reaches_the_one_kernel(monkeypatch):
     protocol._beam_table.cache_clear()
     assert reaches(lambda: run_beam(4))
     assert reaches(lambda: run_teleportation_baseline(state))
-    assert reaches(lambda: measure_projective(state, 0))
-    assert reaches(lambda: measure_projective(state.density(), 0))

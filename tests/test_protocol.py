@@ -14,7 +14,6 @@ from ctcsim.gates import (
     build_gate,
     cnot,
     controlled_rotation,
-    embed,
     hadamard,
     swap,
 )
@@ -505,7 +504,7 @@ def oracle_beam(trials, policy, seed):
     for prep_basis, prep_bit, meas_basis in itertools.product((0, 1), repeat=3):
         prep_state = states[prep_basis][prep_bit]
         joint = swap_matrix @ _kron(probe.amplitudes, prep_state.amplitudes)
-        probabilities = [prob for prob, _ in _branches(joint, 0, bases[meas_basis])]
+        probabilities = [prob for prob, _ in _branches(joint, bases[meas_basis])]
         matched = meas_basis == prep_basis
         residuals = (None, None)
         if matched or policy == "noise":
@@ -790,7 +789,7 @@ def test_teleportation_against_full_circuit_oracle():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     psi = np.kron(state.amplitudes, bell_pair().amplitudes)
-    circuit = embed(hadamard(), [0], 3).matrix @ embed(cnot(), [0, 1], 3).matrix
+    circuit = np.kron(hadamard().matrix, np.eye(4)) @ np.kron(cnot().matrix, np.eye(2))
     psi = circuit @ psi
     for m0 in (0, 1):
         for m1 in (0, 1):

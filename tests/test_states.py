@@ -3,13 +3,13 @@ import pytest
 
 from ctcsim import serialize
 from ctcsim.states import (
+    ATOL,
     DensityOperator,
     StateVector,
     _branches,
     _sample,
     apply_unitary,
     fidelity,
-    measure_projective,
     partial_trace,
     purity,
     tensor_product,
@@ -58,6 +58,17 @@ def test_state_vector_rejects_nan():
 def test_density_rejects_non_hermitian():
     with pytest.raises(ValueError):
         DensityOperator([[0.5, 0.5], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize("scale, accepted", [(0.9, True), (1.1, False)])
+def test_density_hermitian_tolerance_is_atol(scale, accepted):
+    # rho - rho-dagger has one nonzero part, scale * ATOL
+    matrix = [[0.5, 0.25], [0.25 + scale * ATOL, 0.5]]
+    if accepted:
+        DensityOperator(matrix)
+    else:
+        with pytest.raises(ValueError, match="Hermitian within 1e-12"):
+            DensityOperator(matrix)
 
 
 def test_density_rejects_bad_trace():
@@ -196,7 +207,7 @@ def test_unitary_then_inverse_restores():
 def test_apply_unitary_preserves_norm():
     for _ in range(10):
         out = apply_unitary(random_state(2), random_unitary(4))
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_apply_unitary_dimension_mismatch():
@@ -216,10 +227,9 @@ def test_measure_deterministic_outcome():
     # post-coupling state a|00> + b|01>: the chronology qubit reads 0 with
     # certainty and the CTC factor keeps the amplitudes
     state = StateVector([0.6, 0.8, 0.0, 0.0])
-    results = measure_projective(state, 0)
-    assert results[0].probability == pytest.approx(1.0, abs=1e-12)
-    assert results[1].probability == pytest.approx(0.0, abs=1e-12)
-    ctc_factor = _branches(state.amplitudes, 0)[0][1]
+    (p0, ctc_factor), (p1, _) = _branches(state.amplitudes)
+    assert p0 == pytest.approx(1.0, abs=1e-12)
+    assert p1 == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(ctc_factor, [0.6, 0.8])
 
 
@@ -227,64 +237,52 @@ def test_measure_probabilistic_branches_share_ctc_factor():
     # a|00> + b|10>: outcomes follow |a|^2, |b|^2, the CTC factor is |0>
     # in both branches
     state = StateVector([0.6, 0.0, 0.8, 0.0])
-    results = measure_projective(state, 0)
-    assert results[0].probability == pytest.approx(0.36)
-    assert results[1].probability == pytest.approx(0.64)
-    for outcome, scale in ((0, 0.6), (1, 0.8)):
-        branch = _branches(state.amplitudes, 0)[outcome][1]
+    branches = _branches(state.amplitudes)
+    assert [prob for prob, _ in branches] == pytest.approx([0.36, 0.64])
+    for (_, branch), scale in zip(branches, (0.6, 0.8)):
         assert np.allclose(branch, [scale, 0.0])
 
 
 def test_measure_plus_state_is_even():
     plus = StateVector.qubit(1 / np.sqrt(2), 1 / np.sqrt(2))
-    results = measure_projective(plus, 0)
-    assert results[0].probability == pytest.approx(0.5, abs=1e-12)
-    assert results[1].probability == pytest.approx(0.5, abs=1e-12)
+    probabilities = [prob for prob, _ in _branches(plus.amplitudes)]
+    assert probabilities == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def test_measure_probabilities_sum_to_one():
     for n in (1, 2, 3):
         for _ in range(5):
             state = random_state(n)
-            for sub in range(n):
-                results = measure_projective(state, sub)
-                assert sum(r.probability for r in results) == pytest.approx(1.0, abs=1e-12)
+            for array in (state.amplitudes, state.density().matrix):
+                assert sum(prob for prob, _ in _branches(array)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_seeded_sampling_reproducible():
     # a caller samples one outcome from the distribution with one seeded draw
-    probabilities = [r.probability for r in measure_projective(random_state(2), 0)]
+    probabilities = [prob for prob, _ in _branches(random_state(2).amplitudes)]
     first = _sample(np.random.default_rng(42).random(), probabilities)
     assert first == _sample(np.random.default_rng(42).random(), probabilities)
 
 
 def test_measure_density_operator_matches_vector():
     state = random_state(2)
-    vec_results = measure_projective(state, 1)
-    rho_results = measure_projective(state.density(), 1)
-    for v, r in zip(vec_results, rho_results):
-        assert v.probability == pytest.approx(r.probability, abs=1e-12)
-        if v.post_state is not None:
-            assert np.allclose(v.post_state.density().matrix, r.post_state.matrix, atol=1e-12)
+    for (pv, rest_v), (pr, rest_r) in zip(_branches(state.amplitudes), _branches(state.density().matrix)):
+        assert pv == pytest.approx(pr, abs=1e-12)
+        assert np.allclose(np.outer(rest_v, rest_v.conj()), rest_r, atol=1e-12)
 
 
 def test_measure_custom_basis():
     had = [np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2)]
-    results = measure_projective(StateVector.basis(0), 0, basis=had)
-    assert results[0].probability == pytest.approx(0.5)
-
-
-def test_measure_rejects_non_orthonormal_basis():
-    with pytest.raises(ValueError):
-        measure_projective(StateVector.basis(0), 0, basis=[[1, 0], [1, 0]])
+    (p0, _), _ = _branches(StateVector.basis(0).amplitudes, had)
+    assert p0 == pytest.approx(0.5)
 
 
 @pytest.mark.parametrize("density", [False, True])
-def test_zero_probability_branch_has_no_post_state(density):
+def test_zero_probability_branch_has_a_zero_remainder(density):
     state = StateVector([0.6, 0.8, 0.0, 0.0])
-    results = measure_projective(state.density() if density else state, 0)
-    assert results[1].probability == 0.0 and results[1].post_state is None
-    assert results[0].post_state is not None
+    (p0, rest0), (p1, rest1) = _branches(state.density().matrix if density else state.amplitudes)
+    assert p1 == 0.0 and not rest1.any()
+    assert p0 == pytest.approx(1.0, abs=1e-12) and rest0.any()
 
 
 @pytest.mark.parametrize("index, num_qubits", [(-1, 1), (2, 1), (-1, 2), (4, 2)])
@@ -343,13 +341,6 @@ def test_fidelity_mixed_mixed_matches_pure_formula():
     a, b = random_state(), random_state()
     direct = abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2
     assert fidelity(a.density(), b.density()) == pytest.approx(direct, abs=1e-10)
-
-
-def test_global_phase_equality():
-    a = random_state()
-    b = StateVector(np.exp(1j * 0.7) * a.amplitudes)
-    assert a.equals_up_to_phase(b)
-    assert not a.equals_up_to_phase(random_state())
 
 
 # -------------------------------------------------------------- serialization
