@@ -23,6 +23,7 @@ from ctcsim import (
     scan_admissible_inputs,
     solve_deutsch_fixed_point,
 )
+from ctcsim.consistency import density_from_bloch
 
 swap = build_gate(GateSpec("swap"))
 rotation = build_gate(GateSpec("controlled_rotation"))
@@ -67,7 +68,8 @@ print()
 print("=== which inputs may couple to a given CTC state? =========")
 admissible = scan_admissible_inputs(swap, ctc.density(), 16)
 print(f"  swap with rho = |0><0|: {len(admissible)} admissible grid point(s)")
-for candidate, residual in admissible:
+for r, residual in admissible:
+    candidate = density_from_bloch(r)
     print(f"    candidate diag={np.round(candidate.matrix.diagonal().real, 3)}, residual {residual:.2e}")
 
 identity = build_gate(GateSpec("identity"))

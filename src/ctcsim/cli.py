@@ -53,6 +53,12 @@ EXPECTED_COLLAPSE = ("bob_skips", "self_signal")
 #: Line splitting is held as its copies + 2 minimal opens and reports
 #: copies + 2 points: linear work, 1000 copies in well under a second.
 MAX_COPIES = 1000
+#: A --space file holds at most ``topology.MAX_SPACE_POINTS`` (32) points
+#: and ``MAX_SPACE_OPENS`` (1,100) opens, checked before its axiom pass. That
+#: pass and its report grow with points x opens x open size: the slowest
+#: file found under the caps, 32 open singletons and 1,067 random 8-point
+#: opens, takes about 0.7 s end to end on a 2-core Xeon and prints 2.3 MB
+#: of missing unions.
 #: Work grows linearly in trials and storage cycles and with the cube of the
 #: grid resolution. The trials and storage caps once kept the slowest run to
 #: about 10 s on a 2-core Xeon; there, serialization included, storage at
@@ -393,7 +399,8 @@ def _run_protocol(args, seed) -> tuple[dict, int, int]:
         if given:
             flag = "--" + given[0].replace("_", "-")
             raise ValueError(f"--config and {flag} are mutually exclusive; the file sets the session")
-        config = serialize.load(args.config, ProtocolConfig.from_json)
+        directory = os.path.dirname(args.config)
+        config = serialize.load(args.config, lambda doc: ProtocolConfig.from_json(doc, directory))
         _bounded("--storage-cycles", config.storage_cycles, 0, MAX_STORAGE_CYCLES)
     else:
         vars(args).update((d, value) for d, value in _SESSION_DEFAULTS.items() if d not in given)

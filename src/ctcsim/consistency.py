@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -64,12 +64,11 @@ class FixedPointError(RuntimeError):
 class ConsistencyVerdict:
     condition: str
     residual: float
-    passed: bool
     tolerance: float
 
-    def __post_init__(self):
-        if self.passed != (self.residual <= self.tolerance):
-            raise ValueError("verdict pass flag contradicts residual vs tolerance")
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.tolerance
 
     def to_json(self) -> dict:
         return {
@@ -82,25 +81,29 @@ class ConsistencyVerdict:
 
 def _verdict(condition: str, residual: float, tolerance: float) -> ConsistencyVerdict:
     residual = float(max(residual, 0.0))
-    return ConsistencyVerdict(condition, residual, residual <= tolerance, tolerance)
+    return ConsistencyVerdict(condition, residual, tolerance)
 
 
 @dataclass(frozen=True)
 class FixedPointSolution:
     """A self-consistent CTC state for one coupling.
 
-    ``fixed_space_dim`` counts the eigenvalue-1 multiplicity of the
-    vectorized map; when it exceeds 1 the solution is one of a family and
-    ``fixed_space_basis`` spans the whole eigenspace (as Hermitian
-    matrices).
+    ``directions`` is a 3 x k matrix whose columns are the Bloch
+    directions of the fixed set (the null space of the vectorized map's
+    Bloch part). ``fixed_space_dim``, the eigenvalue-1 multiplicity of the
+    vectorized map, is 1 + k; when it exceeds 1 the solution is one of a
+    family.
     """
 
     rho: DensityOperator
     method: str
     iterations: int
     residual: float
-    fixed_space_dim: int = 1
-    fixed_space_basis: tuple = field(default_factory=tuple)
+    directions: np.ndarray
+
+    @property
+    def fixed_space_dim(self) -> int:
+        return 1 + self.directions.shape[1]
 
     @property
     def degenerate(self) -> bool:
@@ -113,11 +116,6 @@ class FixedPointSolution:
     @cached_property
     def _bloch(self) -> np.ndarray:
         return bloch_vector(self.rho)
-
-    @cached_property
-    def _directions(self) -> np.ndarray:
-        """3 x k matrix whose columns are the fixed set's Bloch directions."""
-        return np.array([_pauli_coefficients(m)[1:] for m in self.fixed_space_basis[1:]]).T
 
     def to_json(self) -> dict:
         return {
@@ -235,21 +233,12 @@ def density_from_bloch(r) -> DensityOperator:
         r = r / norm
     mat = 0.5 * (_PAULI[0] + r[0] * _PAULI[1] + r[1] * _PAULI[2] + r[2] * _PAULI[3])
     if norm >= _SURFACE_SHELL:
-        mat = _onto_ball(mat[None])[0]
+        # a point on or near the surface can have a negative eigenvalue (fp
+        # fuzz); it is mixed infinitesimally toward the center
+        smallest = np.linalg.eigvalsh(mat).min()
+        if smallest < 0.0:
+            mat = (mat - smallest * np.eye(2)) / (1.0 - 2.0 * smallest)
     return DensityOperator._trusted(mat)
-
-
-def _onto_ball(mats: np.ndarray) -> np.ndarray:
-    """A stack of Bloch matrices of points on or near the ball's surface,
-    each with a negative eigenvalue (fp fuzz) mixed infinitesimally toward
-    the center; one stacked ``eigvalsh``."""
-    smallest = np.linalg.eigvalsh(mats).min(axis=1)[:, None, None]
-    fuzzy = (smallest < 0.0)[:, 0, 0]
-    if fuzzy.any():
-        mats = mats.copy()
-        s = smallest[fuzzy]
-        mats[fuzzy] = (mats[fuzzy] - s * np.eye(2)) / (1.0 - 2.0 * s)
-    return mats
 
 
 def transfer_matrix(u: UnitaryGate, rho_in: DensityOperator) -> np.ndarray:
@@ -353,9 +342,8 @@ def solve_deutsch_fixed_point(
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     r_star, null_basis, defect = _fixed_space(u, rho_in)
-    dim_fixed = 1 + len(null_basis)
-    basis = [0.5 * (_PAULI[0] + sum(r_star[i] * _PAULI[i + 1] for i in range(3)))]
-    basis += [0.5 * sum(v[i] * _PAULI[i + 1] for i in range(3)) for v in null_basis]
+    # adding 0.0 turns a -0.0 direction entry into +0.0
+    directions = np.array(null_basis).reshape(-1, 3).T + 0.0
 
     if method == "iterative":
         mat, iteration = _iterate(u, rho_in.matrix, tolerance, max_iterations)
@@ -376,7 +364,7 @@ def solve_deutsch_fixed_point(
         iteration = 0
         rho = density_from_bloch(r_star if norm <= 1.0 else r_star / norm)
     residual = trace_distance(rho, deutsch_map(u, rho_in, rho))
-    return FixedPointSolution(rho, method, iteration, residual, dim_fixed, tuple(basis))
+    return FixedPointSolution(rho, method, iteration, residual, directions)
 
 
 def fixed_set_distance(solution: FixedPointSolution, rho: DensityOperator) -> float:
@@ -385,7 +373,7 @@ def fixed_set_distance(solution: FixedPointSolution, rho: DensityOperator) -> fl
     if not solution.degenerate:
         return float(np.linalg.norm(offset))
     # least squares rather than a projector, whose rounding differs
-    basis = solution._directions
+    basis = solution.directions
     coef, *_ = np.linalg.lstsq(basis, offset, rcond=None)
     return float(np.linalg.norm(offset - basis @ coef))
 
@@ -432,32 +420,15 @@ def _admissible_points(u: UnitaryGate, rho: np.ndarray, grid_resolution: int, to
     return grid[keep], residuals[keep]
 
 
-def scan_admissible_inputs(
-    u: UnitaryGate,
-    rho: DensityOperator,
-    grid_resolution: int,
-    residual_tolerance: float = SOLVER_AGREEMENT_TOL,
-):
+def scan_admissible_inputs(u: UnitaryGate, rho: DensityOperator, grid_resolution: int):
     """Sweep candidate chronology-respecting inputs over a Bloch grid.
 
-    Returns the (rho_in, residual) pairs whose Deutsch residual against
-    the fixed CTC state rho stays within ``residual_tolerance``. Single-
-    qubit trace distance equals half the Euclidean Bloch distance, so the
-    sweep is evaluated in Bloch coordinates; the result is identical to
-    calling check_deutsch per point.
+    Returns the (r, residual) pairs, r a Bloch grid point, whose Deutsch
+    residual against the fixed CTC state rho stays within
+    ``SOLVER_AGREEMENT_TOL``; ``density_from_bloch(r)`` is the input.
+    Single-qubit trace distance equals half the Euclidean Bloch distance,
+    so the sweep is evaluated in Bloch coordinates; the result is identical
+    to calling check_deutsch per point.
     """
-    points, residuals = _admissible_points(u, rho.matrix, grid_resolution, residual_tolerance)
-    # density_from_bloch, batched: only near-surface points need its check,
-    # and they are scaled by its own per-point norm, since the row-wise norm
-    # can differ from it in the last bit
-    near = np.flatnonzero(np.linalg.norm(points, axis=1) >= _SURFACE_SHELL)
-    norms = np.array([float(np.linalg.norm(points[i])) for i in near])
-    outside = norms > 1.0
-    if outside.any():
-        points = points.copy()
-        points[near[outside]] /= norms[outside, None]
-    r = points[:, :, None, None]
-    mats = 0.5 * (_PAULI[0] + r[:, 0] * _PAULI[1] + r[:, 1] * _PAULI[2] + r[:, 2] * _PAULI[3])
-    if near.size:
-        mats[near] = _onto_ball(mats[near])
-    return list(zip(DensityOperator._trusted_stack(mats), residuals.tolist()))
+    points, residuals = _admissible_points(u, rho.matrix, grid_resolution, SOLVER_AGREEMENT_TOL)
+    return list(zip(points, residuals.tolist()))

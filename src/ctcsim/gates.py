@@ -46,6 +46,8 @@ class GateSpec:
             raise ValueError(f"unknown gate name {self.name!r}; expected one of {GATE_NAMES}")
         if self.name == "custom" and self.custom_path is None:
             raise ValueError("custom gates need custom_path")
+        if self.name != "custom" and self.custom_path is not None:
+            raise ValueError(f"gate {self.name!r} takes no custom_path")
         if self.params is not None and self.name != "controlled_phase":
             raise ValueError(f"gate {self.name!r} takes no angle parameter")
 

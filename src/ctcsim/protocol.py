@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import os
 import types
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -118,7 +119,9 @@ class ProtocolConfig:
             raise ProtocolError("storage_cycles must be nonnegative")
 
     @classmethod
-    def from_json(cls, document: dict) -> "ProtocolConfig":
+    def from_json(cls, document: dict, directory: str = "") -> "ProtocolConfig":
+        """The config a JSON document holds. A relative ``gate.custom_path``
+        is read from ``directory``, the config file's own."""
         state_doc = serialize.entry(document, "input_state", dict, "config")
         serialize.known_keys(document, _CONFIG_KEYS, "config")
         gate_doc = serialize.entry(document, "gate", dict, "config", default={"name": "swap"})
@@ -128,9 +131,16 @@ class ProtocolConfig:
             raise ValueError(
                 f"config key 'gate.params' must be a number or null, got {type(params).__name__}"
             )
+        path = gate_doc.get("custom_path")
+        if path is not None:
+            if not isinstance(path, str):
+                raise ValueError(
+                    f"config key 'gate.custom_path' must be a string or null, got {type(path).__name__}"
+                )
+            path = os.path.join(directory, path)
         kwargs = {
             "input_state": _state(state_doc, "input_state"),
-            "gate": GateSpec(gate_doc.get("name", "swap"), params, gate_doc.get("custom_path")),
+            "gate": GateSpec(gate_doc.get("name", "swap"), params, path),
         }
         if "ctc_initial" in document:
             ctc_doc = serialize.entry(document, "ctc_initial", dict, "config")
@@ -771,19 +781,18 @@ def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Trans
     x_pow = (np.eye(2, dtype=complex), pauli_x().matrix)
     z_pow = (np.eye(2, dtype=complex), pauli_z().matrix)
     outcome_table = {}
-    corrected_states = {}
+    outcomes = []
     for m0, (_, first) in enumerate(_branches(psi.amplitudes)):
         for m1, (prob, second) in enumerate(_branches(first)):
             corrected = z_pow[m0] @ (x_pow[m1] @ second)
-            corrected = corrected / np.linalg.norm(corrected)
-            fid = fidelity(input_state, StateVector(corrected))
-            key = f"{m0}{m1}"
-            outcome_table[key] = {"probability": float(prob), "fidelity": float(fid)}
-            corrected_states[key] = StateVector(corrected)
+            corrected = StateVector(corrected / np.linalg.norm(corrected))
+            fid = fidelity(input_state, corrected)
+            outcome_table[f"{m0}{m1}"] = {"probability": float(prob), "fidelity": float(fid)}
+            outcomes.append((m0, m1, corrected))
 
     probabilities = [entry["probability"] for entry in outcome_table.values()]
-    sampled = list(outcome_table)[_sample(rng.random(), probabilities)]
-    m0, m1 = int(sampled[0]), int(sampled[1])
+    m0, m1, corrected = outcomes[_sample(rng.random(), probabilities)]
+    sampled = f"{m0}{m1}"
 
     record.event("alice", "measurement", {"subsystem": 0, "basis": "bell_via_cnot_h", "outcome": m0})
     record.event("alice", "measurement", {"subsystem": 1, "basis": "bell_via_cnot_h", "outcome": m1})
@@ -799,7 +808,7 @@ def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Trans
         seed=seed,
         final_verdicts={},
         collapse_flag=False,
-        transferred_state=corrected_states[sampled].density(),
+        transferred_state=corrected.density(),
         transfer_fidelity=outcome_table[sampled]["fidelity"],
         branch_id=None,
         detail={"outcome_table": outcome_table, "sampled_outcome": sampled},

@@ -149,20 +149,6 @@ class DensityOperator(_Frozen):
         return rho
 
     @classmethod
-    def _trusted_stack(cls, matrices: np.ndarray) -> list:
-        """``_trusted`` for each matrix of a stack, as views of one read-only
-        copy of the stack rather than one copy each."""
-        stack = np.array(matrices, dtype=complex, order="C")
-        stack.flags.writeable = False
-        rhos = []
-        for matrix in stack:
-            rho = cls.__new__(cls)
-            object.__setattr__(rho, "matrix", matrix)
-            object.__setattr__(rho, "dim", len(matrix))
-            rhos.append(rho)
-        return rhos
-
-    @classmethod
     def maximally_mixed(cls, num_qubits: int = 1) -> "DensityOperator":
         dim = 2**num_qubits
         return cls._trusted(np.eye(dim, dtype=complex) / dim)

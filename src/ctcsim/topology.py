@@ -19,6 +19,12 @@ from . import serialize
 from .states import _Frozen
 
 
+#: The most points and opens a space document may hold; the CLI's
+#: ``MAX_COPIES`` comment gives the measured worst case under them.
+MAX_SPACE_POINTS = 32
+MAX_SPACE_OPENS = 1100
+
+
 class BranchError(RuntimeError):
     """Violation of the single-use branch contract."""
 
@@ -53,9 +59,9 @@ def _open_error(family: tuple, labels) -> ValueError:
 
 def _read(points: Iterable[str], family: Iterable[Iterable[str]]):
     """Check the labels of an outside family. Returns the points, its
-    distinct sets as read, each U_x (the intersection of the sets holding
-    x, or all points), and the bitmasks of those sets and of the U_x in
-    point order: bit i stands for points[i]."""
+    distinct sets as read, and as bitmasks those sets and each U_x (the
+    intersection of the sets holding x, or all points) in point order:
+    bit i stands for points[i]."""
     pts = tuple(points)
     for index, point in enumerate(pts):
         if not isinstance(point, str):
@@ -75,30 +81,30 @@ def _read(points: Iterable[str], family: Iterable[Iterable[str]]):
     except (KeyError, TypeError):
         raise _open_error(family, frozenset(pts)) from None
     full = (1 << len(pts)) - 1
-    minimal = [reduce(and_, [m for m in masks if m & b], full) for b in bit.values()]
-    decoded = {p: _decode(u, pts) for p, u in zip(pts, minimal)}
-    return pts, tuple(sets), decoded, (masks, minimal)
+    minimal = tuple(reduce(and_, [m for m in masks if m & b], full) for b in bit.values())
+    return pts, tuple(sets), masks, minimal
 
 
 class TopologySpace(_Frozen):
-    """A finite space held as ``_minimal``, each point's minimal open U_x,
-    whose unions are the opens (Alexandrov 1937). ``TopologySpace(points,
-    opens)`` keeps an outside family as read in ``_family`` and checks the
-    axioms once, into ``_violations``; the other constructors build the U_x
-    of a topology and run no check. Point labels are strings."""
+    """A finite space held as ``_minimal``, each point's minimal open U_x
+    as a bitmask in point order (bit i stands for points[i]), whose unions
+    are the opens (Alexandrov 1937). ``TopologySpace(points, opens)`` keeps
+    an outside family as read in ``_family`` and checks the axioms once,
+    into ``_violations``; the other constructors build the U_x of a
+    topology and run no check. Point labels are strings."""
 
     __slots__ = ("points", "_minimal", "_family", "_violations")
 
     def __init__(self, points: Iterable[str], opens: Iterable[Iterable[str]]):
-        pts, family, minimal, masks = _read(points, opens)
+        pts, family, masks, minimal = _read(points, opens)
         self._set(points=pts, _minimal=minimal, _family=family)
-        self._set(_violations=tuple(self._axiom_violations(*masks)))
+        self._set(_violations=tuple(self._axiom_violations(masks, minimal)))
 
     @classmethod
-    def _trusted(cls, points, minimal: dict) -> "TopologySpace":
+    def _trusted(cls, points, minimal: tuple) -> "TopologySpace":
         """Store, unchecked, U_x with x in U_x and U_y ⊆ U_x for y in U_x."""
         space = cls.__new__(cls)
-        space._set(points=tuple(points), _minimal=minimal, _family=None, _violations=())
+        space._set(points=tuple(points), _minimal=tuple(minimal), _family=None, _violations=())
         return space
 
     @property
@@ -113,12 +119,12 @@ class TopologySpace(_Frozen):
         labels = tuple(sorted(self.points, reverse=True))
         bit = {p: 1 << i for i, p in enumerate(labels)}
         opens = {0}
-        for u in {sum(map(bit.__getitem__, u)) for u in self._minimal.values()}:
+        for u in {sum(map(bit.__getitem__, _decode(u, self.points))) for u in self._minimal}:
             opens |= {o | u for o in opens}
         ordered = sorted(sorted(opens, reverse=True), key=int.bit_count)
         return tuple(_decode(o, labels) for o in ordered)
 
-    def _axiom_violations(self, sets: list, minimal: list) -> list:
+    def _axiom_violations(self, sets: list, minimal: tuple) -> list:
         """Check the axioms on minimal opens, given the family's distinct
         sets and each U_x as bitmasks; returns the violations.
 
@@ -163,7 +169,7 @@ class TopologySpace(_Frozen):
     def from_subbasis(cls, points: Iterable[str], subbasis: Iterable[Iterable[str]]) -> "TopologySpace":
         """The coarsest topology containing the given sets: U_x is the
         intersection of the generators holding x (all points if none does)."""
-        pts, _, minimal, _ = _read(points, subbasis)
+        pts, _, _, minimal = _read(points, subbasis)
         return cls._trusted(pts, minimal)
 
     def to_json(self) -> dict:
@@ -173,6 +179,9 @@ class TopologySpace(_Frozen):
     def from_json(cls, document: dict) -> "TopologySpace":
         points, opens = (serialize.entry(document, k, list, "space") for k in ("points", "opens"))
         serialize.known_keys(document, ("points", "opens"), "space")
+        for key, cap in (("points", MAX_SPACE_POINTS), ("opens", MAX_SPACE_OPENS)):
+            if len(document[key]) > cap:
+                raise ValueError(f"space key {key!r} holds {len(document[key])} entries; at most {cap} are allowed")
         try:
             return cls(points, opens)
         except _Malformed as exc:
@@ -194,8 +203,8 @@ def is_hausdorff(space: TopologySpace):
     """
     if space._violations:
         raise ValueError(f"not a topology: {space._violations[0]}")
-    for x, y in combinations(space.points, 2):
-        if space._minimal[x] & space._minimal[y]:
+    for (x, u), (y, v) in combinations(zip(space.points, space._minimal), 2):
+        if u & v:
             return False, (x, y)
     return True, None
 
@@ -212,8 +221,8 @@ def build_line_splitting(copies: int) -> TopologySpace:
     if copies < 2:
         raise ValueError(f"line splitting needs at least 2 copies, got {copies}")
     branch_points = [f"0_{i}" for i in range(1, copies + 1)]
-    minimal = {b: frozenset({"-1", b, "+1"}) for b in branch_points}
-    minimal.update({"-1": frozenset({"-1"}), "+1": frozenset({"+1"})})
+    past, future = 1 << copies, 1 << copies + 1
+    minimal = [past | 1 << i | future for i in range(copies)] + [past, future]
     return TopologySpace._trusted(branch_points + ["-1", "+1"], minimal)
 
 

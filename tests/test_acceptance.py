@@ -200,12 +200,12 @@ def test_criterion_06_purity_scan():
     rho = StateVector.basis(0).density()
     admissible = scan_admissible_inputs(swap(), rho, 16)
     pure_ok = len(admissible) >= 1 and all(
-        trace_distance(candidate, rho) <= 1e-9 for candidate, _ in admissible
+        trace_distance(_bloch_density(r), rho) <= 1e-9 for r, _ in admissible
     )
 
     mixed = DensityOperator(np.diag([0.75, 0.25]).astype(complex))
     mixed_admissible = scan_admissible_inputs(swap(), mixed, 16)
-    mixed_hits = [c for c, _ in mixed_admissible if purity(c) < 1.0 - 1e-9]
+    mixed_hits = [r for r, _ in mixed_admissible if purity(_bloch_density(r)) < 1.0 - 1e-9]
     print(
         "ACCEPTANCE 06 note  swap coupling with mixed rho=diag(0.75,0.25): "
         f"{len(mixed_hits)} mixed admissible input(s) found; the fixed-point "

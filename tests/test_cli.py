@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from ctcsim import cli, serialize
-from ctcsim.gates import GATE_NAMES, hadamard
+from ctcsim.gates import GATE_NAMES, hadamard, swap
+from ctcsim.topology import MAX_SPACE_POINTS
 
 
 def run_cli(args, env=None):
@@ -535,6 +537,67 @@ def test_topology_labels_and_opens_of_the_wrong_type_give_one_error_line(tmp_pat
     result = run_cli(["topology-check", "--space", str(path)])
     assert result.returncode == cli.EXIT_ERROR and result.stdout == b""
     assert result.stderr.decode().splitlines() == [f"error: {path}: space key {message}"]
+
+
+#: A wall-clock limit for a run that must end at once: far above the
+#: 0.3 s these runs take on a 2-core Xeon, far below a hang.
+AT_ONCE_S = 10
+
+
+def test_integer_custom_path_with_stdin_held_open_ends_at_once(tmp_path):
+    # the path 0 must not be opened: as a file descriptor it is stdin
+    path = tmp_path / "config.json"
+    state = {"dim": 2, "data": [[1, 0], [0, 0]]}
+    path.write_text(json.dumps({"input_state": state, "gate": {"name": "custom", "custom_path": 0}}))
+    read_end, write_end = os.pipe()
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "ctcsim.cli", "run-protocol", "--config", str(path)],
+            stdin=read_end, capture_output=True, timeout=AT_ONCE_S,
+        )
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert (result.returncode, result.stdout) == (cli.EXIT_ERROR, b"")
+    assert result.stderr.decode().splitlines() == [
+        f"error: {path}: config key 'gate.custom_path' must be a string or null, got int"
+    ]
+
+
+def test_over_cap_space_file_ends_at_once_in_one_error_line(tmp_path):
+    # 2,000 open singletons took 19 s and printed 56 MB before the caps
+    points = [f"p{i}" for i in range(2000)]
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"points": points, "opens": [[]] + [[p] for p in points]}))
+    result = subprocess.run(
+        [sys.executable, "-m", "ctcsim.cli", "topology-check", "--space", str(path)],
+        capture_output=True, timeout=AT_ONCE_S,
+    )
+    assert (result.returncode, result.stdout) == (cli.EXIT_ERROR, b"")
+    assert result.stderr.decode().splitlines() == [
+        f"error: {path}: space key 'points' holds 2000 entries; at most {MAX_SPACE_POINTS} are allowed"
+    ]
+
+
+def test_config_reads_its_custom_gate_from_its_own_directory(tmp_path, capsys, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "u.json").write_text(json.dumps(swap().to_json()))
+    state = {"dim": 2, "data": [[0.6, 0], [0.8, 0]]}
+    (sub / "c.json").write_text(
+        json.dumps({"input_state": state, "gate": {"name": "custom", "custom_path": "u.json"}})
+    )
+    outputs = {}
+    for cwd, config in ((tmp_path, "sub/c.json"), (sub, "c.json")):
+        monkeypatch.chdir(cwd)
+        code, out, _ = run_main(capsys, ["run-protocol", "--config", config])
+        assert code == cli.EXIT_OK
+        outputs[config] = json.loads(out)["results"]
+    assert outputs["sub/c.json"]["detail"]["gate"] == "custom:sub/u.json"
+    # run from its own directory, the config reads the path as written
+    assert outputs["c.json"]["detail"]["gate"] == "custom:u.json"
+    for key in ("transferred_state", "transfer_fidelity", "verdicts"):
+        assert outputs["c.json"][key] == outputs["sub/c.json"][key]
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ import pytest
 from ctcsim.consistency import (
     MAX_ITERATIONS,
     SOLVER_AGREEMENT_TOL,
-    ConsistencyVerdict,
     LOOP_LABELS,
     FixedPointError,
     bloch_grid,
@@ -15,6 +14,8 @@ from ctcsim.consistency import (
     check_deutsch,
     check_strong,
     check_weak,
+    _admissible_points,
+    _fixed_space,
     density_from_bloch,
     deutsch_map,
     fixed_set_distance,
@@ -124,11 +125,6 @@ def test_deutsch_map_is_trace_preserving():
         for _ in range(5):
             out = deutsch_map(gate, random_density(), random_density())
             assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_verdict_flag_must_match_residual():
-    with pytest.raises(ValueError):
-        ConsistencyVerdict("deutsch", residual=1.0, passed=True, tolerance=1e-12)
 
 
 # ----------------------------------------------------------------- fixed point
@@ -245,8 +241,8 @@ def test_scan_swap_admits_only_rho_itself():
     rho = StateVector.basis(0).density()
     admissible = scan_admissible_inputs(swap(), rho, 8)
     assert len(admissible) >= 1
-    for candidate, residual in admissible:
-        assert trace_distance(candidate, rho) <= 1e-9
+    for r, residual in admissible:
+        assert trace_distance(density_from_bloch(r), rho) <= 1e-9
         assert residual <= 1e-9
 
 
@@ -258,11 +254,13 @@ def test_scan_identity_admits_entire_grid():
 def test_scan_residuals_match_check_deutsch():
     rho = random_density()
     gate = controlled_rotation()
-    admissible = scan_admissible_inputs(gate, rho, 8, residual_tolerance=np.inf)
-    sample = RNG.choice(len(admissible), size=20, replace=False)
+    # the scan's kernel at an infinite tolerance keeps every grid point
+    points, residuals = _admissible_points(gate, rho.matrix, 8, np.inf)
+    assert len(points) == len(bloch_grid(8))
+    sample = RNG.choice(len(points), size=20, replace=False)
     for index in sample:
-        candidate, residual = admissible[index]
-        assert check_deutsch(gate, candidate, rho).residual == pytest.approx(residual, abs=1e-12)
+        candidate = density_from_bloch(points[index])
+        assert check_deutsch(gate, candidate, rho).residual == pytest.approx(residuals[index], abs=1e-12)
 
 
 def test_scan_rejects_invalid_density_probe():
@@ -425,15 +423,22 @@ def old_density_matrix_from_bloch(r):
     return mat
 
 
-def old_fixed_set_distance(solution, rho):
+def old_directions(null_basis):
+    """The old fixed-set directions: read back from the Hermitian matrices
+    built from the solver's null-space basis, as a 3 x k matrix."""
+    directions = []
+    for v in null_basis:
+        mat = 0.5 * sum(v[i] * PAULI[i + 1] for i in range(3))
+        directions.append([float(np.real(np.trace(p @ mat))) for p in PAULI[1:]])
+    return np.array(directions).reshape(-1, 3).T
+
+
+def old_fixed_set_distance(solution, rho, null_basis):
     r = old_bloch_vector(rho)
     r0 = old_bloch_vector(solution.rho)
-    if not solution.degenerate:
+    if not null_basis:
         return float(np.linalg.norm(r - r0))
-    directions = []
-    for mat in solution.fixed_space_basis[1:]:
-        directions.append([float(np.real(np.trace(p @ mat))) for p in PAULI[1:]])
-    basis = np.array(directions).T
+    basis = old_directions(null_basis)
     coef, *_ = np.linalg.lstsq(basis, r - r0, rcond=None)
     return float(np.linalg.norm(r - r0 - basis @ coef))
 
@@ -444,13 +449,14 @@ def old_residuals(u, rho, grid):
     return 0.5 * np.linalg.norm(grid @ a.T + b - old_bloch_vector(rho), axis=1)
 
 
-def old_scan(u, rho, resolution, residual_tolerance):
+def old_scan(u, rho, resolution, tolerance):
+    """The old per-point scan: each kept point, its density matrix and its residual."""
     grid = bloch_grid(resolution)
     residuals = old_residuals(u, rho, grid)
     return [
-        (old_density_matrix_from_bloch(point), float(residual))
+        (point, old_density_matrix_from_bloch(point), float(residual))
         for point, residual in zip(grid, residuals)
-        if residual <= residual_tolerance
+        if residual <= tolerance
     ]
 
 
@@ -584,11 +590,15 @@ def test_scan_is_bitwise_the_old_per_point_scan():
             # every point is kept at an infinite tolerance: one state per gate
             tolerances = (SOLVER_AGREEMENT_TOL, 0.3) + ((np.inf,) if k == 0 else ())
             for tolerance in tolerances:
-                new = scan_admissible_inputs(gate, rho, resolution, tolerance)
+                if tolerance == SOLVER_AGREEMENT_TOL:
+                    new = scan_admissible_inputs(gate, rho, resolution)
+                else:
+                    new = list(zip(*_admissible_points(gate, rho.matrix, resolution, tolerance)))
                 old = old_scan(gate, rho, resolution, tolerance)
                 assert len(new) == len(old)
-                for (candidate, residual), (old_matrix, old_residual) in zip(new, old):
-                    assert_same_bytes(candidate.matrix, old_matrix)
+                for (r, residual), (old_point, old_matrix, old_residual) in zip(new, old):
+                    assert_same_bytes(r, old_point)
+                    assert_same_bytes(density_from_bloch(r).matrix, old_matrix)
                     assert_same_bytes(residual, old_residual)
 
 
@@ -597,11 +607,12 @@ def test_identity_scan_is_bitwise_the_old_scan_at_grid_100():
     new = scan_admissible_inputs(identity(), rho, 100)
     grid = bloch_grid(100)
     assert len(new) == len(grid)
+    assert_same_bytes([r for r, _ in new], grid)
     # the old per-point path is slow: check every surface point and a stride
     radii = np.linalg.norm(grid, axis=1)
     for index in [*np.flatnonzero(radii > 0.99), *range(0, len(grid), 97)]:
-        assert_same_bytes(new[index][0].matrix, old_density_matrix_from_bloch(grid[index]))
-    assert_same_bytes([r for _, r in new], old_residuals(identity(), rho, grid))
+        assert_same_bytes(density_from_bloch(new[index][0]).matrix, old_density_matrix_from_bloch(grid[index]))
+    assert_same_bytes([residual for _, residual in new], old_residuals(identity(), rho, grid))
 
 
 def test_fixed_set_distance_is_bitwise_the_old_one():
@@ -613,10 +624,14 @@ def test_fixed_set_distance_is_bitwise_the_old_one():
     for gate in kernel_couplings(rng, 4):
         for rho_in in rho_ins:
             solution = solve_deutsch_fixed_point(gate, rho_in, "spectral")
+            _, null_basis, _ = _fixed_space(gate, rho_in)
+            assert_same_bytes(solution.directions, old_directions(null_basis))
+            assert solution.fixed_space_dim == 1 + len(null_basis)
             degenerate += solution.degenerate
             for rho in probes:
                 assert_same_bytes(
-                    fixed_set_distance(solution, rho), old_fixed_set_distance(solution, rho)
+                    fixed_set_distance(solution, rho),
+                    old_fixed_set_distance(solution, rho, null_basis),
                 )
     assert degenerate > 0
 
@@ -752,7 +767,7 @@ def test_iterative_solve_checks_its_steps_in_stacked_runs(monkeypatch):
     assert long_solves >= 2
 
 
-def test_scan_takes_one_eigvalsh_and_no_per_point_construction(monkeypatch):
+def test_scan_takes_no_eigvalsh_and_no_construction(monkeypatch):
     calls = []
     trusted = DensityOperator._trusted.__func__
 
@@ -766,14 +781,11 @@ def test_scan_takes_one_eigvalsh_and_no_per_point_construction(monkeypatch):
     scanned = 0
     for gate in (identity(), swap(), controlled_rotation(), UnitaryGate(haar_unitary(rng))):
         rho = random_density(rng)
-        for tolerance in (SOLVER_AGREEMENT_TOL, 0.3, np.inf):
-            del eigvalsh[:]
-            scan = scan_admissible_inputs(gate, rho, 16, tolerance)
-            assert len(eigvalsh) <= 1
-            assert calls == []
-            scanned += len(scan)
-            for candidate, _ in scan:
-                assert not candidate.matrix.flags.writeable
-                with pytest.raises(ValueError):
-                    candidate.matrix.flags.writeable = True
-    assert scanned > len(bloch_grid(16))
+        del eigvalsh[:]
+        scan = scan_admissible_inputs(gate, rho, 16)
+        assert eigvalsh == [] and calls == []
+        scanned += len(scan)
+        for r, residual in scan:
+            assert r.shape == (3,) and r.dtype == float and type(residual) is float
+    # the identity coupling admits every grid point
+    assert scanned >= len(bloch_grid(16))

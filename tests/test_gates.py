@@ -103,6 +103,11 @@ def test_gate_spec_rejects_angle_on_fixed_gate():
         GateSpec("swap", params=0.5)
 
 
+def test_gate_spec_rejects_a_path_on_a_named_gate():
+    with pytest.raises(ValueError, match="gate 'swap' takes no custom_path"):
+        GateSpec("swap", custom_path="gate.json")
+
+
 def test_custom_gate_round_trip(tmp_path):
     path = tmp_path / "gate.json"
     path.write_text(json.dumps(hadamard().to_json()))

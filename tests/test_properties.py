@@ -25,6 +25,7 @@ from ctcsim.consistency import (  # noqa: E402
     SOLVER_AGREEMENT_TOL,
     LOOP_LABELS,
     FixedPointError,
+    _admissible_points,
     bloch_grid,
     check_deutsch,
     check_weak,
@@ -209,9 +210,10 @@ def test_scan_matches_check_deutsch_per_point(seed, resolution):
     rho = random_density(rng)
     grid = bloch_grid(resolution)
     reference = np.array([check_deutsch(u, density_from_bloch(p), rho).residual for p in grid])
-    everything = scan_admissible_inputs(u, rho, resolution, residual_tolerance=np.inf)
-    assert len(everything) == len(grid)
-    assert np.allclose([r for _, r in everything], reference, rtol=0.0, atol=1e-12)
+    # the scan's kernel at an infinite tolerance keeps every grid point
+    points, residuals = _admissible_points(u, rho.matrix, resolution, np.inf)
+    assert len(points) == len(grid)
+    assert np.allclose(residuals, reference, rtol=0.0, atol=1e-12)
     # a tolerance inside the widest gap between residuals near the median,
     # so rounding cannot move a point across it
     ordered = np.sort(reference)
@@ -219,8 +221,11 @@ def test_scan_matches_check_deutsch_per_point(seed, resolution):
     gaps = np.diff(ordered[middle - 10 : middle + 10])
     cut = middle - 10 + int(np.argmax(gaps))
     tolerance = 0.5 * (ordered[cut] + ordered[cut + 1])
-    kept = scan_admissible_inputs(u, rho, resolution, residual_tolerance=tolerance)
+    kept, _ = _admissible_points(u, rho.matrix, resolution, tolerance)
     assert len(kept) == int(np.sum(reference <= tolerance)) == cut + 1
+    # the scan itself keeps the points within its fixed tolerance
+    scan = scan_admissible_inputs(u, rho, resolution)
+    assert [r for _, r in scan] == residuals[residuals <= SOLVER_AGREEMENT_TOL].tolist()
 
 
 @settings(max_examples=50, deadline=None)

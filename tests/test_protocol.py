@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 import warnings
 
 import numpy as np
@@ -412,6 +414,42 @@ def test_config_gate_params_accepts_a_number_or_null(params):
         "gate": {"name": "controlled_phase", "params": params},
     }
     assert ProtocolConfig.from_json(doc).gate.params == params
+
+
+def custom_config(path) -> dict:
+    return {
+        "input_state": {"dim": 2, "data": [[0.6, 0.0], [0.8, 0.0]]},
+        "gate": {"name": "custom", "custom_path": path},
+    }
+
+
+@pytest.mark.parametrize("path, kind", [(0, "int"), (["x"], "list"), (True, "bool"), ({}, "dict")])
+def test_config_custom_path_must_be_a_string(path, kind):
+    message = f"config key 'gate.custom_path' must be a string or null, got {kind}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ProtocolConfig.from_json(custom_config(path))
+
+
+def test_config_custom_path_beside_another_gate_is_refused():
+    doc = {**custom_config("u.json"), "gate": {"name": "swap", "custom_path": "u.json"}}
+    with pytest.raises(ValueError, match="gate 'swap' takes no custom_path"):
+        ProtocolConfig.from_json(doc)
+
+
+def test_config_custom_path_is_resolved_against_the_config_directory(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "u.json").write_text(json.dumps(swap().to_json()))
+    relative = ProtocolConfig.from_json(custom_config("u.json"), str(sub))
+    assert relative.coupling.label == f"custom:{sub / 'u.json'}"
+    assert np.array_equal(relative.coupling.matrix, swap().matrix)
+    # an absolute path is read as written, wherever the config lies
+    absolute = ProtocolConfig.from_json(custom_config(str(sub / "u.json")), str(tmp_path / "elsewhere"))
+    assert absolute.coupling.label == f"custom:{sub / 'u.json'}"
+    # without a directory, a relative path is read from the working directory
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="u.json: cannot be read"):
+        ProtocolConfig.from_json(custom_config("u.json"))
 
 
 def test_config_rejects_two_qubit_input():

@@ -1,13 +1,17 @@
 import ast
 import json
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from ctcsim.protocol import ProtocolConfig, run_session
+from ctcsim import topology
 from ctcsim.states import StateVector
 from ctcsim.topology import (
+    MAX_SPACE_OPENS,
+    MAX_SPACE_POINTS,
     BranchError,
     BranchLedger,
     TopologySpace,
@@ -445,21 +449,41 @@ def oracle_inputs(rng):
     return inputs + [relisted(rng, *pair) for pair in inputs[::3]]
 
 
+@pytest.mark.parametrize("key, cap", [("points", MAX_SPACE_POINTS), ("opens", MAX_SPACE_OPENS)])
+def test_space_documents_are_capped_before_they_are_read(monkeypatch, key, cap):
+    labels = [f"p{i}" for i in range(MAX_SPACE_POINTS)]
+    document = {"points": labels, "opens": [[], labels]}
+    document[key] = document[key] + document[key][-1:] * (cap - len(document[key]))
+    assert len(TopologySpace.from_json(document).points) == len(document["points"])
+    document[key] = document[key] + document[key][-1:]
+    monkeypatch.setattr(topology, "_read", None)  # any read would fail another way
+    message = f"space key '{key}' holds {cap + 1} entries; at most {cap} are allowed"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TopologySpace.from_json(document)
+
+
 def test_bitmask_kernel_matches_the_frozenset_oracle():
     rng = np.random.default_rng(16)
     invalid = wide = 0
     for points, family in oracle_inputs(rng):
-        document = json.dumps({"points": list(points), "opens": [list(o) for o in family]})
-        space = TopologySpace.from_json(json.loads(document))
-        pts, sets, minimal = oracle_read(*json.loads(document).values())
+        document = json.loads(
+            json.dumps({"points": list(points), "opens": [list(o) for o in family]})
+        )
+        if len(points) <= MAX_SPACE_POINTS:
+            space = TopologySpace.from_json(document)
+        else:  # past the file cap, through the constructor the cap guards
+            space = TopologySpace(document["points"], document["opens"])
+        pts, sets, minimal = oracle_read(*document.values())
+        # U_x as a bitmask in point order: bit i stands for pts[i]
+        masks = tuple(sum(1 << pts.index(p) for p in minimal[x]) for x in pts)
         assert space.points == pts
         assert space._family == sets
-        assert list(space._minimal.items()) == list(minimal.items())
+        assert space._minimal == masks
         assert list(space._violations) == oracle_violations(pts, sets, minimal)
         invalid += bool(space._violations)
         wide += len(pts) > 64
         if len(set(minimal.values())) <= 12:
-            built = TopologySpace._trusted(pts, minimal)
+            built = TopologySpace._trusted(pts, masks)
             assert built.opens == oracle_opens(minimal)
     assert 100 < invalid and wide >= 40
 
