@@ -54,18 +54,24 @@ EXPECTED_COLLAPSE = ("bob_skips", "self_signal")
 #: copies + 2 points: linear work, 1000 copies in well under a second.
 MAX_COPIES = 1000
 #: A --space file holds at most ``topology.MAX_SPACE_POINTS`` (32) points
-#: and ``MAX_SPACE_OPENS`` (1,100) opens, checked before its axiom pass. That
-#: pass and its report grow with points x opens x open size: the slowest
-#: file found under the caps, 32 open singletons and 1,067 random 8-point
-#: opens, takes about 0.7 s end to end on a 2-core Xeon and prints 2.3 MB
-#: of missing unions.
+#: and ``MAX_SPACE_OPENS`` (1,100) opens, and labels of at most
+#: ``MAX_SPACE_LABEL`` (64) characters, checked before its axiom pass. That
+#: pass and its report grow with points x opens x open size x label length:
+#: the slowest file found under the caps, 32 labels of 64 characters, their
+#: open singletons and 1,067 random 16-point opens (1.2 MB), takes about
+#: 1.0 s end to end on a 2-core Xeon, peaks at about 115 MiB resident and
+#: prints 20 MB of missing unions. With 1,000-character labels a file took
+#: 4.0 s and 1.0 GiB and printed 233 MB.
 #: Work grows linearly in trials and storage cycles and with the cube of the
 #: grid resolution. The trials and storage caps once kept the slowest run to
-#: about 10 s on a 2-core Xeon; there, serialization included, storage at
-#: the cap now takes about 4.5 s. The largest beam, ``--trials 40000
-#: --policy noise``, takes about 0.4 s end to end with JSON output and
-#: 0.35 s with CSV on a 2-core Xeon, of which about 0.3 s is interpreter
-#: start and imports (0.8 s and 0.5 s with per-record dicts). Memory
+#: about 10 s on a 2-core Xeon. Storage at the cap, whose cycles are one run
+#: of events written from one template, now takes about 0.6 s end to end
+#: with output to a file and peaks at about 135 MiB resident, as JSON or
+#: CSV (4-7 s and 320 MiB with an event object and a dict per cycle). The
+#: largest beam, ``--trials 40000 --policy noise``, takes about 0.4 s end
+#: to end with JSON output and 0.35 s with CSV on a 2-core Xeon, of which
+#: about 0.3 s is interpreter start and imports (0.8 s and 0.5 s with
+#: per-record dicts). Memory
 #: sets the grid cap: with the identity gate, which admits all 3,875,251
 #: points, ``--grid 250`` takes about 0.8 s and peaks at about 280 MiB
 #: resident, most of it the grid itself.
@@ -97,26 +103,28 @@ class Report:
         }
 
 
-#: A band value's placeholder, as ``json.dumps`` writes it, or a string
-#: literal, which is matched only to be skipped. ``NaN`` appears outside a
-#: string only in a placeholder, since the payload's own floats are finite.
-_BAND_MARK = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|\[NaN,(\d+)\]')
 _SMALLEST_NORMAL = sys.float_info.min
 #: Types the encoder writes as they are, and the one key type it sorts as is.
 _NATIVE = frozenset((str, int, bool, type(None)))
 _STR = frozenset((str,))
 
 
-#: ``json.dumps(v, sort_keys=True, separators=(",", ":"))``, built once.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-#: The flat CSV's encoder writes a NUL between items. The ASCII-escaped text
-#: has no other NUL, so a list's element boundaries can be told apart.
-_CSV_ENCODER = json.JSONEncoder(sort_keys=True, separators=("\x00", ":"))
+#: ``json.dumps(v, sort_keys=True, separators=(",", ":"))`` with a NUL in
+#: place of each comma, built once. The ASCII-escaped text has no other NUL,
+#: so item boundaries and placeholders can be told apart; the writers then
+#: put the commas back.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=("\x00", ":"))
+#: A band value's placeholder as the encoder writes it, up to its index.
+#: ``NaN`` appears outside a string only in a placeholder or a spacer,
+#: since the payload's own floats are finite, and no string holds a NUL.
+_PLACEHOLDER = "[NaN\x00"
+#: What the encoder writes between two items of a list spaced with NaNs.
+_SPACER = "\x00NaN\x00"
 
 
 class _Band(tuple):
-    """A band value's placeholder ``(NaN, i)``, written as ``[NaN,i]``; a type
-    of its own so that the flat CSV can tell it from a list."""
+    """A band value's placeholder ``(NaN, i)``; a type of its own so that the
+    flat CSV can tell it from a list."""
 
 
 def canonical_json(value) -> str:
@@ -127,11 +135,29 @@ def canonical_json(value) -> str:
     1e15; then the C encoder writes it, and ``repr(r)`` is that text. Two
     bands travel as ``[NaN, i]`` placeholders instead: 1e15 <= |r| < 1e16,
     which ``repr`` spells out in full, and subnormals, which it writes with
-    fewer digits. A container that holds only str keys and native values
+    fewer digits. A records object travels the same way and is written
+    from its rows. A container that holds only str keys and native values
     is not copied.
     """
-    band: list = []  # the .15g texts of the band values, by placeholder index
+    band: list = []  # the band values' texts and records objects, by index
     return _fill(_ENCODER.encode(_plain(value, band)), band)
+
+
+def _texts(values: list) -> list:
+    """The canonical JSON text of each of ``values``."""
+    band: list = []
+    return _items(_plain(values, band), band)
+
+
+def _items(values: list, band: list) -> list:
+    """The canonical text of each of the :func:`_plain` ``values``, from one
+    encoder pass over them spaced with NaNs: only those NaNs follow a NUL,
+    since a report's own floats are finite."""
+    if not values:
+        return []
+    spaced = [math.nan] * (2 * len(values) - 1)
+    spaced[::2] = values
+    return [_fill(text, band) for text in _ENCODER.encode(spaced)[1:-1].split(_SPACER)]
 
 
 def _plain(v, band: list):
@@ -159,8 +185,14 @@ def _plain(v, band: list):
     elif kind in _NATIVE:
         return v
     elif kind is serialize.IndexedRecords:
-        band.append(f"[{_join_rows(v, canonical_json, ',')}]")
+        if len(v.index) <= len(v.rows) and len(set(v.index)) == len(v.index):
+            # no row is shared, so none holds a Since and no template saves work
+            return _plain([{v.counter: t, **v.rows[i]} for t, i in enumerate(v.index)], band)
+        band.append(v)
         return _Band((math.nan, len(band) - 1))
+    elif kind is serialize.Since:
+        # only a row that _join_rows renders holds one
+        return _COUNTER_MARK - v.start
     elif isinstance(v, (float, np.floating)):
         r = float(format(float(v), ".15g"))
     elif isinstance(v, (int, np.integer)):
@@ -188,47 +220,73 @@ def _plain(v, band: list):
 
 
 #: The counter value each row is rendered with and then split at: no record
-#: has it, and JSON and CSV write it alike.
+#: has it, and JSON and CSV write it alike. A row's Since then reads as the
+#: mark less its start, and every such number begins with ``_MARK_HEAD``;
+#: the pattern finds them all.
 _COUNTER_MARK = -(2**63)
+_MARK_TEXT, _MARK_HEAD = str(_COUNTER_MARK), "-922337"
+_MARKS = re.compile(rf"({_MARK_HEAD}\d{{13}})(?!\d)")
 
 
 def _join_rows(records: serialize.IndexedRecords, render, separator: str) -> str:
-    """The records' texts joined by ``separator``. ``render`` writes each
-    row once, with the mark as its counter; a record is its row's text with
-    its own counter in place of the mark."""
-    mark = str(_COUNTER_MARK)
-    heads, tails = [], []
-    for row in records.rows:
-        head, tail = render({records.counter: _COUNTER_MARK, **row}).split(mark)
-        heads.append(head)
-        tails.append(tail)
-    return separator.join([f"{heads[i]}{t}{tails[i]}" for t, i in enumerate(records.index)])
+    """The records' texts joined by ``separator``. ``render`` writes a list
+    of rows, each as the record whose counter is the mark and in which a
+    Since reads as the mark less its start; a record is its row's text with
+    its own counters in place of those numbers."""
+    mark, pieces = _COUNTER_MARK, []
+    for text in render([{records.counter: mark, **row} for row in records.rows]):
+        if text.count(_MARK_HEAD) == 1:  # the counter alone
+            head, tail = text.split(_MARK_TEXT)
+            pieces.append([head, 0, tail])
+        else:
+            parts = _MARKS.split(text)
+            parts[1::2] = [int(number) - mark for number in parts[1::2]]
+            pieces.append(parts)
+    if all(len(parts) == 3 and parts[1] == 0 for parts in pieces):
+        heads, tails = [parts[0] for parts in pieces], [parts[2] for parts in pieces]
+        texts = [f"{heads[i]}{t}{tails[i]}" for t, i in enumerate(records.index)]
+    else:
+        # at most two counters a row: the counter and one Since
+        a, s, b, u, c = zip(*(parts if len(parts) == 5 else parts + [None, ""] for parts in pieces))
+        texts = [
+            f"{a[i]}{t + s[i]}{b[i]}{'' if u[i] is None else t + u[i]}{c[i]}"
+            for t, i in enumerate(records.index)
+        ]
+    return separator.join(texts)
 
 
 def _fill(text: str, band: list) -> str:
-    """Put each band value's text in place of its placeholder."""
-    if band:
-        text = _BAND_MARK.sub(lambda m: m[0] if m[1] is None else band[int(m[1])], text)
-    return text
+    """``text`` with a comma for each NUL and each band value's text in
+    place of its placeholder: a number's own, or a records object's list."""
+    if not band:
+        return text.replace("\x00", ",")
+    head, *rest = text.split(_PLACEHOLDER)
+    parts = [head.replace("\x00", ",")]
+    for piece in rest:
+        index, tail = piece.split("]", 1)
+        value = band[int(index)]
+        if type(value) is not str:
+            value = f"[{_join_rows(value, _texts, ',')}]"
+        parts += (value, tail.replace("\x00", ","))
+    return "".join(parts)
 
 
 def _flatten(prefix: str, value, parts: list, band: list) -> None:
     """The flat CSV's rows, ``\\n<key path>,<text>``, of a :func:`_plain`
-    payload, appended to ``parts`` as two pieces each. A list's elements,
-    each in its canonical text, are joined by ``|``: the list is encoded once
-    with a bare NaN between each two elements, and only that NaN follows a
-    separator, since a report's own floats are finite."""
+    payload, appended to ``parts`` as two pieces each. The elements of a
+    list, or the records of a records object, each in its canonical text,
+    are joined by ``|``."""
     if type(value) is dict:
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else key, value[key], parts, band)
         return
-    if type(value) is list or type(value) is tuple:
-        spaced = [math.nan] * (2 * len(value) - 1)
-        spaced[::2] = value
-        text = _CSV_ENCODER.encode(spaced)[1:-1].replace("\x00NaN\x00", "|")
+    if type(value) is _Band and type(band[value[1]]) is serialize.IndexedRecords:
+        text = _join_rows(band[value[1]], _texts, "|")
+    elif type(value) is list or type(value) is tuple:
+        text = "|".join(_items(value, band))
     else:
-        text = _CSV_ENCODER.encode(value)
-    parts += (f"\n{prefix},", _fill(text.replace("\x00", ","), band))
+        text = _fill(_ENCODER.encode(value), band)
+    parts += (f"\n{prefix},", text)
 
 
 def emit_report(report: Report, output: str = "json") -> str:
@@ -241,7 +299,9 @@ def emit_report(report: Report, output: str = "json") -> str:
     records = report.results.get("records")
     if type(records) is serialize.IndexedRecords:
         columns = ["trial", "prep_basis", "meas_basis", "outcome", "matched", "action"]
-        rows = _join_rows(records, lambda row: ",".join(str(row.get(c, "")) for c in columns), "\n")
+        rows = _join_rows(
+            records, lambda rows: [",".join(str(r.get(c, "")) for c in columns) for r in rows], "\n"
+        )
         return ",".join(columns) + "\n" + rows
     parts = ["key,value"]
     band: list = []
@@ -534,7 +594,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    sys.stdout.write(text + "\n")
+    # the report and its newline apart: the report may be tens of MB
+    sys.stdout.write(text)
+    sys.stdout.write("\n")
     print(f"wall_time_ms={report.wall_time_ms:.3f} serialize_ms={serialize_ms:.3f}", file=sys.stderr)
     return code
 

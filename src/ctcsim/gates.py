@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -39,7 +40,7 @@ class GateSpec:
 
     name: str
     params: Optional[float] = None
-    custom_path: Optional[Union[str, Path]] = None
+    custom_path: Optional[Union[str, os.PathLike]] = None
 
     def __post_init__(self):
         if self.name not in GATE_NAMES:
@@ -48,6 +49,11 @@ class GateSpec:
             raise ValueError("custom gates need custom_path")
         if self.name != "custom" and self.custom_path is not None:
             raise ValueError(f"gate {self.name!r} takes no custom_path")
+        if self.custom_path is not None and not isinstance(self.custom_path, (str, os.PathLike)):
+            # open() reads an int as a file descriptor: 0 is stdin
+            raise TypeError(
+                f"custom_path must be a str or os.PathLike, got {type(self.custom_path).__name__}"
+            )
         if self.params is not None and self.name != "controlled_phase":
             raise ValueError(f"gate {self.name!r} takes no angle parameter")
 

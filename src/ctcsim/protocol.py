@@ -11,6 +11,7 @@ the branch instead of transferring a state.
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 import operator
@@ -65,22 +66,18 @@ class CausalityError(RuntimeError):
 
 @dataclass(frozen=True)
 class TranscriptEvent:
+    """One event of a transcript; ``Transcript.events`` builds them on access."""
+
     order: int
     actor: str
     kind: str
     detail: dict
     time_direction: Optional[str] = None
 
-    def to_json(self) -> dict:
-        doc = {
-            "order": self.order,
-            "actor": self.actor,
-            "kind": self.kind,
-            "detail": self.detail,
-        }
-        if self.time_direction is not None:
-            doc["time_direction"] = self.time_direction
-        return doc
+
+def _built(records: serialize.IndexedRecords) -> list:
+    """Each of a run's event records as a TranscriptEvent."""
+    return [TranscriptEvent(**record) for record in records.dicts()]
 
 
 #: The scalar keys of a config document and their JSON types.
@@ -163,7 +160,13 @@ def _state(document: dict, key: str) -> StateVector:
 
 @dataclass
 class Transcript:
-    """Everything one run did, in order, plus its verdicts and ledger."""
+    """Everything one run did, in order, plus its verdicts and ledger.
+
+    The run's events are held as indexed records, numbered by their order
+    (a storage run is one row), and ``events`` builds them on access, one
+    TranscriptEvent each. The constructor takes them as a list, numbered
+    0, 1, 2, ... in order.
+    """
 
     protocol: str
     seed: Optional[int]
@@ -178,14 +181,22 @@ class Transcript:
 
     def __post_init__(self):
         recorder = _Recorder(_CTC_CONTACT if self.protocol == "ctc_transfer" else ())
-        for event in self.events:
-            recorder._admit(event)
+        for event in self.__dict__.pop("events"):
+            if event.order != len(recorder.index):
+                raise ProtocolError("transcript events must be strictly ordered, numbered 0, 1, 2, ...")
+            recorder.event(event.actor, event.kind, event.detail, event.time_direction)
         recorder._close(self.collapse_flag)
+        self._events = recorder._records()
+
+    def __getattr__(self, name):
+        if name == "events":
+            return _built(self._events)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @classmethod
     def _trusted(cls, **fields) -> "Transcript":
-        """Store, unchecked, the fields of a run whose events a recorder
-        admitted one by one."""
+        """Store, unchecked, the fields of a run whose recorder checked its
+        events, which ``_events`` holds as records."""
         transcript = cls.__new__(cls)
         transcript.__dict__.update(fields)
         return transcript
@@ -196,7 +207,7 @@ class Transcript:
             "seed": self.seed,
             "branch_id": self.branch_id,
             "collapse_flag": self.collapse_flag,
-            "events": [e.to_json() for e in self.events],
+            "events": self._events,
             "verdicts": {name: v.to_json() for name, v in sorted(self.final_verdicts.items())},
             "ledger": [entry.to_json() for entry in self.resource_entries],
             "tally": {kind.value: delta for kind, delta in sorted(tally(self).items())},
@@ -210,30 +221,25 @@ class Transcript:
 
 class _Recorder:
     """One run's events, numbered and checked as they arrive, and its ledger
-    entries, each tied to the newest event. Event kinds in ``contact``
-    (where the CTC touches linear time) must run forward."""
+    entries, each tied to the newest event. The events are ``rows``, each
+    without its number, and ``index``, each event's row. Event kinds in
+    ``contact`` (where the CTC touches linear time) must run forward."""
 
     def __init__(self, contact: tuple = ()):
         self.contact = contact
-        self.events: list[TranscriptEvent] = []
+        self.rows: list[dict] = []
+        self.index = array.array("I")
         self.resource_entries: list[LedgerEntry] = []
         self._bob_started = False
         self._bob_signalled = False
 
-    def _admit(self, event: TranscriptEvent) -> None:
-        """The ordering and causality rules, applied to one more event."""
-        if self.events and event.order <= self.events[-1].order:
-            raise ProtocolError("transcript events must be strictly ordered")
-        if event.actor == "bob":
-            self._bob_started = True
-        elif event.actor == "alice" and self._bob_started:
-            raise CausalityError("Alice events must precede all of Bob's")
-        direction = event.time_direction
-        if direction != "forward" and (direction is not None or event.kind in self.contact):
-            raise CausalityError("contact events must run parallel to linear time")
-        if event.kind == "message" and event.detail.get("sender") == "bob":
-            self._bob_signalled = True
-        self.events.append(event)
+    @property
+    def events(self) -> list:
+        """The events so far, one TranscriptEvent each."""
+        return _built(self._records())
+
+    def _records(self) -> serialize.IndexedRecords:
+        return serialize.IndexedRecords("order", tuple(self.rows), self.index)
 
     def _close(self, collapse_flag: bool) -> None:
         # Bob's message precedes the collapse it causes, so this rule
@@ -242,21 +248,37 @@ class _Recorder:
             raise ProtocolError("a Bob-to-Alice message requires a collapsed run")
 
     def event(
-        self, actor: str, kind: str, detail: dict, time_direction: Optional[str] = None
-    ) -> TranscriptEvent:
-        evt = TranscriptEvent(len(self.events), actor, kind, detail, time_direction)
-        self._admit(evt)
-        return evt
+        self, actor: str, kind: str, detail: dict, time_direction: Optional[str] = None, count: int = 1
+    ) -> None:
+        """Record ``count`` events, numbered from the event count on, that
+        differ only in their numbers and in the :class:`serialize.Since` in
+        ``detail``: a run, whose first event the ordering and causality
+        rules are applied to."""
+        if count < 1:
+            return
+        if actor == "bob":
+            self._bob_started = True
+        elif actor == "alice" and self._bob_started:
+            raise CausalityError("Alice events must precede all of Bob's")
+        if time_direction != "forward" and (time_direction is not None or kind in self.contact):
+            raise CausalityError("contact events must run parallel to linear time")
+        if kind == "message" and detail.get("sender") == "bob":
+            self._bob_signalled = True
+        row = {"actor": actor, "kind": kind, "detail": detail}
+        if time_direction is not None:
+            row["time_direction"] = time_direction
+        self.index += array.array("I", [len(self.rows)]) * count
+        self.rows.append(row)
 
     def book(self, kind: ResourceKind, delta: int) -> None:
-        self.resource_entries.append(LedgerEntry(kind, delta, len(self.events) - 1))
+        self.resource_entries.append(LedgerEntry(kind, delta, len(self.index) - 1))
 
     def transcript(self, **fields) -> Transcript:
         """The run as a transcript; ``fields`` are all but its events and
         ledger entries."""
         self._close(fields["collapse_flag"])
         return Transcript._trusted(
-            events=self.events, resource_entries=self.resource_entries, **fields
+            _events=self._records(), resource_entries=self.resource_entries, **fields
         )
 
 
@@ -310,7 +332,7 @@ def _density(state: Union[StateVector, DensityOperator]) -> DensityOperator:
 
 def _send(session: Session, sender: str, bit: int, channel: str) -> dict:
     """Record one bit sent by ``sender`` as a message event; returns it."""
-    order = len(session.events)
+    order = len(session.index)
     message = {"sender": sender, "payload": [bit], "timestamp_order": order, "channel": channel}
     session.event(sender, "message", message)
     return message
@@ -394,13 +416,15 @@ def run_alice_stage(session: Session) -> Optional[dict]:
 
 
 def run_storage_cycles(session: Session) -> None:
-    """Idle circulations of the loop; the CTC segment does not evolve."""
-    for cycle in range(session.config.storage_cycles):
-        session.event(
-            "system", "storage_cycle", {"cycle": cycle, "evolution": "identity"},
-            time_direction="forward",
-        )
-    session.detail["storage_cycles"] = session.config.storage_cycles
+    """Idle circulations of the loop; the CTC segment does not evolve. The
+    cycles are one run of events, recorded in one step, whose ``cycle``
+    counts from 0 with the event number."""
+    cycles = session.config.storage_cycles
+    cycle = serialize.Since(len(session.index)) if cycles > 1 else 0
+    session.event(
+        "system", "storage_cycle", {"cycle": cycle, "evolution": "identity"}, "forward", cycles
+    )
+    session.detail["storage_cycles"] = cycles
 
 
 def _bob_coupling(session: Session, ancilla: StateVector) -> None:

@@ -9,6 +9,7 @@ CLI's ``--state``/``--unitary`` file inputs.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,19 +96,45 @@ def known_keys(document: dict, keys: tuple, what: str) -> None:
 
 
 @dataclass(frozen=True)
+class Since:
+    """A row value that record t reads as t - start: a second counter that
+    runs with the record's own, such as a storage event's cycle. Only a row
+    that two or more records share holds one, so that a row used once is
+    its record as it stands."""
+
+    start: int
+
+
+def _at(value, t: int):
+    """``value`` as record t reads it: each :class:`Since` in it, at any
+    depth of dicts, is a number."""
+    kind = type(value)
+    if kind is Since:
+        return t - value.start
+    if kind is dict:
+        return {key: _at(item, t) for key, item in value.items()}
+    return value
+
+
+@dataclass(frozen=True, eq=False)
 class IndexedRecords:
     """A report's records as a few distinct rows and a row index: record t
-    is ``{counter: t}`` followed by ``rows[index[t]]``. The report writers
-    render each row once and join the texts over ``index``."""
+    is ``{counter: t}`` followed by ``rows[index[t]]``, in which a row's
+    :class:`Since` reads as a number. The report writers render each row
+    once and join the texts over ``index``. Two records objects are equal
+    when their records are."""
 
     counter: str
     rows: tuple
-    index: bytes
+    index: Sequence[int]
 
     def dicts(self) -> list:
         """The records as a list of dicts."""
         counter, rows = self.counter, self.rows
-        return [{counter: t, **rows[i]} for t, i in enumerate(self.index)]
+        return [{counter: t, **_at(rows[i], t)} for t, i in enumerate(self.index)]
+
+    def __eq__(self, other):
+        return type(other) is IndexedRecords and self.dicts() == other.dicts()
 
 
 def load(path: str | Path, build):

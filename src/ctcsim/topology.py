@@ -19,10 +19,12 @@ from . import serialize
 from .states import _Frozen
 
 
-#: The most points and opens a space document may hold; the CLI's
-#: ``MAX_COPIES`` comment gives the measured worst case under them.
+#: The most points and opens a space document may hold, and the longest
+#: label; the CLI's ``MAX_COPIES`` comment gives the measured worst case
+#: under them.
 MAX_SPACE_POINTS = 32
 MAX_SPACE_OPENS = 1100
+MAX_SPACE_LABEL = 64
 
 
 class BranchError(RuntimeError):
@@ -182,6 +184,14 @@ class TopologySpace(_Frozen):
         for key, cap in (("points", MAX_SPACE_POINTS), ("opens", MAX_SPACE_OPENS)):
             if len(document[key]) > cap:
                 raise ValueError(f"space key {key!r} holds {len(document[key])} entries; at most {cap} are allowed")
+        # each missing union repeats its labels, so their length bounds the
+        # report; an open's label that is no point is refused as unknown
+        for index, point in enumerate(points):
+            if type(point) is str and len(point) > MAX_SPACE_LABEL:
+                raise ValueError(
+                    f"space key 'points' entry {index} is a label of {len(point)} characters; "
+                    f"at most {MAX_SPACE_LABEL} are allowed"
+                )
         try:
             return cls(points, opens)
         except _Malformed as exc:

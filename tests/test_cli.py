@@ -579,6 +579,38 @@ def test_over_cap_space_file_ends_at_once_in_one_error_line(tmp_path):
     ]
 
 
+#: Limits for storage at its cap, end to end in a child process: twice the
+#: slowest wall time and the peak RSS measured on a 2-core Xeon, 0.71 s and
+#: 135 MiB as JSON or CSV (4-7 s and 320 MiB with an event object and a dict
+#: per cycle).
+STORAGE_CAP_WALL_S = 1.5
+STORAGE_CAP_RSS_MIB = 270
+#: Runs ``argv`` and prints its wall time and peak RSS: as the one child
+#: this process waits for, its RUSAGE_CHILDREN is the run's own.
+MEASURED = """
+import resource, subprocess, sys, time
+with open(sys.argv[1], "wb") as out:
+    started = time.perf_counter()
+    code = subprocess.run(sys.argv[2:], stdout=out).returncode
+print(code, time.perf_counter() - started, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize("output", ("json", "csv"))
+def test_storage_at_its_cap_ends_in_bounded_time_and_memory(tmp_path, output):
+    out = tmp_path / f"storage.{output}"
+    argv = ["run-protocol", "--scenario", "storage", "--storage-cycles", str(cli.MAX_STORAGE_CYCLES)]
+    result = subprocess.run(
+        [sys.executable, "-c", MEASURED, str(out), sys.executable, "-m", "ctcsim.cli", *argv, "--output", output],
+        capture_output=True, text=True, timeout=60,
+    )
+    code, wall_s, rss_kib = result.stdout.split()
+    assert int(code) == cli.EXIT_OK
+    assert out.read_bytes().count(b'"kind":"storage_cycle"') == cli.MAX_STORAGE_CYCLES
+    assert float(wall_s) < STORAGE_CAP_WALL_S
+    assert int(rss_kib) / 1024 < STORAGE_CAP_RSS_MIB
+
+
 def test_config_reads_its_custom_gate_from_its_own_directory(tmp_path, capsys, monkeypatch):
     sub = tmp_path / "sub"
     sub.mkdir()

@@ -108,6 +108,13 @@ def test_gate_spec_rejects_a_path_on_a_named_gate():
         GateSpec("swap", custom_path="gate.json")
 
 
+@pytest.mark.parametrize("path", (0, 3.5, b"gate.json", ["gate.json"]))
+def test_gate_spec_refuses_a_custom_path_that_is_no_path(path):
+    # 0 would be opened as a file descriptor: stdin
+    with pytest.raises(TypeError, match=f"custom_path must be a str or os.PathLike, got {type(path).__name__}$"):
+        GateSpec("custom", custom_path=path)
+
+
 def test_custom_gate_round_trip(tmp_path):
     path = tmp_path / "gate.json"
     path.write_text(json.dumps(hadamard().to_json()))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import re
@@ -635,6 +636,87 @@ def test_beam_report_matches_the_per_record_oracle(policy, trials, seed):
     oracle = cli.Report(cli.SCHEMA_VERSION, argv, seed, expected, 0.0)
     assert_same_text(cli.emit_report(wrapped, "json"), cli.canonical_json(oracle.to_payload()))
     assert_same_text(cli.emit_report(wrapped, "csv"), oracle_beam_csv(expected["records"]))
+
+
+# ---------------------------------------------------------------- storage runs
+
+
+def oracle_event_json(event: TranscriptEvent) -> dict:
+    """The per-event writer that the storage run's template replaced."""
+    doc = {"order": event.order, "actor": event.actor, "kind": event.kind, "detail": event.detail}
+    if event.time_direction is not None:
+        doc["time_direction"] = event.time_direction
+    return doc
+
+
+def oracle_storage_run(idle: Transcript, cycles: int) -> tuple:
+    """A storage run of ``cycles`` cycles, one TranscriptEvent per cycle,
+    from ``idle``, the same run without cycles: the cycles follow Alice's
+    message, and the later events and ledger entries move up by ``cycles``.
+    Returns the events and the ledger entries as (kind, delta, event_ref)."""
+    events = list(idle.events)
+    after = next((e.order + 1 for e in events if e.kind == "message" and e.actor == "alice"), None)
+    if after is None:  # Alice's coupling collapsed the branch: no cycle ran
+        after, cycles = len(events), 0
+    detail = [{"cycle": c, "evolution": "identity"} for c in range(cycles)]
+    run = [TranscriptEvent(after + c, "system", "storage_cycle", detail[c], "forward") for c in range(cycles)]
+    later = [dataclasses.replace(e, order=e.order + cycles) for e in events[after:]]
+    ledger = [
+        (e.kind, e.delta, e.event_ref + cycles * (e.event_ref >= after)) for e in idle.resource_entries
+    ]
+    return events[:after] + run + later, ledger
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cycles=st.integers(0, 500),
+    formalism=st.sampled_from(FORMALISMS),
+    bob_measures=st.booleans(),
+    gate=st.sampled_from(["swap", "controlled_rotation", "cnot", "controlled_phase"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cycles=500, formalism="density", bob_measures=True, gate="swap", seed=0)
+@example(cycles=1, formalism="wavefunction", bob_measures=False, gate="cnot", seed=1)
+@example(cycles=1, formalism="wavefunction", bob_measures=False, gate="swap", seed=2)
+@example(cycles=2, formalism="density", bob_measures=False, gate="swap", seed=3)
+def test_storage_run_matches_the_per_event_oracle(cycles, formalism, bob_measures, gate, seed):
+    fields = dict(
+        input_state=random_state(np.random.default_rng(seed)),
+        gate=GateSpec(gate),
+        formalism=formalism,
+        scenario="storage",
+        bob_measures=bob_measures,
+        seed=seed,
+    )
+    t = run_session(ProtocolConfig(storage_cycles=cycles, **fields))
+    events, ledger = oracle_storage_run(run_session(ProtocolConfig(storage_cycles=0, **fields)), cycles)
+    assert t.events == events
+    assert [(e.kind, e.delta, e.event_ref) for e in t.resource_entries] == ledger
+    payload = t.to_json()
+    oracle = {**payload, "events": [oracle_event_json(e) for e in events]}
+    assert_same_text(cli.canonical_json(payload), cli.canonical_json(oracle))
+    argv = ["run-protocol", "--scenario", "storage", "--storage-cycles", str(cycles), "--output", "csv"]
+    got, want = (cli.Report(cli.SCHEMA_VERSION, argv, seed, p, 0.0) for p in (payload, oracle))
+    assert_same_text(cli.emit_report(got, "csv"), cli.emit_report(want, "csv"))
+
+
+def test_storage_cycles_build_no_event_objects(monkeypatch):
+    built = []
+    init = TranscriptEvent.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TranscriptEvent, "__init__", counted)
+    counts = []
+    for cycles in (1, 2000):
+        built.clear()
+        payload = run_session(config(scenario="storage", storage_cycles=cycles, seed=3)).to_json()
+        cli.canonical_json(payload)
+        cli.emit_report(cli.Report(cli.SCHEMA_VERSION, [], 3, payload, 0.0), "csv")
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_beam_argument_validation():

@@ -10,6 +10,7 @@ from ctcsim.protocol import ProtocolConfig, run_session
 from ctcsim import topology
 from ctcsim.states import StateVector
 from ctcsim.topology import (
+    MAX_SPACE_LABEL,
     MAX_SPACE_OPENS,
     MAX_SPACE_POINTS,
     BranchError,
@@ -459,6 +460,23 @@ def test_space_documents_are_capped_before_they_are_read(monkeypatch, key, cap):
     monkeypatch.setattr(topology, "_read", None)  # any read would fail another way
     message = f"space key '{key}' holds {cap + 1} entries; at most {cap} are allowed"
     with pytest.raises(ValueError, match=re.escape(message)):
+        TopologySpace.from_json(document)
+
+
+def test_space_labels_are_capped_before_they_are_read(monkeypatch):
+    label = "x" * MAX_SPACE_LABEL
+    document = {"points": ["a", label], "opens": [[], ["a", label]]}
+    assert TopologySpace.from_json(document).points == ("a", label)
+    # a longer label in an open is no point
+    with pytest.raises(ValueError, match="contains unknown points"):
+        TopologySpace.from_json({**document, "opens": [[], ["a", label + "x"]]})
+    document["points"][1] += "x"
+    monkeypatch.setattr(topology, "_read", None)  # any read would fail another way
+    message = (
+        f"space key 'points' entry 1 is a label of {MAX_SPACE_LABEL + 1} characters; "
+        f"at most {MAX_SPACE_LABEL} are allowed"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         TopologySpace.from_json(document)
 
 
