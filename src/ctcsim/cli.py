@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass
@@ -152,12 +151,14 @@ def _texts(values: list) -> list:
 def _items(values: list, band: list) -> list:
     """The canonical text of each of the :func:`_plain` ``values``, from one
     encoder pass over them spaced with NaNs: only those NaNs follow a NUL,
-    since a report's own floats are finite."""
+    since a report's own floats are finite. Each spacer is a control
+    character while the text is filled in: the encoder escapes every
+    control character in a string."""
     if not values:
         return []
     spaced = [math.nan] * (2 * len(values) - 1)
     spaced[::2] = values
-    return [_fill(text, band) for text in _ENCODER.encode(spaced)[1:-1].split(_SPACER)]
+    return _fill(_ENCODER.encode(spaced)[1:-1].replace(_SPACER, "\x01"), band).split("\x01")
 
 
 def _plain(v, band: list):
@@ -184,15 +185,14 @@ def _plain(v, band: list):
         return [x if type(x) in _NATIVE else _plain(x, band) for x in v]
     elif kind in _NATIVE:
         return v
-    elif kind is serialize.IndexedRecords:
-        if len(v.index) <= len(v.rows) and len(set(v.index)) == len(v.index):
-            # no row is shared, so none holds a Since and no template saves work
-            return _plain([{v.counter: t, **v.rows[i]} for t, i in enumerate(v.index)], band)
+    elif kind is serialize.IndexedRecords and len(v.index) <= len(v.rows):
+        # no more records than rows, as in a run without storage: a
+        # template would only add a second encoder pass
+        return _plain(v.dicts(), band)
+    elif kind is serialize.IndexedRecords or kind is serialize.Since:
+        # written from its rows, or as its mark, when the text is filled in
         band.append(v)
         return _Band((math.nan, len(band) - 1))
-    elif kind is serialize.Since:
-        # only a row that _join_rows renders holds one
-        return _COUNTER_MARK - v.start
     elif isinstance(v, (float, np.floating)):
         r = float(format(float(v), ".15g"))
     elif isinstance(v, (int, np.integer)):
@@ -219,37 +219,29 @@ def _plain(v, band: list):
     return _Band((math.nan, len(band) - 1))
 
 
-#: The counter value each row is rendered with and then split at: no record
-#: has it, and JSON and CSV write it alike. A row's Since then reads as the
-#: mark less its start, and every such number begins with ``_MARK_HEAD``;
-#: the pattern finds them all.
-_COUNTER_MARK = -(2**63)
-_MARK_TEXT, _MARK_HEAD = str(_COUNTER_MARK), "-922337"
-_MARKS = re.compile(rf"({_MARK_HEAD}\d{{13}})(?!\d)")
+#: The counter each row is rendered with: record t reads it as t.
+_COUNTER = serialize.Since(0)
 
 
 def _join_rows(records: serialize.IndexedRecords, render, separator: str) -> str:
     """The records' texts joined by ``separator``. ``render`` writes a list
-    of rows, each as the record whose counter is the mark and in which a
-    Since reads as the mark less its start; a record is its row's text with
-    its own counters in place of those numbers."""
-    mark, pieces = _COUNTER_MARK, []
-    for text in render([{records.counter: mark, **row} for row in records.rows]):
-        if text.count(_MARK_HEAD) == 1:  # the counter alone
-            head, tail = text.split(_MARK_TEXT)
-            pieces.append([head, 0, tail])
-        else:
-            parts = _MARKS.split(text)
-            parts[1::2] = [int(number) - mark for number in parts[1::2]]
-            pieces.append(parts)
-    if all(len(parts) == 3 and parts[1] == 0 for parts in pieces):
-        heads, tails = [parts[0] for parts in pieces], [parts[2] for parts in pieces]
-        texts = [f"{heads[i]}{t}{tails[i]}" for t, i in enumerate(records.index)]
+    of rows, each as the record whose counter is ``_COUNTER`` and in which
+    each Since is its ``str``, a mark; record t is its row's text with
+    t - start in place of each mark."""
+    pieces = []
+    for text in render([{records.counter: _COUNTER, **row} for row in records.rows]):
+        parts = text.split(serialize.MARK)
+        parts[1::2] = map(int, parts[1::2])
+        pieces.append(parts)
+    if all(len(parts) == 3 for parts in pieces):
+        # the counter alone, whose start is 0, as in a beam's records
+        a, _, b = zip(*pieces)
+        texts = [f"{a[i]}{t}{b[i]}" for t, i in enumerate(records.index)]
     else:
-        # at most two counters a row: the counter and one Since
+        # the counter and one Since, or the counter alone
         a, s, b, u, c = zip(*(parts if len(parts) == 5 else parts + [None, ""] for parts in pieces))
         texts = [
-            f"{a[i]}{t + s[i]}{b[i]}{'' if u[i] is None else t + u[i]}{c[i]}"
+            f"{a[i]}{t - s[i]}{b[i]}{'' if u[i] is None else t - u[i]}{c[i]}"
             for t, i in enumerate(records.index)
         ]
     return separator.join(texts)
@@ -257,7 +249,8 @@ def _join_rows(records: serialize.IndexedRecords, render, separator: str) -> str
 
 def _fill(text: str, band: list) -> str:
     """``text`` with a comma for each NUL and each band value's text in
-    place of its placeholder: a number's own, or a records object's list."""
+    place of its placeholder: a number's own, a Since's mark, or a records
+    object's list."""
     if not band:
         return text.replace("\x00", ",")
     head, *rest = text.split(_PLACEHOLDER)
@@ -265,9 +258,9 @@ def _fill(text: str, band: list) -> str:
     for piece in rest:
         index, tail = piece.split("]", 1)
         value = band[int(index)]
-        if type(value) is not str:
+        if type(value) is serialize.IndexedRecords:
             value = f"[{_join_rows(value, _texts, ',')}]"
-        parts += (value, tail.replace("\x00", ","))
+        parts += (str(value), tail.replace("\x00", ","))
     return "".join(parts)
 
 

@@ -420,7 +420,7 @@ def run_storage_cycles(session: Session) -> None:
     cycles are one run of events, recorded in one step, whose ``cycle``
     counts from 0 with the event number."""
     cycles = session.config.storage_cycles
-    cycle = serialize.Since(len(session.index)) if cycles > 1 else 0
+    cycle = serialize.Since(len(session.index))
     session.event(
         "system", "storage_cycle", {"cycle": cycle, "evolution": "identity"}, "forward", cycles
     )

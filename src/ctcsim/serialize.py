@@ -95,46 +95,59 @@ def known_keys(document: dict, keys: tuple, what: str) -> None:
             raise ValueError(f"{what} has unknown key {key!r}; expected {', '.join(keys)}")
 
 
+#: The control character around a Since's start in its ``str``.
+MARK = "\x02"
+
+
 @dataclass(frozen=True)
 class Since:
     """A row value that record t reads as t - start: a second counter that
-    runs with the record's own, such as a storage event's cycle. Only a row
-    that two or more records share holds one, so that a row used once is
-    its record as it stands."""
+    runs with the record's own, such as a storage event's cycle. It sits
+    in one of the row's dicts, as ``detail.cycle`` does. Its ``str``, the
+    start between two ``MARK`` characters, is the mark a report writer
+    renders it as and then puts each record's number in place of."""
 
     start: int
 
-
-def _at(value, t: int):
-    """``value`` as record t reads it: each :class:`Since` in it, at any
-    depth of dicts, is a number."""
-    kind = type(value)
-    if kind is Since:
-        return t - value.start
-    if kind is dict:
-        return {key: _at(item, t) for key, item in value.items()}
-    return value
+    def __str__(self):
+        return f"{MARK}{self.start}{MARK}"
 
 
-@dataclass(frozen=True, eq=False)
+def _holds_since(row: dict) -> bool:
+    """Whether a :class:`Since` is a value of one of ``row``'s dicts."""
+    for value in row.values():
+        if type(value) is dict and Since in map(type, value.values()):
+            return True
+    return False
+
+
+def _at(row: dict, t: int) -> dict:
+    """``row`` as record t reads it: each :class:`Since` in its dicts is a
+    number."""
+    return {
+        key: {k: t - v.start if type(v) is Since else v for k, v in value.items()}
+        if type(value) is dict else value
+        for key, value in row.items()
+    }
+
+
+@dataclass(frozen=True)
 class IndexedRecords:
     """A report's records as a few distinct rows and a row index: record t
     is ``{counter: t}`` followed by ``rows[index[t]]``, in which a row's
     :class:`Since` reads as a number. The report writers render each row
-    once and join the texts over ``index``. Two records objects are equal
-    when their records are."""
+    once and join the texts over ``index``."""
 
     counter: str
     rows: tuple
     index: Sequence[int]
 
     def dicts(self) -> list:
-        """The records as a list of dicts."""
+        """The records as a list of dicts; a row that holds no Since is
+        merged as it stands."""
         counter, rows = self.counter, self.rows
-        return [{counter: t, **_at(rows[i], t)} for t, i in enumerate(self.index)]
-
-    def __eq__(self, other):
-        return type(other) is IndexedRecords and self.dicts() == other.dicts()
+        since = [_holds_since(row) for row in rows]
+        return [{counter: t, **(_at(rows[i], t) if since[i] else rows[i])} for t, i in enumerate(self.index)]
 
 
 def load(path: str | Path, build):

@@ -634,6 +634,12 @@ def test_canonical_json_rejects_non_finite_anywhere(value, bad):
 # ------------------------------------------------------------ transcripts
 
 
+def document(transcript: Transcript) -> dict:
+    """A transcript's JSON document with its events as a list of dicts."""
+    doc = transcript.to_json()
+    return {**doc, "events": doc["events"].dicts()}
+
+
 def rebuilt(transcript: Transcript) -> Transcript:
     """The same fields through the public constructor, which checks them."""
     fields = dataclasses.fields(Transcript)
@@ -667,4 +673,6 @@ def test_recorded_transcripts_pass_the_public_check(scenario, formalism, gate, b
         run_ebit_distribution(),
     ]
     for transcript in built:
-        assert rebuilt(transcript).to_json() == transcript.to_json()
+        again = rebuilt(transcript)
+        assert document(again) == document(transcript)
+        assert canonical_json(again.to_json()) == canonical_json(transcript.to_json())
