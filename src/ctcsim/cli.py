@@ -185,7 +185,7 @@ def _plain(v, band: list):
         return [x if type(x) in _NATIVE else _plain(x, band) for x in v]
     elif kind in _NATIVE:
         return v
-    elif kind is serialize.IndexedRecords and len(v.index) <= len(v.rows):
+    elif kind is serialize.IndexedRecords and len(v) <= len(v.rows):
         # no more records than rows, as in a run without storage: a
         # template would only add a second encoder pass
         return _plain(v.dicts(), band)
@@ -219,34 +219,6 @@ def _plain(v, band: list):
     return _Band((math.nan, len(band) - 1))
 
 
-#: The counter each row is rendered with: record t reads it as t.
-_COUNTER = serialize.Since(0)
-
-
-def _join_rows(records: serialize.IndexedRecords, render, separator: str) -> str:
-    """The records' texts joined by ``separator``. ``render`` writes a list
-    of rows, each as the record whose counter is ``_COUNTER`` and in which
-    each Since is its ``str``, a mark; record t is its row's text with
-    t - start in place of each mark."""
-    pieces = []
-    for text in render([{records.counter: _COUNTER, **row} for row in records.rows]):
-        parts = text.split(serialize.MARK)
-        parts[1::2] = map(int, parts[1::2])
-        pieces.append(parts)
-    if all(len(parts) == 3 for parts in pieces):
-        # the counter alone, whose start is 0, as in a beam's records
-        a, _, b = zip(*pieces)
-        texts = [f"{a[i]}{t}{b[i]}" for t, i in enumerate(records.index)]
-    else:
-        # the counter and one Since, or the counter alone
-        a, s, b, u, c = zip(*(parts if len(parts) == 5 else parts + [None, ""] for parts in pieces))
-        texts = [
-            f"{a[i]}{t - s[i]}{b[i]}{'' if u[i] is None else t - u[i]}{c[i]}"
-            for t, i in enumerate(records.index)
-        ]
-    return separator.join(texts)
-
-
 def _fill(text: str, band: list) -> str:
     """``text`` with a comma for each NUL and each band value's text in
     place of its placeholder: a number's own, a Since's mark, or a records
@@ -259,7 +231,7 @@ def _fill(text: str, band: list) -> str:
         index, tail = piece.split("]", 1)
         value = band[int(index)]
         if type(value) is serialize.IndexedRecords:
-            value = f"[{_join_rows(value, _texts, ',')}]"
+            value = f"[{value.join(_texts, ',')}]"
         parts += (str(value), tail.replace("\x00", ","))
     return "".join(parts)
 
@@ -268,17 +240,15 @@ def _flatten(prefix: str, value, parts: list, band: list) -> None:
     """The flat CSV's rows, ``\\n<key path>,<text>``, of a :func:`_plain`
     payload, appended to ``parts`` as two pieces each. The elements of a
     list, or the records of a records object, each in its canonical text,
-    are joined by ``|``."""
+    are joined by ``|``; a scalar is written as a list of one."""
     if type(value) is dict:
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else key, value[key], parts, band)
         return
     if type(value) is _Band and type(band[value[1]]) is serialize.IndexedRecords:
-        text = _join_rows(band[value[1]], _texts, "|")
-    elif type(value) is list or type(value) is tuple:
-        text = "|".join(_items(value, band))
+        text = band[value[1]].join(_texts, "|")
     else:
-        text = _fill(_ENCODER.encode(value), band)
+        text = "|".join(_items(value if type(value) is list or type(value) is tuple else [value], band))
     parts += (f"\n{prefix},", text)
 
 
@@ -292,9 +262,7 @@ def emit_report(report: Report, output: str = "json") -> str:
     records = report.results.get("records")
     if type(records) is serialize.IndexedRecords:
         columns = ["trial", "prep_basis", "meas_basis", "outcome", "matched", "action"]
-        rows = _join_rows(
-            records, lambda rows: [",".join(str(r.get(c, "")) for c in columns) for r in rows], "\n"
-        )
+        rows = records.join(lambda rows: [",".join(str(r.get(c, "")) for c in columns) for r in rows], "\n")
         return ",".join(columns) + "\n" + rows
     parts = ["key,value"]
     band: list = []

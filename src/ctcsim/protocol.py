@@ -75,11 +75,6 @@ class TranscriptEvent:
     time_direction: Optional[str] = None
 
 
-def _built(records: serialize.IndexedRecords) -> list:
-    """Each of a run's event records as a TranscriptEvent."""
-    return [TranscriptEvent(**record) for record in records.dicts()]
-
-
 #: The scalar keys of a config document and their JSON types.
 _CONFIG_KINDS = dict(formalism=str, scenario=str, bob_measures=bool, seed=int, storage_cycles=int)
 _CONFIG_KEYS = ("input_state", "ctc_initial", "gate", *_CONFIG_KINDS)
@@ -109,6 +104,8 @@ class ProtocolConfig:
             raise ProtocolError(f"unknown formalism {self.formalism!r}")
         if self.scenario not in SCENARIOS:
             raise ProtocolError(f"unknown scenario {self.scenario!r}")
+        _integer(self.seed, "seed")
+        _integer(self.storage_cycles, "storage_cycles")
         object.__setattr__(self, "coupling", build_gate(self.gate))
         if self.coupling.dim != 4:
             raise ProtocolError("the coupling gate must act on 2 qubits")
@@ -162,15 +159,15 @@ def _state(document: dict, key: str) -> StateVector:
 class Transcript:
     """Everything one run did, in order, plus its verdicts and ledger.
 
-    The run's events are held as indexed records, numbered by their order
-    (a storage run is one row), and ``events`` builds them on access, one
-    TranscriptEvent each. The constructor takes them as a list, numbered
-    0, 1, 2, ... in order.
+    The run's events are ``records``, numbered by their order (a storage
+    run is one row), and ``events`` builds them on access, one
+    TranscriptEvent each. A run's recorder, which checks each event as it
+    arrives, builds its transcript.
     """
 
     protocol: str
     seed: Optional[int]
-    events: list
+    records: serialize.IndexedRecords
     final_verdicts: dict
     collapse_flag: bool
     transferred_state: Optional[DensityOperator]
@@ -179,27 +176,9 @@ class Transcript:
     branch_id: Optional[int]
     detail: dict
 
-    def __post_init__(self):
-        recorder = _Recorder(_CTC_CONTACT if self.protocol == "ctc_transfer" else ())
-        for event in self.__dict__.pop("events"):
-            if event.order != len(recorder.index):
-                raise ProtocolError("transcript events must be strictly ordered, numbered 0, 1, 2, ...")
-            recorder.event(event.actor, event.kind, event.detail, event.time_direction)
-        recorder._close(self.collapse_flag)
-        self._events = recorder._records()
-
-    def __getattr__(self, name):
-        if name == "events":
-            return _built(self._events)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    @classmethod
-    def _trusted(cls, **fields) -> "Transcript":
-        """Store, unchecked, the fields of a run whose recorder checked its
-        events, which ``_events`` holds as records."""
-        transcript = cls.__new__(cls)
-        transcript.__dict__.update(fields)
-        return transcript
+    @property
+    def events(self) -> list:
+        return [TranscriptEvent(**record) for record in self.records.dicts()]
 
     def to_json(self) -> dict:
         return {
@@ -207,7 +186,7 @@ class Transcript:
             "seed": self.seed,
             "branch_id": self.branch_id,
             "collapse_flag": self.collapse_flag,
-            "events": self._events,
+            "events": self.records,
             "verdicts": {name: v.to_json() for name, v in sorted(self.final_verdicts.items())},
             "ledger": [entry.to_json() for entry in self.resource_entries],
             "tally": {kind.value: delta for kind, delta in sorted(tally(self).items())},
@@ -232,20 +211,6 @@ class _Recorder:
         self.resource_entries: list[LedgerEntry] = []
         self._bob_started = False
         self._bob_signalled = False
-
-    @property
-    def events(self) -> list:
-        """The events so far, one TranscriptEvent each."""
-        return _built(self._records())
-
-    def _records(self) -> serialize.IndexedRecords:
-        return serialize.IndexedRecords("order", tuple(self.rows), self.index)
-
-    def _close(self, collapse_flag: bool) -> None:
-        # Bob's message precedes the collapse it causes, so this rule
-        # waits for the run's verdict
-        if self._bob_signalled and not collapse_flag:
-            raise ProtocolError("a Bob-to-Alice message requires a collapsed run")
 
     def event(
         self, actor: str, kind: str, detail: dict, time_direction: Optional[str] = None, count: int = 1
@@ -274,18 +239,26 @@ class _Recorder:
         self.resource_entries.append(LedgerEntry(kind, delta, len(self.index) - 1))
 
     def transcript(self, **fields) -> Transcript:
-        """The run as a transcript; ``fields`` are all but its events and
-        ledger entries."""
-        self._close(fields["collapse_flag"])
-        return Transcript._trusted(
-            _events=self._records(), resource_entries=self.resource_entries, **fields
-        )
+        """The run as a transcript; ``fields`` are all but its records and
+        ledger entries. Bob's message precedes the collapse it causes, so
+        the rule that ties them waits for the run's verdict, here."""
+        if self._bob_signalled and not fields["collapse_flag"]:
+            raise ProtocolError("a Bob-to-Alice message requires a collapsed run")
+        records = serialize.IndexedRecords("order", tuple(self.rows), self.index)
+        return Transcript(records=records, resource_entries=self.resource_entries, **fields)
+
+
+def _integer(value, name: str):
+    """``value`` if it is an int and not a bool, else a TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    return value
 
 
 def _checked_seed(seed) -> int:
-    """``seed`` as an int; a non-int raises TypeError, a negative one a
-    ValueError that names it (numpy's generators take seeds >= 0)."""
-    value = operator.index(seed)
+    """``seed`` as an int; a bool or a non-int raises TypeError, a negative
+    one a ValueError that names it (numpy's generators take seeds >= 0)."""
+    value = operator.index(_integer(seed, "seed"))
     if value < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return value
@@ -551,27 +524,16 @@ def run_session(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -
 class BeamReport:
     """Aggregate of many single-use trials against a beam of CTC qubits.
 
-    A trial's record is the trial number followed by one of the policy's 16
-    ``rows``: ``row_index[trial]``, which is 2·key + outcome for the trial's
-    key 4·prep_basis + 2·prep_bit + meas_basis.
+    A trial's record is its number followed by one of the policy's 16 rows,
+    2·key + outcome for the trial's key 4·prep_basis + 2·prep_bit + meas_basis.
     """
 
     trials: int
     policy: str
     seed: int
     basis_match_fraction: float
-    rows: tuple
-    row_index: bytes
+    records: serialize.IndexedRecords
     branch_summary: dict
-
-    @property
-    def records(self) -> list:
-        """Each trial's record as a dict, built on access; the report
-        writers render the rows instead."""
-        return self._records().dicts()
-
-    def _records(self) -> serialize.IndexedRecords:
-        return serialize.IndexedRecords("trial", self.rows, self.row_index)
 
     def to_json(self) -> dict:
         return {
@@ -579,7 +541,7 @@ class BeamReport:
             "policy": self.policy,
             "seed": self.seed,
             "basis_match_fraction": self.basis_match_fraction,
-            "records": self._records(),
+            "records": self.records,
             "branch_summary": self.branch_summary,
         }
 
@@ -776,7 +738,8 @@ def run_beam(trials: int, policy: str = "collapse", seed: int = 0) -> BeamReport
         "collapsed": statuses["collapsed"],
         "distinct_branches": statuses.total(),
     }
-    return BeamReport(trials, policy, seed, matches / trials, rows, b"".join(row_index), summary)
+    records = serialize.IndexedRecords("trial", rows, b"".join(row_index))
+    return BeamReport(trials, policy, seed, matches / trials, records, summary)
 
 
 def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Transcript:

@@ -96,7 +96,7 @@ def known_keys(document: dict, keys: tuple, what: str) -> None:
 
 
 #: The control character around a Since's start in its ``str``.
-MARK = "\x02"
+_MARK = "\x02"
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,17 @@ class Since:
     """A row value that record t reads as t - start: a second counter that
     runs with the record's own, such as a storage event's cycle. It sits
     in one of the row's dicts, as ``detail.cycle`` does. Its ``str``, the
-    start between two ``MARK`` characters, is the mark a report writer
+    start between two ``_MARK`` characters, is the mark a report writer
     renders it as and then puts each record's number in place of."""
 
     start: int
 
     def __str__(self):
-        return f"{MARK}{self.start}{MARK}"
+        return f"{_MARK}{self.start}{_MARK}"
+
+
+#: The counter each row is rendered with: record t reads it as t.
+_COUNTER = Since(0)
 
 
 def _holds_since(row: dict) -> bool:
@@ -136,11 +140,14 @@ class IndexedRecords:
     """A report's records as a few distinct rows and a row index: record t
     is ``{counter: t}`` followed by ``rows[index[t]]``, in which a row's
     :class:`Since` reads as a number. The report writers render each row
-    once and join the texts over ``index``."""
+    once and :meth:`join` the texts over ``index``."""
 
     counter: str
     rows: tuple
     index: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.index)
 
     def dicts(self) -> list:
         """The records as a list of dicts; a row that holds no Since is
@@ -148,6 +155,29 @@ class IndexedRecords:
         counter, rows = self.counter, self.rows
         since = [_holds_since(row) for row in rows]
         return [{counter: t, **(_at(rows[i], t) if since[i] else rows[i])} for t, i in enumerate(self.index)]
+
+    def join(self, render, separator: str) -> str:
+        """The records' texts joined by ``separator``. ``render`` writes a
+        list of rows, each as the record whose counter is ``_COUNTER`` and
+        in which each Since is its ``str``, a mark; record t is its row's
+        text with t - start in place of each mark."""
+        pieces = []
+        for text in render([{self.counter: _COUNTER, **row} for row in self.rows]):
+            parts = text.split(_MARK)
+            parts[1::2] = map(int, parts[1::2])
+            pieces.append(parts)
+        if all(len(parts) == 3 for parts in pieces):
+            # the counter alone, whose start is 0, as in a beam's records
+            a, _, b = zip(*pieces)
+            texts = [f"{a[i]}{t}{b[i]}" for t, i in enumerate(self.index)]
+        else:
+            # the counter and one Since, or the counter alone
+            a, s, b, u, c = zip(*(parts if len(parts) == 5 else parts + [None, ""] for parts in pieces))
+            texts = [
+                f"{a[i]}{t - s[i]}{b[i]}{'' if u[i] is None else t - u[i]}{c[i]}"
+                for t, i in enumerate(self.index)
+            ]
+        return separator.join(texts)
 
 
 def load(path: str | Path, build):

@@ -273,7 +273,7 @@ def test_chronology_measurement_matches_old(seed, kind, actor):
     )
     assert outcome == old_outcome
     assert same_bytes(probabilities, old_probabilities)
-    detail = session.events[-1].detail
+    detail = session.rows[-1]["detail"]
     assert detail["outcome"] == outcome and detail["probabilities"] == probabilities
     if kind == "vector":
         assert same_bytes(ctc.amplitudes, old_ctc.amplitudes)
@@ -331,7 +331,7 @@ def test_teleportation_matches_old(state_seed, seed):
 @settings(max_examples=25, deadline=None)
 @given(seeds)
 def test_beam_outcomes_match_old(seed):
-    records = run_beam(64, "noise", seed).records
+    records = run_beam(64, "noise", seed).records.dicts()
     assert [r["outcome"] for r in records] == old_beam_outcomes(64, seed)
 
 

@@ -7,7 +7,6 @@ the results without running the constructor's checks. Each test hands such
 a result, built from random inputs, back to the validating constructor.
 """
 
-import dataclasses
 import json
 import math
 import re
@@ -37,13 +36,9 @@ from ctcsim.consistency import (  # noqa: E402
 from ctcsim.gates import GATE_NAMES, GateSpec, UnitaryGate, build_gate  # noqa: E402
 from ctcsim.protocol import (  # noqa: E402
     FORMALISMS,
-    SCENARIOS,
     ProtocolConfig,
-    Transcript,
     _run_stages,
-    run_ebit_distribution,
     run_session,
-    run_teleportation_baseline,
 )
 from ctcsim.states import (  # noqa: E402
     DensityOperator,
@@ -629,50 +624,3 @@ def test_canonical_json_rejects_non_finite_anywhere(value, bad):
     for payload in (bad, [value, bad], {"k": [bad]}, (value, {"k": bad})):
         with pytest.raises(ValueError):
             canonical_json(payload)
-
-
-# ------------------------------------------------------------ transcripts
-
-
-def document(transcript: Transcript) -> dict:
-    """A transcript's JSON document with its events as a list of dicts."""
-    doc = transcript.to_json()
-    return {**doc, "events": doc["events"].dicts()}
-
-
-def rebuilt(transcript: Transcript) -> Transcript:
-    """The same fields through the public constructor, which checks them."""
-    fields = dataclasses.fields(Transcript)
-    return Transcript(**{f.name: getattr(transcript, f.name) for f in fields})
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([s for s in SCENARIOS if s != "beam"]),
-    st.sampled_from(FORMALISMS),
-    st.sampled_from(COUPLINGS),
-    st.booleans(),
-    seeds,
-)
-def test_recorded_transcripts_pass_the_public_check(scenario, formalism, gate, bob_measures, seed):
-    rng = np.random.default_rng(seed)
-    amplitudes = rng.normal(size=2) + 1j * rng.normal(size=2)
-    state = StateVector(amplitudes / np.linalg.norm(amplitudes))
-    config = ProtocolConfig(
-        input_state=state,
-        gate=GateSpec(gate),
-        formalism=formalism,
-        scenario=scenario,
-        bob_measures=bob_measures,
-        seed=seed,
-        storage_cycles=3,
-    )
-    built = [
-        run_session(config),
-        run_teleportation_baseline(state, seed),
-        run_ebit_distribution(),
-    ]
-    for transcript in built:
-        again = rebuilt(transcript)
-        assert document(again) == document(transcript)
-        assert canonical_json(again.to_json()) == canonical_json(transcript.to_json())

@@ -20,7 +20,7 @@ from ctcsim.gates import (
     hadamard,
     swap,
 )
-from ctcsim import protocol
+from ctcsim import protocol, serialize
 from ctcsim.protocol import (
     BEAM_POLICIES,
     FORMALISMS,
@@ -291,24 +291,18 @@ def test_exactly_one_cbit_per_nominal_run():
     assert len(cbits) == 1 and cbits[0].delta == -1
 
 
+#: A transcript's fields that its recorder does not hold.
+RUN_FIELDS = dict(
+    seed=0, final_verdicts={}, transferred_state=None, transfer_fidelity=None, branch_id=0, detail={}
+)
+
+
 def test_no_bob_message_without_collapse():
-    events = [
-        TranscriptEvent(0, "alice", "message", {"sender": "alice"}),
-        TranscriptEvent(1, "bob", "message", {"sender": "bob"}),
-    ]
+    session = Session(config(seed=0))
+    session.event("alice", "message", {"sender": "alice"})
+    session.event("bob", "message", {"sender": "bob"})
     with pytest.raises(ProtocolError):
-        Transcript(
-            protocol="ctc_transfer",
-            seed=0,
-            events=events,
-            final_verdicts={},
-            collapse_flag=False,
-            transferred_state=None,
-            transfer_fidelity=None,
-            resource_entries=[],
-            branch_id=0,
-            detail={},
-        )
+        session.transcript(protocol="ctc_transfer", collapse_flag=False, **RUN_FIELDS)
 
 
 def test_bob_message_needs_a_collapse_when_the_transcript_is_built():
@@ -327,36 +321,28 @@ def test_bob_message_needs_a_collapse_when_the_transcript_is_built():
                 session.transcript(collapse_flag=False, **fields)
 
 
-def test_transcript_rejects_unordered_events():
-    events = [
-        TranscriptEvent(1, "alice", "gate", {}, time_direction="forward"),
-        TranscriptEvent(0, "alice", "measurement", {}),
-    ]
-    with pytest.raises(ProtocolError):
-        Transcript("ctc_transfer", 0, events, {}, False, None, None, [], 0, {})
-
-
 def test_transcript_rejects_backward_contact():
-    events = [TranscriptEvent(0, "alice", "gate", {}, time_direction="backward")]
-    with pytest.raises(CausalityError):
-        Transcript("ctc_transfer", 0, events, {}, False, None, None, [], 0, {})
+    # every recorder refuses an event against linear time, CTC or not
+    for recorder in (protocol._Recorder(protocol._CTC_CONTACT), protocol._Recorder()):
+        with pytest.raises(CausalityError):
+            recorder.event("alice", "gate", {}, time_direction="backward")
 
 
 def test_transcript_rejects_a_ctc_contact_without_a_time_direction():
-    events = [TranscriptEvent(0, "alice", "gate", {})]
     with pytest.raises(CausalityError, match="parallel to linear time"):
-        Transcript("ctc_transfer", 0, events, {}, False, None, None, [], 0, {})
+        Session(config(seed=0)).event("alice", "gate", {})
     # only a CTC transfer touches the CTC
-    assert Transcript("teleportation", 0, events, {}, False, None, None, [], 0, {}).events == events
+    recorder = protocol._Recorder()
+    recorder.event("alice", "gate", {})
+    transcript = recorder.transcript(protocol="teleportation", collapse_flag=False, **RUN_FIELDS)
+    assert transcript.events == [TranscriptEvent(0, "alice", "gate", {})]
 
 
 def test_transcript_rejects_alice_after_bob():
-    events = [
-        TranscriptEvent(0, "bob", "prepare", {}),
-        TranscriptEvent(1, "alice", "measurement", {}),
-    ]
+    recorder = protocol._Recorder()
+    recorder.event("bob", "prepare", {})
     with pytest.raises(CausalityError):
-        Transcript("ctc_transfer", 0, events, {}, False, None, None, [], 0, {})
+        recorder.event("alice", "measurement", {})
 
 
 def test_session_blocks_backward_contact_event():
@@ -502,7 +488,7 @@ def test_beam_fraction_near_half():
 
 def test_beam_matched_trials_close_the_loop():
     report = run_beam(300, "noise", seed=7)
-    for record in report.records:
+    for record in report.records.dicts():
         if record["matched"]:
             assert record["action"] == "completed"
             assert record["closure_residual"] <= 1e-12
@@ -514,7 +500,7 @@ def test_beam_matched_trials_close_the_loop():
 @pytest.mark.parametrize("policy,action", [("collapse", "collapsed"), ("discard", "discarded")])
 def test_beam_mismatch_policies(policy, action):
     report = run_beam(200, policy, seed=11)
-    mismatched = [r for r in report.records if not r["matched"]]
+    mismatched = [r for r in report.records.dicts() if not r["matched"]]
     assert mismatched
     assert all(r["action"] == action for r in mismatched)
     assert report.branch_summary["collapsed"] == len(mismatched)
@@ -524,7 +510,7 @@ def test_beam_mismatch_policies(policy, action):
 def test_beam_per_trial_streams_are_stable():
     a = run_beam(50, "collapse", seed=21)
     b = run_beam(50, "collapse", seed=21)
-    assert a.records == b.records
+    assert a.records.dicts() == b.records.dicts()
     assert isinstance(a, BeamReport)
 
 
@@ -627,7 +613,7 @@ def assert_same_text(got, expected):
 def test_beam_report_matches_the_per_record_oracle(policy, trials, seed):
     report = run_beam(trials, policy, seed)
     expected = oracle_beam(trials, policy, seed)
-    assert report.records == expected["records"]
+    assert report.records.dicts() == expected["records"]
     assert report.branch_summary == expected["branch_summary"]
     assert report.basis_match_fraction == expected["basis_match_fraction"]
     argv = ["beam", "--trials", str(trials), "--policy", policy, "--seed", str(seed)]
@@ -719,6 +705,35 @@ def test_storage_cycles_build_no_event_objects(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_len_of_records_builds_no_dict(monkeypatch):
+    report = run_beam(2000, "noise", seed=4)
+    transcript = run_session(config(scenario="storage", storage_cycles=1000, seed=4))
+    events = len(transcript.events)
+
+    def refuse(self):
+        raise AssertionError("len() built the records' dicts")
+
+    monkeypatch.setattr(serialize.IndexedRecords, "dicts", refuse)
+    assert len(report.records) == 2000
+    assert len(transcript.records) == events
+
+
+def test_counts_must_be_ints_and_not_bools():
+    # a bool or a float seed or cycle count is refused before the run, in a
+    # TypeError that names the field and its type
+    for field, value in (("seed", True), ("seed", 3.0), ("storage_cycles", True), ("storage_cycles", 2.5)):
+        with pytest.raises(TypeError, match=f"^{field} must be an int, got {type(value).__name__}$"):
+            config(scenario="storage", **{field: value})
+    for seed in (True, 3.0):
+        with pytest.raises(TypeError, match=f"^seed must be an int, got {type(seed).__name__}$"):
+            run_beam(3, seed=seed)
+        with pytest.raises(TypeError, match=f"^seed must be an int, got {type(seed).__name__}$"):
+            run_teleportation_baseline(StateVector.basis(0), seed=seed)
+    # a numpy integer is an int
+    assert run_beam(3, seed=np.int64(3)).records == run_beam(3, seed=3).records
+    assert config(scenario="storage", storage_cycles=np.int64(2), seed=np.int64(1)).storage_cycles == 2
+
+
 def test_beam_argument_validation():
     with pytest.raises(ProtocolError):
         run_beam(0, "collapse")
@@ -748,7 +763,7 @@ def assert_record_follows_the_live_generator(record, seed):
 
 @pytest.mark.parametrize("seed", (0, 2**32, 2**64, 10**26))
 def test_beam_records_follow_the_live_generator(seed):
-    for record in run_beam(40, "noise", seed).records:
+    for record in run_beam(40, "noise", seed).records.dicts():
         assert_record_follows_the_live_generator(record, seed)
 
 
@@ -777,7 +792,7 @@ def test_batched_draws_match_the_live_generator(seed):
 def test_beam_records_follow_the_live_generator_across_blocks(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        records = run_beam(2049, "noise", seed).records
+        records = run_beam(2049, "noise", seed).records.dicts()
     for trial in BLOCK_EDGE_TRIALS[:-1]:
         assert_record_follows_the_live_generator(records[trial], seed)
 
@@ -880,7 +895,7 @@ def test_beam_uses_each_branch_once(policy, monkeypatch):
         "collapsed": list(statuses.values()).count("collapsed"),
         "distinct_branches": 200,
     }
-    merged = sum(record["matched"] for record in report.records)
+    merged = sum(record["matched"] for record in report.records.dicts())
     assert report.branch_summary["merged"] == merged
     # the counts come from the ledger's statuses, not from its id-keyed summary
     monkeypatch.setattr(RecordingLedger, "summary", None)
