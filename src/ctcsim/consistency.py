@@ -38,8 +38,6 @@ _SURFACE_SHELL = 1.0 - 1e-12
 # run lengths of the iterative solver's batched step check; short first runs
 # spare a solve of few steps the surplus iterates of a long run
 _RUNS = (1, 2, 4, 8, 16)
-# rows of the Bloch grid whose residuals the admissible scan computes at once
-_SCAN_ROWS = 65_536
 
 LOOP_LABELS = ("rho_in", "rho_out", "rho_in_prime", "rho_out_prime")
 
@@ -378,8 +376,8 @@ def fixed_set_distance(solution: FixedPointSolution, rho: DensityOperator) -> fl
     return float(np.linalg.norm(offset - basis @ coef))
 
 
-def bloch_grid(resolution: int):
-    """Deterministic grid over the Bloch ball, poles and center deduped.
+def _bloch_shells(resolution: int):
+    """Deterministic grid over the Bloch ball, poles and center deduped, by shell.
 
     Radius covers purity 0.5 to 1 (|r| from 0 to 1) in resolution//2 + 1
     steps; polar and azimuthal angles get resolution//2 + 1 and
@@ -398,26 +396,23 @@ def bloch_grid(resolution: int):
     directions = np.stack(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1
     )
-    shells = radii[1:, None, None] * directions
-    return np.concatenate([np.zeros((1, 3)), shells.reshape(-1, 3)])
+    yield np.zeros((1, 3))
+    for radius in radii[1:]:
+        yield radius * directions
 
 
 def _admissible_points(u: UnitaryGate, rho: np.ndarray, grid_resolution: int, tolerance: float):
     """The Bloch grid points, and their residuals, whose Deutsch residual against the
-    CTC state (a 2x2 matrix) stays within ``tolerance``: the scan, as two arrays."""
+    CTC state (a 2x2 matrix) stays within ``tolerance``: the scan, two arrays per shell."""
     _require_coupling_shapes(u, 2, rho.shape[0])
     # the map rho_in -> Tr_A[U(rho_in (x) rho)U+] is linear in rho_in
     m = _pauli_transfer(u, [_kron(p, rho) for p in _PAULI])
     a, b = m[1:, 1:], m[1:, 0]
-    grid = bloch_grid(grid_resolution)
     target = np.array(_pauli_coefficients(rho)[1:])
-    # row chunks bound the temporaries; each row's residual keeps its bits
-    residuals = np.concatenate([
-        0.5 * np.linalg.norm(grid[i : i + _SCAN_ROWS] @ a.T + b - target, axis=1)
-        for i in range(0, len(grid), _SCAN_ROWS)
-    ])
-    keep = residuals <= tolerance
-    return grid[keep], residuals[keep]
+    for shell in _bloch_shells(grid_resolution):
+        residuals = 0.5 * np.linalg.norm(shell @ a.T + b - target, axis=1)
+        keep = residuals <= tolerance
+        yield shell[keep], residuals[keep]
 
 
 def scan_admissible_inputs(u: UnitaryGate, rho: DensityOperator, grid_resolution: int):
@@ -430,5 +425,5 @@ def scan_admissible_inputs(u: UnitaryGate, rho: DensityOperator, grid_resolution
     so the sweep is evaluated in Bloch coordinates; the result is identical
     to calling check_deutsch per point.
     """
-    points, residuals = _admissible_points(u, rho.matrix, grid_resolution, SOLVER_AGREEMENT_TOL)
-    return list(zip(points, residuals.tolist()))
+    shells = _admissible_points(u, rho.matrix, grid_resolution, SOLVER_AGREEMENT_TOL)
+    return [pair for points, residuals in shells for pair in zip(points, residuals.tolist())]

@@ -104,6 +104,8 @@ class ProtocolConfig:
             raise ProtocolError(f"unknown formalism {self.formalism!r}")
         if self.scenario not in SCENARIOS:
             raise ProtocolError(f"unknown scenario {self.scenario!r}")
+        if not isinstance(self.bob_measures, (bool, np.bool_)):
+            raise TypeError(f"bob_measures must be a bool, got {type(self.bob_measures).__name__}")
         _integer(self.seed, "seed")
         _integer(self.storage_cycles, "storage_cycles")
         object.__setattr__(self, "coupling", build_gate(self.gate))
@@ -711,7 +713,7 @@ def run_beam(trials: int, policy: str = "collapse", seed: int = 0) -> BeamReport
     A block's keys, outcomes and row indices are array operations, and
     one ledger step allocates and consumes the block's branches.
     """
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise ProtocolError(f"trials must be at least 1, got {trials}")
     if trials > _MAX_BEAM_TRIALS:
         raise ProtocolError(f"trials must be at most {_MAX_BEAM_TRIALS}, got {trials}")

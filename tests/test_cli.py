@@ -830,21 +830,29 @@ def test_classify_deutsch_verdict_uses_tolerance(capsys, tolerance):
     assert deutsch == json.loads(cli.canonical_json(expected.to_json()))
 
 
-def test_classify_with_grid_scan(capsys):
+# swap admits only the CTC state itself; 0.6|0> + 0.8|1> is no grid point, so
+# the second case prints the report's empty scan
+@pytest.mark.parametrize(
+    "ctc,count,max_residual",
+    [("1,0,0,0", 1, 0), ("0.6,0,0,0.8", 0, None)],
+    ids=["grid_point", "no_grid_point"],
+)
+def test_classify_with_grid_scan(capsys, ctc, count, max_residual):
     code, out, _ = run_main(
         capsys,
         [
             "classify-consistency",
             "--unitary", "swap",
             "--state", "0.6,0,0.8,0",
-            "--ctc", "1,0,0,0",
+            "--ctc", ctc,
             "--grid", "8",
         ],
     )
     assert code == 0
     scan = json.loads(out)["results"]["admissible_scan"]
     assert scan["grid_resolution"] == 8
-    assert scan["admissible_count"] == 1
+    assert scan["admissible_count"] == count
+    assert scan["max_residual"] == max_residual
 
 
 def test_parse_and_dispatch_returns_report():

@@ -9,12 +9,12 @@ from ctcsim.consistency import (
     SOLVER_AGREEMENT_TOL,
     LOOP_LABELS,
     FixedPointError,
-    bloch_grid,
     bloch_vector,
     check_deutsch,
     check_strong,
     check_weak,
     _admissible_points,
+    _bloch_shells,
     _fixed_space,
     density_from_bloch,
     deutsch_map,
@@ -34,6 +34,17 @@ NAMED_COUPLINGS = [swap(), controlled_rotation(), controlled_phase(), cnot(), id
 def random_state(rng=RNG):
     amps = rng.normal(size=2) + 1j * rng.normal(size=2)
     return StateVector(amps / np.linalg.norm(amps))
+
+
+def bloch_grid(resolution):
+    """The whole Bloch grid: the scan's radial shells, concatenated."""
+    return np.concatenate(list(_bloch_shells(resolution)))
+
+
+def admissible_arrays(u, rho, resolution, tolerance):
+    """The scan's kept points and their residuals over the whole grid, as two arrays."""
+    shells = list(_admissible_points(u, rho, resolution, tolerance))
+    return np.concatenate([points for points, _ in shells]), np.concatenate([r for _, r in shells])
 
 
 def random_density(rng=RNG):
@@ -255,12 +266,22 @@ def test_scan_residuals_match_check_deutsch():
     rho = random_density()
     gate = controlled_rotation()
     # the scan's kernel at an infinite tolerance keeps every grid point
-    points, residuals = _admissible_points(gate, rho.matrix, 8, np.inf)
+    points, residuals = admissible_arrays(gate, rho.matrix, 8, np.inf)
     assert len(points) == len(bloch_grid(8))
     sample = RNG.choice(len(points), size=20, replace=False)
     for index in sample:
         candidate = density_from_bloch(points[index])
         assert check_deutsch(gate, candidate, rho).residual == pytest.approx(residuals[index], abs=1e-12)
+
+
+def test_scan_holds_one_radial_shell_at_a_time():
+    # the identity coupling keeps every point, so each shell comes back whole
+    resolution = 40
+    shell_rows = (resolution // 2 - 1) * resolution + 2
+    shells = list(_admissible_points(identity(), random_density().matrix, resolution, SOLVER_AGREEMENT_TOL))
+    assert len(shells) == resolution // 2 + 1
+    assert max(len(array) for shell in shells for array in shell) == shell_rows
+    assert sum(len(residuals) for _, residuals in shells) == len(bloch_grid(resolution))
 
 
 def test_scan_rejects_invalid_density_probe():
@@ -593,7 +614,7 @@ def test_scan_is_bitwise_the_old_per_point_scan():
                 if tolerance == SOLVER_AGREEMENT_TOL:
                     new = scan_admissible_inputs(gate, rho, resolution)
                 else:
-                    new = list(zip(*_admissible_points(gate, rho.matrix, resolution, tolerance)))
+                    new = list(zip(*admissible_arrays(gate, rho.matrix, resolution, tolerance)))
                 old = old_scan(gate, rho, resolution, tolerance)
                 assert len(new) == len(old)
                 for (r, residual), (old_point, old_matrix, old_residual) in zip(new, old):

@@ -63,6 +63,8 @@ CLI_DIGESTS = {
     "beam_csv": "91e96305cdacba797b864fe8fc7b6baf9fe858afa974cc77f291a4277ced2475",
     "beam_cap": "cd9e447d5751c36661e9a8dadad575cb86acb35e5c5f4fd12232340a80d9cce1",
     "beam_cap_csv": "90bc9e220ec76126ab67cc6e86d7d344f234fd0eb2de6e9cf267aafdf3baefea",
+    "grid_cap_identity": "ae4ce12794b600183e14693afd7d12492e3eb6d9298244c489195f264c90ca44",
+    "grid_cap_swap": "2296aad3706efd20259dea9e490cd3f480e1b98720e242c705075e6aad0ca043",
 }
 
 #: Keyed by policy/random/seed/trials: each trial draws both of its bases.
@@ -195,6 +197,9 @@ CLI_ARGVS = {
         "beam", "--trials", "40000", "--policy", "discard",
         "--seed", "99999999999999999999999999", "--output", "csv",
     ],
+    # the largest scans the CLI allows: identity admits all 3,875,251 points
+    "grid_cap_identity": ["classify-consistency", "--unitary", "identity", "--grid", "250"],
+    "grid_cap_swap": ["classify-consistency", "--unitary", "swap", "--grid", "250"],
 }
 
 

@@ -24,8 +24,6 @@ from ctcsim.consistency import (  # noqa: E402
     SOLVER_AGREEMENT_TOL,
     LOOP_LABELS,
     FixedPointError,
-    _admissible_points,
-    bloch_grid,
     check_deutsch,
     check_weak,
     density_from_bloch,
@@ -50,7 +48,7 @@ from ctcsim.states import (  # noqa: E402
     trace_distance,
 )
 from ctcsim.topology import BranchError, BranchLedger  # noqa: E402
-from test_consistency import haar_unitary  # noqa: E402
+from test_consistency import admissible_arrays, bloch_grid, haar_unitary  # noqa: E402
 
 seeds = st.integers(0, 2**32 - 1)
 examples = settings(max_examples=200, deadline=None)
@@ -206,7 +204,7 @@ def test_scan_matches_check_deutsch_per_point(seed, resolution):
     grid = bloch_grid(resolution)
     reference = np.array([check_deutsch(u, density_from_bloch(p), rho).residual for p in grid])
     # the scan's kernel at an infinite tolerance keeps every grid point
-    points, residuals = _admissible_points(u, rho.matrix, resolution, np.inf)
+    points, residuals = admissible_arrays(u, rho.matrix, resolution, np.inf)
     assert len(points) == len(grid)
     assert np.allclose(residuals, reference, rtol=0.0, atol=1e-12)
     # a tolerance inside the widest gap between residuals near the median,
@@ -216,7 +214,7 @@ def test_scan_matches_check_deutsch_per_point(seed, resolution):
     gaps = np.diff(ordered[middle - 10 : middle + 10])
     cut = middle - 10 + int(np.argmax(gaps))
     tolerance = 0.5 * (ordered[cut] + ordered[cut + 1])
-    kept, _ = _admissible_points(u, rho.matrix, resolution, tolerance)
+    kept, _ = admissible_arrays(u, rho.matrix, resolution, tolerance)
     assert len(kept) == int(np.sum(reference <= tolerance)) == cut + 1
     # the scan itself keeps the points within its fixed tolerance
     scan = scan_admissible_inputs(u, rho, resolution)

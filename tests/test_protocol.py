@@ -734,6 +734,22 @@ def test_counts_must_be_ints_and_not_bools():
     assert config(scenario="storage", storage_cycles=np.int64(2), seed=np.int64(1)).storage_cycles == 2
 
 
+def test_beam_trials_must_be_an_int_and_not_a_bool():
+    # True would run one trial and print "trials":true; 3.0 would fail in range()
+    for trials in (True, 3.0):
+        with pytest.raises(TypeError, match=f"^trials must be an int, got {type(trials).__name__}$"):
+            run_beam(trials, "noise", 3)
+    assert run_beam(np.int64(3), "noise", 3).records == run_beam(3, "noise", 3).records
+
+
+def test_bob_measures_must_be_a_bool():
+    # a truthy string would run a session in which Bob measures
+    for value in ("no", 1, None):
+        with pytest.raises(TypeError, match=f"^bob_measures must be a bool, got {type(value).__name__}$"):
+            config(bob_measures=value)
+    assert run_session(config(bob_measures=np.bool_(True))).to_json() == run_session(config(bob_measures=True)).to_json()
+
+
 def test_beam_argument_validation():
     with pytest.raises(ProtocolError):
         run_beam(0, "collapse")
