@@ -783,7 +783,9 @@ def test_beam_records_follow_the_live_generator(seed):
         assert_record_follows_the_live_generator(record, seed)
 
 
-STREAM_SEEDS = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 10**26)
+#: Seeds of one to seven 32-bit words: from 2**96 on, a seed's words and the
+#: trial index fill more than SeedSequence's four pool words.
+STREAM_SEEDS = (0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 10**26, 2**96, 3**126)
 #: Trial indices on both sides of the edges of the first two 1024-trial
 #: blocks, and the last index a trial can have.
 BLOCK_EDGE_TRIALS = (0, 1023, 1024, 1025, 2047, 2048, 2**32 - 1)
@@ -811,6 +813,19 @@ def test_beam_records_follow_the_live_generator_across_blocks(seed):
         records = run_beam(2049, "noise", seed).records.dicts()
     for trial in BLOCK_EDGE_TRIALS[:-1]:
         assert_record_follows_the_live_generator(records[trial], seed)
+
+
+def test_draw_operands_are_read_only():
+    # every block's draws share these 0-d arrays, so none may change
+    operands = [protocol._LOW32, protocol._MIX_LEFT, protocol._MIX_RIGHT]
+    operands += [*protocol._PCG_MULT, *protocol._PCG_MULT_LIMBS, protocol._u32(16), protocol._u64(32)]
+    operands += itertools.chain.from_iterable(protocol._MIX_CONSTANTS + protocol._STATE_CONSTANTS)
+    for operand in operands:
+        assert operand.shape == ()
+        with pytest.raises(ValueError, match="read-only"):
+            operand[...] = 0
+    high, low = protocol._PCG_MULT_LIMBS[1], protocol._PCG_MULT_LIMBS[0]
+    assert int(high) << 32 | int(low) == int(protocol._PCG_MULT[1])
 
 
 def test_beam_builds_no_generator(monkeypatch):
