@@ -8,7 +8,6 @@ produce byte-identical output; timing and diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -102,154 +101,9 @@ class Report:
         }
 
 
-_SMALLEST_NORMAL = sys.float_info.min
-#: Types the encoder writes as they are, and the one key type it sorts as is.
-_NATIVE = frozenset((str, int, bool, type(None)))
-_STR = frozenset((str,))
-
-
-#: ``json.dumps(v, sort_keys=True, separators=(",", ":"))`` with a NUL in
-#: place of each comma, built once. The ASCII-escaped text has no other NUL,
-#: so item boundaries and placeholders can be told apart; the writers then
-#: put the commas back.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=("\x00", ":"))
-#: A band value's placeholder as the encoder writes it, up to its index.
-#: ``NaN`` appears outside a string only in a placeholder or a spacer,
-#: since the payload's own floats are finite, and no string holds a NUL.
-_PLACEHOLDER = "[NaN\x00"
-#: What the encoder writes between two items of a list spaced with NaNs.
-_SPACER = "\x00NaN\x00"
-
-
-class _Band(tuple):
-    """A band value's placeholder ``(NaN, i)``; a type of its own so that the
-    flat CSV can tell it from a list."""
-
-
 def canonical_json(value) -> str:
-    """Deterministic JSON: sorted keys, floats at 15 significant digits.
-
-    One pass makes a JSON-native copy in which each float is r, the value
-    its 15-digit text reads back as, or int(r) when r is integral and below
-    1e15; then the C encoder writes it, and ``repr(r)`` is that text. Two
-    bands travel as ``[NaN, i]`` placeholders instead: 1e15 <= |r| < 1e16,
-    which ``repr`` spells out in full, and subnormals, which it writes with
-    fewer digits. A records object travels the same way and is written
-    from its rows. A container that holds only str keys and native values
-    is not copied.
-    """
-    band: list = []  # the band values' texts and records objects, by index
-    return _fill(_ENCODER.encode(_plain(value, band)), band)
-
-
-def _texts(values: list) -> list:
-    """The canonical JSON text of each of ``values``."""
-    band: list = []
-    return _items(_plain(values, band), band)
-
-
-def _items(values: list, band: list) -> list:
-    """The canonical text of each of the :func:`_plain` ``values``, from one
-    encoder pass over them spaced with NaNs: only those NaNs follow a NUL,
-    since a report's own floats are finite. Each spacer is a control
-    character while the text is filled in: the encoder escapes every
-    control character in a string."""
-    if not values:
-        return []
-    spaced = [math.nan] * (2 * len(values) - 1)
-    spaced[::2] = values
-    return _fill(_ENCODER.encode(spaced)[1:-1].replace(_SPACER, "\x01"), band).split("\x01")
-
-
-def _plain(v, band: list):
-    """The JSON-native copy of ``v`` that :func:`canonical_json` encodes; the
-    text of each band value is appended to ``band``."""
-    kind = type(v)
-    if kind is float:
-        r = float(format(v, ".15g"))
-        if -1e15 < r < 1e15:
-            if r.is_integer():
-                return int(r)
-            if r > _SMALLEST_NORMAL or r < -_SMALLEST_NORMAL:
-                return r
-    elif kind is dict:
-        if _NATIVE.issuperset(map(type, v.values())) and _STR.issuperset(map(type, v)):
-            return v
-        return {
-            k if type(k) is str else str(k): x if type(x) in _NATIVE else _plain(x, band)
-            for k, x in v.items()
-        }
-    elif kind is list or kind is tuple:
-        if _NATIVE.issuperset(map(type, v)):
-            return v
-        return [x if type(x) in _NATIVE else _plain(x, band) for x in v]
-    elif kind in _NATIVE:
-        return v
-    elif kind is serialize.IndexedRecords and len(v) <= len(v.rows):
-        # no more records than rows, as in a run without storage: a
-        # template would only add a second encoder pass
-        return _plain(v.dicts(), band)
-    elif kind is serialize.IndexedRecords or kind is serialize.Since:
-        # written from its rows, or as its mark, when the text is filled in
-        band.append(v)
-        return _Band((math.nan, len(band) - 1))
-    elif isinstance(v, (float, np.floating)):
-        r = float(format(float(v), ".15g"))
-    elif isinstance(v, (int, np.integer)):
-        return int(v)
-    elif isinstance(v, str):
-        return str(v)
-    elif isinstance(v, (list, tuple)):
-        return [_plain(x, band) for x in v]
-    elif isinstance(v, dict):
-        return {str(k): _plain(x, band) for k, x in v.items()}
-    else:
-        raise TypeError(f"cannot serialize {type(v).__name__} in a report")
-    # only floats the fast path did not settle fall through to here
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite value in report: {v!r}")
-    if not math.isfinite(r):
-        raise ValueError(f"report value {v!r} rounds to infinity at 15 significant digits")
-    size = abs(r)
-    if size < 1e15 and r.is_integer():
-        return int(r)
-    if _SMALLEST_NORMAL <= size < 1e15 or size >= 1e16:
-        return r
-    band.append(format(float(v), ".15g"))
-    return _Band((math.nan, len(band) - 1))
-
-
-def _fill(text: str, band: list) -> str:
-    """``text`` with a comma for each NUL and each band value's text in
-    place of its placeholder: a number's own, a Since's mark, or a records
-    object's list."""
-    if not band:
-        return text.replace("\x00", ",")
-    head, *rest = text.split(_PLACEHOLDER)
-    parts = [head.replace("\x00", ",")]
-    for piece in rest:
-        index, tail = piece.split("]", 1)
-        value = band[int(index)]
-        if type(value) is serialize.IndexedRecords:
-            value = f"[{value.join(_texts, ',')}]"
-        parts += (str(value), tail.replace("\x00", ","))
-    return "".join(parts)
-
-
-def _flatten(prefix: str, value, parts: list, band: list) -> None:
-    """The flat CSV's rows, ``\\n<key path>,<text>``, of a :func:`_plain`
-    payload, appended to ``parts`` as two pieces each. The elements of a
-    list, or the records of a records object, each in its canonical text,
-    are joined by ``|``; a scalar is written as a list of one."""
-    if type(value) is dict:
-        for key in sorted(value):
-            _flatten(f"{prefix}.{key}" if prefix else key, value[key], parts, band)
-        return
-    if type(value) is _Band and type(band[value[1]]) is serialize.IndexedRecords:
-        text = band[value[1]].join(_texts, "|")
-    else:
-        text = "|".join(_items(value if type(value) is list or type(value) is tuple else [value], band))
-    parts += (f"\n{prefix},", text)
+    """:func:`serialize.canonical_json`, here so perfbench counts ``cli.report_bytes``."""
+    return serialize.canonical_json(value)
 
 
 def emit_report(report: Report, output: str = "json") -> str:
@@ -261,13 +115,8 @@ def emit_report(report: Report, output: str = "json") -> str:
         raise ValueError(f"unknown output format {output!r}")
     records = report.results.get("records")
     if type(records) is serialize.IndexedRecords:
-        columns = ["trial", "prep_basis", "meas_basis", "outcome", "matched", "action"]
-        rows = records.join(lambda rows: [",".join(str(r.get(c, "")) for c in columns) for r in rows], "\n")
-        return ",".join(columns) + "\n" + rows
-    parts = ["key,value"]
-    band: list = []
-    _flatten("", _plain(report.to_payload(), band), parts, band)
-    return "".join(parts)
+        return serialize.records_csv(records, ("prep_basis", "meas_basis", "outcome", "matched", "action"))
+    return serialize.flat_csv(report.to_payload())
 
 
 def _inline(text: str) -> bool:

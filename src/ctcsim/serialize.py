@@ -1,14 +1,17 @@
-"""JSON file format for complex vectors and matrices.
+"""ctcsim's JSON: the document format, the one file reader and the report writer.
 
 A document looks like ``{"dim": n, "data": [[re, im], ...]}`` with the data
 list holding ``n`` entries for a vector or ``n*n`` entries (row-major) for a
-square matrix. The same format backs state files, custom gate files and the
-CLI's ``--state``/``--unitary`` file inputs.
+square matrix. It backs state files, custom gate files and the CLI's
+``--state``/``--unitary`` file inputs, which :func:`load` reads. The report
+writer is :func:`canonical_json`, :func:`flat_csv` and :func:`records_csv`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,26 +98,13 @@ def known_keys(document: dict, keys: tuple, what: str) -> None:
             raise ValueError(f"{what} has unknown key {key!r}; expected {', '.join(keys)}")
 
 
-#: The control character around a Since's start in its ``str``.
-_MARK = "\x02"
-
-
 @dataclass(frozen=True)
 class Since:
     """A row value that record t reads as t - start: a second counter that
     runs with the record's own, such as a storage event's cycle. It sits
-    in one of the row's dicts, as ``detail.cycle`` does. Its ``str``, the
-    start between two ``_MARK`` characters, is the mark a report writer
-    renders it as and then puts each record's number in place of."""
+    in one of the row's dicts, as ``detail.cycle`` does."""
 
     start: int
-
-    def __str__(self):
-        return f"{_MARK}{self.start}{_MARK}"
-
-
-#: The counter each row is rendered with: record t reads it as t.
-_COUNTER = Since(0)
 
 
 def _holds_since(row: dict) -> bool:
@@ -139,8 +129,8 @@ def _at(row: dict, t: int) -> dict:
 class IndexedRecords:
     """A report's records as a few distinct rows and a row index: record t
     is ``{counter: t}`` followed by ``rows[index[t]]``, in which a row's
-    :class:`Since` reads as a number. The report writers render each row
-    once and :meth:`join` the texts over ``index``."""
+    :class:`Since` reads as a number. The report writer renders each row
+    once and puts each record's numbers in."""
 
     counter: str
     rows: tuple
@@ -155,29 +145,6 @@ class IndexedRecords:
         counter, rows = self.counter, self.rows
         since = [_holds_since(row) for row in rows]
         return [{counter: t, **(_at(rows[i], t) if since[i] else rows[i])} for t, i in enumerate(self.index)]
-
-    def join(self, render, separator: str) -> str:
-        """The records' texts joined by ``separator``. ``render`` writes a
-        list of rows, each as the record whose counter is ``_COUNTER`` and
-        in which each Since is its ``str``, a mark; record t is its row's
-        text with t - start in place of each mark."""
-        pieces = []
-        for text in render([{self.counter: _COUNTER, **row} for row in self.rows]):
-            parts = text.split(_MARK)
-            parts[1::2] = map(int, parts[1::2])
-            pieces.append(parts)
-        if all(len(parts) == 3 for parts in pieces):
-            # the counter alone, whose start is 0, as in a beam's records
-            a, _, b = zip(*pieces)
-            texts = [f"{a[i]}{t}{b[i]}" for t, i in enumerate(self.index)]
-        else:
-            # the counter and one Since, or the counter alone
-            a, s, b, u, c = zip(*(parts if len(parts) == 5 else parts + [None, ""] for parts in pieces))
-            texts = [
-                f"{a[i]}{t - s[i]}{b[i]}{'' if u[i] is None else t - u[i]}{c[i]}"
-                for t, i in enumerate(self.index)
-            ]
-        return separator.join(texts)
 
 
 def load(path: str | Path, build):
@@ -198,3 +165,186 @@ def load(path: str | Path, build):
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
+
+_SMALLEST_NORMAL = sys.float_info.min
+#: Types the encoder writes as they are, and the one key type it sorts as is.
+_NATIVE = frozenset((str, int, bool, type(None)))
+_STR = frozenset((str,))
+#: ``json.dumps(v, sort_keys=True, separators=(",", ":"))`` with a NUL in
+#: place of each comma, built once. The ASCII-escaped text has no other NUL,
+#: so item boundaries and placeholders can be told apart; the writers then
+#: put the commas back.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=("\x00", ":"))
+#: A band value's placeholder as the encoder writes it, up to its index.
+#: ``NaN`` appears outside a string only in a placeholder or a spacer,
+#: since the payload's own floats are finite, and no string holds a NUL.
+_PLACEHOLDER = "[NaN\x00"
+#: What the encoder writes between two items of a list spaced with NaNs.
+_SPACER = "\x00NaN\x00"
+#: The control character around a Since's start in a rendered row, where
+#: record t's number goes; the encoder escapes it in every string.
+_MARK = "\x02"
+_COUNTER = Since(0)  # the counter each row is rendered with: record t reads it as t
+
+
+class _Band(tuple):
+    """A band value's placeholder ``(NaN, i)``; a type of its own so that the
+    flat CSV can tell it from a list."""
+
+
+def canonical_json(value) -> str:
+    """Deterministic JSON: sorted keys, floats at 15 significant digits.
+
+    One pass makes a JSON-native copy in which each float is r, the value
+    its 15-digit text reads back as, or int(r) when r is integral and below
+    1e15; then the C encoder writes it, and ``repr(r)`` is that text. Two
+    bands travel as ``[NaN, i]`` placeholders instead: 1e15 <= |r| < 1e16,
+    which ``repr`` spells out in full, and subnormals, which it writes with
+    fewer digits. A records object travels the same way and is written
+    from its rows. A container that holds only str keys and native values
+    is not copied.
+    """
+    band: list = []  # the band values' texts and records objects, by index
+    return _fill(_ENCODER.encode(_plain(value, band)), band)
+
+
+def flat_csv(payload: dict) -> str:
+    """The flat CSV of a report's payload: ``key,value`` and :func:`_flatten`'s rows."""
+    band: list = []
+    parts = ["key,value"]
+    _flatten("", _plain(payload, band), parts, band)
+    return "".join(parts)
+
+
+def records_csv(records: IndexedRecords, columns: tuple) -> str:
+    """A header of the counter and ``columns``, then record t as t and its
+    row's ``columns`` as ``str`` writes them; each row's text is built once."""
+    texts = [",".join(str(row[c]) for c in columns) for row in records.rows]
+    lines = [f"{t},{texts[i]}" for t, i in enumerate(records.index)]
+    return ",".join((records.counter, *columns)) + "\n" + "\n".join(lines)
+
+
+def _items(values: list, band: list) -> list:
+    """The canonical text of each of the :func:`_plain` ``values`` (one
+    empty text for none), from one encoder pass over them spaced with NaNs:
+    only those NaNs follow a NUL, since a report's own floats are finite.
+    Each spacer is a control character while the text is filled in: the
+    encoder escapes every control character in a string."""
+    spaced = [math.nan] * (2 * len(values) - 1)
+    spaced[::2] = values
+    return _fill(_ENCODER.encode(spaced)[1:-1].replace(_SPACER, "\x01"), band).split("\x01")
+
+
+def _records(records: IndexedRecords) -> list:
+    """The canonical text of each record: one :func:`_items` pass renders
+    each row with ``_COUNTER`` as its counter and each Since as its mark,
+    and record t is its row's text with t - start in place of each mark."""
+    band: list = []
+    rows = _plain([{records.counter: _COUNTER, **row} for row in records.rows], band)
+    marks = [f"{_MARK}{v.start}{_MARK}" if type(v) is Since else v for v in band]
+    pieces = [text.split(_MARK) for text in _items(rows, marks)]
+    for parts in pieces:
+        parts[1::2] = map(int, parts[1::2])
+    if all(len(parts) == 3 for parts in pieces):
+        # the counter alone, whose start is 0, as in a beam's records
+        a, _, b = zip(*pieces)
+        return [f"{a[i]}{t}{b[i]}" for t, i in enumerate(records.index)]
+    # the counter and one Since, or the counter alone
+    a, s, b, u, c = zip(*(parts if len(parts) == 5 else parts + [None, ""] for parts in pieces))
+    return [
+        f"{a[i]}{t - s[i]}{b[i]}{'' if u[i] is None else t - u[i]}{c[i]}"
+        for t, i in enumerate(records.index)
+    ]
+
+
+def _plain(v, band: list):
+    """The JSON-native copy of ``v`` that :func:`canonical_json` encodes; the
+    text of each band value is appended to ``band``."""
+    kind = type(v)
+    if kind is float:
+        r = float(format(v, ".15g"))
+        if -1e15 < r < 1e15:
+            if r.is_integer():
+                return int(r)
+            if r > _SMALLEST_NORMAL or r < -_SMALLEST_NORMAL:
+                return r
+    elif kind is dict:
+        if _NATIVE.issuperset(map(type, v.values())) and _STR.issuperset(map(type, v)):
+            return v
+        return {
+            k if type(k) is str else str(k): x if type(x) in _NATIVE else _plain(x, band)
+            for k, x in v.items()
+        }
+    elif kind is list or kind is tuple:
+        if _NATIVE.issuperset(map(type, v)):
+            return v
+        return [x if type(x) in _NATIVE else _plain(x, band) for x in v]
+    elif kind in _NATIVE:
+        return v
+    elif kind is IndexedRecords and len(v) <= len(v.rows):
+        # no more records than rows, as in a run without storage: a
+        # template would only add a second encoder pass
+        return _plain(v.dicts(), band)
+    elif kind is IndexedRecords or kind is Since:
+        # filled in later: a records object from its rows, a Since as its mark
+        band.append(v)
+        return _Band((math.nan, len(band) - 1))
+    elif isinstance(v, (float, np.floating)):
+        r = float(format(float(v), ".15g"))
+    elif isinstance(v, (int, np.integer)):
+        return int(v)
+    elif isinstance(v, str):
+        return str(v)
+    elif isinstance(v, (list, tuple)):
+        return [_plain(x, band) for x in v]
+    elif isinstance(v, dict):
+        return {str(k): _plain(x, band) for k, x in v.items()}
+    else:
+        raise TypeError(f"cannot serialize {type(v).__name__} in a report")
+    # only floats the fast path did not settle fall through to here
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite value in report: {v!r}")
+    if not math.isfinite(r):
+        raise ValueError(f"report value {v!r} rounds to infinity at 15 significant digits")
+    size = abs(r)
+    if size < 1e15 and r.is_integer():
+        return int(r)
+    if _SMALLEST_NORMAL <= size < 1e15 or size >= 1e16:
+        return r
+    band.append(format(float(v), ".15g"))
+    return _Band((math.nan, len(band) - 1))
+
+
+def _fill(text: str, band: list) -> str:
+    """``text`` with a comma for each NUL and each band value's text in
+    place of its placeholder: a number's own or a records object's list. A
+    Since outside a records row, which has no number to read, is a TypeError."""
+    if not band:
+        return text.replace("\x00", ",")
+    head, *rest = text.split(_PLACEHOLDER)
+    parts = [head.replace("\x00", ",")]
+    for piece in rest:
+        index, tail = piece.split("]", 1)
+        value = band[int(index)]
+        if type(value) is IndexedRecords:
+            value = f"[{','.join(_records(value))}]"
+        elif type(value) is Since:
+            raise TypeError("cannot serialize a Since outside a records row in a report")
+        parts += (value, tail.replace("\x00", ","))
+    return "".join(parts)
+
+
+def _flatten(prefix: str, value, parts: list, band: list) -> None:
+    """The flat CSV's rows, ``\\n<key path>,<text>``, of a :func:`_plain`
+    payload, appended to ``parts`` as two pieces each. The elements of a
+    list, or the records of a records object, each in its canonical text,
+    are joined by ``|``; a scalar is written as a list of one."""
+    if type(value) is dict:
+        for key in sorted(value):
+            _flatten(f"{prefix}.{key}" if prefix else key, value[key], parts, band)
+        return
+    if type(value) is _Band and type(band[value[1]]) is IndexedRecords:
+        text = "|".join(_records(band[value[1]]))
+    else:
+        text = "|".join(_items(value if type(value) is list or type(value) is tuple else [value], band))
+    parts += (f"\n{prefix},", text)

@@ -53,6 +53,23 @@ def test_canonical_json_rejects_nan():
         cli.canonical_json(float("nan"))
 
 
+def test_a_since_outside_a_records_row_is_refused(capsys, monkeypatch):
+    # only a records row has the number a Since reads; elsewhere it would
+    # be written as its mark, which is not JSON
+    message = "cannot serialize a Since outside a records row in a report"
+    for payload in (serialize.Since(3), {"x": serialize.Since(3)}, {"x": [1e15, serialize.Since(0)]}):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            cli.canonical_json(payload)
+        report = cli.Report(cli.SCHEMA_VERSION, [], 0, {"x": payload}, 0.0)
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            cli.emit_report(report, "csv")
+    report = cli.Report(cli.SCHEMA_VERSION, ["beam"], 0, {"x": serialize.Since(3)}, 0.0)
+    monkeypatch.setattr(cli, "dispatch", lambda argv: (report, cli.EXIT_OK, "json"))
+    code, out, err = run_main(capsys, ["beam"])
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert err == f"error: {message}\n"
+
+
 def test_canonical_json_nesting():
     doc = {"list": [True, None, "x"], "n": 5}
     assert cli.canonical_json(doc) == '{"list":[true,null,"x"],"n":5}'
@@ -624,7 +641,7 @@ def test_a_storage_report_prints_strings_that_read_like_counters(tmp_path, capsy
     # a row's counters are rendered as marks and then replaced: no text in
     # a string, a number or a mark's own control character, may be taken
     # for one
-    name = f"u{-(2**63)}{serialize.Since(7)}.json"
+    name = f"u{-(2**63)}\x027\x02.json"
     (tmp_path / name).write_text(json.dumps(swap().to_json()))
     state = {"dim": 2, "data": [[0.6, 0], [0.8, 0]]}
     gate = {"name": "custom", "custom_path": name}
