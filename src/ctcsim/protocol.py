@@ -729,8 +729,10 @@ def run_beam(trials: int, policy: str = "collapse", seed: int = 0) -> BeamReport
     non-negative int of any width; a trial index is one 32-bit word of the
     stream's seed, so ``trials`` is at most 2**32.
 
-    A block's keys, outcomes and row indices are array operations, and
-    one ledger step allocates and consumes the block's branches.
+    A block's keys, outcomes and row indices are array operations. Each
+    trial's branch is made and spent in one step, merged when the bases
+    match and collapsed otherwise, so it is used once by construction and
+    ``branch_summary`` counts the matches; no ledger is kept.
     """
     if _integer(trials, "trials") < 1:
         raise ProtocolError(f"trials must be at least 1, got {trials}")
@@ -740,25 +742,17 @@ def run_beam(trials: int, policy: str = "collapse", seed: int = 0) -> BeamReport
         raise ProtocolError(f"unknown policy {policy!r}; expected one of {BEAM_POLICIES}")
     stream_seed = _checked_seed(seed)
     first_probability, matched, rows = _beam_table(policy)
-    ledger = BranchLedger()
     row_index = []
     matches = 0
     for start in range(0, trials, _DRAW_BLOCK):
         block = range(start, min(start + _DRAW_BLOCK, trials))
         prep_basis, prep_bit, meas_basis, draws = _beam_draws(stream_seed, block)
         key = 4 * prep_basis + 2 * prep_bit + meas_basis
-        hits = matched[key]
-        matches += int(np.count_nonzero(hits))
-        ledger.consume_block(hits.tolist())
+        matches += int(np.count_nonzero(matched[key]))
         # _sample with two outcomes: 0 when the draw is below p0, else 1
         outcome = draws >= first_probability[key]
         row_index.append((2 * key + outcome).astype(np.uint8).tobytes())
-    statuses = ledger._tally()
-    summary = {
-        "merged": statuses["consumed"],
-        "collapsed": statuses["collapsed"],
-        "distinct_branches": statuses.total(),
-    }
+    summary = {"merged": matches, "collapsed": trials - matches, "distinct_branches": trials}
     records = serialize.IndexedRecords("trial", rows, b"".join(row_index))
     return BeamReport(trials, policy, seed, matches / trials, records, summary)
 

@@ -150,15 +150,15 @@ class IndexedRecords:
 def load(path: str | Path, build):
     """``build`` of the JSON document in the file at ``path``: the one file
     reader. Each failure is one line that names the file: a file that cannot
-    be read or holds no JSON document is a ValueError, and a ValueError or
-    RuntimeError from ``build`` is raised again, of the same type, with the
-    path in front."""
+    be read or decoded (not JSON, not UTF-8, or nested too deep) is a
+    ValueError, and a ValueError or RuntimeError from ``build`` is raised
+    again, of the same type, with the path in front."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
     except OSError as exc:  # missing, a directory, no permission
         raise ValueError(f"{path}: cannot be read: {exc.strerror}") from None
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or too deep
         raise ValueError(f"{path} does not hold a JSON document: {exc}") from None
     try:
         return build(document)

@@ -9,7 +9,6 @@ share every neighborhood) witness the failure.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial, reduce
 from itertools import combinations
 from operator import and_
@@ -251,24 +250,13 @@ class BranchLedger:
         self._status: list[str] = []
 
     def allocate(self) -> int:
-        self._refuse_in_use()
-        self._status.append("in_use")
-        return len(self._status) - 1
-
-    def consume_block(self, merged: Iterable[bool]) -> None:
-        """Allocate and consume one branch per entry of ``merged``, in order:
-        merged where it is true, collapsed where it is false. Like
-        :meth:`allocate`, it refuses while a branch is in use."""
-        self._refuse_in_use()
-        # listed first, so that a bad entry leaves the ledger as it was
-        self._status += list(map(("collapsed", "consumed").__getitem__, merged))
-
-    def _refuse_in_use(self) -> None:
         if self._status and self._status[-1] == "in_use":
             raise BranchError(
                 f"branch {len(self._status) - 1} is already in use; only one branch "
                 "is accessible at a time"
             )
+        self._status.append("in_use")
+        return len(self._status) - 1
 
     def _accessible(self, branch_id: int) -> None:
         status = self._known(branch_id)
@@ -299,7 +287,3 @@ class BranchLedger:
 
     def summary(self) -> dict:
         return {str(bid): status for bid, status in enumerate(self._status)}
-
-    def _tally(self) -> Counter:
-        """The number of branches in each status."""
-        return Counter(self._status)

@@ -253,6 +253,20 @@ def test_missing_state_file(capsys):
     assert err == "error: /does/not/exist.json: cannot be read: No such file or directory\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (["run-protocol", "--state"], ["fixed-point", "--unitary"], ["run-protocol", "--config"], ["topology-check", "--space"]),
+    ids=("state", "unitary", "config", "space"),
+)
+def test_a_deeply_nested_file_ends_in_one_error_line_naming_the_file(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_main(capsys, [*argv, str(path)])
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path} "), lines
+
+
 @pytest.mark.parametrize("argv", (["run-protocol", "--state"], ["run-protocol", "--ctc"], ["fixed-point", "--state"]))
 def test_one_number_is_an_inline_state_not_a_path(capsys, argv):
     code, out, err = run_main(capsys, [*argv, "0.6"])

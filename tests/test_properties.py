@@ -383,16 +383,6 @@ class BranchLedgerMachine(RuleBasedStateMachine):
         assert branch_id == len(self.status) and branch_id not in self.status
         self.status[branch_id] = "in_use"
 
-    @rule(merged=st.lists(st.booleans(), max_size=4))
-    def consume_block(self, merged):
-        if "in_use" in self.status.values():
-            with pytest.raises(BranchError, match="already in use"):
-                self.ledger.consume_block(merged)
-            return
-        self.ledger.consume_block(merged)
-        for flag in merged:
-            self.status[len(self.status)] = "consumed" if flag else "collapsed"
-
     @rule(data=st.data(), outcome=st.sampled_from(["merged", "collapsed", "vanished"]))
     def consume(self, data, outcome):
         branch_id = self.branch(data)

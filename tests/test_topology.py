@@ -554,19 +554,6 @@ def test_single_branch_in_use():
         ledger.allocate()
 
 
-def test_a_block_of_branches_is_spent_whole_or_not_at_all():
-    ledger = BranchLedger()
-    ledger.consume_block([True, False])
-    assert ledger.summary() == {"0": "consumed", "1": "collapsed"}
-    with pytest.raises(TypeError):
-        ledger.consume_block([True, np.True_])
-    bid = ledger.allocate()
-    with pytest.raises(BranchError, match="branch 2 is already in use"):
-        ledger.consume_block([True])
-    ledger.consume(bid, "merged")
-    assert ledger.summary() == {"0": "consumed", "1": "collapsed", "2": "consumed"}
-
-
 def test_consumed_branch_rejects_all_access():
     ledger = BranchLedger()
     bid = ledger.allocate()
