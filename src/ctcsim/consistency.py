@@ -8,7 +8,6 @@ requires the state sequence around the loop to be well-ordered and cyclic.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,6 +20,7 @@ from .states import (
     ATOL,
     DensityOperator,
     StateVector,
+    _half_trace_norm,
     _kron,
     apply_unitary,
     fidelity,
@@ -35,9 +35,6 @@ MAX_ITERATIONS = 10_000
 # inside this radius the smallest eigenvalue, (1 - |r|)/2 >= 5e-13, dwarfs
 # LAPACK's error (about 4e-16), so a Bloch matrix needs no positivity check
 _SURFACE_SHELL = 1.0 - 1e-12
-# run lengths of the iterative solver's batched step check; short first runs
-# spare a solve of few steps the surplus iterates of a long run
-_RUNS = (1, 2, 4, 8, 16)
 
 LOOP_LABELS = ("rho_in", "rho_out", "rho_in_prime", "rho_out_prime")
 
@@ -135,10 +132,10 @@ def _require_coupling_shapes(u: UnitaryGate, *single_qubit_dims):
 
 
 def _reduce(u: np.ndarray, u_dag: np.ndarray, joint: np.ndarray) -> np.ndarray:
-    """Tr_A[U J U-dagger] for any 4x4 matrix J, given U and U-dagger,
-    tracing out the chronology-respecting qubit A; linear in J."""
+    """Tr_A[U J U-dagger] for any 4x4 matrix J or stack of them, given U and
+    U-dagger, tracing out the chronology-respecting qubit A; linear in J."""
     evolved = u @ joint @ u_dag
-    return evolved[:2, :2] + evolved[2:, 2:]
+    return evolved[..., :2, :2] + evolved[..., 2:, 2:]
 
 
 def _pauli_coefficients(mat: np.ndarray) -> tuple:
@@ -159,9 +156,8 @@ def _pauli_coefficients(mat: np.ndarray) -> tuple:
 def _pauli_transfer(u: UnitaryGate, joints) -> np.ndarray:
     """4x4 real matrix m[i, j] = Tr(sigma_i Tr_A[U J_j U-dagger]) / 2."""
     m = np.empty((4, 4))
-    u_dag = u.matrix.conj().T
-    for j, joint in enumerate(joints):
-        m[:, j] = _pauli_coefficients(_reduce(u.matrix, u_dag, joint))
+    for j, image in enumerate(_reduce(u.matrix, u.matrix.conj().T, np.array(joints))):
+        m[:, j] = _pauli_coefficients(image)
     return 0.5 * m
 
 
@@ -250,61 +246,59 @@ def transfer_matrix(u: UnitaryGate, rho_in: DensityOperator) -> np.ndarray:
 
 
 def _fixed_space(u: UnitaryGate, rho_in: DensityOperator):
-    """Solve (I - A) r = b for the Bloch part of the vectorized map.
+    """The Bloch part of the vectorized map as the system (I - A) r = b.
 
-    Returns the min-norm fixed Bloch vector, the null-space basis of
-    (I - A), and the defect of the affine system. A direction is free when
-    its singular value is below 1e-10; the solve then inverts only the
-    kept singular values, so rounding noise in ``b`` along a free direction
-    is not amplified and the fixed point moves with a change of basis.
+    Returns the pair (I - A, b), the null-space basis of I - A, and its SVD
+    with the mask of free directions: those whose singular value is below
+    1e-10.
     """
     m = transfer_matrix(u, rho_in)
-    a, b = m[1:, 1:], m[1:, 0]
-    k = np.eye(3) - a
+    k = np.eye(3) - m[1:, 1:]
     left, svals, vt = np.linalg.svd(k)
     free = svals < 1e-10
-    null_basis = list(vt[free])
-    if free.any():
-        kept = ~free
-        r = vt[kept].T @ ((left[:, kept].T @ b) / svals[kept])
-    else:
-        r, *_ = np.linalg.lstsq(k, b, rcond=None)
-    defect = float(np.linalg.norm(k @ r - b, ord=np.inf))
-    return r, null_basis, defect
+    return (k, m[1:, 0]), list(vt[free]), (left, svals, vt, free)
+
+
+def _closed_form_step(p: float, q: complex, s: float) -> float:
+    """Half the trace norm of the Hermitian 2x2 [[p, .], [q, s]], read from
+    the lower triangle as eigvalsh reads it: half the sum of the eigenvalues'
+    sizes when they share a sign, half their gap when they do not."""
+    return max(abs(p + s) / 2, math.hypot((p - s) / 2, abs(q)))
 
 
 def _iterate(u: UnitaryGate, rho_in: np.ndarray, tolerance: float, max_iterations: int):
     """The iterative solver's loop: the first iterate whose step from the one
     before is within ``tolerance``, and its iteration number.
 
-    Iterates are computed in runs of ``_RUNS`` steps, and one stacked
-    ``eigvalsh`` of their differences gives a run's steps (the bits of one
-    call per difference); the iterates past the first close step are
-    dropped. Raises FixedPointError with the last iterate and step.
+    Each step is first measured in closed form, which agrees with eigvalsh to
+    a few ulps (relative, or about 1e-323 for subnormals); only a step within
+    the tolerance plus that margin is measured again with eigvalsh, which
+    alone decides whether to stop. Raises FixedPointError with the last
+    iterate and step.
     """
-    u_dag = u.matrix.conj().T
+    u_mat, u_dag = u.matrix, u.matrix.conj().T
     left = rho_in[:, None, :, None]  # _kron(rho_in, mat), broadcast once
-    mat = DensityOperator.maximally_mixed().matrix
-    step = float("inf")
-    done = 0
-    for run in itertools.chain(_RUNS, itertools.repeat(_RUNS[-1])):
-        run = min(run, max_iterations - done)
-        if run <= 0:
-            break
-        iterates = [mat]
-        for _ in range(run):
-            mat = _reduce(u.matrix, u_dag, (left * mat[None, :, None, :]).reshape(4, 4))
-            trace = mat.trace().real
-            if abs(trace - 1.0) > ATOL / 2:
-                mat = mat / trace
-            iterates.append(mat)
-        stack = np.array(iterates)
-        steps = 0.5 * np.abs(np.linalg.eigvalsh(stack[1:] - stack[:-1])).sum(axis=1)
-        close = np.flatnonzero(steps <= tolerance)
-        if close.size:
-            return stack[close[0] + 1], done + int(close[0]) + 1
-        done += run
-        step = float(steps[-1])
+    # _reduce's expressions, written through out= into buffers built once per solve
+    joint, half, evolved = (np.empty((4, 4), dtype=complex) for _ in range(3))
+    joint4, top, bottom = joint.reshape(2, 2, 2, 2), evolved[:2, :2], evolved[2:, 2:]
+    mat, prev = DensityOperator.maximally_mixed().matrix.copy(), np.empty((2, 2), dtype=complex)
+    entries = mat.tolist()
+    bound = tolerance * (1.0 + 1e-6) + 1e-300
+    for iteration in range(1, max_iterations + 1):
+        prev, mat = mat, prev
+        (a0, _), (c0, d0) = entries
+        np.multiply(left, prev[None, :, None, :], out=joint4)
+        np.matmul(np.matmul(u_mat, joint, out=half), u_dag, out=evolved)
+        np.add(top, bottom, out=mat)
+        (a, _), (c, d) = entries = mat.tolist()
+        trace = a.real + d.real
+        if abs(trace - 1.0) > ATOL / 2:
+            np.divide(mat, trace, out=mat)
+            (a, _), (c, d) = entries = mat.tolist()
+        if _closed_form_step(a.real - a0.real, c - c0, d.real - d0.real) <= bound:
+            if _half_trace_norm(mat - prev) <= tolerance:
+                return mat, iteration
+    step = _half_trace_norm(mat - prev) if max_iterations > 0 else float("inf")
     raise FixedPointError(
         f"no convergence after {max_iterations} iterations (last step {step:.3e})",
         rho=DensityOperator._trusted(mat),
@@ -328,6 +322,8 @@ def solve_deutsch_fixed_point(
     rounding error to the iterate's trace, so an iterate whose trace is
     off by more than half of ``ATOL`` is divided by it before the next
     step; otherwise a slow contraction would fail the unit-trace check.
+    A step is the trace distance between successive iterates, measured in
+    closed form and confirmed with eigvalsh only near the tolerance.
 
     spectral: vectorize the map on the 4-dimensional real space of
     Hermitian operators, take the eigenvalue-1 eigenspace, and project to
@@ -339,7 +335,7 @@ def solve_deutsch_fixed_point(
         raise ValueError(f"unknown method {method!r}")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
-    r_star, null_basis, defect = _fixed_space(u, rho_in)
+    (k, b), null_basis, (left, svals, vt, free) = _fixed_space(u, rho_in)
     # adding 0.0 turns a -0.0 direction entry into +0.0
     directions = np.array(null_basis).reshape(-1, 3).T + 0.0
 
@@ -347,6 +343,14 @@ def solve_deutsch_fixed_point(
         mat, iteration = _iterate(u, rho_in.matrix, tolerance, max_iterations)
         rho = DensityOperator._trusted(mat)
     else:
+        # the min-norm solve inverts only the kept singular values, so rounding noise in b
+        # along a free direction is not amplified and the fixed point moves with a change of basis
+        if null_basis:
+            kept = ~free
+            r_star = vt[kept].T @ ((left[:, kept].T @ b) / svals[kept])
+        else:
+            r_star, *_ = np.linalg.lstsq(k, b, rcond=None)
+        defect = float(np.linalg.norm(k @ r_star - b, ord=np.inf))
         if defect > 1e-10:
             raise FixedPointError(
                 "no fixed point solves the vectorized system; a solution is "

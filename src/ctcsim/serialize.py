@@ -24,6 +24,12 @@ _DOCUMENT = "vector/matrix document"
 _DATA = f"{_DOCUMENT} key 'data'"
 
 
+def _shown(value) -> str:
+    """A file value's repr for an error line, cut after 80 characters."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:80]}..."
+
+
 def complex_to_pairs(values: np.ndarray) -> list[list[float]]:
     """Flatten a complex array to row-major [re, im] pairs."""
     return np.ascontiguousarray(values, dtype=complex).reshape(-1, 1).view(float).tolist()
@@ -37,7 +43,7 @@ def pairs_to_complex(pairs) -> np.ndarray:
     try:
         for i, pair in enumerate(pairs):
             if type(pair) is not list or len(pair) != 2 or not _NUMBERS.issuperset(map(type, pair)):
-                raise ValueError(f"{_DATA} entry {i} must be a [re, im] pair of numbers, got {pair!r}")
+                raise ValueError(f"{_DATA} entry {i} must be a [re, im] pair of numbers, got {_shown(pair)}")
             parts += map(float, pair)
     except OverflowError:
         raise ValueError(f"{_DATA} entry {i} holds an integer too large for a float") from None
@@ -95,7 +101,7 @@ def known_keys(document: dict, keys: tuple, what: str) -> None:
     in a ValueError that names it."""
     for key in document:
         if key not in keys:
-            raise ValueError(f"{what} has unknown key {key!r}; expected {', '.join(keys)}")
+            raise ValueError(f"{what} has unknown key {_shown(key)}; expected {', '.join(keys)}")
 
 
 @dataclass(frozen=True)

@@ -267,6 +267,52 @@ def test_a_deeply_nested_file_ends_in_one_error_line_naming_the_file(tmp_path, c
     assert len(lines) == 1 and lines[0].startswith(f"error: {path} "), lines
 
 
+def nested(depth):
+    entry = [0.5]
+    for _ in range(depth - 1):
+        entry = [entry]
+    return entry
+
+
+@pytest.mark.parametrize("entry", ([0.5] * 100_000, nested(900)), ids=("long", "deep"))
+@pytest.mark.parametrize(
+    "argv, wrap",
+    (
+        (["run-protocol", "--state"], lambda data: {"dim": 2, "data": data}),
+        (["fixed-point", "--unitary"], lambda data: {"dim": 4, "data": data}),
+        (["run-protocol", "--config"], lambda data: {"input_state": {"dim": 2, "data": data}}),
+    ),
+    ids=("state", "unitary", "config"),
+)
+def test_a_huge_data_entry_ends_in_one_short_error_line(tmp_path, capsys, argv, wrap, entry):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(wrap([entry, [0, 0]])))
+    code, out, err = run_main(capsys, [*argv, str(path)])
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and len(err.encode()) < 300, err[:400]
+    assert lines[0].startswith(f"error: {path}: ") and "entry 0 must be a [re, im] pair" in lines[0]
+    assert lines[0].endswith("...")
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    (
+        (["run-protocol", "--config"], {"input_state": {"dim": 2, "data": [[1, 0], [0, 0]]}}),
+        (["topology-check", "--space"], {"points": ["a"], "opens": [[], ["a"]]}),
+    ),
+    ids=("config", "space"),
+)
+def test_a_huge_unknown_key_ends_in_one_short_error_line(tmp_path, capsys, argv, document):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({**document, "x" * 100_000: 1}))
+    code, out, err = run_main(capsys, [*argv, str(path)])
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and len(err.encode()) < 300, err[:400]
+    assert lines[0].startswith(f"error: {path}: ") and "has unknown key 'xxx" in lines[0]
+
+
 @pytest.mark.parametrize("argv", (["run-protocol", "--state"], ["run-protocol", "--ctc"], ["fixed-point", "--state"]))
 def test_one_number_is_an_inline_state_not_a_path(capsys, argv):
     code, out, err = run_main(capsys, [*argv, "0.6"])

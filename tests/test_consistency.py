@@ -771,7 +771,7 @@ def test_classify_grid_scan_builds_no_density_operators(monkeypatch, capsys):
     assert scan["admissible_count"] == len(bloch_grid(16))
 
 
-def test_iterative_solve_checks_its_steps_in_stacked_runs(monkeypatch):
+def test_iterative_solve_confirms_only_steps_near_the_tolerance(monkeypatch):
     rng = np.random.default_rng(23)
     theta = 0.05
     partial_swap = UnitaryGate(np.cos(theta) * np.eye(4) + 1j * np.sin(theta) * swap().matrix)
@@ -783,8 +783,9 @@ def test_iterative_solve_checks_its_steps_in_stacked_runs(monkeypatch):
         del calls[:]
         steps = solve_deutsch_fixed_point(gate, rho_in, "iterative").iterations
         long_solves += steps > 16
-        # runs of 1, 2, 4, 8, then 16 steps, plus the returned solution's residual
-        assert len(calls) <= -(-steps // 16) + 4 + 1
+        # eigvalsh confirms the steps whose closed form is near the tolerance,
+        # then measures the returned solution's residual
+        assert len(calls) <= 3
     assert long_solves >= 2
 
 

@@ -24,6 +24,7 @@ from ctcsim.consistency import (  # noqa: E402
     SOLVER_AGREEMENT_TOL,
     LOOP_LABELS,
     FixedPointError,
+    _closed_form_step,
     check_deutsch,
     check_weak,
     density_from_bloch,
@@ -42,13 +43,19 @@ from ctcsim.states import (  # noqa: E402
     DensityOperator,
     StateVector,
     _branches,
+    _half_trace_norm,
     apply_unitary,
     partial_trace,
     tensor_product,
     trace_distance,
 )
 from ctcsim.topology import BranchError, BranchLedger  # noqa: E402
-from test_consistency import admissible_arrays, bloch_grid, haar_unitary  # noqa: E402
+from test_consistency import (  # noqa: E402
+    admissible_arrays,
+    assert_iterative_is_the_old_loop,
+    bloch_grid,
+    haar_unitary,
+)
 
 seeds = st.integers(0, 2**32 - 1)
 examples = settings(max_examples=200, deadline=None)
@@ -234,6 +241,31 @@ def test_converged_iterative_solution_agrees_with_spectral(seed):
     except FixedPointError:
         assume(False)
     assert trace_distance(iterative.rho, spectral.rho) <= SOLVER_AGREEMENT_TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-3]), st.integers(1, 300))
+def test_iterative_solver_is_bitwise_the_old_loop_on_haar_couplings(seed, tolerance, max_iterations):
+    rng = np.random.default_rng(seed)
+    u = UnitaryGate(haar_unitary(rng))
+    # random_density draws pure (rank 1) and mixed inputs
+    assert_iterative_is_the_old_loop(u, random_density(rng), tolerance, max_iterations)
+
+
+@examples
+@given(seeds, st.sampled_from([1.0, 1e-6, 1e-12, 1e-300, 1e-310, 1e-320]))
+def test_closed_form_step_is_eigvalsh_within_the_solver_margin(seed, scale):
+    # the solver measures a step with eigvalsh only when the closed form is
+    # within tolerance * (1 + 1e-6) + 1e-300, so a step eigvalsh puts within
+    # the tolerance is never skipped while the two agree to that margin
+    rng = np.random.default_rng(seed)
+    p, s, re, im = rng.normal(size=4) * scale
+    for p, s in ((p, s), (p, -p), (p, p), (0.0, 0.0)):
+        for q in (complex(re, im), complex(re, 0.0), 0j):
+            # the upper triangle is never read: eigvalsh reads the lower one
+            diff = np.array([[p, complex(rng.normal(), rng.normal())], [q, s]])
+            exact = _half_trace_norm(diff)
+            assert abs(_closed_form_step(p, q, s) - exact) <= 1e-6 * exact + 1e-300
 
 
 @settings(max_examples=100, deadline=None)
