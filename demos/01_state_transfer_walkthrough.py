@@ -48,9 +48,9 @@ print()
 transcript = run_session(ProtocolConfig(input_state=StateVector.qubit(a, b), seed=7))
 weak = transcript.final_verdicts["weak"]
 print("Full session transcript:")
-for event in transcript.events:
-    direction = f" [{event.time_direction}]" if event.time_direction else ""
-    print(f"  {event.order}: {event.actor:<6} {event.kind}{direction}")
+for event in transcript.records.dicts():
+    direction = f" [{event['time_direction']}]" if "time_direction" in event else ""
+    print(f"  {event['order']}: {event['actor']:<6} {event['kind']}{direction}")
 print(f"loop closure residual: {weak.residual:.2e}  (pass: {weak.passed})")
 print(f"collapse flag:         {transcript.collapse_flag}")
 assert fidelity(config.input_state, transcript.transferred_state) > 1 - 1e-12

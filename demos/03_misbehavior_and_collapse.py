@@ -43,7 +43,7 @@ show(
 
 t = run_session(ProtocolConfig(input_state=state, scenario="self_signal", seed=5))
 show("Bob encodes his outcome into the returning qubit", t)
-senders = [e.detail.get("sender") for e in t.events if e.kind == "message"]
+senders = [e["detail"].get("sender") for e in t.records.dicts() if e["kind"] == "message"]
 print(f"    message senders in that transcript: {senders}")
 print("    the backward message exists only in a collapsed branch\n")
 

@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, state=True, unitary=True)
     p.add_argument("--ctc", help="initial CTC state (same format as --state)")
     p.add_argument("--formalism", choices=FORMALISMS)
-    p.add_argument("--scenario", choices=[s for s in SCENARIOS if s != "beam"])
+    p.add_argument("--scenario", choices=SCENARIOS)
     p.add_argument("--bob-measures", action="store_true", default=None)
     p.add_argument("--storage-cycles", type=int)
     p.add_argument("--config", default=None, help="JSON file mirroring ProtocolConfig fields")

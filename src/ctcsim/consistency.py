@@ -74,11 +74,6 @@ class ConsistencyVerdict:
         }
 
 
-def _verdict(condition: str, residual: float, tolerance: float) -> ConsistencyVerdict:
-    residual = float(max(residual, 0.0))
-    return ConsistencyVerdict(condition, residual, tolerance)
-
-
 @dataclass(frozen=True)
 class FixedPointSolution:
     """A self-consistent CTC state for one coupling.
@@ -182,7 +177,7 @@ def check_strong(
     joint = apply_unitary(tensor_product(s, ctc), u)
     reduced = partial_trace(joint.density(), keep=1)
     residual = 1.0 - fidelity(ctc, reduced)
-    return _verdict("strong", residual, tolerance)
+    return ConsistencyVerdict("strong", residual, tolerance)
 
 
 def check_deutsch(
@@ -190,7 +185,7 @@ def check_deutsch(
 ) -> ConsistencyVerdict:
     """Trace distance between rho and its image under the reduced map."""
     residual = trace_distance(rho, deutsch_map(u, rho_in, rho))
-    return _verdict("deutsch", residual, tolerance)
+    return ConsistencyVerdict("deutsch", residual, tolerance)
 
 
 def check_weak(loop: Mapping[str, DensityOperator]) -> ConsistencyVerdict:
@@ -206,7 +201,7 @@ def check_weak(loop: Mapping[str, DensityOperator]) -> ConsistencyVerdict:
         trace_distance(loop["rho_out"], loop["rho_in_prime"]),
         trace_distance(loop["rho_out_prime"], loop["rho_in"]),
     )
-    return _verdict("weak", residual, STRICT_TOL)
+    return ConsistencyVerdict("weak", residual, STRICT_TOL)
 
 
 def bloch_vector(rho: DensityOperator) -> np.ndarray:

@@ -28,7 +28,7 @@ class UnitaryGate(_Frozen):
         self._set(matrix=mat, dim=mat.shape[0], label=str(label))
 
     def to_json(self) -> dict:
-        return serialize.matrix_to_document(self.matrix)
+        return serialize.to_document(self.matrix)
 
     def __repr__(self):
         return f"UnitaryGate({self.label!r}, dim={self.dim})"

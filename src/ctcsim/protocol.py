@@ -42,7 +42,7 @@ from .states import (
 )
 from .topology import BranchLedger
 
-SCENARIOS = ("nominal", "bob_skips", "self_signal", "beam", "storage")
+SCENARIOS = ("nominal", "bob_skips", "self_signal", "storage")
 FORMALISMS = ("wavefunction", "density")
 BEAM_POLICIES = ("collapse", "discard", "noise")
 
@@ -57,22 +57,11 @@ _HADAMARD = tuple(hadamard().matrix)
 
 
 class ProtocolError(RuntimeError):
-    """Session misuse: bad config, stage ordering, wrong scenario entry point."""
+    """Session misuse: a bad config or a stage run out of order."""
 
 
 class CausalityError(RuntimeError):
     """Chirality violation: an event against the direction of linear time."""
-
-
-@dataclass(frozen=True)
-class TranscriptEvent:
-    """One event of a transcript; ``Transcript.events`` builds them on access."""
-
-    order: int
-    actor: str
-    kind: str
-    detail: dict
-    time_direction: Optional[str] = None
 
 
 #: The scalar keys of a config document and their JSON types.
@@ -162,9 +151,8 @@ class Transcript:
     """Everything one run did, in order, plus its verdicts and ledger.
 
     The run's events are ``records``, numbered by their order (a storage
-    run is one row), and ``events`` builds them on access, one
-    TranscriptEvent each. A run's recorder, which checks each event as it
-    arrives, builds its transcript.
+    run is one row); ``records.dicts()`` lists them. A run's recorder,
+    which checks each event as it arrives, builds its transcript.
     """
 
     protocol: str
@@ -177,10 +165,6 @@ class Transcript:
     resource_entries: list
     branch_id: Optional[int]
     detail: dict
-
-    @property
-    def events(self) -> list:
-        return [TranscriptEvent(**record) for record in self.records.dicts()]
 
     def to_json(self) -> dict:
         return {
@@ -465,8 +449,6 @@ def run_bob_stage(session: Session, msg: Optional[dict]) -> Session:
 
 def _run_stages(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -> Session:
     """A session run through its stages, up to the four states of its loop."""
-    if config.scenario == "beam":
-        raise ProtocolError("the beam scenario aggregates many trials; use run_beam()")
     session = Session(config, ledger)
     message = run_alice_stage(session)
     if session.stage == "alice_done":
@@ -501,12 +483,9 @@ def run_session(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -
     session.ledger.consume(session.branch_id, branch_outcome)
     session.detail["branch_status"] = session.ledger.status(session.branch_id)
 
-    success = (
-        not collapse_flag
-        and weak.passed
-        and (session.transfer_fidelity is None or session.transfer_fidelity >= FIDELITY_THRESHOLD)
-    )
-    if success:
+    if not collapse_flag and (
+        session.transfer_fidelity is None or session.transfer_fidelity >= FIDELITY_THRESHOLD
+    ):
         session.book(ResourceKind.QUBIT, 1)
 
     session.detail["collapse_reasons"] = list(session.collapse_reasons)

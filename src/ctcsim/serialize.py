@@ -3,8 +3,9 @@
 A document looks like ``{"dim": n, "data": [[re, im], ...]}`` with the data
 list holding ``n`` entries for a vector or ``n*n`` entries (row-major) for a
 square matrix. It backs state files, custom gate files and the CLI's
-``--state``/``--unitary`` file inputs, which :func:`load` reads. The report
-writer is :func:`canonical_json`, :func:`flat_csv` and :func:`records_csv`.
+``--state``/``--unitary`` file inputs; :func:`to_document` writes one and
+:func:`load` reads one. The report writer is :func:`canonical_json`,
+:func:`flat_csv` and :func:`records_csv`.
 """
 
 from __future__ import annotations
@@ -50,16 +51,12 @@ def pairs_to_complex(pairs) -> np.ndarray:
     return np.array(parts, dtype=float).view(complex)
 
 
-def vector_to_document(values: np.ndarray) -> dict:
-    values = np.asarray(values, dtype=complex).reshape(-1)
-    return {"dim": int(values.size), "data": complex_to_pairs(values)}
-
-
-def matrix_to_document(matrix: np.ndarray) -> dict:
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    return {"dim": int(matrix.shape[0]), "data": complex_to_pairs(matrix)}
+def to_document(values) -> dict:
+    """The document of a vector or a square matrix: the one document writer."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim not in (1, 2) or values.shape[0] != values.shape[-1]:
+        raise ValueError(f"expected a vector or a square matrix, got shape {values.shape}")
+    return {"dim": len(values), "data": complex_to_pairs(values)}
 
 
 def document_to_array(document: dict) -> np.ndarray:
@@ -113,14 +110,6 @@ class Since:
     start: int
 
 
-def _holds_since(row: dict) -> bool:
-    """Whether a :class:`Since` is a value of one of ``row``'s dicts."""
-    for value in row.values():
-        if type(value) is dict and Since in map(type, value.values()):
-            return True
-    return False
-
-
 def _at(row: dict, t: int) -> dict:
     """``row`` as record t reads it: each :class:`Since` in its dicts is a
     number."""
@@ -146,11 +135,9 @@ class IndexedRecords:
         return len(self.index)
 
     def dicts(self) -> list:
-        """The records as a list of dicts; a row that holds no Since is
-        merged as it stands."""
+        """The records as a list of dicts."""
         counter, rows = self.counter, self.rows
-        since = [_holds_since(row) for row in rows]
-        return [{counter: t, **(_at(rows[i], t) if since[i] else rows[i])} for t, i in enumerate(self.index)]
+        return [{counter: t, **_at(rows[i], t)} for t, i in enumerate(self.index)]
 
 
 def load(path: str | Path, build):
@@ -299,6 +286,8 @@ def _plain(v, band: list):
         r = float(format(float(v), ".15g"))
     elif isinstance(v, (int, np.integer)):
         return int(v)
+    elif isinstance(v, np.bool_):
+        return bool(v)
     elif isinstance(v, str):
         return str(v)
     elif isinstance(v, (list, tuple)):

@@ -105,7 +105,7 @@ class StateVector(_Frozen):
         return DensityOperator._trusted(np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def to_json(self) -> dict:
-        return serialize.vector_to_document(self.amplitudes)
+        return serialize.to_document(self.amplitudes)
 
     @classmethod
     def from_json(cls, document: dict) -> "StateVector":
@@ -158,7 +158,7 @@ class DensityOperator(_Frozen):
         return _qubit_count(self.dim)
 
     def to_json(self) -> dict:
-        return serialize.matrix_to_document(self.matrix)
+        return serialize.to_document(self.matrix)
 
     @classmethod
     def from_json(cls, document: dict) -> "DensityOperator":

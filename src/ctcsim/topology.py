@@ -258,15 +258,7 @@ class BranchLedger:
         self._status.append("in_use")
         return len(self._status) - 1
 
-    def _accessible(self, branch_id: int) -> None:
-        status = self._known(branch_id)
-        if status != "in_use":
-            raise BranchError(
-                f"branch {branch_id} is {status}; a used branch can never "
-                "be accessed again"
-            )
-
-    def _known(self, branch_id: int) -> str:
+    def status(self, branch_id: int) -> str:
         # a bare list index would read branch -1 as the newest branch
         if not 0 <= branch_id < len(self._status):
             raise BranchError(f"unknown branch id {branch_id}")
@@ -274,16 +266,18 @@ class BranchLedger:
 
     def touch(self, branch_id: int) -> None:
         """Check that a protocol event may still use the branch."""
-        self._accessible(branch_id)
+        status = self.status(branch_id)
+        if status != "in_use":
+            raise BranchError(
+                f"branch {branch_id} is {status}; a used branch can never "
+                "be accessed again"
+            )
 
     def consume(self, branch_id: int, outcome: str) -> None:
         if outcome not in ("merged", "collapsed"):
             raise ValueError(f"outcome must be merged or collapsed, got {outcome!r}")
-        self._accessible(branch_id)
+        self.touch(branch_id)
         self._status[branch_id] = "consumed" if outcome == "merged" else "collapsed"
-
-    def status(self, branch_id: int) -> str:
-        return self._known(branch_id)
 
     def summary(self) -> dict:
         return {str(bid): status for bid, status in enumerate(self._status)}

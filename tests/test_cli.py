@@ -73,6 +73,10 @@ def test_a_since_outside_a_records_row_is_refused(capsys, monkeypatch):
 def test_canonical_json_nesting():
     doc = {"list": [True, None, "x"], "n": 5}
     assert cli.canonical_json(doc) == '{"list":[true,null,"x"],"n":5}'
+    # a numpy bool is a bool, in the JSON and in the flat CSV
+    doc = {"list": [np.True_, None, "x"], "n": 5, "b": np.False_}
+    assert cli.canonical_json(doc) == '{"b":false,"list":[true,null,"x"],"n":5}'
+    assert serialize.flat_csv(doc) == 'key,value\nb,false\nlist,true|null|"x"\nn,5'
 
 
 # ------------------------------------------------------------- reproducibility
@@ -329,9 +333,9 @@ def write_document(path, document):
 
 def test_state_and_unitary_files(tmp_path, capsys):
     state_path = tmp_path / "state.json"
-    write_document(state_path, serialize.vector_to_document([0.6, 0.8j]))
+    write_document(state_path, serialize.to_document([0.6, 0.8j]))
     gate_path = tmp_path / "gate.json"
-    write_document(gate_path, serialize.matrix_to_document(hadamard().matrix))
+    write_document(gate_path, serialize.to_document(hadamard().matrix))
     code, out, _ = run_main(
         capsys,
         ["classify-consistency", "--state", str(state_path), "--unitary", "swap"],
@@ -348,7 +352,7 @@ def test_state_and_unitary_files(tmp_path, capsys):
 
 def test_fixed_point_accepts_density_matrix_file(tmp_path, capsys):
     rho_path = tmp_path / "rho.json"
-    write_document(rho_path, serialize.matrix_to_document(np.diag([0.75, 0.25])))
+    write_document(rho_path, serialize.to_document(np.diag([0.75, 0.25])))
     code, out, _ = run_main(
         capsys, ["fixed-point", "--unitary", "swap", "--state", str(rho_path)]
     )
@@ -770,6 +774,9 @@ def test_empty_json_file_is_named_in_one_error_line(tmp_path, capsys, argv):
         formalism.write_text(json.dumps({"input_state": state, "formalism": "x"}))
         custom.write_text(json.dumps({"input_state": state, "gate": {"name": "custom", "custom_path": str(missing)}}))
         cases[formalism] = f"{formalism}: unknown formalism 'x'"
+        beam = tmp_path / "beam.json"  # a beam is run_beam's, not a session's
+        beam.write_text(json.dumps({"input_state": state, "scenario": "beam"}))
+        cases[beam] = f"{beam}: unknown scenario 'beam'"
         cases[custom] = f"{custom}: {missing}: cannot be read: No such file or directory"
     for path, line in cases.items():
         code, out, err = run_main(capsys, [*argv, str(path)])

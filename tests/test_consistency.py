@@ -699,7 +699,7 @@ def test_iterative_solver_is_bitwise_the_old_loop():
             assert_iterative_is_the_old_loop(gate, rho_in, 1e-12, 300)
 
 
-# caps on each side of the solver's batch boundaries (1, 3, 7, 15, then every 16)
+# caps from none to a long solve: solves cut at every short length, and some that converge
 @pytest.mark.parametrize("max_iterations", [-1, 0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 300])
 @pytest.mark.parametrize("tolerance", [0.0, 1e-12, 1e-6, 0.1])
 def test_iterative_solver_is_bitwise_the_old_loop_at_every_cap(tolerance, max_iterations):

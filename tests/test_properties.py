@@ -502,7 +502,7 @@ def recursive_canonical_json(value) -> str:
     """The recursive writer ``canonical_json`` replaced, kept as its oracle."""
     if value is None:
         return "null"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -558,6 +558,7 @@ def test_canonical_json_matches_recursive_oracle(value):
         -0.0,
         np.float32(0.1),
         np.int64(-(2**63)),
+        np.False_,
         {True: 1, 2: [False, None], -1: "x"},
         (1, (2.5, ("t",))),
         # band values in a different order from their sorted keys, next to

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -364,8 +366,12 @@ def test_document_keeps_the_bits_of_every_part():
     flat = serialize.document_to_array({"dim": 8, "data": parts})
     expected = [complex(float(re), float(im)) for re, im in parts]
     assert flat.tobytes() == np.array(expected, dtype=complex).tobytes()
-    again = serialize.document_to_array(serialize.vector_to_document(flat))
+    again = serialize.document_to_array(serialize.to_document(flat))
     assert again.tobytes() == flat.tobytes()
+    # the one writer takes a vector or a square matrix and nothing else
+    for shape in ((2, 3), (2, 2, 2), ()):
+        with pytest.raises(ValueError, match=re.escape(f"expected a vector or a square matrix, got shape {shape}")):
+            serialize.to_document(np.zeros(shape))
     # a strided view, signed zeros and subnormals keep their bits as well
     strided = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[::2, ::-1]
     signed = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-5e-324, 5e-324)])
