@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,7 @@ class UnitaryGate(_Frozen):
         _qubit_count(mat.shape[0])
         if not np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max() <= ATOL:
             raise ValueError("matrix is not unitary within 1e-12")
-        self._set(matrix=mat, dim=mat.shape[0], label=str(label))
+        self._own(matrix=np.array(mat), dim=mat.shape[0], label=str(label))
 
     def to_json(self) -> dict:
         return serialize.to_document(self.matrix)
@@ -121,13 +122,17 @@ _FACTORIES = {
 GATE_NAMES = tuple(_FACTORIES)
 
 
+#: The parameterless gate of each name, built and checked once per process;
+#: a gate is immutable, so every caller may share it.
+_named = functools.cache(lambda name: _FACTORIES[name]())
+
+
 def build_gate(spec: GateSpec) -> UnitaryGate:
-    """Construct the gate a spec names; unitarity is validated on build.
-    Only ``controlled_phase`` takes an angle and only ``custom`` a path."""
-    factory = _FACTORIES[spec.name]
+    """The gate a spec names; unitarity is validated on build. Only
+    ``controlled_phase`` takes an angle and only ``custom`` a path."""
     if spec.name == "custom":
-        return factory(spec.custom_path)
-    return factory() if spec.params is None else factory(float(spec.params))
+        return _custom(spec.custom_path)
+    return _named(spec.name) if spec.params is None else controlled_phase(float(spec.params))
 
 
 def bell_pair() -> StateVector:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import serialize
 from .consistency import check_deutsch, check_weak, deutsch_map
-from .gates import GateSpec, UnitaryGate, bell_pair, build_gate, cnot, hadamard, pauli_x, pauli_z
+from .gates import GateSpec, UnitaryGate, _named, bell_pair, build_gate
 from .resources import FIDELITY_THRESHOLD, LedgerEntry, ResourceKind, tally
 from .states import (
     DensityOperator,
@@ -51,9 +51,6 @@ PURITY_TOL = 1e-10
 #: The event kinds of a CTC transfer where the CTC touches linear time: the
 #: gates, the encoding and the storage cycles.
 _CTC_CONTACT = ("gate", "encode", "storage_cycle")
-
-#: The Hadamard basis pair |+>, |->: the rows of the Hadamard gate.
-_HADAMARD = tuple(hadamard().matrix)
 
 
 class ProtocolError(RuntimeError):
@@ -326,7 +323,7 @@ def _measure_chronology(session: Session, joint, actor: str):
     outcome = _sample(session.rng.random(), probabilities)
     rest = branches[outcome][1]
     if vector:
-        ctc_factor = StateVector(rest / np.linalg.norm(rest))
+        ctc_factor = StateVector._trusted(rest / np.linalg.norm(rest))
         if actor == "alice":
             detail["unnormalized_branches"] = [serialize.complex_to_pairs(r) for _, r in branches]
     else:
@@ -359,7 +356,7 @@ def run_alice_stage(session: Session) -> Optional[dict]:
         # the density route in both formalisms: reducing the pure joint
         # vector differs in the last bits, which reach the weak residual
         session.carried = deutsch_map(
-            session.gate, config.input_state.density(), config.ctc_initial.density()
+            session.gate, config.input_state.density(), session.loop_states["rho_in"]
         )
         session.loop_states["rho_out"] = session.carried
         session.stage = "collapsed_at_alice"
@@ -389,9 +386,7 @@ def run_storage_cycles(session: Session) -> None:
 def _bob_coupling(session: Session, ancilla: StateVector) -> None:
     """Bob's gate, then his measurement or the transfer, then self-signaling."""
     config = session.config
-    joint, reduced_ctc, pure = _couple(
-        session, _in_formalism(config, ancilla), session.carried, "bob"
-    )
+    joint, reduced_ctc, pure = _couple(session, _in_formalism(config, ancilla), session.carried, "bob")
     if not pure:
         session.carried = reduced_ctc
         return
@@ -407,8 +402,7 @@ def _bob_coupling(session: Session, ancilla: StateVector) -> None:
 
     if config.scenario == "self_signal":
         bob_outcome = session.detail["bob_outcome"]
-        encoded = apply_unitary(StateVector.basis(bob_outcome), hadamard())
-        session.carried = encoded
+        session.carried = apply_unitary(StateVector.basis(bob_outcome), _named("hadamard"))
         session.event(
             "bob",
             "encode",
@@ -465,14 +459,8 @@ def run_session(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -
     """Execute one full protocol run and return its transcript."""
     session = _run_stages(config, ledger)
     weak = check_weak(session.loop_states)
-    deutsch = check_deutsch(
-        session.gate, config.input_state.density(), config.ctc_initial.density()
-    )
-    session.event(
-        "system",
-        "consistency_check",
-        {"weak": weak.to_json(), "deutsch": deutsch.to_json()},
-    )
+    deutsch = check_deutsch(session.gate, config.input_state.density(), session.loop_states["rho_in"])
+    session.event("system", "consistency_check", {"weak": weak.to_json(), "deutsch": deutsch.to_json()})
     collapse_flag = bool(session.collapse_reasons) or not weak.passed
 
     branch_outcome = "collapsed" if collapse_flag else "merged"
@@ -656,9 +644,9 @@ def _beam_table(policy: str) -> tuple:
     here once per policy.
     """
     basis_names = ("computational", "hadamard")
-    swap_matrix = build_gate(GateSpec("swap")).matrix
+    swap_matrix = _named("swap").matrix
     probe = StateVector.basis(0)
-    bases = (_COMPUTATIONAL, _HADAMARD)
+    bases = (_COMPUTATIONAL, tuple(_named("hadamard").matrix))  # the Hadamard basis: the gate's rows
     states = [[StateVector(vec) for vec in basis] for basis in bases]
     mismatch_action = {"collapse": "collapsed", "discard": "discarded", "noise": "noise"}[policy]
     first_probabilities, matches, rows = [], [], []
@@ -753,14 +741,14 @@ def run_teleportation_baseline(input_state: StateVector, seed: int = 0) -> Trans
     record.book(ResourceKind.EBIT, -1)
 
     psi = tensor_product(input_state, pair)
-    psi = apply_unitary(psi, _kron(cnot().matrix, np.eye(2, dtype=complex)))
+    psi = apply_unitary(psi, _kron(_named("cnot").matrix, np.eye(2, dtype=complex)))
     record.event("alice", "gate", {"gate": "cnot", "targets": [0, 1]})
-    psi = apply_unitary(psi, _kron(hadamard().matrix, np.eye(4, dtype=complex)))
+    psi = apply_unitary(psi, _kron(_named("hadamard").matrix, np.eye(4, dtype=complex)))
     record.event("alice", "gate", {"gate": "hadamard", "targets": [0]})
 
     # Bob's corrections X^m1 then Z^m0, indexed by the two measured bits
-    x_pow = (np.eye(2, dtype=complex), pauli_x().matrix)
-    z_pow = (np.eye(2, dtype=complex), pauli_z().matrix)
+    x_pow = (np.eye(2, dtype=complex), _named("pauli_x").matrix)
+    z_pow = (np.eye(2, dtype=complex), _named("pauli_z").matrix)
     outcome_table = {}
     outcomes = []
     for m0, (_, first) in enumerate(_branches(psi.amplitudes)):

@@ -43,22 +43,31 @@ def _as_complex(values, what: str) -> np.ndarray:
 
 
 class _Frozen:
-    """Immutable value: each field is written once, by :meth:`_set`."""
+    """Immutable value: each field is written once, by :meth:`_own`."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _set(self, **fields) -> None:
-        """Store the fields; an array becomes a view of a private read-only
-        C-ordered complex copy, so the view cannot be made writeable."""
+    def _own(self, **fields) -> None:
+        """Store the fields, taking each array, which no one else may hold (a
+        public constructor passes a copy). One that owns its data and is C-ordered
+        complex is frozen in place, any other is copied; a read-only view is kept."""
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
-                value = np.array(value, dtype=complex, order="C")
-                value.flags.writeable = False
+                flags = value.flags
+                if not (flags.owndata and flags.c_contiguous and value.dtype == complex):
+                    value = np.array(value, dtype=complex, order="C")
+                value.setflags(write=False)
                 value = value.view()
             object.__setattr__(self, name, value)
+
+
+def _normalised(amps: np.ndarray, norm: float) -> np.ndarray:
+    """The one renormalisation rule: ``amps`` over its ``norm`` when |psi|^2
+    is off 1 by more than ATOL, else ``amps`` itself."""
+    return amps / norm if abs(norm**2 - 1.0) > ATOL else amps
 
 
 def _qubit_count(dim: int) -> int:
@@ -79,9 +88,15 @@ class StateVector(_Frozen):
         norm = np.linalg.norm(amps)
         if abs(norm**2 - 1.0) > 1e-9:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm**2} (tolerance 1e-9)")
-        if abs(norm**2 - 1.0) > ATOL:
-            amps = amps / norm
-        self._set(amplitudes=amps, dim=amps.size)
+        self._own(amplitudes=_normalised(np.array(amps, order="C"), norm), dim=amps.size)
+
+    @classmethod
+    def _trusted(cls, amplitudes: np.ndarray) -> "StateVector":
+        """Own, unchecked, a fresh array that is a state by construction:
+        built from valid states and gates."""
+        state = cls.__new__(cls)
+        state._own(amplitudes=_normalised(amplitudes, np.linalg.norm(amplitudes)), dim=amplitudes.size)
+        return state
 
     @classmethod
     def basis(cls, index: int, num_qubits: int = 1) -> "StateVector":
@@ -90,7 +105,7 @@ class StateVector(_Frozen):
             raise ValueError(f"basis index {index} is out of range 0..{dim - 1}")
         amps = np.zeros(dim, dtype=complex)
         amps[index] = 1.0
-        return cls(amps)
+        return cls._trusted(amps)
 
     @classmethod
     def qubit(cls, a: complex, b: complex) -> "StateVector":
@@ -135,17 +150,15 @@ class DensityOperator(_Frozen):
             raise ValueError(f"density operator must have unit trace, got {trace}")
         eigenvalues = np.linalg.eigvalsh(mat)
         if eigenvalues.min() < PSD_FLOOR:
-            raise ValueError(
-                f"density operator has negative eigenvalue {eigenvalues.min()}"
-            )
-        self._set(matrix=mat, dim=mat.shape[0])
+            raise ValueError(f"density operator has negative eigenvalue {eigenvalues.min()}")
+        self._own(matrix=np.array(mat), dim=mat.shape[0])
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "DensityOperator":
-        """Store, unchecked, a matrix that is a density operator by
+        """Own, unchecked, a fresh matrix that is a density operator by
         construction: the image of valid operators under a CPTP map."""
         rho = cls.__new__(cls)
-        rho._set(matrix=matrix, dim=matrix.shape[0])
+        rho._own(matrix=matrix, dim=matrix.shape[0])
         return rho
 
     @classmethod
@@ -185,12 +198,10 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def tensor_product(a: QuantumState, b: QuantumState) -> QuantumState:
     """Kronecker product; qubit order is [a's qubits, then b's qubits]."""
     if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(_kron(a.amplitudes, b.amplitudes))
+        return StateVector._trusted(_kron(a.amplitudes, b.amplitudes))
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
         return DensityOperator._trusted(_kron(a.matrix, b.matrix))
-    raise TypeError(
-        f"operands must be the same kind, got {type(a).__name__} and {type(b).__name__}"
-    )
+    raise TypeError(f"operands must be the same kind, got {type(a).__name__} and {type(b).__name__}")
 
 
 def partial_trace(rho: DensityOperator, keep: Union[int, Sequence[int]]) -> DensityOperator:
@@ -228,7 +239,7 @@ def apply_unitary(state: QuantumState, u) -> QuantumState:
     if matrix.shape[1] != state.dim:
         raise ValueError(f"dimension mismatch: gate {matrix.shape} vs state dim {state.dim}")
     if isinstance(state, StateVector):
-        return StateVector(matrix @ state.amplitudes)
+        return StateVector._trusted(matrix @ state.amplitudes)
     return DensityOperator._trusted(matrix @ state.matrix @ matrix.conj().T)
 
 
@@ -241,26 +252,29 @@ def _branches(array: np.ndarray, basis=_COMPUTATIONAL) -> list:
     matrix rho gives <b|rho|b>, one contraction on each side, with
     probability Re Tr. The arrays and basis are trusted.
     """
-    n = _qubit_count(len(array))
-    tensor = array.reshape((2,) * (array.ndim * n))
+    half = len(array) // 2
     branches = []
     for b in basis:
-        rest = np.tensordot(b.conj(), tensor, axes=([0], [0]))
+        # np.tensordot's own dot calls on its (rows, 2) and (2, columns) operands, so its bits
+        rest = np.dot(b.conj().reshape(1, 2), array.reshape(2, -1))
         if array.ndim == 1:
             branches.append((float(np.linalg.norm(rest)) ** 2, rest.reshape(-1)))
         else:
-            rest = np.tensordot(rest, b, axes=([n - 1], [0])).reshape(2 ** (n - 1), -1)
+            rest = np.dot(rest.reshape(half, 2, half).transpose(0, 2, 1).reshape(-1, 2), b.reshape(2, 1))
+            rest = rest.reshape(half, half)
             branches.append((float(np.real(np.trace(rest))), rest))
     return branches
 
 
 def _sample(draw: float, probabilities) -> int:
     """The one sampler: the first outcome whose running sum of probabilities
-    exceeds the uniform ``draw``, or else the last outcome."""
+    exceeds the uniform ``draw``. When rounding leaves every sum at or below
+    the draw, the last outcome of non-zero probability (the last outcome if
+    all are 0): an outcome of probability 0 is never drawn."""
     for outcome, total in enumerate(itertools.accumulate(probabilities)):
         if draw < total:
-            break
-    return outcome
+            return outcome
+    return max((k for k, p in enumerate(probabilities) if p > 0), default=len(probabilities) - 1)
 
 
 def trace_distance(r1: DensityOperator, r2: DensityOperator) -> float:

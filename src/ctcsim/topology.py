@@ -98,14 +98,14 @@ class TopologySpace(_Frozen):
 
     def __init__(self, points: Iterable[str], opens: Iterable[Iterable[str]]):
         pts, family, masks, minimal = _read(points, opens)
-        self._set(points=pts, _minimal=minimal, _family=family)
-        self._set(_violations=tuple(self._axiom_violations(masks, minimal)))
+        self._own(points=pts, _minimal=minimal, _family=family)
+        self._own(_violations=tuple(self._axiom_violations(masks, minimal)))
 
     @classmethod
     def _trusted(cls, points, minimal: tuple) -> "TopologySpace":
         """Store, unchecked, U_x with x in U_x and U_y ⊆ U_x for y in U_x."""
         space = cls.__new__(cls)
-        space._set(points=tuple(points), _minimal=tuple(minimal), _family=None, _violations=())
+        space._own(points=tuple(points), _minimal=tuple(minimal), _family=None, _violations=())
         return space
 
     @property

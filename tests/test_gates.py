@@ -7,6 +7,7 @@ from ctcsim.gates import (
     GATE_NAMES,
     GateSpec,
     UnitaryGate,
+    _FACTORIES,
     bell_pair,
     build_gate,
     cnot,
@@ -75,6 +76,20 @@ def test_build_gate_dispatch():
     for name in ("swap", "controlled_rotation", "hadamard", "pauli_x", "pauli_z", "cnot", "identity"):
         gate = build_gate(GateSpec(name))
         assert gate.label == name
+
+
+@pytest.mark.parametrize("name", GATE_NAMES[:-1])
+def test_named_gates_are_built_once_with_the_factory_bits(name):
+    built = build_gate(GateSpec(name))
+    fresh = _FACTORIES[name]()
+    assert built.matrix.tobytes() == fresh.matrix.tobytes() and built.label == fresh.label
+    assert build_gate(GateSpec(name)) is built
+
+
+def test_a_gate_with_an_angle_is_built_each_time():
+    spec = GateSpec("controlled_phase", 0.3)
+    assert build_gate(spec) is not build_gate(spec)
+    assert build_gate(spec).matrix.tobytes() == controlled_phase(0.3).matrix.tobytes()
 
 
 def test_gate_names_list_the_builtins_then_custom():

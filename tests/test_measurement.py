@@ -284,6 +284,32 @@ def test_chronology_measurement_matches_old(seed, kind, actor):
         assert same_bytes(ctc.matrix + 0.0, old_ctc + 0.0)
 
 
+def old_branches(array, basis):
+    """The kernel as it contracted through ``np.tensordot``."""
+    n = array.shape[0].bit_length() - 1
+    tensor = array.reshape((2,) * (array.ndim * n))
+    branches = []
+    for b in basis:
+        rest = np.tensordot(b.conj(), tensor, axes=([0], [0]))
+        if array.ndim == 1:
+            branches.append((float(np.linalg.norm(rest)) ** 2, rest.reshape(-1)))
+        else:
+            rest = np.tensordot(rest, b, axes=([n - 1], [0])).reshape(2 ** (n - 1), -1)
+            branches.append((float(np.real(np.trace(rest))), rest))
+    return branches
+
+
+@examples
+@given(seeds, st.integers(1, 3))
+def test_kernel_is_bitwise_the_tensordot_contraction(seed, num_qubits):
+    rng = np.random.default_rng(seed)
+    state = random_vector(rng, num_qubits)
+    for basis in (COMPUTATIONAL, HADAMARD, tuple(haar_unitary(rng, 2).T)):
+        for array in (state.amplitudes, state.density().matrix, random_density(rng, num_qubits).matrix):
+            for (p, rest), (q, old) in zip(states._branches(array, basis), old_branches(array, basis)):
+                assert p == q and rest.shape == old.shape and rest.tobytes() == old.tobytes()
+
+
 # --------------------------------------------------------- the one sampler
 
 
@@ -301,7 +327,16 @@ def test_sampler_matches_old_samplers(seed, weights):
         assert f"{outcome // 2}{outcome % 2}" == old_teleport_sample(draw, table)
     cumulative = np.cumsum(probabilities)
     first = int(np.searchsorted(cumulative, draw, side="right"))
-    assert outcome == min(first, len(probabilities) - 1)
+    # past every running sum, the last outcome of non-zero probability
+    nonzero = [k for k, p in enumerate(probabilities) if p > 0] or [len(probabilities) - 1]
+    assert outcome == (first if first < len(probabilities) else nonzero[-1])
+
+
+def test_sampler_never_draws_an_outcome_of_probability_zero():
+    # rounding leaves the running sum below the draw; the last outcome has
+    # probability 0, and measuring into it would divide 0 by 0
+    assert states._sample(1 - 2**-53, [1 - 2**-53, 0.0]) == 0
+    assert states._sample(1 - 2**-53, [0.5, 0.5 - 2**-53, 0.0, 0.0]) == 1
 
 
 def test_sampler_makes_one_draw():

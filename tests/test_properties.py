@@ -5,6 +5,8 @@ unitary conjugation, partial traces, normalised projections and the Deutsch
 map, all completely positive and trace preserving (Deutsch 1991), and stores
 the results without running the constructor's checks. Each test hands such
 a result, built from random inputs, back to the validating constructor.
+State vectors built the same way must have the bits the validating
+constructor would store.
 """
 
 import json
@@ -40,10 +42,12 @@ from ctcsim.protocol import (  # noqa: E402
     run_session,
 )
 from ctcsim.states import (  # noqa: E402
+    ATOL,
     DensityOperator,
     StateVector,
     _branches,
     _half_trace_norm,
+    _kron,
     apply_unitary,
     partial_trace,
     tensor_product,
@@ -133,6 +137,37 @@ def test_measurement_post_states_are_density_operators(seed):
     for prob, rest in _branches(random_density(rng, 2).matrix, basis):
         if prob > 1e-15:
             assert_valid(DensityOperator._trusted(rest / prob))
+
+
+def random_vector(rng, num_qubits=1, scale=1.0) -> StateVector:
+    amps = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    return StateVector(amps / np.linalg.norm(amps) * scale)
+
+
+def nearly_unitary(rng, epsilon=0.9e-12) -> np.ndarray:
+    """A Haar 4x4 times sqrt(I + epsilon J), J the all-ones matrix. Then
+    U-dagger U = I + epsilon J passes the 1e-12 unitarity check, yet the
+    uniform state's norm squared moves by 4 epsilon, past ATOL."""
+    return haar_unitary(rng) @ (np.eye(4) + (math.sqrt(1 + 4 * epsilon) - 1) / 4 * np.ones((4, 4)))
+
+
+@examples
+@given(seeds, st.booleans(), st.sampled_from([1.0, math.sqrt(1 + 0.9e-12)]))
+def test_trusted_state_vectors_have_the_validated_bits(seed, near, scale):
+    # scale leaves a stored norm squared off 1 by up to 0.9e-12, so that a
+    # product of two is renormalised
+    rng = np.random.default_rng(seed)
+    gate = UnitaryGate(nearly_unitary(rng) if near else haar_unitary(rng))
+    uniform = StateVector(np.full(4, 0.5))
+    if near:
+        assert abs(np.linalg.norm(gate.matrix @ uniform.amplitudes) ** 2 - 1.0) > ATOL
+    for state in (random_vector(rng, 2, scale), uniform):
+        expected = StateVector(gate.matrix @ state.amplitudes).amplitudes
+        assert apply_unitary(state, gate).amplitudes.tobytes() == expected.tobytes()
+    a, b = random_vector(rng, 1, scale), random_vector(rng, 2, scale)
+    for x, y in ((a, b), (b, a), (a, a)):
+        expected = StateVector(_kron(x.amplitudes, y.amplitudes)).amplitudes
+        assert tensor_product(x, y).amplitudes.tobytes() == expected.tobytes()
 
 
 @examples

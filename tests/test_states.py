@@ -17,7 +17,8 @@ from ctcsim.states import (
     tensor_product,
     trace_distance,
 )
-from ctcsim.gates import controlled_rotation, swap
+from ctcsim.consistency import deutsch_map
+from ctcsim.gates import UnitaryGate, controlled_rotation, swap
 
 RNG = np.random.default_rng(20260810)
 
@@ -409,11 +410,40 @@ def test_document_reader_refuses_what_is_not_a_number_document(document, message
         lambda: DensityOperator.maximally_mixed().matrix,
         lambda: swap().matrix,
         lambda: StateVector.basis(0).amplitudes,
+        lambda: tensor_product(StateVector.basis(0), random_state()).amplitudes,
+        lambda: tensor_product(random_density(), random_density()).matrix,
+        lambda: apply_unitary(random_state(2), swap()).amplitudes,
+        lambda: apply_unitary(random_density(), random_unitary(2)).matrix,
+        lambda: partial_trace(random_state(2).density(), 1).matrix,
+        lambda: random_state().density().matrix,
+        lambda: deutsch_map(swap(), random_density(), random_density()).matrix,
     ),
-    ids=("maximally_mixed", "swap", "basis"),
+    ids=(
+        "maximally_mixed", "swap", "basis", "tensor_vector", "tensor_density",
+        "apply_vector", "apply_density", "partial_trace", "density", "deutsch_map",
+    ),
 )
 def test_stored_arrays_cannot_be_made_writeable(array):
     stored = array()
     with pytest.raises(ValueError):
         stored.flags.writeable = True
     assert not stored.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "build, given, stored",
+    (
+        (StateVector, lambda: np.array([0.6, 0.8j]), lambda state: state.amplitudes),
+        (DensityOperator, lambda: np.full((2, 2), 0.5 + 0j), lambda rho: rho.matrix),
+        (UnitaryGate, lambda: swap().matrix.copy(), lambda gate: gate.matrix),
+    ),
+    ids=("StateVector", "DensityOperator", "UnitaryGate"),
+)
+def test_public_constructors_copy_the_callers_array(build, given, stored):
+    # a C-ordered complex array that owns its data: the kernel would take it
+    mine = given()
+    value = stored(build(mine))
+    before = value.tobytes()
+    assert mine.flags.writeable
+    mine.flat[0] = 0.25
+    assert value.tobytes() == before
