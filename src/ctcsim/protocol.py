@@ -261,6 +261,7 @@ class Session(_Recorder):
         self.stage = "created"
 
         self.carried: Union[StateVector, DensityOperator, None] = None
+        self.input_density = config.input_state.density()  # built once, as is rho_in
         self.loop_states: dict[str, DensityOperator] = {"rho_in": config.ctc_initial.density()}
         self.transferred: Optional[DensityOperator] = None
         self.transfer_fidelity: Optional[float] = None
@@ -298,16 +299,17 @@ def _couple(session: Session, chrono, ctc, actor: str):
     """Apply the coupling gate to chronology (x) CTC, in either formalism.
 
     An entangling coupling leaves the CTC qubit mixed; the loop can then
-    never close, so the branch collapses. Returns the joint state, the
-    reduced CTC state, and whether that state stayed pure.
+    never close, so the branch collapses. Returns the joint state and its
+    density, the reduced CTC state, and whether that state stayed pure.
     """
     joint = apply_unitary(tensor_product(chrono, ctc), session.gate)
     session.event(actor, "gate", {"gate": session.gate.label}, time_direction="forward")
-    reduced_ctc = partial_trace(_density(joint), keep=1)
+    joint_density = _density(joint)
+    reduced_ctc = partial_trace(joint_density, keep=1)
     pure = purity(reduced_ctc) >= 1.0 - PURITY_TOL
     if not pure:
         session.collapse(f"{actor}_coupling_left_ctc_mixed")
-    return joint, reduced_ctc, pure
+    return joint, joint_density, reduced_ctc, pure
 
 
 def _measure_chronology(session: Session, joint, actor: str):
@@ -333,10 +335,6 @@ def _measure_chronology(session: Session, joint, actor: str):
     return outcome, probabilities, ctc_factor
 
 
-def _in_formalism(config: ProtocolConfig, state: StateVector):
-    return state.density() if config.formalism == "density" else state
-
-
 def run_alice_stage(session: Session) -> Optional[dict]:
     """Couple Alice's qubit to the CTC, measure, emit the classical bit.
 
@@ -346,18 +344,15 @@ def run_alice_stage(session: Session) -> Optional[dict]:
     if session.stage != "created":
         raise ProtocolError(f"Alice stage cannot run from stage {session.stage!r}")
     config = session.config
-    joint, _, pure = _couple(
-        session,
-        _in_formalism(config, config.input_state),
-        _in_formalism(config, config.ctc_initial),
-        "alice",
-    )
+    rho_in = session.loop_states["rho_in"]
+    if config.formalism == "density":
+        joint, _, _, pure = _couple(session, session.input_density, rho_in, "alice")
+    else:
+        joint, _, _, pure = _couple(session, config.input_state, config.ctc_initial, "alice")
     if not pure:
         # the density route in both formalisms: reducing the pure joint
         # vector differs in the last bits, which reach the weak residual
-        session.carried = deutsch_map(
-            session.gate, config.input_state.density(), session.loop_states["rho_in"]
-        )
+        session.carried = deutsch_map(session.gate, session.input_density, rho_in)
         session.loop_states["rho_out"] = session.carried
         session.stage = "collapsed_at_alice"
         return None
@@ -386,11 +381,12 @@ def run_storage_cycles(session: Session) -> None:
 def _bob_coupling(session: Session, ancilla: StateVector) -> None:
     """Bob's gate, then his measurement or the transfer, then self-signaling."""
     config = session.config
-    joint, reduced_ctc, pure = _couple(session, _in_formalism(config, ancilla), session.carried, "bob")
+    chrono = ancilla.density() if config.formalism == "density" else ancilla
+    joint, joint_density, reduced_ctc, pure = _couple(session, chrono, session.carried, "bob")
     if not pure:
         session.carried = reduced_ctc
         return
-    chrono_reduced = partial_trace(_density(joint), keep=0)
+    chrono_reduced = partial_trace(joint_density, keep=0)
     session.transfer_fidelity = fidelity(config.input_state, chrono_reduced)
     if config.bob_measures or config.scenario == "self_signal":
         outcome, probabilities, session.carried = _measure_chronology(session, joint, "bob")
@@ -425,7 +421,7 @@ def run_bob_stage(session: Session, msg: Optional[dict]) -> Session:
         raise ProtocolError(f"Bob stage cannot run from stage {session.stage!r}")
     if msg is None or msg.get("sender") != "alice":
         raise ProtocolError("Bob's stage needs Alice's classical message")
-    session.loop_states["rho_in_prime"] = session.carried_density()
+    session.loop_states["rho_in_prime"] = session.loop_states["rho_out"]  # storage is the identity
 
     reported = int(msg["payload"][0])
     session.event("bob", "prepare", {"ancilla": reported, "from_message": msg})
@@ -434,9 +430,10 @@ def run_bob_stage(session: Session, msg: Optional[dict]) -> Session:
     if session.config.scenario == "bob_skips":
         session.event("bob", "skip", {"reason": "gate and measurement omitted"})
         session.collapse("bob_skipped_gate")
+        session.loop_states["rho_out_prime"] = session.loop_states["rho_out"]
     else:
         _bob_coupling(session, StateVector.basis(reported))
-    session.loop_states["rho_out_prime"] = session.carried_density()
+        session.loop_states["rho_out_prime"] = session.carried_density()
     session.stage = "bob_done"
     return session
 
@@ -450,8 +447,7 @@ def _run_stages(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -
             run_storage_cycles(session)
         run_bob_stage(session, message)
     else:
-        session.loop_states.setdefault("rho_in_prime", session.carried_density())
-        session.loop_states.setdefault("rho_out_prime", session.carried_density())
+        session.loop_states["rho_in_prime"] = session.loop_states["rho_out_prime"] = session.carried
     return session
 
 
@@ -459,7 +455,7 @@ def run_session(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -
     """Execute one full protocol run and return its transcript."""
     session = _run_stages(config, ledger)
     weak = check_weak(session.loop_states)
-    deutsch = check_deutsch(session.gate, config.input_state.density(), session.loop_states["rho_in"])
+    deutsch = check_deutsch(session.gate, session.input_density, session.loop_states["rho_in"])
     session.event("system", "consistency_check", {"weak": weak.to_json(), "deutsch": deutsch.to_json()})
     collapse_flag = bool(session.collapse_reasons) or not weak.passed
 

@@ -15,6 +15,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -163,11 +164,13 @@ _SMALLEST_NORMAL = sys.float_info.min
 #: Types the encoder writes as they are, and the one key type it sorts as is.
 _NATIVE = frozenset((str, int, bool, type(None)))
 _STR = frozenset((str,))
-#: ``json.dumps(v, sort_keys=True, separators=(",", ":"))`` with a NUL in
-#: place of each comma, built once. The ASCII-escaped text has no other NUL,
-#: so item boundaries and placeholders can be told apart; the writers then
-#: put the commas back.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=("\x00", ":"))
+#: ``json.dumps(v, sort_keys=True, separators=(",", ":"))`` with a NUL in place of each
+#: comma: the C encoder ``JSONEncoder.encode`` builds per call, built once. It keeps no
+#: cycle markers: :func:`_plain` recurses into every container first, so a cycle ends
+#: there. The escaped text has no other NUL, so items and placeholders can be told apart.
+_ENCODE = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", "\x00", True, False, True
+)
 #: A band value's placeholder as the encoder writes it, up to its index.
 #: ``NaN`` appears outside a string only in a placeholder or a spacer,
 #: since the payload's own floats are finite, and no string holds a NUL.
@@ -198,7 +201,7 @@ def canonical_json(value) -> str:
     is not copied.
     """
     band: list = []  # the band values' texts and records objects, by index
-    return _fill(_ENCODER.encode(_plain(value, band)), band)
+    return _fill("".join(_ENCODE(_plain(value, band), 0)), band)
 
 
 def flat_csv(payload: dict) -> str:
@@ -225,7 +228,7 @@ def _items(values: list, band: list) -> list:
     encoder escapes every control character in a string."""
     spaced = [math.nan] * (2 * len(values) - 1)
     spaced[::2] = values
-    return _fill(_ENCODER.encode(spaced)[1:-1].replace(_SPACER, "\x01"), band).split("\x01")
+    return _fill("".join(_ENCODE(spaced, 0))[1:-1].replace(_SPACER, "\x01"), band).split("\x01")
 
 
 def _records(records: IndexedRecords) -> list:

@@ -42,8 +42,18 @@ def _as_complex(values, what: str) -> np.ndarray:
     return arr
 
 
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """The one store rule, for an array no one else holds: kept if it owns its data and
+    is C-ordered complex, else copied once; then frozen, and kept as a read-only view."""
+    flags = arr.flags
+    if not (flags.owndata and flags.c_contiguous and arr.dtype == complex):
+        arr = np.array(arr, dtype=complex, order="C")
+    arr.setflags(write=False)
+    return arr.view()
+
+
 class _Frozen:
-    """Immutable value: each field is written once, by :meth:`_own`."""
+    """Immutable value: each field is written once, on construction."""
 
     __slots__ = ()
 
@@ -51,17 +61,9 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _own(self, **fields) -> None:
-        """Store the fields, taking each array, which no one else may hold (a
-        public constructor passes a copy). One that owns its data and is C-ordered
-        complex is frozen in place, any other is copied; a read-only view is kept."""
+        """Store the fields, each array through :func:`_freeze`."""
         for name, value in fields.items():
-            if isinstance(value, np.ndarray):
-                flags = value.flags
-                if not (flags.owndata and flags.c_contiguous and value.dtype == complex):
-                    value = np.array(value, dtype=complex, order="C")
-                value.setflags(write=False)
-                value = value.view()
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _freeze(value) if isinstance(value, np.ndarray) else value)
 
 
 def _normalised(amps: np.ndarray, norm: float) -> np.ndarray:
@@ -95,7 +97,8 @@ class StateVector(_Frozen):
         """Own, unchecked, a fresh array that is a state by construction:
         built from valid states and gates."""
         state = cls.__new__(cls)
-        state._own(amplitudes=_normalised(amplitudes, np.linalg.norm(amplitudes)), dim=amplitudes.size)
+        object.__setattr__(state, "amplitudes", _freeze(_normalised(amplitudes, np.linalg.norm(amplitudes))))
+        object.__setattr__(state, "dim", amplitudes.size)
         return state
 
     @classmethod
@@ -158,7 +161,8 @@ class DensityOperator(_Frozen):
         """Own, unchecked, a fresh matrix that is a density operator by
         construction: the image of valid operators under a CPTP map."""
         rho = cls.__new__(cls)
-        rho._own(matrix=matrix, dim=matrix.shape[0])
+        object.__setattr__(rho, "matrix", _freeze(matrix))
+        object.__setattr__(rho, "dim", matrix.shape[0])
         return rho
 
     @classmethod
@@ -285,7 +289,9 @@ def trace_distance(r1: DensityOperator, r2: DensityOperator) -> float:
 
 
 def _half_trace_norm(diff: np.ndarray) -> float:
-    """Half the trace norm of a Hermitian matrix."""
+    """Half the trace norm of a Hermitian matrix: +0.0, with no eigensolve, if it is all zero."""
+    if not diff.any():
+        return 0.0
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 

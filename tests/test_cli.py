@@ -79,6 +79,20 @@ def test_canonical_json_nesting():
     assert serialize.flat_csv(doc) == 'key,value\nb,false\nlist,true|null|"x"\nn,5'
 
 
+def test_cyclic_payloads_end_in_recursion_error():
+    # the report writer's encoder keeps no cycle markers: the JSON-native
+    # copy is made first, and it recurses into every container
+    nested_list, nested_dict, strings = [1], {"a": 1}, ["a", "b"]
+    nested_list.append(nested_list)
+    nested_dict["self"] = nested_dict
+    strings.append(strings)
+    for payload in (nested_list, nested_dict, strings):
+        with pytest.raises(RecursionError):
+            cli.canonical_json(payload)
+        with pytest.raises(RecursionError):
+            serialize.flat_csv({"x": payload})
+
+
 # ------------------------------------------------------------- reproducibility
 
 

@@ -37,6 +37,7 @@ from ctcsim.consistency import (  # noqa: E402
 from ctcsim.gates import GATE_NAMES, GateSpec, UnitaryGate, build_gate  # noqa: E402
 from ctcsim.protocol import (  # noqa: E402
     FORMALISMS,
+    SCENARIOS,
     ProtocolConfig,
     _run_stages,
     run_session,
@@ -412,6 +413,66 @@ def test_a_branch_merges_exactly_when_its_loop_closes(scenario, gate, formalism,
     if consumed:
         assert weak.residual <= 1e-12
     assert check_weak(_run_stages(config).loop_states) == weak
+
+
+@pytest.mark.parametrize("cycles", [0, 1, 100])
+@pytest.mark.parametrize("formalism", FORMALISMS)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_storage_keeps_the_loop_closed(scenario, formalism, cycles):
+    """Storage cycles are the identity and nothing else touches the carried
+    state, so Bob receives the very state Alice's stage stored as rho_out.
+    The weak check's first half is then an exact zero, and its residual is
+    the second half, bit for bit."""
+    rng = np.random.default_rng(cycles)
+    for gate in ("swap", "identity"):
+        for state in (StateVector.qubit(0.6, 0.8), StateVector.basis(1), random_vector(rng)):
+            config = ProtocolConfig(
+                input_state=state,
+                gate=GateSpec(gate),
+                formalism=formalism,
+                scenario=scenario,
+                storage_cycles=cycles,
+            )
+            session = _run_stages(config)
+            assert session.stage == "bob_done"
+            loop = session.loop_states
+            assert loop["rho_in_prime"] is loop["rho_out"]
+            second_half = trace_distance(loop["rho_out_prime"], loop["rho_in"])
+            assert check_weak(loop).residual.hex() == second_half.hex()
+            assert run_session(config).final_verdicts["weak"].residual.hex() == second_half.hex()
+
+
+def signed_zero_pair(rng, dim: int):
+    """Two diagonal density matrices alike but for the sign of their zero
+    parts (-0.0 in the first, +0.0 in the second), so their difference is
+    -0.0 wherever it is zero."""
+    weights = rng.random(dim)
+    first = np.diag(weights / weights.sum()).astype(complex)
+    second = first.copy()
+    first[~np.eye(dim, dtype=bool)] = complex(-0.0, -0.0)
+    first.imag[np.eye(dim, dtype=bool)] = -0.0
+    return first, second
+
+
+@examples
+@given(seeds, st.sampled_from(["identical", "one_ulp", "signed_zeros"]), st.integers(1, 2))
+def test_half_trace_norm_of_a_near_or_exact_zero_difference_has_eigvalsh_bits(seed, kind, num_qubits):
+    # an all-zero difference skips the eigensolve; any other takes it, so
+    # both give the bits eigvalsh gives, a -0.0 anywhere included
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, num_qubits)
+    first, second = rho.matrix, rho.matrix.copy()
+    if kind == "one_ulp":
+        i, j = rng.integers(len(first), size=2)
+        second[i, j] = complex(np.nextafter(first[i, j].real, np.inf), first[i, j].imag)
+        second[j, i] = second[i, j].conjugate() if i != j else second[i, j]
+    elif kind == "signed_zeros":
+        first, second = signed_zero_pair(rng, len(first))
+    for diff in (first - second, second - first):
+        expected = float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
+        assert _half_trace_norm(diff).hex() == expected.hex()
+    distance = trace_distance(rho, rho)
+    assert distance.hex() == "0x0.0p+0"
 
 
 class BranchLedgerMachine(RuleBasedStateMachine):

@@ -476,6 +476,32 @@ def test_kernel_runs_no_density_operator_validation(monkeypatch):
     assert validated == []
 
 
+@pytest.mark.parametrize("formalism, densities", [("wavefunction", 5), ("density", 3)])
+@pytest.mark.parametrize("ctc", [0, 1])
+@pytest.mark.parametrize("state", [(0.6, 0.8), (0.28, 0.96j), (0.0, 1.0)])
+def test_a_nominal_swap_session_computes_each_value_once(formalism, densities, ctc, state, monkeypatch):
+    # the input's and the CTC's densities are built once, Bob's joint
+    # density serves both partial traces, rho_in' is Alice's rho_out, and a
+    # difference that is exactly zero (the weak check's first half) takes no
+    # eigensolve: the Deutsch check's is the one left
+    cfg = config(StateVector.qubit(*state), ctc_initial=StateVector.basis(ctc), formalism=formalism)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(StateVector, "density", counted("density", StateVector.density))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    transcript = run_session(cfg)
+    assert not transcript.collapse_flag
+    assert calls.count("density") <= densities
+    assert calls.count("eigvalsh") <= 1
+
+
 # ------------------------------------------------------------------------ beam
 
 
