@@ -168,7 +168,7 @@ def _gate_spec(text: str) -> GateSpec:
 
 def _bounded(flag: str, value: int, low: int, cap: int) -> int:
     """``value`` when ``low <= value <= cap``; checked before any work, so
-    the error names the flag."""
+    the error names the flag or the config key."""
     if value < low:
         raise ValueError(f"{flag} must be at least {low}, got {value}")
     if value > cap:
@@ -270,8 +270,13 @@ def _run_protocol(args, seed) -> tuple[dict, int, int]:
             flag = "--" + given[0].replace("_", "-")
             raise ValueError(f"--config and {flag} are mutually exclusive; the file sets the session")
         directory = os.path.dirname(args.config)
-        config = serialize.load(args.config, lambda doc: ProtocolConfig.from_json(doc, directory))
-        _bounded("--storage-cycles", config.storage_cycles, 0, MAX_STORAGE_CYCLES)
+
+        def build(document) -> ProtocolConfig:
+            config = ProtocolConfig.from_json(document, directory)
+            _bounded("config key 'storage_cycles'", config.storage_cycles, 0, MAX_STORAGE_CYCLES)
+            return config
+
+        config = serialize.load(args.config, build)
     else:
         vars(args).update((d, value) for d, value in _SESSION_DEFAULTS.items() if d not in given)
         config = ProtocolConfig(

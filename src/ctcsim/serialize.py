@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -160,55 +160,48 @@ def load(path: str | Path, build):
         raise type(exc)(f"{path}: {exc}") from None
 
 
-_SMALLEST_NORMAL = sys.float_info.min
-#: Types the encoder writes as they are, and the one key type it sorts as is.
-_NATIVE = frozenset((str, int, bool, type(None)))
-_STR = frozenset((str,))
-#: ``json.dumps(v, sort_keys=True, separators=(",", ":"))`` with a NUL in place of each
-#: comma: the C encoder ``JSONEncoder.encode`` builds per call, built once. It keeps no
-#: cycle markers: :func:`_plain` recurses into every container first, so a cycle ends
-#: there. The escaped text has no other NUL, so items and placeholders can be told apart.
-_ENCODE = c_make_encoder(
-    None, json.JSONEncoder().default, encode_basestring_ascii, None, ":", "\x00", True, False, True
-)
-#: A band value's placeholder as the encoder writes it, up to its index.
-#: ``NaN`` appears outside a string only in a placeholder or a spacer,
-#: since the payload's own floats are finite, and no string holds a NUL.
-_PLACEHOLDER = "[NaN\x00"
-#: What the encoder writes between two items of a list spaced with NaNs.
-_SPACER = "\x00NaN\x00"
-#: The control character around a Since's start in a rendered row, where
-#: record t's number goes; the encoder escapes it in every string.
-_MARK = "\x02"
-_COUNTER = Since(0)  # the counter each row is rendered with: record t reads it as t
+def _float(v) -> str:
+    """The 15-significant-digit text of the float ``v``, ``-0`` as ``0``; a ValueError
+    that shows ``v`` if it is not finite or its text reads back as infinity."""
+    text = format(float(v) + 0.0, ".15g")
+    if text[-1] > "9" or text[-4:] == "+308":  # inf, nan, or up to 1.79769313486232e+308
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite value in report: {v!r}")
+        if math.isinf(float(text)):
+            raise ValueError(f"report value {v!r} rounds to infinity at 15 significant digits")
+    return text
 
 
-class _Band(tuple):
-    """A band value's placeholder ``(NaN, i)``; a type of its own so that the
-    flat CSV can tell it from a list."""
+#: Each scalar's text, by its exact type; :func:`_walk` converts any other scalar.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    float: _float,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "null",
+}
+_scalar = _SCALARS.get
+_COUNTER = Since(0)  # the counter each records row is walked with: record t reads it as t
 
 
 def canonical_json(value) -> str:
     """Deterministic JSON: sorted keys, floats at 15 significant digits.
 
-    One pass makes a JSON-native copy in which each float is r, the value
-    its 15-digit text reads back as, or int(r) when r is integral and below
-    1e15; then the C encoder writes it, and ``repr(r)`` is that text. Two
-    bands travel as ``[NaN, i]`` placeholders instead: 1e15 <= |r| < 1e16,
-    which ``repr`` spells out in full, and subnormals, which it writes with
-    fewer digits. A records object travels the same way and is written
-    from its rows. A container that holds only str keys and native values
-    is not copied.
-    """
-    band: list = []  # the band values' texts and records objects, by index
-    return _fill("".join(_ENCODE(_plain(value, band), 0)), band)
+    One walk writes each float as ``format(v, ".15g")``, so an integral value
+    below 1e15 reads as an int, each string as ``json.dumps`` escapes it, and
+    each dict by its keys as strings, sorted; a records object from its rows."""
+    pieces: list = []
+    _walk(value, pieces.append)
+    try:
+        return "".join(pieces)
+    except TypeError:  # a Since, which only a records row has a number for
+        raise TypeError("cannot serialize a Since outside a records row in a report") from None
 
 
 def flat_csv(payload: dict) -> str:
     """The flat CSV of a report's payload: ``key,value`` and :func:`_flatten`'s rows."""
-    band: list = []
     parts = ["key,value"]
-    _flatten("", _plain(payload, band), parts, band)
+    _flatten("", payload, parts)
     return "".join(parts)
 
 
@@ -220,129 +213,95 @@ def records_csv(records: IndexedRecords, columns: tuple) -> str:
     return ",".join((records.counter, *columns)) + "\n" + "\n".join(lines)
 
 
-def _items(values: list, band: list) -> list:
-    """The canonical text of each of the :func:`_plain` ``values`` (one
-    empty text for none), from one encoder pass over them spaced with NaNs:
-    only those NaNs follow a NUL, since a report's own floats are finite.
-    Each spacer is a control character while the text is filled in: the
-    encoder escapes every control character in a string."""
-    spaced = [math.nan] * (2 * len(values) - 1)
-    spaced[::2] = values
-    return _fill("".join(_ENCODE(spaced, 0))[1:-1].replace(_SPACER, "\x01"), band).split("\x01")
+def _walk(v, put) -> None:
+    """Pass the canonical text of ``v`` to ``put`` in pieces, each :class:`Since`
+    as itself. Only containers recurse, so a cycle is a RecursionError."""
+    kind = type(v)
+    if kind is dict:
+        try:
+            keys = sorted(v)
+        except TypeError:  # keys of types that do not compare
+            keys = None
+        if keys is None or keys and type(keys[0]) is not str:
+            v = {str(k): x for k, x in v.items()}
+            keys = sorted(v)
+        sep = "{"
+        for k in keys:
+            x = v[k]
+            scalar = _scalar(type(x))
+            if scalar is None:
+                put(f"{sep}{encode_basestring_ascii(k)}:")
+                _walk(x, put)
+            else:
+                put(f"{sep}{encode_basestring_ascii(k)}:{scalar(x)}")
+            sep = ","
+        put("}" if keys else "{}")
+    elif kind is list or kind is tuple:
+        sep = "["
+        for x in v:
+            scalar = _scalar(type(x))
+            if scalar is None:
+                put(sep)
+                _walk(x, put)
+            else:
+                put(sep + scalar(x))
+            sep = ","
+        put("]" if v else "[]")
+    elif kind in _SCALARS:
+        put(_SCALARS[kind](v))
+    elif kind is IndexedRecords:
+        put(f"[{','.join(_records(v))}]")
+    elif kind is Since:
+        put(v)
+    elif isinstance(v, (float, np.floating)):
+        put(_float(v))
+    elif isinstance(v, (int, np.integer)):
+        put(int.__repr__(int(v)))
+    elif isinstance(v, np.bool_):
+        put("true" if v else "false")
+    elif isinstance(v, str):
+        put(encode_basestring_ascii(str(v)))
+    elif isinstance(v, (list, tuple, dict)):
+        _walk(dict(v) if isinstance(v, dict) else list(v), put)
+    else:
+        raise TypeError(f"cannot serialize {type(v).__name__} in a report")
 
 
 def _records(records: IndexedRecords) -> list:
-    """The canonical text of each record: one :func:`_items` pass renders
-    each row with ``_COUNTER`` as its counter and each Since as its mark,
-    and record t is its row's text with t - start in place of each mark."""
-    band: list = []
-    rows = _plain([{records.counter: _COUNTER, **row} for row in records.rows], band)
-    marks = [f"{_MARK}{v.start}{_MARK}" if type(v) is Since else v for v in band]
-    pieces = [text.split(_MARK) for text in _items(rows, marks)]
-    for parts in pieces:
-        parts[1::2] = map(int, parts[1::2])
-    if all(len(parts) == 3 for parts in pieces):
+    """The canonical text of each record. Each row is walked once, with
+    ``_COUNTER`` as its counter, into text around the starts of its Since
+    objects (no two are next to each other); record t is its row's text with
+    t - start in each start's place."""
+    if len(records) <= len(records.rows):  # as in a run without storage
+        return list(map(canonical_json, records.dicts()))
+    templates = []
+    for row in records.rows:
+        pieces: list = []
+        _walk({records.counter: _COUNTER, **row}, pieces.append)
+        templates.append(["".join(g) if k is str else next(g).start for k, g in groupby(pieces, type)])
+    if all(len(parts) == 3 for parts in templates):
         # the counter alone, whose start is 0, as in a beam's records
-        a, _, b = zip(*pieces)
+        a, _, b = zip(*templates)
         return [f"{a[i]}{t}{b[i]}" for t, i in enumerate(records.index)]
     # the counter and one Since, or the counter alone
-    a, s, b, u, c = zip(*(parts if len(parts) == 5 else parts + [None, ""] for parts in pieces))
+    a, s, b, u, c = zip(*(parts if len(parts) == 5 else parts + [None, ""] for parts in templates))
     return [
         f"{a[i]}{t - s[i]}{b[i]}{'' if u[i] is None else t - u[i]}{c[i]}"
         for t, i in enumerate(records.index)
     ]
 
 
-def _plain(v, band: list):
-    """The JSON-native copy of ``v`` that :func:`canonical_json` encodes; the
-    text of each band value is appended to ``band``."""
-    kind = type(v)
-    if kind is float:
-        r = float(format(v, ".15g"))
-        if -1e15 < r < 1e15:
-            if r.is_integer():
-                return int(r)
-            if r > _SMALLEST_NORMAL or r < -_SMALLEST_NORMAL:
-                return r
-    elif kind is dict:
-        if _NATIVE.issuperset(map(type, v.values())) and _STR.issuperset(map(type, v)):
-            return v
-        return {
-            k if type(k) is str else str(k): x if type(x) in _NATIVE else _plain(x, band)
-            for k, x in v.items()
-        }
-    elif kind is list or kind is tuple:
-        if _NATIVE.issuperset(map(type, v)):
-            return v
-        return [x if type(x) in _NATIVE else _plain(x, band) for x in v]
-    elif kind in _NATIVE:
-        return v
-    elif kind is IndexedRecords and len(v) <= len(v.rows):
-        # no more records than rows, as in a run without storage: a
-        # template would only add a second encoder pass
-        return _plain(v.dicts(), band)
-    elif kind is IndexedRecords or kind is Since:
-        # filled in later: a records object from its rows, a Since as its mark
-        band.append(v)
-        return _Band((math.nan, len(band) - 1))
-    elif isinstance(v, (float, np.floating)):
-        r = float(format(float(v), ".15g"))
-    elif isinstance(v, (int, np.integer)):
-        return int(v)
-    elif isinstance(v, np.bool_):
-        return bool(v)
-    elif isinstance(v, str):
-        return str(v)
-    elif isinstance(v, (list, tuple)):
-        return [_plain(x, band) for x in v]
-    elif isinstance(v, dict):
-        return {str(k): _plain(x, band) for k, x in v.items()}
-    else:
-        raise TypeError(f"cannot serialize {type(v).__name__} in a report")
-    # only floats the fast path did not settle fall through to here
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite value in report: {v!r}")
-    if not math.isfinite(r):
-        raise ValueError(f"report value {v!r} rounds to infinity at 15 significant digits")
-    size = abs(r)
-    if size < 1e15 and r.is_integer():
-        return int(r)
-    if _SMALLEST_NORMAL <= size < 1e15 or size >= 1e16:
-        return r
-    band.append(format(float(v), ".15g"))
-    return _Band((math.nan, len(band) - 1))
-
-
-def _fill(text: str, band: list) -> str:
-    """``text`` with a comma for each NUL and each band value's text in
-    place of its placeholder: a number's own or a records object's list. A
-    Since outside a records row, which has no number to read, is a TypeError."""
-    if not band:
-        return text.replace("\x00", ",")
-    head, *rest = text.split(_PLACEHOLDER)
-    parts = [head.replace("\x00", ",")]
-    for piece in rest:
-        index, tail = piece.split("]", 1)
-        value = band[int(index)]
-        if type(value) is IndexedRecords:
-            value = f"[{','.join(_records(value))}]"
-        elif type(value) is Since:
-            raise TypeError("cannot serialize a Since outside a records row in a report")
-        parts += (value, tail.replace("\x00", ","))
-    return "".join(parts)
-
-
-def _flatten(prefix: str, value, parts: list, band: list) -> None:
-    """The flat CSV's rows, ``\\n<key path>,<text>``, of a :func:`_plain`
-    payload, appended to ``parts`` as two pieces each. The elements of a
-    list, or the records of a records object, each in its canonical text,
-    are joined by ``|``; a scalar is written as a list of one."""
-    if type(value) is dict:
+def _flatten(prefix: str, value, parts: list) -> None:
+    """The flat CSV's rows, ``\\n<key path>,<text>``, of ``value``, appended to
+    ``parts`` as two pieces each: the canonical texts of a list's elements, or
+    of a records object's records, joined by ``|``; a scalar as a list of one."""
+    if isinstance(value, dict):
+        value = {str(k): x for k, x in value.items()}
         for key in sorted(value):
-            _flatten(f"{prefix}.{key}" if prefix else key, value[key], parts, band)
+            _flatten(f"{prefix}.{key}" if prefix else key, value[key], parts)
         return
-    if type(value) is _Band and type(band[value[1]]) is IndexedRecords:
-        text = "|".join(_records(band[value[1]]))
+    if type(value) is IndexedRecords:
+        texts = _records(value)
     else:
-        text = "|".join(_items(value if type(value) is list or type(value) is tuple else [value], band))
-    parts += (f"\n{prefix},", text)
+        texts = map(canonical_json, value if isinstance(value, (list, tuple)) else [value])
+    parts += (f"\n{prefix},", "|".join(texts))

@@ -54,8 +54,8 @@ def test_canonical_json_rejects_nan():
 
 
 def test_a_since_outside_a_records_row_is_refused(capsys, monkeypatch):
-    # only a records row has the number a Since reads; elsewhere it would
-    # be written as its mark, which is not JSON
+    # only a records row has the number a Since reads; elsewhere it has no
+    # text to be written as
     message = "cannot serialize a Since outside a records row in a report"
     for payload in (serialize.Since(3), {"x": serialize.Since(3)}, {"x": [1e15, serialize.Since(0)]}):
         with pytest.raises(TypeError, match=f"^{message}$"):
@@ -80,8 +80,8 @@ def test_canonical_json_nesting():
 
 
 def test_cyclic_payloads_end_in_recursion_error():
-    # the report writer's encoder keeps no cycle markers: the JSON-native
-    # copy is made first, and it recurses into every container
+    # the report writer keeps no cycle markers: its one walk recurses into
+    # every container, so a payload that holds itself ends there
     nested_list, nested_dict, strings = [1], {"a": 1}, ["a", "b"]
     nested_list.append(nested_list)
     nested_dict["self"] = nested_dict
@@ -465,7 +465,7 @@ def test_storage_cycles_cap_applies_to_config_files(tmp_path, capsys, monkeypatc
     code, out, err = run_main(capsys, ["run-protocol", "--config", str(path)])
     assert code == cli.EXIT_ERROR and out == ""
     assert err == (
-        f"error: --storage-cycles must be at most {cli.MAX_STORAGE_CYCLES}, "
+        f"error: {path}: config key 'storage_cycles' must be at most {cli.MAX_STORAGE_CYCLES}, "
         f"got {cli.MAX_STORAGE_CYCLES + 1}\n"
     )
 
@@ -716,9 +716,9 @@ def test_storage_at_its_cap_ends_in_bounded_time_and_memory(tmp_path, output):
 
 
 def test_a_storage_report_prints_strings_that_read_like_counters(tmp_path, capsys, monkeypatch):
-    # a row's counters are rendered as marks and then replaced: no text in
-    # a string, a number or a mark's own control character, may be taken
-    # for one
+    # a row's counters stay objects between the pieces of its text, which
+    # record t fills with its numbers: no text in a string, a number between
+    # control characters, may be taken for one
     name = f"u{-(2**63)}\x027\x02.json"
     (tmp_path / name).write_text(json.dumps(swap().to_json()))
     state = {"dim": 2, "data": [[0.6, 0], [0.8, 0]]}

@@ -657,8 +657,8 @@ def test_canonical_json_matches_recursive_oracle(value):
         np.False_,
         {True: 1, 2: [False, None], -1: "x"},
         (1, (2.5, ("t",))),
-        # band values in a different order from their sorted keys, next to
-        # strings that spell out a number or a placeholder
+        # values whose repr is not their 15-digit text, in a different order from
+        # their sorted keys, next to strings that spell out a number or a placeholder
         {"z": 1e15, "a": [-2.5e15, "1e+15", '[NaN,0]"'], "m": {"k": 9.87654321098765e15, "[NaN,1]": 1e-310}},
     ],
     ids=repr,
@@ -690,7 +690,7 @@ flat_leaves = st.one_of(
     st.sampled_from([-0.0, 5e-324, 1e15, 1e15 + 0.5, -1e15, 9.999999999999998e15, 1e16, 1 / 3]),
     finite.map(np.float64),
     st.text(max_size=6),
-    # the flat CSV's own separators and placeholders, spelled out in strings
+    # strings that spell out NaN, NUL and JSON separators, and a placeholder
     st.sampled_from(["NaN", "\x00NaN\x00", ",NaN,", "\x00", "[NaN,0]", "a|b"]),
 )
 flat_keys = st.one_of(st.text(max_size=4), st.sampled_from(["\x00", "NaN", "\x00NaN\x00"]))
