@@ -15,11 +15,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .gates import UnitaryGate
 from .states import (
     ATOL,
     DensityOperator,
     StateVector,
+    UnitaryGate,
     _half_trace_norm,
     _kron,
     apply_unitary,

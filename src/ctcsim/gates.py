@@ -11,28 +11,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import serialize
-from .states import ATOL, StateVector, _Frozen, _as_complex, _qubit_count
-
-
-class UnitaryGate(_Frozen):
-    """Square complex matrix over 2**n dims with U-dagger U = I within 1e-12."""
-
-    __slots__ = ("matrix", "dim", "label")
-
-    def __init__(self, matrix, label: str = "custom"):
-        mat = _as_complex(matrix, "matrix is not unitary")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"gate must be square, got shape {mat.shape}")
-        _qubit_count(mat.shape[0])
-        if not np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max() <= ATOL:
-            raise ValueError("matrix is not unitary within 1e-12")
-        self._own(matrix=np.array(mat), dim=mat.shape[0], label=str(label))
-
-    def to_json(self) -> dict:
-        return serialize.to_document(self.matrix)
-
-    def __repr__(self):
-        return f"UnitaryGate({self.label!r}, dim={self.dim})"
+from .states import StateVector, UnitaryGate
 
 
 @dataclass(frozen=True)

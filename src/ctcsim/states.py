@@ -1,9 +1,9 @@
-"""Dense complex linear algebra for 1-3 qubit states.
+"""Dense complex linear algebra for 1-3 qubit states and gates.
 
-State vectors and density operators are immutable wrappers around numpy
-arrays with their physical invariants (normalization, Hermiticity, unit
-trace, positivity) enforced at construction. Qubit ordering follows the
-ket convention: the leftmost symbol in |ab...> is qubit 0 and carries the
+State vectors, density operators and unitary gates are immutable wrappers
+around numpy arrays with their invariants (normalization, Hermiticity, unit
+trace, positivity, unitarity) enforced at construction. Qubit ordering follows
+the ket convention: the leftmost symbol in |ab...> is qubit 0 and carries the
 most significant bit of the basis index.
 """
 
@@ -188,6 +188,27 @@ class DensityOperator(_Frozen):
         return f"DensityOperator({np.array2string(self.matrix, precision=6)})"
 
 
+class UnitaryGate(_Frozen):
+    """Square complex matrix over 2**n dims with U-dagger U = I within 1e-12."""
+
+    __slots__ = ("matrix", "dim", "label")
+
+    def __init__(self, matrix, label: str = "custom"):
+        mat = _as_complex(matrix, "matrix is not unitary")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"gate must be square, got shape {mat.shape}")
+        _qubit_count(mat.shape[0])
+        if not np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max() <= ATOL:
+            raise ValueError("matrix is not unitary within 1e-12")
+        self._own(matrix=np.array(mat), dim=mat.shape[0], label=str(label))
+
+    def to_json(self) -> dict:
+        return serialize.to_document(self.matrix)
+
+    def __repr__(self):
+        return f"UnitaryGate({self.label!r}, dim={self.dim})"
+
+
 QuantumState = Union[StateVector, DensityOperator]
 
 
@@ -219,24 +240,21 @@ def partial_trace(rho: DensityOperator, keep: Union[int, Sequence[int]]) -> Dens
         raise ValueError(f"invalid subsystem index in {keep!r} for {n} qubits")
     if len(set(keep_list)) != len(keep_list):
         raise ValueError(f"duplicate subsystem index in {keep!r}")
-    tensor = rho.matrix.reshape((2,) * (2 * n))
-    traced = [q for q in range(n) if q not in keep_list]
-    for offset, q in enumerate(traced):
-        axis = q - sum(1 for t in traced[:offset] if t < q)
-        half = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=axis, axis2=axis + half)
-    kept_dim = 2 ** len(keep_list)
-    return DensityOperator._trusted(tensor.reshape(kept_dim, kept_dim))
+    matrix = rho.matrix
+    # in ascending order, so qubit q is now qubit q - offset: its two diagonal blocks add
+    for offset, q in enumerate(q for q in range(n) if q not in keep_list):
+        a, b = 2 ** (q - offset), 2 ** (n - 1 - q)
+        blocks = matrix.reshape(a, 2, b, a, 2, b)
+        matrix = (blocks[:, 0, :, :, 0] + blocks[:, 1, :, :, 1]).reshape(a * b, a * b)
+    return DensityOperator._trusted(matrix)
 
 
 def apply_unitary(state: QuantumState, u) -> QuantumState:
     """U|psi> for vectors, U rho U-dagger for density operators.
 
-    ``u`` is a :class:`~ctcsim.gates.UnitaryGate` or a raw matrix, which is
-    outside input and so is built into a gate, checked, first.
+    ``u`` is a :class:`UnitaryGate` or a raw matrix, which is outside input
+    and so is built into a gate, checked, first.
     """
-    from .gates import UnitaryGate  # gates imports this module
-
     if not isinstance(state, (StateVector, DensityOperator)):
         raise TypeError(f"expected StateVector or DensityOperator, got {type(state).__name__}")
     matrix = (u if isinstance(u, UnitaryGate) else UnitaryGate(u)).matrix
@@ -259,7 +277,8 @@ def _branches(array: np.ndarray, basis=_COMPUTATIONAL) -> list:
     half = len(array) // 2
     branches = []
     for b in basis:
-        # np.tensordot's own dot calls on its (rows, 2) and (2, columns) operands, so its bits
+        # np.tensordot's own dot calls, on its (rows, 2) and (2, columns) operands,
+        # so the bits are the ones tensordot gave
         rest = np.dot(b.conj().reshape(1, 2), array.reshape(2, -1))
         if array.ndim == 1:
             branches.append((float(np.linalg.norm(rest)) ** 2, rest.reshape(-1)))

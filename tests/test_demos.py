@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the package in src/ and
-prints the same bytes as when its output was recorded."""
+"""Every demo script runs to completion against the package in src/, with
+RuntimeWarnings as errors and nothing on stderr, and prints the same bytes
+as when its output was recorded."""
 
 import hashlib
 import os
@@ -27,6 +28,8 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     paths = [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     env["PYTHONPATH"] = os.pathsep.join(paths)
-    result = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=120)
+    command = [sys.executable, "-W", "error::RuntimeWarning", str(demo)]
+    result = subprocess.run(command, capture_output=True, env=env, timeout=120)
     assert result.returncode == 0, result.stderr.decode()
+    assert result.stderr == b""
     assert hashlib.sha256(result.stdout).hexdigest() == STDOUT_SHA256[demo.stem]
