@@ -66,10 +66,10 @@ MAX_COPIES = 1000
 #: of events written from one template, now takes about 0.6 s end to end
 #: with output to a file and peaks at about 135 MiB resident, as JSON or
 #: CSV (4-7 s and 320 MiB with an event object and a dict per cycle). The
-#: largest beam, ``--trials 40000 --policy noise``, takes about 0.4 s end
-#: to end with JSON output and 0.35 s with CSV on a 2-core Xeon, of which
-#: about 0.3 s is interpreter start and imports (0.8 s and 0.5 s with
-#: per-record dicts). The scan holds one radial shell of the grid at a time:
+#: largest beam, ``--trials 40000 --policy noise``, takes about 0.2 s end
+#: to end with JSON or CSV output on a 2-core Xeon, of which about 0.15 s
+#: is interpreter start and imports (0.8 s and 0.5 s with per-record
+#: dicts). The scan holds one radial shell of the grid at a time:
 #: with the identity gate, which admits all 3,875,251 points, ``--grid 250``
 #: computes for about 0.45 s and peaks at about 42 MiB resident (0.7 s and
 #: 280 MiB with the whole grid held).

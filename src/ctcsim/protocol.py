@@ -490,8 +490,9 @@ def run_session(config: ProtocolConfig, ledger: Optional[BranchLedger] = None) -
 class BeamReport:
     """Aggregate of many single-use trials against a beam of CTC qubits.
 
-    A trial's record is its number followed by one of the policy's 16 rows,
-    2·key + outcome for the trial's key 4·prep_basis + 2·prep_bit + meas_basis.
+    A trial's record is its number followed by its row: of the policy's 16
+    rows, at 2·key + outcome for the key 4·prep_basis + 2·prep_bit +
+    meas_basis, ``records`` lists only those its trials read.
     """
 
     trials: int
@@ -522,15 +523,20 @@ _MAX_BEAM_TRIALS = 2**32
 _U32, _U64 = np.uint32, np.uint64
 
 
-def _fixed(value: int, dtype) -> np.ndarray:
-    """``value`` as a read-only 0-d array of ``dtype``: numpy applies one to
-    an array in about two thirds of the time it takes for a scalar."""
+def _fixed(value, dtype) -> np.ndarray:
+    """``value`` as a read-only array of ``dtype``: numpy applies a 0-d one
+    to an array in about two thirds of the time it takes for a scalar."""
     fixed = np.array(value, dtype)
     fixed.flags.writeable = False
     return fixed
 
 
-#: The draws' fixed operands by value, each built once.
+def _columns(rows, dtype=_U32, shape=(-1, 1)) -> tuple:
+    """The columns of ``rows``, tuples of ints, as read-only arrays of ``shape``."""
+    return tuple(_fixed(np.reshape(np.array(column, dtype), shape), dtype) for column in zip(*rows))
+
+
+#: The draws' fixed 0-d operands by value, each built once.
 _u32 = functools.cache(lambda value: _fixed(value, _U32))
 _u64 = functools.cache(lambda value: _fixed(value, _U64))
 _LOW32 = _u64(0xFFFFFFFF)
@@ -538,10 +544,7 @@ _LOW32 = _u64(0xFFFFFFFF)
 #: and for generating the state, and its two mixing multipliers.
 _HASH_MIX, _HASH_STATE = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 _MIX_LEFT, _MIX_RIGHT = _u32(0xCA01F9DD), _u32(0x4973F715)
-#: PCG64's 128-bit multiplier as (high, low) halves, and the low half's
-#: 32-bit limbs.
-_PCG_MULT = (_u64(0x2360ED051FC65DA4), _u64(0x4385DF649FCCF645))
-_PCG_MULT_LIMBS = (_u64(int(_PCG_MULT[1]) & 0xFFFFFFFF), _u64(int(_PCG_MULT[1]) >> 32))
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit multiplier M
 
 
 def _hash_constants(start: int, multiplier: int):
@@ -549,18 +552,30 @@ def _hash_constants(start: int, multiplier: int):
     2³²): each hash xors with the first and multiplies by the second."""
     while True:
         following = start * multiplier & 0xFFFFFFFF
-        yield _fixed(start, _U32), _fixed(following, _U32)
+        yield start, following
         start = following
 
 
-#: The constants of the first 16 mixing hashes, all that a seed below 2**96
-#: takes, and of the 8 state hashes.
-_MIX_CONSTANTS = tuple(itertools.islice(_hash_constants(*_HASH_MIX), 16))
-_STATE_CONSTANTS = tuple(itertools.islice(_hash_constants(*_HASH_STATE), 8))
+#: The (xor, multiplier) columns of the four entropy hashes, then of each
+#: source pool row's three mixing hashes, in SeedSequence's order (the 16 a
+#: seed below 2**96 takes), with (0, 0) in the source's own row; and of the
+#: 8 state hashes, of the pool's rows taken twice.
+_mixing = _hash_constants(*_HASH_MIX)
+_ENTROPY_HASH = _columns(itertools.islice(_mixing, 4))
+_SOURCE_HASH = tuple(_columns([(0, 0) if dst == src else next(_mixing) for dst in range(4)]) for src in range(4))
+del _mixing
+_STATE_HASH = _columns(itertools.islice(_hash_constants(*_HASH_STATE), 8), shape=(2, 4, 1))
+#: Output k = 1, 2, 3 reads the state X·M^(k+1) + inc·(M^k + … + 1) mod
+#: 2¹²⁸, X = inc + s: the factors of X, then of inc, as (2, 3, 1) columns of
+#: their high and low uint64 halves and of the low half's 32-bit limbs.
+_JUMP = _columns([(f >> 64, f & 2**64 - 1, f & 2**32 - 1, f >> 32 & 2**32 - 1) for f in (
+    *(pow(_PCG_MULT, k + 1, 2**128) for k in (1, 2, 3)),
+    *(sum(pow(_PCG_MULT, j, 2**128) for j in range(k + 1)) % 2**128 for k in (1, 2, 3)),
+)], _U64, (2, 3, 1))
 
 
-def _hash(words: np.ndarray, constants) -> np.ndarray:
-    xor, multiplier = next(constants)
+def _hash(words: np.ndarray, constants: tuple) -> np.ndarray:
+    xor, multiplier = constants
     words = (words ^ xor) * multiplier
     return words ^ (words >> _u32(16))
 
@@ -570,23 +585,19 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return mixed ^ (mixed >> _u32(16))
 
 
-def _pcg_step(state: tuple, inc: tuple) -> tuple:
-    """state·M + inc mod 2¹²⁸ on (high, low) uint64 halves; the high half of
-    the low halves' product comes from 32-bit limbs."""
-    high, low = state
+def _times(high: np.ndarray, low: np.ndarray, columns: tuple) -> tuple:
+    """(high, low)·C mod 2¹²⁸ for each row's C in ``columns``, on uint64
+    halves; the high half of the low halves' product is taken on 32-bit limbs."""
+    c_high, c_low, b0, b1 = columns
     a0, a1 = low & _LOW32, low >> _u64(32)
-    b0, b1 = _PCG_MULT_LIMBS
     middle = a1 * b0 + (a0 * b0 >> _u64(32))
     product_high = a1 * b1 + (middle >> _u64(32)) + ((middle & _LOW32) + a0 * b1 >> _u64(32))
-    product_low = low * _PCG_MULT[1]
-    new_low = product_low + inc[1]
-    high = product_high + high * _PCG_MULT[1] + low * _PCG_MULT[0] + inc[0] + (new_low < product_low)
-    return high, new_low
+    return product_high + high * c_low + low * c_high, low * c_low
 
 
 def _beam_draws(seed: int, trials: range) -> tuple:
     """The draws ``np.random.default_rng([seed, t])`` gives each trial t in
-    ``trials`` (t < 2**32), derived for all of them in one numpy pass.
+    ``trials`` (t < 2**32), derived for all of them in a few wide steps.
 
     Returns the 0/1 arrays of the preparation basis, the prepared bit and
     the measurement basis, then the uniform draws. NumPy keeps this stream
@@ -598,33 +609,28 @@ def _beam_draws(seed: int, trials: range) -> tuple:
     output 1's low half, its high half, then output 2's low half.
     ``random()`` is (output 3 >> 11)·2⁻⁵³.
     """
-    count = len(trials)
-    shifts = range(0, max(seed.bit_length(), 1), 32)
-    words = [np.full(count, seed >> shift & 0xFFFFFFFF, _U32) for shift in shifts]
-    words.append(np.arange(trials.start, trials.stop, dtype=_U32))
-    constants = itertools.chain(_MIX_CONSTANTS, itertools.islice(_hash_constants(*_HASH_MIX), 16, None))
-    pool = [_hash(words[i] if i < len(words) else np.zeros(count, _U32), constants) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(word, constants))
-    constants = iter(_STATE_CONSTANTS)
-    halves = [_hash(pool[i % 4], constants).astype(_U64) for i in range(8)]
-    start_high, start_low, seq_high, seq_low = (
-        halves[j] | halves[j + 1] << _u64(32) for j in (0, 2, 4, 6)
-    )
-    inc = (seq_high << _u64(1) | seq_low >> _u64(63), seq_low << _u64(1) | _u64(1))
-    low = inc[1] + start_low
-    state = _pcg_step((inc[0] + start_high + (low < start_low), low), inc)
-    outputs = []
-    for _ in range(3):
-        state = _pcg_step(state, inc)
-        folded, rotation = state[0] ^ state[1], state[0] >> _u64(58)
-        outputs.append(folded >> rotation | folded << (-rotation & _u64(63)))
-    first, second, third = outputs
+    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words = np.zeros((max(len(seed_words) + 1, 4), len(trials)), _U32)
+    words[: len(seed_words)] = np.array(seed_words, _U32)[:, None]
+    words[len(seed_words)] = np.arange(trials.start, trials.stop, dtype=_U32)
+    pool = _hash(words[:4], _ENTROPY_HASH)
+    for src, constants in enumerate(_SOURCE_HASH):
+        mixed = _mix(pool, _hash(pool[src], constants))
+        mixed[src] = pool[src]  # a source row is not mixed into itself
+        pool = mixed
+    constants = itertools.islice(_hash_constants(*_HASH_MIX), 16, None)
+    for word in words[4:, None]:
+        pool = _mix(pool, _hash(word, _columns(itertools.islice(constants, 4))))
+    halves = _hash(pool, _STATE_HASH).astype(_U64)
+    (start_high, start_low), (seq_high, seq_low) = halves[:, ::2] | halves[:, 1::2] << _u64(32)
+    inc_high, inc_low = seq_high << _u64(1) | seq_low >> _u64(63), seq_low << _u64(1) | _u64(1)
+    low = inc_low + start_low
+    high = inc_high + start_high + (low < start_low)
+    (x_high, i_high), (x_low, i_low) = _times(np.array([[high], [inc_high]]), np.array([[low], [inc_low]]), _JUMP)
+    low = x_low + i_low
+    high = x_high + i_high + (low < x_low)
+    folded, rotation = high ^ low, high >> _u64(58)
+    first, second, third = folded >> rotation | folded << (-rotation & _u64(63))
     bits = first >> _u64(31) & _u64(1), first >> _u64(63), second >> _u64(31) & _u64(1)
     return *bits, (third >> _u64(11)).astype(np.float64) * 2.0**-53
 
@@ -693,10 +699,10 @@ def run_beam(trials: int, policy: str = "collapse", seed: int = 0) -> BeamReport
     non-negative int of any width; a trial index is one 32-bit word of the
     stream's seed, so ``trials`` is at most 2**32.
 
-    A block's keys, outcomes and row indices are array operations. Each
-    trial's branch is made and spent in one step, merged when the bases
-    match and collapsed otherwise, so it is used once by construction and
-    ``branch_summary`` counts the matches; no ledger is kept.
+    A block's keys, outcomes and row codes are array operations, and the
+    records list only the rows read. Each trial's branch is made and spent
+    at once, merged when the bases match and collapsed otherwise, so it is
+    used once by construction; ``branch_summary`` counts the matches.
     """
     if _integer(trials, "trials") < 1:
         raise ProtocolError(f"trials must be at least 1, got {trials}")
@@ -716,8 +722,12 @@ def run_beam(trials: int, policy: str = "collapse", seed: int = 0) -> BeamReport
         # _sample with two outcomes: 0 when the draw is below p0, else 1
         outcome = draws >= first_probability[key]
         row_index.append((2 * key + outcome).astype(np.uint8).tobytes())
+    codes = b"".join(row_index)
+    # list the rows read (a matched trial's outcome is its bit), renumbered in order
+    read = [code in codes for code in range(len(rows))]
+    places = bytes(itertools.accumulate(read[:-1], initial=0)).ljust(256)
     summary = {"merged": matches, "collapsed": trials - matches, "distinct_branches": trials}
-    records = serialize.IndexedRecords("trial", rows, b"".join(row_index))
+    records = serialize.IndexedRecords("trial", tuple(itertools.compress(rows, read)), codes.translate(places))
     return BeamReport(trials, policy, seed, matches / trials, records, summary)
 
 

@@ -833,17 +833,69 @@ def test_beam_records_follow_the_live_generator_across_blocks(seed):
         assert_record_follows_the_live_generator(records[trial], seed)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(1, 8).flatmap(
+        lambda words: st.integers(0 if words == 1 else 2 ** (32 * words - 32), 2 ** (32 * words) - 1)
+    ),
+    length=st.integers(1, 1024),
+    start=st.one_of(st.just(2**32 - 1), st.integers(0, 2**32 - 1)),
+    positions=st.lists(st.integers(0, 1023), min_size=1, max_size=3),
+)
+@example(seed=0, length=1, start=0, positions=[0])
+@example(seed=2**256 - 1, length=1024, start=2**32 - 1, positions=[0, 1023])
+def test_draws_match_the_live_generator_at_any_block(seed, length, start, positions):
+    # seeds of one to eight 32-bit words and blocks of any length, up to the
+    # last block a beam can have
+    start = min(start, 2**32 - length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        *bits, draws = protocol._beam_draws(seed, range(start, start + length))
+    for index in {position % length for position in positions}:
+        got = [int(b[index]) for b in bits], float(draws[index])
+        assert got == live_beam_draws(seed, start + index), start + index
+
+
 def test_draw_operands_are_read_only():
-    # every block's draws share these 0-d arrays, so none may change
-    operands = [protocol._LOW32, protocol._MIX_LEFT, protocol._MIX_RIGHT]
-    operands += [*protocol._PCG_MULT, *protocol._PCG_MULT_LIMBS, protocol._u32(16), protocol._u64(32)]
-    operands += itertools.chain.from_iterable(protocol._MIX_CONSTANTS + protocol._STATE_CONSTANTS)
+    # every block's draws share these arrays, so none may change
+    columns = [*protocol._ENTROPY_HASH, *itertools.chain(*protocol._SOURCE_HASH), *protocol._STATE_HASH]
+    columns += protocol._JUMP
+    assert all(column.shape[-1] == 1 for column in columns)
+    operands = [*columns, protocol._LOW32, protocol._MIX_LEFT, protocol._MIX_RIGHT]
+    operands += [protocol._u32(16), *map(protocol._u64, (1, 11, 31, 32, 58, 63))]
     for operand in operands:
-        assert operand.shape == ()
         with pytest.raises(ValueError, match="read-only"):
             operand[...] = 0
-    high, low = protocol._PCG_MULT_LIMBS[1], protocol._PCG_MULT_LIMBS[0]
-    assert int(high) << 32 | int(low) == int(protocol._PCG_MULT[1])
+
+
+def test_jump_columns_step_the_generator():
+    # output k = 1, 2, 3 reads the state k + 1 LCG steps after X = inc + s
+    multiplier, modulus = 0x2360ED051FC65DA44385DF649FCCF645, 2**128
+    high, low, limb0, limb1 = (column.ravel().tolist() for column in protocol._JUMP)
+    assert low == [h << 32 | l for h, l in zip(limb1, limb0)]
+    factors = [h << 64 | l for h, l in zip(high, low)]
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        x, inc = (int.from_bytes(rng.bytes(16), "little") for _ in range(2))
+        for k, state_factor, inc_factor in zip((1, 2, 3), factors[:3], factors[3:]):
+            state = x
+            for _ in range(k + 1):
+                state = (state * multiplier + inc) % modulus
+            assert (x * state_factor + inc * inc_factor) % modulus == state, k
+        # the wide multiply takes the same products: X's factors, then inc's
+        halves = (np.array([[[v >> shift & 2**64 - 1]] for v in (x, inc)], np.uint64) for shift in (64, 0))
+        products = (half.ravel().tolist() for half in protocol._times(*halves, protocol._JUMP))
+        got = [h << 64 | l for h, l in zip(*products)]
+        assert got == [x * f % modulus for f in factors[:3]] + [inc * f % modulus for f in factors[3:]]
+
+
+@pytest.mark.parametrize("policy", BEAM_POLICIES)
+def test_beam_lists_only_the_rows_its_trials_read(policy):
+    table_rows = protocol._beam_table(policy)[2]
+    for trials, seed in itertools.product((1, 7, 130, 1025), (0, 5, 2**64)):
+        records = run_beam(trials, policy, seed).records
+        assert sorted(set(records.index)) == list(range(len(records.rows)))
+        assert all(any(row is listed for listed in table_rows) for row in records.rows)
 
 
 def test_beam_builds_no_generator(monkeypatch):
