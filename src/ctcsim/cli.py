@@ -69,10 +69,11 @@ MAX_COPIES = 1000
 #: largest beam, ``--trials 40000 --policy noise``, takes about 0.2 s end
 #: to end with JSON or CSV output on a 2-core Xeon, of which about 0.15 s
 #: is interpreter start and imports (0.8 s and 0.5 s with per-record
-#: dicts). The scan holds one radial shell of the grid at a time:
-#: with the identity gate, which admits all 3,875,251 points, ``--grid 250``
-#: computes for about 0.45 s and peaks at about 42 MiB resident (0.7 s and
-#: 280 MiB with the whole grid held).
+#: dicts). The scan holds one chunk of whole shells at a time, about 4,096
+#: points or one shell if larger (from ``--grid 92`` up): with the identity
+#: gate, which admits all 3,875,251 points, ``--grid 250`` computes for about
+#: 0.3 s and peaks at about 41 MiB resident (0.7 s and 280 MiB with the whole
+#: grid held).
 MAX_TRIALS = 40_000
 MAX_STORAGE_CYCLES = 300_000
 MAX_GRID = 250

@@ -8,6 +8,7 @@ requires the state sequence around the loop to be well-ordered and cyclic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,6 +23,7 @@ from .states import (
     UnitaryGate,
     _half_trace_norm,
     _kron,
+    _norm,
     apply_unitary,
     fidelity,
     partial_trace,
@@ -38,12 +40,9 @@ _SURFACE_SHELL = 1.0 - 1e-12
 
 LOOP_LABELS = ("rho_in", "rho_out", "rho_in_prime", "rho_out_prime")
 
-_PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI.setflags(write=False)
+_CHUNK_POINTS = 4096
 
 
 class FixedPointError(RuntimeError):
@@ -118,6 +117,13 @@ class FixedPointSolution:
         }
 
 
+def _integer(value, name: str):
+    """``value`` if it is an int and not a bool, else a TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    return value
+
+
 def _require_coupling_shapes(u: UnitaryGate, *single_qubit_dims):
     if u.dim != 4:
         raise ValueError(f"coupling gate must act on 2 qubits, got dim {u.dim}")
@@ -148,10 +154,10 @@ def _pauli_coefficients(mat: np.ndarray) -> tuple:
     )
 
 
-def _pauli_transfer(u: UnitaryGate, joints) -> np.ndarray:
-    """4x4 real matrix m[i, j] = Tr(sigma_i Tr_A[U J_j U-dagger]) / 2."""
+def _pauli_transfer(u: UnitaryGate, joints: np.ndarray) -> np.ndarray:
+    """4x4 real m[i, j] = Tr(sigma_i Tr_A[U J_j U-dagger]) / 2, the J_j as one (4, 2, 2, 2, 2) broadcast."""
     m = np.empty((4, 4))
-    for j, image in enumerate(_reduce(u.matrix, u.matrix.conj().T, np.array(joints))):
+    for j, image in enumerate(_reduce(u.matrix, u.matrix.conj().T, joints.reshape(4, 4, 4))):
         m[:, j] = _pauli_coefficients(image)
     return 0.5 * m
 
@@ -215,7 +221,7 @@ def density_from_bloch(r) -> DensityOperator:
     r = np.asarray(r, dtype=float)
     if not all(map(math.isfinite, r.flat)):
         raise ValueError(f"Bloch vector must be finite, got {r.tolist()}")
-    norm = float(np.linalg.norm(r))
+    norm = _norm(r)
     if norm > 1.0 + 1e-9:
         raise ValueError(f"Bloch vector lies outside the unit ball: |r| = {norm}")
     if norm > 1.0:
@@ -237,7 +243,7 @@ def transfer_matrix(u: UnitaryGate, rho_in: DensityOperator) -> np.ndarray:
     sigma_i; trace preservation makes the first row (1, 0, 0, 0).
     """
     _require_coupling_shapes(u, rho_in.dim, 2)
-    return _pauli_transfer(u, [_kron(rho_in.matrix, p) for p in _PAULI])
+    return _pauli_transfer(u, rho_in.matrix[None, :, None, :, None] * _PAULI[:, None, :, None, :])
 
 
 def _fixed_space(u: UnitaryGate, rho_in: DensityOperator):
@@ -272,18 +278,19 @@ def _iterate(u: UnitaryGate, rho_in: np.ndarray, tolerance: float, max_iteration
     iterate and step.
     """
     u_mat, u_dag = u.matrix, u.matrix.conj().T
-    left = rho_in[:, None, :, None]  # _kron(rho_in, mat), broadcast once
-    # _reduce's expressions, written through out= into buffers built once per solve
+    left = rho_in[:, None, :, None]  # _kron(rho_in, mat) is left * mat[None, :, None, :]
+    # _reduce's expressions, through out= into buffers and views built once per solve
     joint, half, evolved = (np.empty((4, 4), dtype=complex) for _ in range(3))
     joint4, top, bottom = joint.reshape(2, 2, 2, 2), evolved[:2, :2], evolved[2:, 2:]
     mat, prev = DensityOperator.maximally_mixed().matrix.copy(), np.empty((2, 2), dtype=complex)
+    wide, prev_wide = mat[None, :, None, :], prev[None, :, None, :]
     entries = mat.tolist()
     bound = tolerance * (1.0 + 1e-6) + 1e-300
     for iteration in range(1, max_iterations + 1):
-        prev, mat = mat, prev
+        prev, mat, prev_wide, wide = mat, prev, wide, prev_wide
         (a0, _), (c0, d0) = entries
-        np.multiply(left, prev[None, :, None, :], out=joint4)
-        np.matmul(np.matmul(u_mat, joint, out=half), u_dag, out=evolved)
+        np.multiply(left, prev_wide, out=joint4)
+        np.dot(np.dot(u_mat, joint, out=half), u_dag, out=evolved)
         np.add(top, bottom, out=mat)
         (a, _), (c, d) = entries = mat.tolist()
         trace = a.real + d.real
@@ -328,6 +335,7 @@ def solve_deutsch_fixed_point(
     """
     if method not in ("iterative", "spectral"):
         raise ValueError(f"unknown method {method!r}")
+    _integer(max_iterations, "max_iterations")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     (k, b), null_basis, (left, svals, vt, free) = _fixed_space(u, rho_in)
@@ -351,7 +359,7 @@ def solve_deutsch_fixed_point(
                 "no fixed point solves the vectorized system; a solution is "
                 f"guaranteed to exist, so this signals a numerical or input defect ({defect:.3e})"
             )
-        norm = np.linalg.norm(r_star)
+        norm = _norm(r_star)
         if norm > 1.0 + 1e-9:
             raise FixedPointError(
                 "no PSD unit-trace fixed point found in the eigenspace: minimal "
@@ -368,23 +376,17 @@ def fixed_set_distance(solution: FixedPointSolution, rho: DensityOperator) -> fl
     """Euclidean Bloch distance from rho to the solver's fixed affine set."""
     offset = bloch_vector(rho) - solution._bloch
     if not solution.degenerate:
-        return float(np.linalg.norm(offset))
+        return _norm(offset)
     # least squares rather than a projector, whose rounding differs
     basis = solution.directions
     coef, *_ = np.linalg.lstsq(basis, offset, rcond=None)
-    return float(np.linalg.norm(offset - basis @ coef))
+    return _norm(offset - basis @ coef)
 
 
-def _bloch_shells(resolution: int):
-    """Deterministic grid over the Bloch ball, poles and center deduped, by shell.
-
-    Radius covers purity 0.5 to 1 (|r| from 0 to 1) in resolution//2 + 1
-    steps; polar and azimuthal angles get resolution//2 + 1 and
-    resolution points.
-    """
-    if resolution < 8:
-        raise ValueError(f"grid resolution must be at least 8, got {resolution}")
-    radii = np.linspace(0.0, 1.0, resolution // 2 + 1)
+@functools.lru_cache(maxsize=4)
+def _bloch_directions(resolution: int):
+    """The grid's radii past the center and one shell's unit directions, read-only."""
+    radii = np.linspace(0.0, 1.0, resolution // 2 + 1)[1:]
     thetas = np.linspace(0.0, np.pi, resolution // 2 + 1)
     phis = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
     theta, phi = np.meshgrid(thetas, phis, indexing="ij")
@@ -392,26 +394,38 @@ def _bloch_shells(resolution: int):
     keep = np.ones(theta.shape, dtype=bool)
     keep[[0, -1], 1:] = False
     theta, phi = theta[keep], phi[keep]
-    directions = np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1
-    )
-    yield np.zeros((1, 3))
-    for radius in radii[1:]:
-        yield radius * directions
+    directions = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1)
+    for array in (radii, directions):
+        array.setflags(write=False)
+    return radii, directions
+
+
+def _bloch_shells(resolution: int):
+    """Deterministic grid over the Bloch ball, poles and center deduped: the center, then
+    (k, n, 3) stacks of whole shells, about ``_CHUNK_POINTS`` points or one shell each.
+    |r| takes resolution//2 + 1 steps from 0 to 1 (purity 0.5 to 1); the polar and
+    azimuthal angles take resolution//2 + 1 and resolution points."""
+    if resolution < 8:
+        raise ValueError(f"grid resolution must be at least 8, got {resolution}")
+    radii, directions = _bloch_directions(resolution)
+    yield np.zeros((1, 1, 3))
+    step = max(1, _CHUNK_POINTS // len(directions))
+    for start in range(0, len(radii), step):
+        yield radii[start : start + step, None, None] * directions
 
 
 def _admissible_points(u: UnitaryGate, rho: np.ndarray, grid_resolution: int, tolerance: float):
     """The Bloch grid points, and their residuals, whose Deutsch residual against the
-    CTC state (a 2x2 matrix) stays within ``tolerance``: the scan, two arrays per shell."""
+    CTC state (a 2x2 matrix) stays within ``tolerance``: two arrays per chunk of shells."""
     _require_coupling_shapes(u, 2, rho.shape[0])
     # the map rho_in -> Tr_A[U(rho_in (x) rho)U+] is linear in rho_in
-    m = _pauli_transfer(u, [_kron(p, rho) for p in _PAULI])
+    m = _pauli_transfer(u, _PAULI[:, :, None, :, None] * rho[None, None, :, None, :])
     a, b = m[1:, 1:], m[1:, 0]
     target = np.array(_pauli_coefficients(rho)[1:])
-    for shell in _bloch_shells(grid_resolution):
-        residuals = 0.5 * np.linalg.norm(shell @ a.T + b - target, axis=1)
+    for chunk in _bloch_shells(grid_resolution):
+        residuals = 0.5 * np.linalg.norm(chunk @ a.T + b - target, axis=2)
         keep = residuals <= tolerance
-        yield shell[keep], residuals[keep]
+        yield chunk[keep], residuals[keep]
 
 
 def scan_admissible_inputs(u: UnitaryGate, rho: DensityOperator, grid_resolution: int):
@@ -424,5 +438,5 @@ def scan_admissible_inputs(u: UnitaryGate, rho: DensityOperator, grid_resolution
     so the sweep is evaluated in Bloch coordinates; the result is identical
     to calling check_deutsch per point.
     """
-    shells = _admissible_points(u, rho.matrix, grid_resolution, SOLVER_AGREEMENT_TOL)
-    return [pair for points, residuals in shells for pair in zip(points, residuals.tolist())]
+    chunks = _admissible_points(u, rho.matrix, _integer(grid_resolution, "grid_resolution"), SOLVER_AGREEMENT_TOL)
+    return [pair for points, residuals in chunks for pair in zip(points, residuals.tolist())]

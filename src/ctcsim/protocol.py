@@ -23,7 +23,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import serialize
-from .consistency import check_deutsch, check_weak, deutsch_map
+from .consistency import _integer, check_deutsch, check_weak, deutsch_map
 from .gates import GateSpec, _named, bell_pair, build_gate
 from .resources import FIDELITY_THRESHOLD, LedgerEntry, ResourceKind, tally
 from .states import (
@@ -33,6 +33,7 @@ from .states import (
     _branches,
     _COMPUTATIONAL,
     _kron,
+    _norm,
     _sample,
     apply_unitary,
     fidelity,
@@ -232,13 +233,6 @@ class _Recorder:
         return Transcript(records=records, resource_entries=self.resource_entries, **fields)
 
 
-def _integer(value, name: str):
-    """``value`` if it is an int and not a bool, else a TypeError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    return value
-
-
 def _checked_seed(seed) -> int:
     """``seed`` as an int; a bool or a non-int raises TypeError, a negative
     one a ValueError that names it (numpy's generators take seeds >= 0)."""
@@ -326,7 +320,7 @@ def _measure_chronology(session: Session, joint, actor: str):
     outcome = _sample(session.rng.random(), probabilities)
     rest = branches[outcome][1]
     if vector:
-        ctc_factor = StateVector._trusted(rest / np.linalg.norm(rest))
+        ctc_factor = StateVector._trusted(rest / _norm(rest))
         if actor == "alice":
             detail["unnormalized_branches"] = [serialize.complex_to_pairs(r) for _, r in branches]
     else:

@@ -10,6 +10,7 @@ most significant bit of the basis index.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence, Union
 
 import numpy as np
@@ -66,6 +67,11 @@ class _Frozen:
             object.__setattr__(self, name, _freeze(value) if isinstance(value, np.ndarray) else value)
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm`` of a vector, by its own 1-D formula without its generic dispatch."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag) if x.dtype.kind == "c" else x.dot(x))
+
+
 def _normalised(amps: np.ndarray, norm: float) -> np.ndarray:
     """The one renormalisation rule: ``amps`` over its ``norm`` when |psi|^2
     is off 1 by more than ATOL, else ``amps`` itself."""
@@ -87,7 +93,7 @@ class StateVector(_Frozen):
     def __init__(self, amplitudes):
         amps = _as_complex(amplitudes, "state is not normalized").reshape(-1)
         _qubit_count(amps.size)
-        norm = np.linalg.norm(amps)
+        norm = _norm(amps)
         if abs(norm**2 - 1.0) > 1e-9:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm**2} (tolerance 1e-9)")
         self._own(amplitudes=_normalised(np.array(amps, order="C"), norm), dim=amps.size)
@@ -97,7 +103,7 @@ class StateVector(_Frozen):
         """Own, unchecked, a fresh array that is a state by construction:
         built from valid states and gates."""
         state = cls.__new__(cls)
-        object.__setattr__(state, "amplitudes", _freeze(_normalised(amplitudes, np.linalg.norm(amplitudes))))
+        object.__setattr__(state, "amplitudes", _freeze(_normalised(amplitudes, _norm(amplitudes))))
         object.__setattr__(state, "dim", amplitudes.size)
         return state
 
@@ -281,7 +287,7 @@ def _branches(array: np.ndarray, basis=_COMPUTATIONAL) -> list:
         # so the bits are the ones tensordot gave
         rest = np.dot(b.conj().reshape(1, 2), array.reshape(2, -1))
         if array.ndim == 1:
-            branches.append((float(np.linalg.norm(rest)) ** 2, rest.reshape(-1)))
+            branches.append((_norm(rest[0]) ** 2, rest.reshape(-1)))
         else:
             rest = np.dot(rest.reshape(half, 2, half).transpose(0, 2, 1).reshape(-1, 2), b.reshape(2, 1))
             rest = rest.reshape(half, half)

@@ -13,7 +13,9 @@ from ctcsim.consistency import (
     check_deutsch,
     check_strong,
     check_weak,
+    _CHUNK_POINTS,
     _admissible_points,
+    _bloch_directions,
     _bloch_shells,
     _fixed_space,
     density_from_bloch,
@@ -37,8 +39,8 @@ def random_state(rng=RNG):
 
 
 def bloch_grid(resolution):
-    """The whole Bloch grid: the scan's radial shells, concatenated."""
-    return np.concatenate(list(_bloch_shells(resolution)))
+    """The whole Bloch grid: the scan's chunks of radial shells, concatenated."""
+    return np.concatenate([chunk.reshape(-1, 3) for chunk in _bloch_shells(resolution)])
 
 
 def admissible_arrays(u, rho, resolution, tolerance):
@@ -211,6 +213,10 @@ def test_iterative_reports_non_convergence():
         solve_deutsch_fixed_point(swap(), rho_in, "iterative", max_iterations=1)
     assert info.value.rho is not None
     assert info.value.residual is not None
+    for method in ("iterative", "spectral"):
+        for cap in (True, 2.5, "5", None):
+            with pytest.raises(TypeError, match="max_iterations must be an int"):
+                solve_deutsch_fixed_point(swap(), rho_in, method, max_iterations=cap)
 
 
 def test_iterative_survives_slow_contraction_without_trace_drift():
@@ -274,14 +280,28 @@ def test_scan_residuals_match_check_deutsch():
         assert check_deutsch(gate, candidate, rho).residual == pytest.approx(residuals[index], abs=1e-12)
 
 
-def test_scan_holds_one_radial_shell_at_a_time():
-    # the identity coupling keeps every point, so each shell comes back whole
-    resolution = 40
-    shell_rows = (resolution // 2 - 1) * resolution + 2
-    shells = list(_admissible_points(identity(), random_density().matrix, resolution, SOLVER_AGREEMENT_TOL))
-    assert len(shells) == resolution // 2 + 1
-    assert max(len(array) for shell in shells for array in shell) == shell_rows
-    assert sum(len(residuals) for _, residuals in shells) == len(bloch_grid(resolution))
+def test_scan_holds_one_chunk_of_shells_at_a_time():
+    # the identity coupling keeps every point, so each chunk comes back whole: the
+    # center alone, then whole shells up to the bound, or one shell larger than it
+    for resolution, shells_per_chunk in ((40, 5), (100, 1)):
+        shell_rows = (resolution // 2 - 1) * resolution + 2
+        chunks = list(_admissible_points(identity(), random_density().matrix, resolution, SOLVER_AGREEMENT_TOL))
+        sizes = [len(points) for points, residuals in chunks if len(residuals) == len(points)]
+        assert len(sizes) == len(chunks) and sizes[0] == 1
+        assert max(sizes) == shells_per_chunk * shell_rows <= max(_CHUNK_POINTS, shell_rows)
+        assert sum(sizes) == len(bloch_grid(resolution))
+
+
+def test_grid_directions_are_cached_read_only():
+    radii, directions = _bloch_directions(40)
+    assert _bloch_directions(40)[1] is directions
+    assert not radii.flags.writeable and not directions.flags.writeable
+    with pytest.raises(ValueError):
+        directions[0, 0] = 0.0
+    rho = random_density()
+    first, again = (admissible_arrays(controlled_rotation(), rho.matrix, 40, 0.3) for _ in range(2))
+    for new, old in zip(again, first):
+        assert_same_bytes(new, old)
 
 
 def test_scan_rejects_invalid_density_probe():
@@ -294,6 +314,9 @@ def test_scan_rejects_invalid_density_probe():
 def test_scan_requires_minimum_resolution():
     with pytest.raises(ValueError):
         scan_admissible_inputs(swap(), random_density(), 4)
+    for resolution in (True, 8.5, "16", None):
+        with pytest.raises(TypeError, match="grid_resolution must be an int"):
+            scan_admissible_inputs(swap(), random_density(), resolution)
 
 
 def test_grid_covers_purity_range():
@@ -324,7 +347,7 @@ def loop_bloch_grid(resolution):
     return np.array(points)
 
 
-@pytest.mark.parametrize("resolution", [*range(8, 33), 100])
+@pytest.mark.parametrize("resolution", [*range(8, 33), 40, 100])
 def test_grid_is_bitwise_the_point_by_point_grid(resolution):
     grid, oracle = bloch_grid(resolution), loop_bloch_grid(resolution)
     assert grid.shape == oracle.shape
@@ -610,7 +633,10 @@ def test_scan_is_bitwise_the_old_per_point_scan():
             resolution = int(rng.integers(8, 13))
             # every point is kept at an infinite tolerance: one state per gate
             tolerances = (SOLVER_AGREEMENT_TOL, 0.3) + ((np.inf,) if k == 0 else ())
-            for tolerance in tolerances:
+            cases = [(resolution, tolerance) for tolerance in tolerances]
+            # resolution 40 takes five shells a chunk: one state per gate scans it too
+            cases += [(40, 0.3)] if k == 1 else []
+            for resolution, tolerance in cases:
                 if tolerance == SOLVER_AGREEMENT_TOL:
                     new = scan_admissible_inputs(gate, rho, resolution)
                 else:
@@ -625,15 +651,17 @@ def test_scan_is_bitwise_the_old_per_point_scan():
 
 def test_identity_scan_is_bitwise_the_old_scan_at_grid_100():
     rho = random_pure_and_mixed(np.random.default_rng(17), 1)[1]
-    new = scan_admissible_inputs(identity(), rho, 100)
-    grid = bloch_grid(100)
-    assert len(new) == len(grid)
-    assert_same_bytes([r for r, _ in new], grid)
-    # the old per-point path is slow: check every surface point and a stride
-    radii = np.linalg.norm(grid, axis=1)
-    for index in [*np.flatnonzero(radii > 0.99), *range(0, len(grid), 97)]:
-        assert_same_bytes(density_from_bloch(new[index][0]).matrix, old_density_matrix_from_bloch(grid[index]))
-    assert_same_bytes([residual for _, residual in new], old_residuals(identity(), rho, grid))
+    # 100 takes one shell a chunk; 40 takes five, the other side of the chunk bound
+    for resolution in (100, 40):
+        new = scan_admissible_inputs(identity(), rho, resolution)
+        grid = bloch_grid(resolution)
+        assert len(new) == len(grid)
+        assert_same_bytes([r for r, _ in new], grid)
+        # the old per-point path is slow: check every surface point and a stride
+        radii = np.linalg.norm(grid, axis=1)
+        for index in [*np.flatnonzero(radii > 0.99), *range(0, len(grid), 97)]:
+            assert_same_bytes(density_from_bloch(new[index][0]).matrix, old_density_matrix_from_bloch(grid[index]))
+        assert_same_bytes([residual for _, residual in new], old_residuals(identity(), rho, grid))
 
 
 def test_fixed_set_distance_is_bitwise_the_old_one():
