@@ -219,14 +219,17 @@ def bloch_vector(rho: DensityOperator) -> np.ndarray:
 
 def density_from_bloch(r) -> DensityOperator:
     r = np.asarray(r, dtype=float)
+    if r.shape != (3,):
+        raise ValueError(f"Bloch vector must have shape (3,), got shape {r.shape}")
     if not all(map(math.isfinite, r.flat)):
         raise ValueError(f"Bloch vector must be finite, got {r.tolist()}")
     norm = _norm(r)
     if norm > 1.0 + 1e-9:
         raise ValueError(f"Bloch vector lies outside the unit ball: |r| = {norm}")
-    if norm > 1.0:
-        r = r / norm
-    mat = 0.5 * (_PAULI[0] + r[0] * _PAULI[1] + r[1] * _PAULI[2] + r[2] * _PAULI[3])
+    x, y, z = (r / norm if norm > 1.0 else r).tolist()
+    # (I + xX + yY + zZ) / 2 entry by entry; like the Pauli sum, a zero x or y gives +0.0
+    re, im = (x / 2 if x else 0.0), (y / 2 if y else 0.0)
+    mat = np.array([[(1.0 + z) / 2, complex(re, -im if y else 0.0)], [complex(re, im), (1.0 - z) / 2]])
     if norm >= _SURFACE_SHELL:
         # a point on or near the surface can have a negative eigenvalue (fp
         # fuzz); it is mixed infinitesimally toward the center
@@ -246,18 +249,23 @@ def transfer_matrix(u: UnitaryGate, rho_in: DensityOperator) -> np.ndarray:
     return _pauli_transfer(u, rho_in.matrix[None, :, None, :, None] * _PAULI[:, None, :, None, :])
 
 
+@functools.lru_cache(maxsize=1)
 def _fixed_space(u: UnitaryGate, rho_in: DensityOperator):
     """The Bloch part of the vectorized map as the system (I - A) r = b.
 
-    Returns the pair (I - A, b), the null-space basis of I - A, and its SVD
-    with the mask of free directions: those whose singular value is below
-    1e-10.
+    Returns (I - A, b, whether A is 0), the null-space basis of I - A as a
+    tuple, and its SVD with the mask of free directions (singular value below
+    1e-10). The last pair's result is kept read-only, keyed by the gate and
+    rho_in objects themselves, which are immutable and compare by identity.
     """
     m = transfer_matrix(u, rho_in)
-    k = np.eye(3) - m[1:, 1:]
+    k, b = np.eye(3) - m[1:, 1:], m[1:, 0]
     left, svals, vt = np.linalg.svd(k)
     free = svals < 1e-10
-    return (k, m[1:, 0]), list(vt[free]), (left, svals, vt, free)
+    null = vt[free]
+    for array in (k, b, left, svals, vt, free, null):
+        array.setflags(write=False)
+    return (k, b, not m[1:, 1:].any()), tuple(null), (left, svals, vt, free)
 
 
 def _closed_form_step(p: float, q: complex, s: float) -> float:
@@ -315,30 +323,31 @@ def solve_deutsch_fixed_point(
     tolerance: float = STRICT_TOL,
     max_iterations: int = MAX_ITERATIONS,
 ) -> FixedPointSolution:
-    """Find rho with rho = deutsch_map(u, rho_in, rho).
+    """Find rho with rho = deutsch_map(u, rho_in, rho). Both methods read
+    the fixed space that ``_fixed_space`` keeps for the last pair.
 
     iterative: repeated application of the map starting from the
     maximally mixed state until successive iterates agree within
     ``tolerance``, which must be finite and non-negative (at most
-    ``max_iterations`` steps). Each step adds
-    rounding error to the iterate's trace, so an iterate whose trace is
-    off by more than half of ``ATOL`` is divided by it before the next
-    step; otherwise a slow contraction would fail the unit-trace check.
-    A step is the trace distance between successive iterates, measured in
-    closed form and confirmed with eigvalsh only near the tolerance.
+    ``max_iterations`` steps). Each step adds rounding error to the
+    iterate's trace, so an iterate whose trace is off by more than half of
+    ``ATOL`` is divided by it before the next step; otherwise a slow
+    contraction would fail the unit-trace check. A step is the trace
+    distance between successive iterates, measured in closed form and
+    confirmed with eigvalsh only near the tolerance.
 
     spectral: vectorize the map on the 4-dimensional real space of
     Hermitian operators, take the eigenvalue-1 eigenspace, and project to
-    the unit-trace PSD set. Degenerate fixed sets are resolved to the
-    maximal-entropy member, which for a qubit is the minimal-Bloch-norm
-    point of the fixed affine subspace.
+    the unit-trace PSD set; a constant map (A = 0, the swap's) gives r = b.
+    Degenerate fixed sets are resolved to the maximal-entropy member, which
+    for a qubit is the minimal-Bloch-norm point of the fixed affine subspace.
     """
     if method not in ("iterative", "spectral"):
         raise ValueError(f"unknown method {method!r}")
     _integer(max_iterations, "max_iterations")
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
-    (k, b), null_basis, (left, svals, vt, free) = _fixed_space(u, rho_in)
+    (k, b, constant), null_basis, (left, svals, vt, free) = _fixed_space(u, rho_in)
     # adding 0.0 turns a -0.0 direction entry into +0.0
     directions = np.array(null_basis).reshape(-1, 3).T + 0.0
 
@@ -351,9 +360,11 @@ def solve_deutsch_fixed_point(
         if null_basis:
             kept = ~free
             r_star = vt[kept].T @ ((left[:, kept].T @ b) / svals[kept])
+        elif constant:
+            r_star = b  # the map is constant: r = b exactly, with no solve to round it
         else:
             r_star, *_ = np.linalg.lstsq(k, b, rcond=None)
-        defect = float(np.linalg.norm(k @ r_star - b, ord=np.inf))
+        defect = float(np.abs(k @ r_star - b).max())
         if defect > 1e-10:
             raise FixedPointError(
                 "no fixed point solves the vectorized system; a solution is "
@@ -423,7 +434,7 @@ def _admissible_points(u: UnitaryGate, rho: np.ndarray, grid_resolution: int, to
     a, b = m[1:, 1:], m[1:, 0]
     target = np.array(_pauli_coefficients(rho)[1:])
     for chunk in _bloch_shells(grid_resolution):
-        residuals = 0.5 * np.linalg.norm(chunk @ a.T + b - target, axis=2)
+        residuals = 0.5 * np.sqrt(np.add.reduce(np.square(chunk @ a.T + b - target), axis=2))
         keep = residuals <= tolerance
         yield chunk[keep], residuals[keep]
 

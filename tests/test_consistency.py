@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -415,6 +416,15 @@ def test_bloch_rejects_non_finite(value):
         density_from_bloch([value, 0, 0])
 
 
+@pytest.mark.parametrize(
+    "r, shape",
+    [([0.1, 0.2, 0.3, 0.4], (4,)), ([0.1, 0.2], (2,)), (0.5, ()), ([[0.1], [0.2], [0.3]], (3, 1)), ([], (0,))],
+)
+def test_bloch_refuses_a_vector_that_is_not_three_numbers(r, shape):
+    with pytest.raises(ValueError, match=rf"shape \(3,\), got shape {re.escape(str(shape))}"):
+        density_from_bloch(r)
+
+
 # ------------------------------------------------------------ kernel oracles
 # The Bloch-coordinate kernel must compute every float with the same single
 # operations as the generic implementations below, which it replaced; these
@@ -560,7 +570,7 @@ def test_density_from_bloch_is_bitwise_the_old_one_on_the_grid(resolution):
         assert_same_bytes(density_from_bloch(point).matrix, old_density_matrix_from_bloch(point))
 
 
-@pytest.mark.parametrize("radius", [1 - 2e-12, 1 - 1e-12, 1.0, 1 + 1e-10])
+@pytest.mark.parametrize("radius", [1 - 2e-12, 1 - 1e-12, 1.0, 1 + 1e-10, 1 + 9e-10])
 def test_density_from_bloch_is_bitwise_the_old_one_near_the_surface(radius):
     rng = np.random.default_rng(11)
     for _ in range(500):
@@ -574,6 +584,28 @@ def test_density_from_bloch_is_bitwise_the_old_one_on_random_points():
     points = rng.uniform(-1, 1, size=(3000, 3))
     for point in points[np.linalg.norm(points, axis=1) <= 1.0]:
         assert_same_bytes(density_from_bloch(point).matrix, old_density_matrix_from_bloch(point))
+
+
+def test_density_from_bloch_is_bitwise_the_old_one_on_signed_zero_coordinates():
+    # every coordinate from a set with both zeros, inside the ball, on its
+    # surface and past it by less than the 1e-9 it forgives
+    values = (0.0, -0.0, 0.6, -0.6, 0.8, -0.8, 1.0, -1.0, 1e-300, -1e-300, 0.8 + 5e-10)
+    points = [np.array(point) for point in itertools.product(values, repeat=3)]
+    points = [point for point in points if np.linalg.norm(point) <= 1.0 + 1e-9]
+    assert len(points) > 500
+    for point in points:
+        assert_same_bytes(density_from_bloch(point).matrix, old_density_matrix_from_bloch(point))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_norm_formulas_are_bitwise_np_linalg_norm(seed):
+    """The spectral defect's and the scan's norms are numpy's own formulas."""
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(5, 60, 3)) * 10.0 ** rng.integers(-150, 150, size=(5, 60, 3))
+    stack[rng.random(stack.shape) < 0.2] = -0.0
+    assert_same_bytes(np.sqrt(np.add.reduce(np.square(stack), axis=2)), np.linalg.norm(stack, axis=2))
+    for vector in stack.reshape(-1, 3):
+        assert_same_bytes(float(np.abs(vector).max()), float(np.linalg.norm(vector, ord=np.inf)))
 
 
 def test_bloch_vector_is_bitwise_the_old_one():
@@ -839,3 +871,54 @@ def test_scan_takes_no_eigvalsh_and_no_construction(monkeypatch):
             assert r.shape == (3,) and r.dtype == float and type(residual) is float
     # the identity coupling admits every grid point
     assert scanned >= len(bloch_grid(16))
+
+
+def test_one_pair_solved_both_ways_takes_one_svd(monkeypatch):
+    rng = np.random.default_rng(25)
+    svds = counting(monkeypatch, np.linalg, "svd")
+    for gate in kernel_couplings(rng, 4):
+        rho_in = random_density(rng)
+        del svds[:]
+        iterative = solve_deutsch_fixed_point(gate, rho_in, "iterative", max_iterations=50_000)
+        spectral = solve_deutsch_fixed_point(gate, rho_in, "spectral")
+        assert svds == ["svd"]
+        assert_same_bytes(iterative.directions, spectral.directions)
+
+
+def test_a_new_state_or_gate_gets_its_own_fixed_space(monkeypatch):
+    svds = counting(monkeypatch, np.linalg, "svd")
+    rho_in = StateVector.qubit(0.6, 0.8).density()
+    first = solve_deutsch_fixed_point(cnot(), rho_in, "spectral")
+    # the same values in a new object, a new gate with the same matrix, then a new pair
+    again = solve_deutsch_fixed_point(cnot(), DensityOperator(rho_in.matrix), "spectral")
+    same_matrix = solve_deutsch_fixed_point(UnitaryGate(cnot().matrix), rho_in, "spectral")
+    other_state = StateVector.qubit(0.8, 0.6j).density()
+    other = solve_deutsch_fixed_point(controlled_rotation(), other_state, "iterative")
+    assert len(svds) == 4
+    assert_same_bytes(again.rho.matrix, first.rho.matrix)
+    assert_same_bytes(same_matrix.rho.matrix, first.rho.matrix)
+    _fixed_space.cache_clear()
+    fresh = solve_deutsch_fixed_point(controlled_rotation(), other_state, "iterative")
+    assert_same_bytes(other.directions, fresh.directions)
+    assert_same_bytes(other.rho.matrix, fresh.rho.matrix)
+
+
+def test_the_kept_fixed_space_is_read_only():
+    (k, b, _), null_basis, (left, svals, vt, free) = _fixed_space(identity(), random_density())
+    assert isinstance(null_basis, tuple) and len(null_basis) == 3
+    for array in (k, b, left, svals, vt, free, *null_basis):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("amplitudes", [(1, 0), (0, 1), (0.6, 0.8), (0.6, 0.8j)])
+def test_the_swap_spectral_fixed_point_is_rho_in_with_no_lstsq(monkeypatch, amplitudes):
+    rho_in = StateVector(amplitudes).density()
+    (_, b, constant), _, _ = _fixed_space(swap(), rho_in)
+    assert constant
+    lstsqs = counting(monkeypatch, np.linalg, "lstsq")
+    solution = solve_deutsch_fixed_point(swap(), rho_in, "spectral")
+    assert lstsqs == []
+    assert_same_bytes(solution.rho.matrix, density_from_bloch(b).matrix)
+    if amplitudes == (1, 0):
+        assert solution.rho.matrix.tolist() == [[1, 0], [0, 0]]

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from ctcsim import cli, protocol
+from ctcsim import cli, consistency, protocol
 from ctcsim.gates import GateSpec
 from ctcsim.protocol import BEAM_POLICIES, FORMALISMS, ProtocolConfig, run_beam, run_session
 from ctcsim.states import StateVector
@@ -59,6 +59,7 @@ CLI_DIGESTS = {
     "run_protocol": "7ba43ac1f54fc00b1798d17053fb0ed6e91ef785cad88a86bf3e28c553cfb910",
     "self_signal": "6532ef07d8b73475067b3839f2e567c6d584d6fc47028f1351befdd2b2daaee6",
     "fixed_point": "6c108f03c27a27e041ccf31d7dcde01f54723677d0164140807a9c543e0639a0",
+    "fixed_point_swap": "4e69d12f98bd23b0ec6732b7be2ecc53846766efcf78008a2ea1b868dd3f5d61",
     "beam": "a9da1a59abfd36dfe4a819aac6792367a20942293c44fc551d1aa3ba37f7693d",
     "teleport": "f6ae9d94d345e26d15f291ba24aa299c1664686e10cc1cc176f0ebbcce5fab6c",
     "topology": "bfac0ec4079e4df1494f0936325755d9552f6f24b0b7165f4fd4cb698a3d4c7f",
@@ -195,6 +196,8 @@ CLI_ARGVS = {
     "run_protocol": ["run-protocol", "--state", "0.6,0,0.8,0", "--seed", "7"],
     "self_signal": ["run-protocol", "--scenario", "self_signal", "--bob-measures", "--seed", "3"],
     "fixed_point": ["fixed-point", "--unitary", "controlled_rotation", "--state", "0.6,0,0.8,0"],
+    # the swap's Bloch map is constant: its fixed point is rho_in, exact zeros included
+    "fixed_point_swap": ["fixed-point", "--unitary", "swap", "--state", "1,0,0,0"],
     "beam": ["beam", "--trials", "40", "--seed", "11"],
     "teleport": ["teleport-baseline", "--state", "0.6,0,0,0.8", "--seed", "2"],
     "topology": ["topology-check", "--copies", "3"],
@@ -252,9 +255,11 @@ def test_goldens_hold_with_lapack_outputs_moved_by_one_ulp(ulps, table, capsys, 
     monkeypatch.delenv("CTC_SIM_SEED", raising=False)
     for name in ("eigvalsh", "eigh", "svd", "lstsq"):
         monkeypatch.setattr(np.linalg, name, _moved_by_one_ulp(getattr(np.linalg, name), ulps))
-    # the beam's per-policy table holds trace distances: none computed
-    # before the move may serve this test, nor one computed under it a later test
+    # the beam's per-policy table holds trace distances, and the solver's fixed
+    # space an SVD: none computed before the move may serve this test, nor one
+    # computed under it a later test
     protocol._beam_table.cache_clear()
+    consistency._fixed_space.cache_clear()
     try:
         if table == "session":
             digests, expected = {key: _session_digest(key) for key in SESSION_DIGESTS}, SESSION_DIGESTS
@@ -265,4 +270,5 @@ def test_goldens_hold_with_lapack_outputs_moved_by_one_ulp(ulps, table, capsys, 
             digests = {key: _beam_digest(key) for key in expected}
     finally:
         protocol._beam_table.cache_clear()
+        consistency._fixed_space.cache_clear()
     assert digests == expected
