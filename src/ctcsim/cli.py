@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import serialize
 from .consistency import (
     SOLVER_AGREEMENT_TOL,
@@ -128,6 +126,19 @@ def _inline(text: str) -> bool:
     except ValueError:
         return "," in text
     return True
+
+
+def _join_negative(argv) -> list:
+    """``argv`` with each inline ``--state`` or ``--ctc`` value that starts
+    with '-' joined to its flag, as ``--state=-0.6,0,0.8,0``: argparse would
+    read the value as a flag. The report's command shows the joined form."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in ("--state", "--ctc") and token.startswith("-") and _inline(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def _parse_state(text: str) -> StateVector:
@@ -307,7 +318,7 @@ def _fixed_point(args, seed) -> dict:
     return {
         "iterative": iterative.to_json(),
         "spectral": spectral.to_json(),
-        "methods_agree": bool(agreement <= 1e-9),
+        "methods_agree": bool(agreement <= SOLVER_AGREEMENT_TOL),
         "agreement_trace_distance": float(agreement),
     }
 
@@ -320,18 +331,17 @@ def _classify(args, seed) -> dict:
     ctc = _parse_state(args.ctc)
     tolerance = _tolerance(args.tolerance)
     config = ProtocolConfig(input_state=state, ctc_initial=ctc, gate=gate_spec, seed=seed)
-    gate = config.coupling
+    gate, ctc_rho = config.coupling, ctc.density()
     results = {
         "strong": check_strong(gate, state, ctc, tolerance=tolerance).to_json(),
-        "deutsch": check_deutsch(gate, state.density(), ctc.density(), tolerance).to_json(),
+        "deutsch": check_deutsch(gate, state.density(), ctc_rho, tolerance).to_json(),
         # the weak verdict of the session's loop, as its transcript reports it
         "weak": check_weak(_run_stages(config).loop_states).to_json(),
     }
     if args.grid is not None:
         # the report reads only the residuals: no density operator per grid point
-        ctc_matrix = np.outer(ctc.amplitudes, ctc.amplitudes.conj())
         count, top = 0, -math.inf
-        for _, residuals in _admissible_points(gate, ctc_matrix, args.grid, SOLVER_AGREEMENT_TOL):
+        for _, residuals in _admissible_points(gate, ctc_rho.matrix, args.grid, SOLVER_AGREEMENT_TOL):
             count += len(residuals)
             top = max(top, residuals.max(initial=-math.inf))
         results["admissible_scan"] = {
@@ -376,6 +386,7 @@ def _resources(args, seed) -> dict:
 
 
 def dispatch(argv) -> tuple[Report, int, str]:
+    argv = _join_negative(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     seed = _seed(args)
@@ -397,7 +408,7 @@ def dispatch(argv) -> tuple[Report, int, str]:
     else:
         results = _resources(args, seed)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    report = Report(SCHEMA_VERSION, list(argv), seed, results, elapsed_ms)
+    report = Report(SCHEMA_VERSION, argv, seed, results, elapsed_ms)
     return report, code, args.output
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,46 +37,9 @@ class GateSpec:
             )
         if self.params is not None and self.name != "controlled_phase":
             raise ValueError(f"gate {self.name!r} takes no angle parameter")
-
-
-def swap() -> UnitaryGate:
-    """Two-qubit exchange |01> <-> |10|."""
-    mat = np.eye(4, dtype=complex)
-    mat[[1, 2]] = mat[[2, 1]]
-    return UnitaryGate(mat, label="swap")
-
-
-def controlled_rotation() -> UnitaryGate:
-    """diag(1, 1, 1, i): a quarter phase rotation on |11>."""
-    return UnitaryGate(np.diag([1.0, 1.0, 1.0, 1.0j]), label="controlled_rotation")
-
-
-def controlled_phase(theta: float = np.pi) -> UnitaryGate:
-    """diag(1, 1, 1, e^{i theta}); the default angle pi gives CZ."""
-    return UnitaryGate(np.diag([1.0, 1.0, 1.0, np.exp(1j * theta)]), label="controlled_phase")
-
-
-def hadamard() -> UnitaryGate:
-    return UnitaryGate(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), label="hadamard")
-
-
-def pauli_x() -> UnitaryGate:
-    return UnitaryGate(np.array([[0, 1], [1, 0]], dtype=complex), label="pauli_x")
-
-
-def pauli_z() -> UnitaryGate:
-    return UnitaryGate(np.array([[1, 0], [0, -1]], dtype=complex), label="pauli_z")
-
-
-def cnot() -> UnitaryGate:
-    """Controlled-X with the first (most significant) qubit as control."""
-    mat = np.eye(4, dtype=complex)
-    mat[[2, 3]] = mat[[3, 2]]
-    return UnitaryGate(mat, label="cnot")
-
-
-def identity(num_qubits: int = 2) -> UnitaryGate:
-    return UnitaryGate(np.eye(2**num_qubits, dtype=complex), label="identity")
+        if isinstance(self.params, bool) or not isinstance(self.params, (type(None), numbers.Real)):
+            # float() would read True as 1.0 and "0.7" as 0.7
+            raise TypeError(f"params must be a real number or None, got {type(self.params).__name__}")
 
 
 def _custom(path: Union[str, Path]) -> UnitaryGate:
@@ -85,25 +49,27 @@ def _custom(path: Union[str, Path]) -> UnitaryGate:
     )
 
 
-#: Gate name -> factory, in the order error messages list them; ``custom``
-#: comes last, so ``GATE_NAMES[:-1]`` are the built-in gates.
-_FACTORIES = {
-    "swap": swap,
-    "controlled_rotation": controlled_rotation,
-    "controlled_phase": controlled_phase,
-    "hadamard": hadamard,
-    "pauli_x": pauli_x,
-    "pauli_z": pauli_z,
-    "cnot": cnot,
-    "identity": identity,
+#: Gate name -> builder of its matrix, in the order error messages list them;
+#: ``custom``, whose builder reads a file into a checked gate, comes last, so
+#: ``GATE_NAMES[:-1]`` are the built-in gates. CNOT's control is the first
+#: (most significant) qubit; the controlled phase is CZ at its default angle pi.
+_MATRICES = {
+    "swap": lambda: np.eye(4, dtype=complex)[[0, 2, 1, 3]],
+    "controlled_rotation": lambda: np.diag([1.0, 1.0, 1.0, 1.0j]),
+    "controlled_phase": lambda theta=np.pi: np.diag([1.0, 1.0, 1.0, np.exp(1j * theta)]),
+    "hadamard": lambda: np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "pauli_x": lambda: np.array([[0, 1], [1, 0]], dtype=complex),
+    "pauli_z": lambda: np.array([[1, 0], [0, -1]], dtype=complex),
+    "cnot": lambda: np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+    "identity": lambda: np.eye(4, dtype=complex),
     "custom": _custom,
 }
-GATE_NAMES = tuple(_FACTORIES)
+GATE_NAMES = tuple(_MATRICES)
 
 
 #: The parameterless gate of each name, built and checked once per process;
 #: a gate is immutable, so every caller may share it.
-_named = functools.cache(lambda name: _FACTORIES[name]())
+_named = functools.cache(lambda name: UnitaryGate(_MATRICES[name](), label=name))
 
 
 def build_gate(spec: GateSpec) -> UnitaryGate:
@@ -111,10 +77,11 @@ def build_gate(spec: GateSpec) -> UnitaryGate:
     ``controlled_phase`` takes an angle and only ``custom`` a path."""
     if spec.name == "custom":
         return _custom(spec.custom_path)
-    return _named(spec.name) if spec.params is None else controlled_phase(float(spec.params))
+    if spec.params is None:
+        return _named(spec.name)
+    return UnitaryGate(_MATRICES[spec.name](float(spec.params)), label=spec.name)
 
 
 def bell_pair() -> StateVector:
     """The maximally entangled pair (|00> + |11>)/sqrt(2)."""
     return StateVector(np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2))
-

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from ctcsim.consistency import fixed_set_distance, scan_admissible_inputs, solve_deutsch_fixed_point
-from ctcsim.gates import controlled_rotation, swap
+from ctcsim.gates import GateSpec, build_gate
 from ctcsim.protocol import (
     ProtocolConfig,
     run_beam,
@@ -42,7 +42,7 @@ def random_amplitudes(rng):
 
 def test_criterion_01_swap_amplitude_transfer():
     """Swap moves a|00>+b|10> to a|00>+b|01> for 1,000 random (a, b)."""
-    u = swap().matrix
+    u = build_gate(GateSpec("swap")).matrix
     worst = 0.0
     for _ in range(1000):
         a, b = random_amplitudes(RNG)
@@ -156,15 +156,15 @@ def test_criterion_05_deutsch_solvers():
         raw = RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2))
         mat = raw @ raw.conj().T
         rho_in = DensityOperator(mat / np.trace(mat))
-        it = solve_deutsch_fixed_point(swap(), rho_in, "iterative")
-        sp = solve_deutsch_fixed_point(swap(), rho_in, "spectral")
+        it = solve_deutsch_fixed_point(build_gate(GateSpec("swap")), rho_in, "iterative")
+        sp = solve_deutsch_fixed_point(build_gate(GateSpec("swap")), rho_in, "spectral")
         worst_err = max(
             worst_err, trace_distance(it.rho, rho_in), trace_distance(sp.rho, rho_in)
         )
         worst_gap = max(worst_gap, trace_distance(it.rho, sp.rho))
     swap_ok = worst_err <= 1e-10 and worst_gap <= 1e-9
 
-    gate = controlled_rotation()
+    gate = build_gate(GateSpec("controlled_rotation"))
     rho_in = StateVector.qubit(1 / np.sqrt(2), 1 / np.sqrt(2)).density()
     solution = solve_deutsch_fixed_point(gate, rho_in, "spectral")
     grid = _dense_bloch_grid(64)
@@ -198,13 +198,13 @@ def test_criterion_06_purity_scan():
     the mixed rho_in = rho, and that discrepancy with the stronger purity
     reading is reported rather than hidden."""
     rho = StateVector.basis(0).density()
-    admissible = scan_admissible_inputs(swap(), rho, 16)
+    admissible = scan_admissible_inputs(build_gate(GateSpec("swap")), rho, 16)
     pure_ok = len(admissible) >= 1 and all(
         trace_distance(_bloch_density(r), rho) <= 1e-9 for r, _ in admissible
     )
 
     mixed = DensityOperator(np.diag([0.75, 0.25]).astype(complex))
-    mixed_admissible = scan_admissible_inputs(swap(), mixed, 16)
+    mixed_admissible = scan_admissible_inputs(build_gate(GateSpec("swap")), mixed, 16)
     mixed_hits = [r for r, _ in mixed_admissible if purity(_bloch_density(r)) < 1.0 - 1e-9]
     print(
         "ACCEPTANCE 06 note  swap coupling with mixed rho=diag(0.75,0.25): "

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ctcsim import cli, serialize
-from ctcsim.gates import GATE_NAMES, hadamard, swap
+from ctcsim.gates import GATE_NAMES, GateSpec, build_gate
 from ctcsim.topology import MAX_SPACE_POINTS
 
 
@@ -338,6 +338,32 @@ def test_one_number_is_an_inline_state_not_a_path(capsys, argv):
     assert (code, out, err.splitlines()) == (cli.EXIT_ERROR, "", [expected])
 
 
+@pytest.mark.parametrize(
+    "subcommand, flag, value",
+    (
+        ("run-protocol", "--state", "-0.6,0,0.8,0"),
+        ("run-protocol", "--ctc", "-1,0,0,0"),
+        ("fixed-point", "--state", "-0.6,0,0.8,0"),
+        ("classify-consistency", "--state", "-0.6,0,0.8,0"),
+        ("classify-consistency", "--ctc", "-1,0,0,0"),
+        ("teleport-baseline", "--state", "-0.6,0,0.8,0"),
+        ("resources", "--state", "-0.6,0,0.8,0"),
+    ),
+)
+def test_an_inline_value_may_start_with_a_minus_sign(capsys, subcommand, flag, value):
+    # argparse alone reads "-0.6,0,0.8,0" after a flag as a flag of its own
+    code, out, _ = run_main(capsys, [subcommand, f"{flag}={value}"])
+    assert code == cli.EXIT_OK and json.loads(out)["command"] == [subcommand, f"{flag}={value}"]
+    assert run_main(capsys, [subcommand, flag, value])[:2] == (code, out)
+
+
+def test_a_flag_after_a_state_flag_is_still_a_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        run_main(capsys, ["fixed-point", "--state", "--seed", "1"])
+    assert info.value.code == 2
+    assert "argument --state: expected one argument" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ file inputs
 
 
@@ -349,7 +375,7 @@ def test_state_and_unitary_files(tmp_path, capsys):
     state_path = tmp_path / "state.json"
     write_document(state_path, serialize.to_document([0.6, 0.8j]))
     gate_path = tmp_path / "gate.json"
-    write_document(gate_path, serialize.to_document(hadamard().matrix))
+    write_document(gate_path, serialize.to_document(build_gate(GateSpec("hadamard")).matrix))
     code, out, _ = run_main(
         capsys,
         ["classify-consistency", "--state", str(state_path), "--unitary", "swap"],
@@ -720,7 +746,7 @@ def test_a_storage_report_prints_strings_that_read_like_counters(tmp_path, capsy
     # record t fills with its numbers: no text in a string, a number between
     # control characters, may be taken for one
     name = f"u{-(2**63)}\x027\x02.json"
-    (tmp_path / name).write_text(json.dumps(swap().to_json()))
+    (tmp_path / name).write_text(json.dumps(build_gate(GateSpec("swap")).to_json()))
     state = {"dim": 2, "data": [[0.6, 0], [0.8, 0]]}
     gate = {"name": "custom", "custom_path": name}
     config = {"input_state": state, "gate": gate, "scenario": "storage", "storage_cycles": 3}
@@ -741,7 +767,7 @@ def test_a_storage_report_prints_strings_that_read_like_counters(tmp_path, capsy
 def test_config_reads_its_custom_gate_from_its_own_directory(tmp_path, capsys, monkeypatch):
     sub = tmp_path / "sub"
     sub.mkdir()
-    (sub / "u.json").write_text(json.dumps(swap().to_json()))
+    (sub / "u.json").write_text(json.dumps(build_gate(GateSpec("swap")).to_json()))
     state = {"dim": 2, "data": [[0.6, 0], [0.8, 0]]}
     (sub / "c.json").write_text(
         json.dumps({"input_state": state, "gate": {"name": "custom", "custom_path": "u.json"}})
@@ -909,7 +935,6 @@ def test_classify_evaluates_deutsch_once(capsys, monkeypatch):
 @pytest.mark.parametrize("tolerance", ["1e-12", "1"])
 def test_classify_deutsch_verdict_uses_tolerance(capsys, tolerance):
     from ctcsim.consistency import check_deutsch
-    from ctcsim.gates import cnot
     from ctcsim.states import StateVector
 
     code, out, _ = run_main(
@@ -919,7 +944,7 @@ def test_classify_deutsch_verdict_uses_tolerance(capsys, tolerance):
     )
     assert code == 0
     expected = check_deutsch(
-        cnot(),
+        build_gate(GateSpec("cnot")),
         StateVector.qubit(0.6, 0.8).density(),
         StateVector.qubit(0.8, 0.6j).density(),
         tolerance=float(tolerance),

@@ -26,12 +26,18 @@ from ctcsim.consistency import (
     solve_deutsch_fixed_point,
     transfer_matrix,
 )
-from ctcsim.gates import UnitaryGate, cnot, controlled_phase, controlled_rotation, identity, swap
+from ctcsim.gates import GateSpec, UnitaryGate, build_gate
 from ctcsim.states import DensityOperator, StateVector, _kron, tensor_product, trace_distance
 
 RNG = np.random.default_rng(77)
 
-NAMED_COUPLINGS = [swap(), controlled_rotation(), controlled_phase(), cnot(), identity()]
+NAMED_COUPLINGS = [
+    build_gate(GateSpec("swap")),
+    build_gate(GateSpec("controlled_rotation")),
+    build_gate(GateSpec("controlled_phase")),
+    build_gate(GateSpec("cnot")),
+    build_gate(GateSpec("identity")),
+]
 
 
 def random_state(rng=RNG):
@@ -66,23 +72,23 @@ def raw_deutsch_map(u, rho_in, rho):
 
 
 def test_strong_swap_identical_states_passes():
-    v = check_strong(swap(), StateVector.basis(0), StateVector.basis(0))
+    v = check_strong(build_gate(GateSpec("swap")), StateVector.basis(0), StateVector.basis(0))
     assert v.passed and v.residual <= 1e-12
 
 
 def test_strong_swap_distinct_basis_states_fails():
     # direct 4-amplitude oracle: swap sends |0>|1> to |1>|0>, so the CTC
     # factor flips to |0> and its overlap with |1> vanishes
-    joint = swap().matrix @ np.kron([1, 0], [0, 1])
+    joint = build_gate(GateSpec("swap")).matrix @ np.kron([1, 0], [0, 1])
     assert np.allclose(joint, [0, 0, 1, 0])
-    v = check_strong(swap(), StateVector.basis(0), StateVector.basis(1))
+    v = check_strong(build_gate(GateSpec("swap")), StateVector.basis(0), StateVector.basis(1))
     assert not v.passed
     assert v.residual == pytest.approx(1.0, abs=1e-12)
 
 
 def test_strong_identity_always_passes():
     for _ in range(10):
-        v = check_strong(identity(), random_state(), random_state())
+        v = check_strong(build_gate(GateSpec("identity")), random_state(), random_state())
         assert v.passed
 
 
@@ -91,14 +97,14 @@ def test_strong_swap_passes_iff_states_match_up_to_phase():
         s = random_state()
         same = StateVector(np.exp(0.3j) * s.amplitudes)
         other = random_state()
-        assert check_strong(swap(), s, same).passed
+        assert check_strong(build_gate(GateSpec("swap")), s, same).passed
         matches = abs(np.vdot(s.amplitudes, other.amplitudes)) >= 1 - 1e-9
-        assert check_strong(swap(), s, other).passed == matches
+        assert check_strong(build_gate(GateSpec("swap")), s, other).passed == matches
 
 
 def test_strong_dimension_mismatch():
     with pytest.raises(ValueError):
-        check_strong(identity(1), StateVector.basis(0), StateVector.basis(0))
+        check_strong(UnitaryGate(np.eye(2)), StateVector.basis(0), StateVector.basis(0))
 
 
 # -------------------------------------------------------------------- deutsch
@@ -106,7 +112,7 @@ def test_strong_dimension_mismatch():
 
 def test_deutsch_swap_same_state_passes():
     rho = StateVector.basis(0).density()
-    v = check_deutsch(swap(), rho, rho)
+    v = check_deutsch(build_gate(GateSpec("swap")), rho, rho)
     assert v.passed and v.residual == 0.0
 
 
@@ -115,15 +121,15 @@ def test_deutsch_swap_orthogonal_states_fails():
     # trace distance between |0><0| and |1><1|
     rho_in = StateVector.basis(0).density()
     rho = StateVector.basis(1).density()
-    assert np.allclose(raw_deutsch_map(swap(), rho_in, rho), rho_in.matrix)
-    v = check_deutsch(swap(), rho_in, rho)
+    assert np.allclose(raw_deutsch_map(build_gate(GateSpec("swap")), rho_in, rho), rho_in.matrix)
+    v = check_deutsch(build_gate(GateSpec("swap")), rho_in, rho)
     assert not v.passed
     assert v.residual == pytest.approx(1.0, abs=1e-12)
 
 
 def test_deutsch_identity_any_pair_passes():
     for _ in range(10):
-        assert check_deutsch(identity(), random_density(), random_density()).passed
+        assert check_deutsch(build_gate(GateSpec("identity")), random_density(), random_density()).passed
 
 
 def test_deutsch_map_matches_raw_oracle():
@@ -147,21 +153,21 @@ def test_deutsch_map_is_trace_preserving():
 def test_swap_map_returns_rho_in_exactly():
     for _ in range(1000):
         rho_in, rho = random_density(), random_density()
-        out = deutsch_map(swap(), rho_in, rho)
+        out = deutsch_map(build_gate(GateSpec("swap")), rho_in, rho)
         assert trace_distance(out, rho_in) <= 1e-12
 
 
 @pytest.mark.parametrize("method", ["iterative", "spectral"])
 def test_swap_fixed_point_is_rho_in(method):
     rho_in = StateVector.qubit(1 / np.sqrt(2), 1 / np.sqrt(2)).density()
-    sol = solve_deutsch_fixed_point(swap(), rho_in, method)
+    sol = solve_deutsch_fixed_point(build_gate(GateSpec("swap")), rho_in, method)
     assert trace_distance(sol.rho, rho_in) <= 1e-10
     assert sol.residual <= 1e-10
     assert not sol.degenerate
 
 
 def test_identity_everything_fixed_iterative_returns_start():
-    sol = solve_deutsch_fixed_point(identity(), random_density(), "iterative")
+    sol = solve_deutsch_fixed_point(build_gate(GateSpec("identity")), random_density(), "iterative")
     assert np.allclose(sol.rho.matrix, np.eye(2) / 2)
     assert sol.iterations == 1
     assert sol.degenerate and sol.fixed_space_dim == 4
@@ -169,7 +175,7 @@ def test_identity_everything_fixed_iterative_returns_start():
 
 
 def test_identity_spectral_returns_max_entropy_point():
-    sol = solve_deutsch_fixed_point(identity(), random_density(), "spectral")
+    sol = solve_deutsch_fixed_point(build_gate(GateSpec("identity")), random_density(), "spectral")
     assert np.allclose(sol.rho.matrix, np.eye(2) / 2)
     assert sol.fixed_space_dim == 4
 
@@ -187,7 +193,7 @@ def test_controlled_rotation_fixed_set_matches_grid_oracle():
     # with a coherent rho_in the CR map mixes a quarter rotation into the
     # equatorial plane, leaving exactly the diagonal (z-axis) states fixed
     rho_in = StateVector.qubit(1 / np.sqrt(2), 1 / np.sqrt(2)).density()
-    gate = controlled_rotation()
+    gate = build_gate(GateSpec("controlled_rotation"))
     sol = solve_deutsch_fixed_point(gate, rho_in, "spectral")
     assert sol.degenerate
 
@@ -202,22 +208,26 @@ def test_controlled_rotation_fixed_set_matches_grid_oracle():
 
 
 def test_controlled_rotation_with_basis_rho_in_fixes_everything():
-    sol = solve_deutsch_fixed_point(controlled_rotation(), StateVector.basis(0).density(), "spectral")
+    sol = solve_deutsch_fixed_point(
+        build_gate(GateSpec("controlled_rotation")), StateVector.basis(0).density(), "spectral"
+    )
     assert sol.fixed_space_dim == 4
-    it = solve_deutsch_fixed_point(controlled_rotation(), StateVector.basis(0).density(), "iterative")
+    it = solve_deutsch_fixed_point(
+        build_gate(GateSpec("controlled_rotation")), StateVector.basis(0).density(), "iterative"
+    )
     assert it.note == "one of many"
 
 
 def test_iterative_reports_non_convergence():
     rho_in = StateVector.basis(0).density()
     with pytest.raises(FixedPointError) as info:
-        solve_deutsch_fixed_point(swap(), rho_in, "iterative", max_iterations=1)
+        solve_deutsch_fixed_point(build_gate(GateSpec("swap")), rho_in, "iterative", max_iterations=1)
     assert info.value.rho is not None
     assert info.value.residual is not None
     for method in ("iterative", "spectral"):
         for cap in (True, 2.5, "5", None):
             with pytest.raises(TypeError, match="max_iterations must be an int"):
-                solve_deutsch_fixed_point(swap(), rho_in, method, max_iterations=cap)
+                solve_deutsch_fixed_point(build_gate(GateSpec("swap")), rho_in, method, max_iterations=cap)
 
 
 def test_iterative_survives_slow_contraction_without_trace_drift():
@@ -225,7 +235,7 @@ def test_iterative_survives_slow_contraction_without_trace_drift():
     # thousands of steps of rounding used to push the iterate's trace past
     # the unit-trace check, raising ValueError before convergence
     theta = 0.05
-    gate = UnitaryGate(np.cos(theta) * np.eye(4) + 1j * np.sin(theta) * swap().matrix)
+    gate = UnitaryGate(np.cos(theta) * np.eye(4) + 1j * np.sin(theta) * build_gate(GateSpec("swap")).matrix)
     rho_in = StateVector.qubit(0.6, 0.8).density()
     sol = solve_deutsch_fixed_point(gate, rho_in, "iterative")
     assert 1000 < sol.iterations < MAX_ITERATIONS
@@ -238,7 +248,7 @@ def test_iterative_survives_slow_contraction_without_trace_drift():
 @pytest.mark.parametrize("method", ["iterative", "spectral"])
 def test_solver_rejects_negative_or_non_finite_tolerance(method, tolerance):
     with pytest.raises(ValueError, match="tolerance"):
-        solve_deutsch_fixed_point(swap(), random_density(), method, tolerance=tolerance)
+        solve_deutsch_fixed_point(build_gate(GateSpec("swap")), random_density(), method, tolerance=tolerance)
 
 
 def test_transfer_matrix_first_row_is_trace_row():
@@ -249,7 +259,7 @@ def test_transfer_matrix_first_row_is_trace_row():
 
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
-        solve_deutsch_fixed_point(swap(), random_density(), "magic")
+        solve_deutsch_fixed_point(build_gate(GateSpec("swap")), random_density(), "magic")
 
 
 # ----------------------------------------------------------------------- scan
@@ -257,7 +267,7 @@ def test_unknown_method_rejected():
 
 def test_scan_swap_admits_only_rho_itself():
     rho = StateVector.basis(0).density()
-    admissible = scan_admissible_inputs(swap(), rho, 8)
+    admissible = scan_admissible_inputs(build_gate(GateSpec("swap")), rho, 8)
     assert len(admissible) >= 1
     for r, residual in admissible:
         assert trace_distance(density_from_bloch(r), rho) <= 1e-9
@@ -265,13 +275,13 @@ def test_scan_swap_admits_only_rho_itself():
 
 
 def test_scan_identity_admits_entire_grid():
-    admissible = scan_admissible_inputs(identity(), random_density(), 8)
+    admissible = scan_admissible_inputs(build_gate(GateSpec("identity")), random_density(), 8)
     assert len(admissible) == len(bloch_grid(8))
 
 
 def test_scan_residuals_match_check_deutsch():
     rho = random_density()
-    gate = controlled_rotation()
+    gate = build_gate(GateSpec("controlled_rotation"))
     # the scan's kernel at an infinite tolerance keeps every grid point
     points, residuals = admissible_arrays(gate, rho.matrix, 8, np.inf)
     assert len(points) == len(bloch_grid(8))
@@ -286,7 +296,11 @@ def test_scan_holds_one_chunk_of_shells_at_a_time():
     # center alone, then whole shells up to the bound, or one shell larger than it
     for resolution, shells_per_chunk in ((40, 5), (100, 1)):
         shell_rows = (resolution // 2 - 1) * resolution + 2
-        chunks = list(_admissible_points(identity(), random_density().matrix, resolution, SOLVER_AGREEMENT_TOL))
+        chunks = list(
+            _admissible_points(
+                build_gate(GateSpec("identity")), random_density().matrix, resolution, SOLVER_AGREEMENT_TOL
+            )
+        )
         sizes = [len(points) for points, residuals in chunks if len(residuals) == len(points)]
         assert len(sizes) == len(chunks) and sizes[0] == 1
         assert max(sizes) == shells_per_chunk * shell_rows <= max(_CHUNK_POINTS, shell_rows)
@@ -300,7 +314,7 @@ def test_grid_directions_are_cached_read_only():
     with pytest.raises(ValueError):
         directions[0, 0] = 0.0
     rho = random_density()
-    first, again = (admissible_arrays(controlled_rotation(), rho.matrix, 40, 0.3) for _ in range(2))
+    first, again = (admissible_arrays(build_gate(GateSpec("controlled_rotation")), rho.matrix, 40, 0.3) for _ in range(2))
     for new, old in zip(again, first):
         assert_same_bytes(new, old)
 
@@ -314,10 +328,10 @@ def test_scan_rejects_invalid_density_probe():
 
 def test_scan_requires_minimum_resolution():
     with pytest.raises(ValueError):
-        scan_admissible_inputs(swap(), random_density(), 4)
+        scan_admissible_inputs(build_gate(GateSpec("swap")), random_density(), 4)
     for resolution in (True, 8.5, "16", None):
         with pytest.raises(TypeError, match="grid_resolution must be an int"):
-            scan_admissible_inputs(swap(), random_density(), resolution)
+            scan_admissible_inputs(build_gate(GateSpec("swap")), random_density(), resolution)
 
 
 def test_grid_covers_purity_range():
@@ -685,7 +699,7 @@ def test_identity_scan_is_bitwise_the_old_scan_at_grid_100():
     rho = random_pure_and_mixed(np.random.default_rng(17), 1)[1]
     # 100 takes one shell a chunk; 40 takes five, the other side of the chunk bound
     for resolution in (100, 40):
-        new = scan_admissible_inputs(identity(), rho, resolution)
+        new = scan_admissible_inputs(build_gate(GateSpec("identity")), rho, resolution)
         grid = bloch_grid(resolution)
         assert len(new) == len(grid)
         assert_same_bytes([r for r, _ in new], grid)
@@ -693,7 +707,7 @@ def test_identity_scan_is_bitwise_the_old_scan_at_grid_100():
         radii = np.linalg.norm(grid, axis=1)
         for index in [*np.flatnonzero(radii > 0.99), *range(0, len(grid), 97)]:
             assert_same_bytes(density_from_bloch(new[index][0]).matrix, old_density_matrix_from_bloch(grid[index]))
-        assert_same_bytes([residual for _, residual in new], old_residuals(identity(), rho, grid))
+        assert_same_bytes([residual for _, residual in new], old_residuals(build_gate(GateSpec("identity")), rho, grid))
 
 
 def test_fixed_set_distance_is_bitwise_the_old_one():
@@ -801,7 +815,7 @@ def test_interior_density_from_bloch_skips_the_eigenvalue_check(monkeypatch):
 
 
 def test_non_degenerate_fixed_set_distance_takes_no_trace_or_lstsq(monkeypatch):
-    solution = solve_deutsch_fixed_point(swap(), random_density(), "spectral")
+    solution = solve_deutsch_fixed_point(build_gate(GateSpec("swap")), random_density(), "spectral")
     assert not solution.degenerate
     probes = [random_density() for _ in range(3)]
     traces = counting(monkeypatch, np, "trace")
@@ -834,7 +848,7 @@ def test_classify_grid_scan_builds_no_density_operators(monkeypatch, capsys):
 def test_iterative_solve_confirms_only_steps_near_the_tolerance(monkeypatch):
     rng = np.random.default_rng(23)
     theta = 0.05
-    partial_swap = UnitaryGate(np.cos(theta) * np.eye(4) + 1j * np.sin(theta) * swap().matrix)
+    partial_swap = UnitaryGate(np.cos(theta) * np.eye(4) + 1j * np.sin(theta) * build_gate(GateSpec("swap")).matrix)
     cases = [(partial_swap, StateVector.qubit(0.6, 0.8).density())]
     cases += [(gate, random_density(rng)) for gate in kernel_couplings(rng, 6)]
     calls = counting(monkeypatch, np.linalg, "eigvalsh")
@@ -861,7 +875,12 @@ def test_scan_takes_no_eigvalsh_and_no_construction(monkeypatch):
     eigvalsh = counting(monkeypatch, np.linalg, "eigvalsh")
     rng = np.random.default_rng(24)
     scanned = 0
-    for gate in (identity(), swap(), controlled_rotation(), UnitaryGate(haar_unitary(rng))):
+    for gate in (
+        build_gate(GateSpec("identity")),
+        build_gate(GateSpec("swap")),
+        build_gate(GateSpec("controlled_rotation")),
+        UnitaryGate(haar_unitary(rng)),
+    ):
         rho = random_density(rng)
         del eigvalsh[:]
         scan = scan_admissible_inputs(gate, rho, 16)
@@ -888,23 +907,23 @@ def test_one_pair_solved_both_ways_takes_one_svd(monkeypatch):
 def test_a_new_state_or_gate_gets_its_own_fixed_space(monkeypatch):
     svds = counting(monkeypatch, np.linalg, "svd")
     rho_in = StateVector.qubit(0.6, 0.8).density()
-    first = solve_deutsch_fixed_point(cnot(), rho_in, "spectral")
+    first = solve_deutsch_fixed_point(build_gate(GateSpec("cnot")), rho_in, "spectral")
     # the same values in a new object, a new gate with the same matrix, then a new pair
-    again = solve_deutsch_fixed_point(cnot(), DensityOperator(rho_in.matrix), "spectral")
-    same_matrix = solve_deutsch_fixed_point(UnitaryGate(cnot().matrix), rho_in, "spectral")
+    again = solve_deutsch_fixed_point(build_gate(GateSpec("cnot")), DensityOperator(rho_in.matrix), "spectral")
+    same_matrix = solve_deutsch_fixed_point(UnitaryGate(build_gate(GateSpec("cnot")).matrix), rho_in, "spectral")
     other_state = StateVector.qubit(0.8, 0.6j).density()
-    other = solve_deutsch_fixed_point(controlled_rotation(), other_state, "iterative")
+    other = solve_deutsch_fixed_point(build_gate(GateSpec("controlled_rotation")), other_state, "iterative")
     assert len(svds) == 4
     assert_same_bytes(again.rho.matrix, first.rho.matrix)
     assert_same_bytes(same_matrix.rho.matrix, first.rho.matrix)
     _fixed_space.cache_clear()
-    fresh = solve_deutsch_fixed_point(controlled_rotation(), other_state, "iterative")
+    fresh = solve_deutsch_fixed_point(build_gate(GateSpec("controlled_rotation")), other_state, "iterative")
     assert_same_bytes(other.directions, fresh.directions)
     assert_same_bytes(other.rho.matrix, fresh.rho.matrix)
 
 
 def test_the_kept_fixed_space_is_read_only():
-    (k, b, _), null_basis, (left, svals, vt, free) = _fixed_space(identity(), random_density())
+    (k, b, _), null_basis, (left, svals, vt, free) = _fixed_space(build_gate(GateSpec("identity")), random_density())
     assert isinstance(null_basis, tuple) and len(null_basis) == 3
     for array in (k, b, left, svals, vt, free, *null_basis):
         with pytest.raises(ValueError, match="read-only"):
@@ -914,10 +933,10 @@ def test_the_kept_fixed_space_is_read_only():
 @pytest.mark.parametrize("amplitudes", [(1, 0), (0, 1), (0.6, 0.8), (0.6, 0.8j)])
 def test_the_swap_spectral_fixed_point_is_rho_in_with_no_lstsq(monkeypatch, amplitudes):
     rho_in = StateVector(amplitudes).density()
-    (_, b, constant), _, _ = _fixed_space(swap(), rho_in)
+    (_, b, constant), _, _ = _fixed_space(build_gate(GateSpec("swap")), rho_in)
     assert constant
     lstsqs = counting(monkeypatch, np.linalg, "lstsq")
-    solution = solve_deutsch_fixed_point(swap(), rho_in, "spectral")
+    solution = solve_deutsch_fixed_point(build_gate(GateSpec("swap")), rho_in, "spectral")
     assert lstsqs == []
     assert_same_bytes(solution.rho.matrix, density_from_bloch(b).matrix)
     if amplitudes == (1, 0):

@@ -20,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ctcsim import protocol, states  # noqa: E402
-from ctcsim.gates import bell_pair, cnot, hadamard, swap  # noqa: E402
+from ctcsim.gates import GateSpec, bell_pair, build_gate  # noqa: E402
 from ctcsim.protocol import (  # noqa: E402
     ProtocolConfig,
     Session,
@@ -155,8 +155,8 @@ def old_teleport_sample(draw, outcome_table):
 
 def old_teleport_table(input_state):
     psi = tensor_product(input_state, bell_pair())
-    psi = apply_unitary(psi, np.kron(cnot().matrix, np.eye(2)))
-    psi = apply_unitary(psi, np.kron(hadamard().matrix, np.eye(4)))
+    psi = apply_unitary(psi, np.kron(build_gate(GateSpec("cnot")).matrix, np.eye(2)))
+    psi = apply_unitary(psi, np.kron(build_gate(GateSpec("hadamard")).matrix, np.eye(4)))
     x_mat = np.array([[0, 1], [1, 0]], dtype=complex)
     z_mat = np.array([[1, 0], [0, -1]], dtype=complex)
     table = {}
@@ -181,7 +181,7 @@ def old_beam_outcomes(trials, seed):
         rng = np.random.default_rng([seed, trial])
         prep_basis, prep_bit, meas_basis = (int(rng.integers(2)) for _ in range(3))
         prep = names[prep_basis][prep_bit]
-        joint = (swap().matrix @ np.kron(COMPUTATIONAL[0], prep)).reshape(2, 2)
+        joint = (build_gate(GateSpec("swap")).matrix @ np.kron(COMPUTATIONAL[0], prep)).reshape(2, 2)
         probabilities = [float(np.linalg.norm(v.conj() @ joint) ** 2) for v in names[meas_basis]]
         outcomes.append(old_sample_outcome(rng, probabilities))
     return outcomes

@@ -9,16 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ctcsim import cli
 from ctcsim.consistency import LOOP_LABELS, check_weak, solve_deutsch_fixed_point
-from ctcsim.gates import (
-    GateSpec,
-    UnitaryGate,
-    bell_pair,
-    build_gate,
-    cnot,
-    controlled_rotation,
-    hadamard,
-    swap,
-)
+from ctcsim.gates import GateSpec, UnitaryGate, bell_pair, build_gate
 from ctcsim import protocol, serialize
 from ctcsim.protocol import (
     BEAM_POLICIES,
@@ -86,7 +77,7 @@ def test_alice_stage_basis_input_is_trivial():
 def test_alice_stage_one_input():
     # oracle: swap sends |1>|0> to |0>|1>, so the measurement reads 0 and
     # the CTC carries |1>
-    assert np.allclose(swap().matrix @ np.kron([0, 1], [1, 0]), [0, 1, 0, 0])
+    assert np.allclose(build_gate(GateSpec("swap")).matrix @ np.kron([0, 1], [1, 0]), [0, 1, 0, 0])
     cfg = config(StateVector.basis(1), seed=1)
     session = Session(cfg)
     msg = run_alice_stage(session)
@@ -122,7 +113,7 @@ def test_alice_stage_entangling_gate_collapses():
 def test_bob_stage_transfers_state():
     # oracle: the full two-swap circuit in plain matrix algebra
     a, b = 0.6, 0.8
-    u = swap().matrix
+    u = build_gate(GateSpec("swap")).matrix
     after_alice = u @ np.kron([a, b], [1, 0])
     ctc_carried = after_alice.reshape(2, 2)[0]  # chronology qubit read 0
     after_bob = u @ np.kron([1, 0], ctc_carried)
@@ -425,10 +416,10 @@ def test_config_custom_path_beside_another_gate_is_refused():
 def test_config_custom_path_is_resolved_against_the_config_directory(tmp_path, monkeypatch):
     sub = tmp_path / "sub"
     sub.mkdir()
-    (sub / "u.json").write_text(json.dumps(swap().to_json()))
+    (sub / "u.json").write_text(json.dumps(build_gate(GateSpec("swap")).to_json()))
     relative = ProtocolConfig.from_json(custom_config("u.json"), str(sub))
     assert relative.coupling.label == f"custom:{sub / 'u.json'}"
-    assert np.array_equal(relative.coupling.matrix, swap().matrix)
+    assert np.array_equal(relative.coupling.matrix, build_gate(GateSpec("swap")).matrix)
     # an absolute path is read as written, wherever the config lies
     absolute = ProtocolConfig.from_json(custom_config(str(sub / "u.json")), str(tmp_path / "elsewhere"))
     assert absolute.coupling.label == f"custom:{sub / 'u.json'}"
@@ -459,7 +450,7 @@ def test_kernel_runs_no_density_operator_validation(monkeypatch):
     ]
     rho_in = StateVector.qubit(0.6, 0.8).density()
     # a partial swap needs thousands of steps, so the iterate gets renormalised
-    partial_swap = UnitaryGate(np.cos(0.05) * np.eye(4) + 1j * np.sin(0.05) * swap().matrix)
+    partial_swap = UnitaryGate(np.cos(0.05) * np.eye(4) + 1j * np.sin(0.05) * build_gate(GateSpec("swap")).matrix)
     validated = []
     original = DensityOperator.__init__
 
@@ -470,7 +461,12 @@ def test_kernel_runs_no_density_operator_validation(monkeypatch):
     monkeypatch.setattr(DensityOperator, "__init__", counting_init)
     for cfg in configs:
         run_session(cfg)
-    for gate in (swap(), cnot(), controlled_rotation(), partial_swap):
+    for gate in (
+        build_gate(GateSpec("swap")),
+        build_gate(GateSpec("cnot")),
+        build_gate(GateSpec("controlled_rotation")),
+        partial_swap,
+    ):
         for method in ("iterative", "spectral"):
             solve_deutsch_fixed_point(gate, rho_in, method)
     assert validated == []
@@ -546,7 +542,7 @@ def oracle_beam(trials, policy, seed):
     basis_names = ("computational", "hadamard")
     swap_matrix = build_gate(GateSpec("swap")).matrix
     probe = StateVector.basis(0)
-    bases = (_COMPUTATIONAL, tuple(hadamard().matrix))
+    bases = (_COMPUTATIONAL, tuple(build_gate(GateSpec("hadamard")).matrix))
     states = [[StateVector(vec) for vec in basis] for basis in bases]
     mismatch_action = {"collapse": "collapsed", "discard": "discarded", "noise": "noise"}[policy]
     table = {}
@@ -1005,7 +1001,9 @@ def test_teleportation_against_full_circuit_oracle():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     psi = np.kron(state.amplitudes, bell_pair().amplitudes)
-    circuit = np.kron(hadamard().matrix, np.eye(4)) @ np.kron(cnot().matrix, np.eye(2))
+    circuit = np.kron(build_gate(GateSpec("hadamard")).matrix, np.eye(4)) @ np.kron(
+        build_gate(GateSpec("cnot")).matrix, np.eye(2)
+    )
     psi = circuit @ psi
     for m0 in (0, 1):
         for m1 in (0, 1):

@@ -18,7 +18,7 @@ from ctcsim.states import (
     trace_distance,
 )
 from ctcsim.consistency import deutsch_map
-from ctcsim.gates import UnitaryGate, controlled_rotation, swap
+from ctcsim.gates import GateSpec, UnitaryGate, build_gate
 
 RNG = np.random.default_rng(20260810)
 
@@ -134,7 +134,7 @@ def test_partial_trace_bell_is_maximally_mixed():
 
 def test_partial_trace_of_swapped_product_recovers_input():
     # oracle: raw einsum partial trace of the explicitly built 4x4 matrix
-    u = swap().matrix
+    u = build_gate(GateSpec("swap")).matrix
     for _ in range(25):
         rho_in = random_density()
         rho = random_density()
@@ -181,7 +181,7 @@ def _random_two_qubit_density(rng=RNG):
 
 def test_swap_moves_amplitude_onto_ctc():
     joint = tensor_product(StateVector.qubit(0.6, 0.8), StateVector.basis(0))
-    out = apply_unitary(joint, swap())
+    out = apply_unitary(joint, build_gate(GateSpec("swap")))
     assert np.allclose(out.amplitudes, [0.6, 0.8, 0.0, 0.0])
 
 
@@ -192,7 +192,7 @@ def test_identity_leaves_state():
 
 
 def test_controlled_rotation_phases_11():
-    out = apply_unitary(StateVector.basis(3, num_qubits=2), controlled_rotation())
+    out = apply_unitary(StateVector.basis(3, num_qubits=2), build_gate(GateSpec("controlled_rotation")))
     assert np.allclose(out.amplitudes, [0, 0, 0, 1j])
 
 
@@ -215,7 +215,7 @@ def test_apply_unitary_preserves_norm():
 
 def test_apply_unitary_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply_unitary(StateVector.basis(0), swap())
+        apply_unitary(StateVector.basis(0), build_gate(GateSpec("swap")))
 
 
 def test_apply_unitary_rejects_raw_non_unitary_on_density():
@@ -408,15 +408,15 @@ def test_document_reader_refuses_what_is_not_a_number_document(document, message
     "array",
     (
         lambda: DensityOperator.maximally_mixed().matrix,
-        lambda: swap().matrix,
+        lambda: build_gate(GateSpec("swap")).matrix,
         lambda: StateVector.basis(0).amplitudes,
         lambda: tensor_product(StateVector.basis(0), random_state()).amplitudes,
         lambda: tensor_product(random_density(), random_density()).matrix,
-        lambda: apply_unitary(random_state(2), swap()).amplitudes,
+        lambda: apply_unitary(random_state(2), build_gate(GateSpec("swap"))).amplitudes,
         lambda: apply_unitary(random_density(), random_unitary(2)).matrix,
         lambda: partial_trace(random_state(2).density(), 1).matrix,
         lambda: random_state().density().matrix,
-        lambda: deutsch_map(swap(), random_density(), random_density()).matrix,
+        lambda: deutsch_map(build_gate(GateSpec("swap")), random_density(), random_density()).matrix,
     ),
     ids=(
         "maximally_mixed", "swap", "basis", "tensor_vector", "tensor_density",
@@ -435,7 +435,7 @@ def test_stored_arrays_cannot_be_made_writeable(array):
     (
         (StateVector, lambda: np.array([0.6, 0.8j]), lambda state: state.amplitudes),
         (DensityOperator, lambda: np.full((2, 2), 0.5 + 0j), lambda rho: rho.matrix),
-        (UnitaryGate, lambda: swap().matrix.copy(), lambda gate: gate.matrix),
+        (UnitaryGate, lambda: build_gate(GateSpec("swap")).matrix.copy(), lambda gate: gate.matrix),
     ),
     ids=("StateVector", "DensityOperator", "UnitaryGate"),
 )
