@@ -18,6 +18,7 @@ from pathlib import Path
 from . import serialize
 from .consistency import (
     SOLVER_AGREEMENT_TOL,
+    STRICT_TOL,
     _admissible_points,
     check_deutsch,
     check_strong,
@@ -129,12 +130,15 @@ def _inline(text: str) -> bool:
 
 
 def _join_negative(argv) -> list:
-    """``argv`` with each inline ``--state`` or ``--ctc`` value that starts
-    with '-' joined to its flag, as ``--state=-0.6,0,0.8,0``: argparse would
-    read the value as a flag. The report's command shows the joined form."""
+    """``argv`` with each inline value that starts with '-' joined to its
+    ``--state`` or ``--ctc`` flag, or a 3+ character abbreviation of one, as
+    ``--state=-0.6,0,0.8,0``: argparse would read the value as a flag, and it
+    resolves the abbreviation itself. The report's command shows the joined form."""
     joined = []
     for token in argv:
-        if joined and joined[-1] in ("--state", "--ctc") and token.startswith("-") and _inline(token):
+        flag = joined[-1] if joined else ""
+        state_flag = len(flag) > 2 and ("--state".startswith(flag) or "--ctc".startswith(flag))
+        if state_flag and token.startswith("-") and _inline(token):
             joined[-1] += "=" + token
         else:
             joined.append(token)
@@ -194,10 +198,6 @@ def _tolerance(value: float) -> float:
     return value
 
 
-#: The subcommands whose report draws from the seed; the others print it.
-_SEEDED = ("run-protocol", "classify-consistency", "beam", "teleport-baseline", "resources")
-
-
 def _seed(args) -> int:
     """``--seed``, else ``CTC_SIM_SEED``, else 0. A seed that a generator
     reads must be >= 0; ``run-protocol --config`` reads the file's."""
@@ -208,63 +208,9 @@ def _seed(args) -> int:
             seed = int(text)
         except ValueError:
             raise ValueError(f"CTC_SIM_SEED must be an integer >= 0, got {text!r}") from None
-    if seed < 0 and args.subcommand in _SEEDED and not getattr(args, "config", None):
+    if seed < 0 and args.seeded and not getattr(args, "config", None):
         raise ValueError(f"{name} must be an integer >= 0, got {seed}")
     return seed
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ctcsim",
-        description="CTC qubit protocol simulator and consistency toolkit",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, state=False, unitary=False):
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (env CTC_SIM_SEED)")
-        p.add_argument("--output", choices=("json", "csv"), default="json")
-        if state:
-            p.add_argument("--state", default="0.6,0,0.8,0", help="amplitudes a_re,a_im,b_re,b_im or a JSON file")
-        if unitary:
-            p.add_argument("--unitary", default="swap", help="gate name or JSON matrix file")
-
-    p = sub.add_parser("run-protocol", help="execute one Alice/Bob session")
-    common(p, state=True, unitary=True)
-    p.add_argument("--ctc", help="initial CTC state (same format as --state)")
-    p.add_argument("--formalism", choices=FORMALISMS)
-    p.add_argument("--scenario", choices=SCENARIOS)
-    p.add_argument("--bob-measures", action="store_true", default=None)
-    p.add_argument("--storage-cycles", type=int)
-    p.add_argument("--config", default=None, help="JSON file mirroring ProtocolConfig fields")
-    # a session flag left out reads None, so that --config can refuse each one given
-    p.set_defaults(state=None, unitary=None)
-
-    p = sub.add_parser("fixed-point", help="solve the Deutsch condition for a coupling")
-    common(p, state=True, unitary=True)
-    p.add_argument("--tolerance", type=float, default=1e-12)
-
-    p = sub.add_parser("classify-consistency", help="strong/Deutsch/weak verdicts for a coupling")
-    common(p, state=True, unitary=True)
-    p.add_argument("--ctc", default="1,0,0,0")
-    p.add_argument("--tolerance", type=float, default=1e-12)
-    p.add_argument("--grid", type=int, default=None, help="also scan admissible inputs on a Bloch grid")
-
-    p = sub.add_parser("beam", help="random-basis beam of CTC qubits")
-    common(p)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--policy", choices=BEAM_POLICIES, default="collapse")
-
-    p = sub.add_parser("teleport-baseline", help="standard teleportation with resource accounting")
-    common(p, state=True)
-
-    p = sub.add_parser("topology-check", help="validate a finite topology and test separation")
-    common(p)
-    p.add_argument("--space", default=None, help="JSON file {points: [...], opens: [[...], ...]}")
-    p.add_argument("--copies", type=int, default=None, help=f"build a line-splitting model instead (2..{MAX_COPIES})")
-
-    p = sub.add_parser("resources", help="tallies and conversion-relation verdicts")
-    common(p, state=True)
-    return parser
 
 
 #: The run-protocol flags that a --config file replaces, by dest, and the
@@ -275,7 +221,7 @@ _SESSION_DEFAULTS = dict(
 )
 
 
-def _run_protocol(args, seed) -> tuple[dict, int, int]:
+def _run_protocol(args, seed) -> dict:
     given = [dest for dest in _SESSION_DEFAULTS if getattr(args, dest) is not None]
     if args.config:
         if given:
@@ -301,11 +247,7 @@ def _run_protocol(args, seed) -> tuple[dict, int, int]:
             seed=seed,
             storage_cycles=_bounded("--storage-cycles", args.storage_cycles, 0, MAX_STORAGE_CYCLES),
         )
-    transcript = run_session(config)
-    code = EXIT_OK
-    if transcript.collapse_flag and config.scenario not in EXPECTED_COLLAPSE:
-        code = EXIT_UNEXPECTED_COLLAPSE
-    return transcript.to_json(), code, config.seed
+    return run_session(config).to_json()
 
 
 def _fixed_point(args, seed) -> dict:
@@ -352,7 +294,7 @@ def _classify(args, seed) -> dict:
     return results
 
 
-def _topology(args) -> dict:
+def _topology(args, seed) -> dict:
     if (args.space is None) == (args.copies is None):
         raise ValueError("topology-check needs exactly one of --space or --copies")
     if args.space is not None:
@@ -385,29 +327,78 @@ def _resources(args, seed) -> dict:
     return {"tallies": tallies, "relations": relations}
 
 
+def _beam(args, seed) -> dict:
+    return run_beam(_bounded("--trials", args.trials, 1, MAX_TRIALS), args.policy, seed).to_json()
+
+
+def _teleport(args, seed) -> dict:
+    return run_teleportation_baseline(_parse_state(args.state), seed).to_json()
+
+
+_STATE = dict(default="0.6,0,0.8,0", help="amplitudes a_re,a_im,b_re,b_im or a JSON file")
+_UNITARY = dict(default="swap", help="gate name or JSON matrix file")
+_TOLERANCE = dict(type=float, default=STRICT_TOL)
+
+#: Each subcommand: its help, its handler ``(args, seed) -> results``,
+#: whether its report draws from the seed (a negative one is refused) and
+#: its flags after --seed and --output, option -> add_argument keywords. A
+#: run-protocol session flag left out reads None, so that --config can
+#: refuse each one given.
+_SUBCOMMANDS = {
+    "run-protocol": ("execute one Alice/Bob session", _run_protocol, True, {
+        "--state": {**_STATE, "default": None}, "--unitary": {**_UNITARY, "default": None},
+        "--ctc": dict(help="initial CTC state (same format as --state)"),
+        "--formalism": dict(choices=FORMALISMS), "--scenario": dict(choices=SCENARIOS),
+        "--bob-measures": dict(action="store_true", default=None), "--storage-cycles": dict(type=int),
+        "--config": dict(default=None, help="JSON file mirroring ProtocolConfig fields"),
+    }),
+    "fixed-point": ("solve the Deutsch condition for a coupling", _fixed_point, False, {
+        "--state": _STATE, "--unitary": _UNITARY, "--tolerance": _TOLERANCE,
+    }),
+    "classify-consistency": ("strong/Deutsch/weak verdicts for a coupling", _classify, True, {
+        "--state": _STATE, "--unitary": _UNITARY, "--ctc": dict(default="1,0,0,0"), "--tolerance": _TOLERANCE,
+        "--grid": dict(type=int, default=None, help="also scan admissible inputs on a Bloch grid"),
+    }),
+    "beam": ("random-basis beam of CTC qubits", _beam, True, {
+        "--trials": dict(type=int, default=10000), "--policy": dict(choices=BEAM_POLICIES, default="collapse"),
+    }),
+    "teleport-baseline": ("standard teleportation with resource accounting", _teleport, True, {"--state": _STATE}),
+    "topology-check": ("validate a finite topology and test separation", _topology, False, {
+        "--space": dict(default=None, help="JSON file {points: [...], opens: [[...], ...]}"),
+        "--copies": dict(type=int, default=None, help=f"build a line-splitting model instead (2..{MAX_COPIES})"),
+    }),
+    "resources": ("tallies and conversion-relation verdicts", _resources, True, {"--state": _STATE}),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ctcsim",
+        description="CTC qubit protocol simulator and consistency toolkit",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (summary, run, seeded, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--seed", type=int, default=None, help="RNG seed (env CTC_SIM_SEED)")
+        p.add_argument("--output", choices=("json", "csv"), default="json")
+        for option, keywords in flags.items():
+            p.add_argument(option, **keywords)
+        p.set_defaults(run=run, seeded=seeded)
+    return parser
+
+
 def dispatch(argv) -> tuple[Report, int, str]:
     argv = _join_negative(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     seed = _seed(args)
-    code = EXIT_OK
     started = time.perf_counter()
-    if args.subcommand == "run-protocol":
-        results, code, seed = _run_protocol(args, seed)
-    elif args.subcommand == "fixed-point":
-        results = _fixed_point(args, seed)
-    elif args.subcommand == "classify-consistency":
-        results = _classify(args, seed)
-    elif args.subcommand == "beam":
-        results = run_beam(_bounded("--trials", args.trials, 1, MAX_TRIALS), args.policy, seed).to_json()
-    elif args.subcommand == "teleport-baseline":
-        transcript = run_teleportation_baseline(_parse_state(args.state), seed)
-        results = transcript.to_json()
-    elif args.subcommand == "topology-check":
-        results = _topology(args)
-    else:
-        results = _resources(args, seed)
+    results = args.run(args, seed)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    code = EXIT_OK
+    if args.subcommand == "run-protocol":  # a --config file sets the seed
+        seed = results["seed"]
+        if results["collapse_flag"] and results["detail"]["scenario"] not in EXPECTED_COLLAPSE:
+            code = EXIT_UNEXPECTED_COLLAPSE
     report = Report(SCHEMA_VERSION, argv, seed, results, elapsed_ms)
     return report, code, args.output
 
@@ -419,8 +410,6 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         text = emit_report(report, output)
         serialize_ms = (time.perf_counter() - started) * 1000.0
-    except SystemExit:
-        raise
     except (ValueError, TypeError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -40,6 +41,12 @@ class GateSpec:
         if isinstance(self.params, bool) or not isinstance(self.params, (type(None), numbers.Real)):
             # float() would read True as 1.0 and "0.7" as 0.7
             raise TypeError(f"params must be a real number or None, got {type(self.params).__name__}")
+        try:  # math.isfinite raises OverflowError on an int past the float range
+            finite = self.params is None or math.isfinite(self.params)
+        except OverflowError:
+            finite = False
+        if not finite:  # np.exp would warn on inf or NaN
+            raise ValueError(f"controlled_phase angle must be finite, got {serialize._shown(self.params)}")
 
 
 def _custom(path: Union[str, Path]) -> UnitaryGate:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -348,6 +349,10 @@ def test_one_number_is_an_inline_state_not_a_path(capsys, argv):
         ("classify-consistency", "--ctc", "-1,0,0,0"),
         ("teleport-baseline", "--state", "-0.6,0,0.8,0"),
         ("resources", "--state", "-0.6,0,0.8,0"),
+        # abbreviations, which argparse resolves
+        ("fixed-point", "--sta", "-0.6,0,0.8,0"),
+        ("run-protocol", "--ct", "-1,0,0,0"),
+        ("classify-consistency", "--c", "-1,0,0,0"),
     ),
 )
 def test_an_inline_value_may_start_with_a_minus_sign(capsys, subcommand, flag, value):
@@ -355,6 +360,10 @@ def test_an_inline_value_may_start_with_a_minus_sign(capsys, subcommand, flag, v
     code, out, _ = run_main(capsys, [subcommand, f"{flag}={value}"])
     assert code == cli.EXIT_OK and json.loads(out)["command"] == [subcommand, f"{flag}={value}"]
     assert run_main(capsys, [subcommand, flag, value])[:2] == (code, out)
+    full = "--state" if "--state".startswith(flag) else "--ctc"
+    if flag != full:
+        full_code, full_out, _ = run_main(capsys, [subcommand, f"{full}={value}"])
+        assert (full_code, json.loads(full_out)["results"]) == (code, json.loads(out)["results"])
 
 
 def test_a_flag_after_a_state_flag_is_still_a_flag(capsys):
@@ -362,6 +371,88 @@ def test_a_flag_after_a_state_flag_is_still_a_flag(capsys):
         run_main(capsys, ["fixed-point", "--state", "--seed", "1"])
     assert info.value.code == 2
     assert "argument --state: expected one argument" in capsys.readouterr().err
+
+
+def test_an_ambiguous_abbreviation_before_a_negative_value_is_a_usage_error(capsys):
+    # --s abbreviates --seed, --state, --scenario and --storage-cycles
+    with pytest.raises(SystemExit) as info:
+        run_main(capsys, ["run-protocol", "--s", "-0.6,0,0.8,0"])
+    assert info.value.code == 2
+    assert "ambiguous option: --s=-0.6,0,0.8,0 could match" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ subcommand table
+
+SEED = ("--seed", None, int, None, "_StoreAction", "RNG seed (env CTC_SIM_SEED)")
+OUTPUT = ("--output", "json", None, ("json", "csv"), "_StoreAction", None)
+STATE_HELP = "amplitudes a_re,a_im,b_re,b_im or a JSON file"
+STATE = ("--state", "0.6,0,0.8,0", None, None, "_StoreAction", STATE_HELP)
+UNITARY_HELP = "gate name or JSON matrix file"
+UNITARY = ("--unitary", "swap", None, None, "_StoreAction", UNITARY_HELP)
+TOLERANCE = ("--tolerance", 1e-12, float, None, "_StoreAction", None)
+
+#: Each subcommand in order: its help, whether it refuses a negative seed,
+#: and its flags in order as (option, default, type, choices, action, help).
+SUBCOMMAND_TABLE = {
+    "run-protocol": ("execute one Alice/Bob session", True, [
+        SEED,
+        OUTPUT,
+        ("--state", None, None, None, "_StoreAction", STATE_HELP),
+        ("--unitary", None, None, None, "_StoreAction", UNITARY_HELP),
+        ("--ctc", None, None, None, "_StoreAction", "initial CTC state (same format as --state)"),
+        ("--formalism", None, None, ("wavefunction", "density"), "_StoreAction", None),
+        ("--scenario", None, None, ("nominal", "bob_skips", "self_signal", "storage"), "_StoreAction", None),
+        ("--bob-measures", None, None, None, "_StoreTrueAction", None),
+        ("--storage-cycles", None, int, None, "_StoreAction", None),
+        ("--config", None, None, None, "_StoreAction", "JSON file mirroring ProtocolConfig fields"),
+    ]),
+    "fixed-point": ("solve the Deutsch condition for a coupling", False, [SEED, OUTPUT, STATE, UNITARY, TOLERANCE]),
+    "classify-consistency": ("strong/Deutsch/weak verdicts for a coupling", True, [
+        SEED,
+        OUTPUT,
+        STATE,
+        UNITARY,
+        ("--ctc", "1,0,0,0", None, None, "_StoreAction", None),
+        TOLERANCE,
+        ("--grid", None, int, None, "_StoreAction", "also scan admissible inputs on a Bloch grid"),
+    ]),
+    "beam": ("random-basis beam of CTC qubits", True, [
+        SEED,
+        OUTPUT,
+        ("--trials", 10000, int, None, "_StoreAction", None),
+        ("--policy", "collapse", None, ("collapse", "discard", "noise"), "_StoreAction", None),
+    ]),
+    "teleport-baseline": ("standard teleportation with resource accounting", True, [SEED, OUTPUT, STATE]),
+    "topology-check": ("validate a finite topology and test separation", False, [
+        SEED,
+        OUTPUT,
+        ("--space", None, None, None, "_StoreAction", "JSON file {points: [...], opens: [[...], ...]}"),
+        ("--copies", None, int, None, "_StoreAction", "build a line-splitting model instead (2..1000)"),
+    ]),
+    "resources": ("tallies and conversion-relation verdicts", True, [SEED, OUTPUT, STATE]),
+}
+
+
+def test_the_parser_holds_each_subcommand_and_its_flags_in_order():
+    # the structure, not a help digest: argparse lays out help differently across versions
+    subparsers = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert [(c.dest, c.help) for c in subparsers._choices_actions] == [
+        (name, summary) for name, (summary, _, _) in SUBCOMMAND_TABLE.items()
+    ]
+    for name, (_, _, flags) in SUBCOMMAND_TABLE.items():
+        actions = [a for a in subparsers.choices[name]._actions if a.dest != "help"]
+        found = [(a.option_strings, a.default, a.type, a.choices, type(a).__name__, a.help) for a in actions]
+        assert found == [([option], *rest) for option, *rest in flags], name
+
+
+@pytest.mark.parametrize("name", SUBCOMMAND_TABLE)
+def test_which_subcommands_refuse_a_negative_seed(name):
+    args = cli._build_parser().parse_args([name, "--seed", "-1"])
+    if SUBCOMMAND_TABLE[name][1]:
+        with pytest.raises(ValueError, match="^--seed must be an integer >= 0, got -1$"):
+            cli._seed(args)
+    else:
+        assert cli._seed(args) == -1
 
 
 # ------------------------------------------------------------------ file inputs
@@ -658,6 +749,19 @@ def test_topology_labels_and_opens_of_the_wrong_type_give_one_error_line(tmp_pat
     result = run_cli(["topology-check", "--space", str(path)])
     assert result.returncode == cli.EXIT_ERROR and result.stdout == b""
     assert result.stderr.decode().splitlines() == [f"error: {path}: space key {message}"]
+
+
+@pytest.mark.parametrize("angle, shown", (("1e999", "inf"), ("NaN", "nan")))
+def test_a_non_finite_controlled_phase_angle_is_one_error_line(tmp_path, angle, shown):
+    # np.exp would print a two-line RuntimeWarning before the error line
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"input_state": {"dim": 2, "data": [[1, 0], [0, 0]]}, '
+        f'"gate": {{"name": "controlled_phase", "params": {angle}}}}}'
+    )
+    result = run_cli(["run-protocol", "--config", str(path)])
+    assert (result.returncode, result.stdout) == (cli.EXIT_ERROR, b"")
+    assert result.stderr.decode().splitlines() == [f"error: {path}: controlled_phase angle must be finite, got {shown}"]
 
 
 #: A wall-clock limit for a run that must end at once: far above the

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +142,19 @@ def test_gate_spec_refuses_a_custom_path_that_is_no_path(path):
 def test_gate_spec_refuses_an_angle_that_is_no_real_number(params):
     # float() would read True as 1.0 and "0.7" as 0.7
     with pytest.raises(TypeError, match=f"params must be a real number or None, got {type(params).__name__}$"):
+        GateSpec("controlled_phase", params)
+
+
+@pytest.mark.parametrize(
+    "params",
+    (math.inf, -math.inf, math.nan, np.float64(np.inf), 10**400),
+    ids=("inf", "minus_inf", "nan", "numpy_inf", "int_past_float_range"),
+)
+def test_gate_spec_refuses_an_angle_that_is_not_finite(params):
+    # np.exp would warn on inf or NaN, and float() overflows on the int; the
+    # error line shows at most 80 characters of the value
+    shown = repr(params) if len(repr(params)) <= 80 else repr(params)[:80] + "..."
+    with pytest.raises(ValueError, match=f"^controlled_phase angle must be finite, got {re.escape(shown)}$"):
         GateSpec("controlled_phase", params)
 
 
