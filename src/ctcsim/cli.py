@@ -346,21 +346,30 @@ _TOLERANCE = dict(type=float, default=STRICT_TOL)
 #: refuse each one given.
 _SUBCOMMANDS = {
     "run-protocol": ("execute one Alice/Bob session", _run_protocol, True, {
-        "--state": {**_STATE, "default": None}, "--unitary": {**_UNITARY, "default": None},
+        "--state": {**_STATE, "default": None},
+        "--unitary": {**_UNITARY, "default": None},
         "--ctc": dict(help="initial CTC state (same format as --state)"),
-        "--formalism": dict(choices=FORMALISMS), "--scenario": dict(choices=SCENARIOS),
-        "--bob-measures": dict(action="store_true", default=None), "--storage-cycles": dict(type=int),
+        "--formalism": dict(choices=FORMALISMS),
+        "--scenario": dict(choices=SCENARIOS),
+        "--bob-measures": dict(action="store_true", default=None),
+        "--storage-cycles": dict(type=int),
         "--config": dict(default=None, help="JSON file mirroring ProtocolConfig fields"),
     }),
     "fixed-point": ("solve the Deutsch condition for a coupling", _fixed_point, False, {
-        "--state": _STATE, "--unitary": _UNITARY, "--tolerance": _TOLERANCE,
+        "--state": _STATE,
+        "--unitary": _UNITARY,
+        "--tolerance": _TOLERANCE,
     }),
     "classify-consistency": ("strong/Deutsch/weak verdicts for a coupling", _classify, True, {
-        "--state": _STATE, "--unitary": _UNITARY, "--ctc": dict(default="1,0,0,0"), "--tolerance": _TOLERANCE,
+        "--state": _STATE,
+        "--unitary": _UNITARY,
+        "--ctc": dict(default="1,0,0,0"),
+        "--tolerance": _TOLERANCE,
         "--grid": dict(type=int, default=None, help="also scan admissible inputs on a Bloch grid"),
     }),
     "beam": ("random-basis beam of CTC qubits", _beam, True, {
-        "--trials": dict(type=int, default=10000), "--policy": dict(choices=BEAM_POLICIES, default="collapse"),
+        "--trials": dict(type=int, default=10000),
+        "--policy": dict(choices=BEAM_POLICIES, default="collapse"),
     }),
     "teleport-baseline": ("standard teleportation with resource accounting", _teleport, True, {"--state": _STATE}),
     "topology-check": ("validate a finite topology and test separation", _topology, False, {
@@ -395,7 +404,7 @@ def dispatch(argv) -> tuple[Report, int, str]:
     results = args.run(args, seed)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     code = EXIT_OK
-    if args.subcommand == "run-protocol":  # a --config file sets the seed
+    if args.subcommand == "run-protocol":  # only its transcript holds a --config seed and scenario
         seed = results["seed"]
         if results["collapse_flag"] and results["detail"]["scenario"] not in EXPECTED_COLLAPSE:
             code = EXIT_UNEXPECTED_COLLAPSE
