@@ -20,6 +20,7 @@ from .consistency import (
     SOLVER_AGREEMENT_TOL,
     STRICT_TOL,
     _admissible_points,
+    _tolerance,
     check_deutsch,
     check_strong,
     check_weak,
@@ -162,16 +163,11 @@ def _parse_state(text: str) -> StateVector:
     return serialize.load(text, StateVector.from_json)
 
 
-def _density(document) -> DensityOperator:
-    arr = serialize.document_to_array(document)
-    return DensityOperator(arr) if arr.ndim == 2 else StateVector(arr).density()
-
-
 def _parse_density(text: str) -> DensityOperator:
-    """A state flag interpreted as a density operator; matrix files allowed."""
+    """A state flag interpreted as a density operator; a file may hold a vector or a matrix."""
     if _inline(text):
         return _parse_state(text).density()
-    return serialize.load(text, _density)
+    return serialize.load(text, DensityOperator.from_json)
 
 
 def _gate_spec(text: str) -> GateSpec:
@@ -192,12 +188,6 @@ def _bounded(flag: str, value: int, low: int, cap: int) -> int:
     return value
 
 
-def _tolerance(value: float) -> float:
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"--tolerance must be a finite number >= 0, got {value!r}")
-    return value
-
-
 def _seed(args) -> int:
     """``--seed``, else ``CTC_SIM_SEED``, else 0. A seed that a generator
     reads must be >= 0; ``run-protocol --config`` reads the file's."""
@@ -207,7 +197,7 @@ def _seed(args) -> int:
         try:
             seed = int(text)
         except ValueError:
-            raise ValueError(f"CTC_SIM_SEED must be an integer >= 0, got {text!r}") from None
+            raise ValueError(f"CTC_SIM_SEED must be an integer >= 0, got {serialize._shown(text)}") from None
     if seed < 0 and args.seeded and not getattr(args, "config", None):
         raise ValueError(f"{name} must be an integer >= 0, got {seed}")
     return seed
@@ -253,7 +243,7 @@ def _run_protocol(args, seed) -> dict:
 def _fixed_point(args, seed) -> dict:
     gate = build_gate(_gate_spec(args.unitary))
     rho_in = _parse_density(args.state)
-    tolerance = _tolerance(args.tolerance)
+    tolerance = _tolerance(args.tolerance, "--tolerance")
     iterative = solve_deutsch_fixed_point(gate, rho_in, "iterative", tolerance=tolerance)
     spectral = solve_deutsch_fixed_point(gate, rho_in, "spectral", tolerance=tolerance)
     agreement = trace_distance(iterative.rho, spectral.rho)
@@ -271,7 +261,7 @@ def _classify(args, seed) -> dict:
     gate_spec = _gate_spec(args.unitary)
     state = _parse_state(args.state)
     ctc = _parse_state(args.ctc)
-    tolerance = _tolerance(args.tolerance)
+    tolerance = _tolerance(args.tolerance, "--tolerance")
     config = ProtocolConfig(input_state=state, ctc_initial=ctc, gate=gate_spec, seed=seed)
     gate, ctc_rho = config.coupling, ctc.density()
     results = {

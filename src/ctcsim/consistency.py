@@ -124,6 +124,13 @@ def _integer(value, name: str):
     return value
 
 
+def _tolerance(value, name: str = "tolerance") -> float:
+    """``value`` if finite and >= 0, else a ValueError naming ``name``: the one tolerance rule."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
+
+
 def _require_coupling_shapes(u: UnitaryGate, *single_qubit_dims):
     if u.dim != 4:
         raise ValueError(f"coupling gate must act on 2 qubits, got dim {u.dim}")
@@ -177,8 +184,9 @@ def check_strong(
 
     The residual is 1 - <ctc| rho_ctc |ctc> of the evolved reduced CTC
     state, which vanishes exactly when the joint state is a product with
-    CTC factor |ctc> up to global phase.
+    CTC factor |ctc> up to global phase. ``tolerance``: see :func:`_tolerance`.
     """
+    _tolerance(tolerance)
     _require_coupling_shapes(u, s.dim, ctc.dim)
     joint = apply_unitary(tensor_product(s, ctc), u)
     reduced = partial_trace(joint.density(), keep=1)
@@ -189,7 +197,8 @@ def check_strong(
 def check_deutsch(
     u: UnitaryGate, rho_in: DensityOperator, rho: DensityOperator, tolerance: float = STRICT_TOL
 ) -> ConsistencyVerdict:
-    """Trace distance between rho and its image under the reduced map."""
+    """Trace distance between rho and its image under the reduced map (``tolerance``: :func:`_tolerance`)."""
+    _tolerance(tolerance)
     residual = trace_distance(rho, deutsch_map(u, rho_in, rho))
     return ConsistencyVerdict("deutsch", residual, tolerance)
 
@@ -328,7 +337,7 @@ def solve_deutsch_fixed_point(
 
     iterative: repeated application of the map starting from the
     maximally mixed state until successive iterates agree within
-    ``tolerance``, which must be finite and non-negative (at most
+    ``tolerance``, finite and >= 0 by the rule of :func:`_tolerance` (at most
     ``max_iterations`` steps). Each step adds rounding error to the
     iterate's trace, so an iterate whose trace is off by more than half of
     ``ATOL`` is divided by it before the next step; otherwise a slow
@@ -345,8 +354,7 @@ def solve_deutsch_fixed_point(
     if method not in ("iterative", "spectral"):
         raise ValueError(f"unknown method {method!r}")
     _integer(max_iterations, "max_iterations")
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+    _tolerance(tolerance)
     (k, b, constant), null_basis, (left, svals, vt, free) = _fixed_space(u, rho_in)
     # adding 0.0 turns a -0.0 direction entry into +0.0
     directions = np.array(null_basis).reshape(-1, 3).T + 0.0

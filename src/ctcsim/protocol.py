@@ -63,6 +63,15 @@ class CausalityError(RuntimeError):
     """Chirality violation: an event against the direction of linear time."""
 
 
+def _checked_seed(seed) -> int:
+    """``seed`` as an int; a bool or a non-int raises TypeError, a negative
+    one a ValueError that names it (numpy's generators take seeds >= 0)."""
+    value = operator.index(_integer(seed, "seed"))
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return value
+
+
 #: The scalar keys of a config document and their JSON types.
 _CONFIG_KINDS = dict(formalism=str, scenario=str, bob_measures=bool, seed=int, storage_cycles=int)
 _CONFIG_KEYS = ("input_state", "ctc_initial", "gate", *_CONFIG_KINDS)
@@ -94,7 +103,7 @@ class ProtocolConfig:
             raise ProtocolError(f"unknown scenario {self.scenario!r}")
         if not isinstance(self.bob_measures, (bool, np.bool_)):
             raise TypeError(f"bob_measures must be a bool, got {type(self.bob_measures).__name__}")
-        _integer(self.seed, "seed")
+        _checked_seed(self.seed)
         _integer(self.storage_cycles, "storage_cycles")
         object.__setattr__(self, "coupling", build_gate(self.gate))
         if self.coupling.dim != 4:
@@ -233,15 +242,6 @@ class _Recorder:
         return Transcript(records=records, resource_entries=self.resource_entries, **fields)
 
 
-def _checked_seed(seed) -> int:
-    """``seed`` as an int; a bool or a non-int raises TypeError, a negative
-    one a ValueError that names it (numpy's generators take seeds >= 0)."""
-    value = operator.index(_integer(seed, "seed"))
-    if value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return value
-
-
 class Session(_Recorder):
     """Mutable state for one protocol run; owns one ledger branch and
     records its events, whose CTC contacts are ``_CTC_CONTACT``."""
@@ -251,7 +251,7 @@ class Session(_Recorder):
         self.config = config
         self.gate: UnitaryGate = config.coupling
         self.ledger = ledger if ledger is not None else BranchLedger()
-        self.rng = np.random.default_rng(_checked_seed(config.seed))
+        self.rng = np.random.default_rng(config.seed)  # checked by ProtocolConfig
         self.collapse_reasons: list[str] = []
         self.stage = "created"
 

@@ -108,13 +108,11 @@ class StateVector(_Frozen):
         return state
 
     @classmethod
-    def basis(cls, index: int, num_qubits: int = 1) -> "StateVector":
-        dim = 2**num_qubits
-        if not 0 <= index < dim:
-            raise ValueError(f"basis index {index} is out of range 0..{dim - 1}")
-        amps = np.zeros(dim, dtype=complex)
-        amps[index] = 1.0
-        return cls._trusted(amps)
+    def basis(cls, index: int) -> "StateVector":
+        """The single-qubit |index>; a register is a :func:`tensor_product` of these."""
+        if index not in (0, 1):
+            raise ValueError(f"basis index {index} is out of range 0..1")
+        return cls._trusted(_COMPUTATIONAL[index].copy())
 
     @classmethod
     def qubit(cls, a: complex, b: complex) -> "StateVector":
@@ -172,9 +170,9 @@ class DensityOperator(_Frozen):
         return rho
 
     @classmethod
-    def maximally_mixed(cls, num_qubits: int = 1) -> "DensityOperator":
-        dim = 2**num_qubits
-        return cls._trusted(np.eye(dim, dtype=complex) / dim)
+    def maximally_mixed(cls) -> "DensityOperator":
+        """The single-qubit I/2; a register is a :func:`tensor_product` of these."""
+        return cls._trusted(np.eye(2, dtype=complex) / 2)
 
     @property
     def num_qubits(self) -> int:
@@ -185,10 +183,9 @@ class DensityOperator(_Frozen):
 
     @classmethod
     def from_json(cls, document: dict) -> "DensityOperator":
+        """The operator of a matrix document, or the pure state's of a vector document."""
         arr = serialize.document_to_array(document)
-        if arr.ndim != 2:
-            raise ValueError("document holds a vector, not a matrix")
-        return cls(arr)
+        return cls(arr) if arr.ndim == 2 else StateVector(arr).density()
 
     def __repr__(self):
         return f"DensityOperator({np.array2string(self.matrix, precision=6)})"
@@ -255,15 +252,14 @@ def partial_trace(rho: DensityOperator, keep: Union[int, Sequence[int]]) -> Dens
     return DensityOperator._trusted(matrix)
 
 
-def apply_unitary(state: QuantumState, u) -> QuantumState:
-    """U|psi> for vectors, U rho U-dagger for density operators.
-
-    ``u`` is a :class:`UnitaryGate` or a raw matrix, which is outside input
-    and so is built into a gate, checked, first.
-    """
+def apply_unitary(state: QuantumState, u: UnitaryGate) -> QuantumState:
+    """U|psi> for vectors, U rho U-dagger for density operators. A raw
+    matrix is refused: ``UnitaryGate(m)`` is where it is checked."""
     if not isinstance(state, (StateVector, DensityOperator)):
         raise TypeError(f"expected StateVector or DensityOperator, got {type(state).__name__}")
-    matrix = (u if isinstance(u, UnitaryGate) else UnitaryGate(u)).matrix
+    if not isinstance(u, UnitaryGate):
+        raise TypeError(f"expected UnitaryGate, got {type(u).__name__}")
+    matrix = u.matrix
     if matrix.shape[1] != state.dim:
         raise ValueError(f"dimension mismatch: gate {matrix.shape} vs state dim {state.dim}")
     if isinstance(state, StateVector):

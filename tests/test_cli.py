@@ -957,6 +957,15 @@ def test_bad_seeds_end_in_one_error_line_naming_the_input(argv, env, message, ca
     assert (code, out, err.splitlines()) == (cli.EXIT_ERROR, "", [f"error: {message}"])
 
 
+def test_a_huge_env_seed_ends_in_one_short_error_line(capsys, monkeypatch):
+    # int() refuses a string of more than 4,300 digits; the line shows 80 characters of it
+    monkeypatch.setenv("CTC_SIM_SEED", "7" * 10**5)
+    code, out, err = run_main(capsys, ["beam", "--trials", "2"])
+    expected = f"error: CTC_SIM_SEED must be an integer >= 0, got '{'7' * 79}..."
+    assert (code, out, err.splitlines()) == (cli.EXIT_ERROR, "", [expected])
+    assert len(err.encode()) < 300
+
+
 def test_negative_config_seed_names_the_key(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"input_state": {"dim": 2, "data": [[1, 0], [0, 0]]}, "seed": -1}))

@@ -244,6 +244,29 @@ def test_iterative_survives_slow_contraction_without_trace_drift():
     assert trace_distance(sol.rho, spectral.rho) <= 1e-9
 
 
+SWAP_CHECKS = {
+    "iterative": lambda swap, tolerance: solve_deutsch_fixed_point(
+        swap, DensityOperator.maximally_mixed(), "iterative", tolerance=tolerance
+    ),
+    "spectral": lambda swap, tolerance: solve_deutsch_fixed_point(
+        swap, DensityOperator.maximally_mixed(), "spectral", tolerance=tolerance
+    ),
+    "strong": lambda swap, tolerance: check_strong(swap, StateVector.basis(0), StateVector.basis(0), tolerance),
+    "deutsch": lambda swap, tolerance: check_deutsch(
+        swap, DensityOperator.maximally_mixed(), DensityOperator.maximally_mixed(), tolerance
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SWAP_CHECKS)
+def test_solvers_and_checkers_share_one_tolerance_rule(name):
+    swap = build_gate(GateSpec("swap"))
+    for tolerance in (float("nan"), float("inf"), -float("inf"), -1.0):
+        with pytest.raises(ValueError, match=rf"^tolerance must be a finite number >= 0, got {tolerance!r}$"):
+            SWAP_CHECKS[name](swap, tolerance)
+    SWAP_CHECKS[name](swap, 0.0)
+
+
 @pytest.mark.parametrize("tolerance", [-1.0, float("nan"), float("inf")])
 @pytest.mark.parametrize("method", ["iterative", "spectral"])
 def test_solver_rejects_negative_or_non_finite_tolerance(method, tolerance):

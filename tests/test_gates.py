@@ -46,7 +46,7 @@ def test_swap_squared_is_identity():
 def test_controlled_rotation_diagonal():
     gate = build_gate(GateSpec("controlled_rotation"))
     assert np.allclose(np.diag(gate.matrix), [1, 1, 1, 1j])
-    out = apply_unitary(StateVector.basis(1, num_qubits=2), gate)
+    out = apply_unitary(tensor_product(StateVector.basis(0), StateVector.basis(1)), gate)
     assert np.allclose(out.amplitudes, [0, 1, 0, 0])
 
 

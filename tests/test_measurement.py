@@ -20,7 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ctcsim import protocol, states  # noqa: E402
-from ctcsim.gates import GateSpec, bell_pair, build_gate  # noqa: E402
+from ctcsim.gates import GateSpec, UnitaryGate, bell_pair, build_gate  # noqa: E402
 from ctcsim.protocol import (  # noqa: E402
     ProtocolConfig,
     Session,
@@ -155,8 +155,8 @@ def old_teleport_sample(draw, outcome_table):
 
 def old_teleport_table(input_state):
     psi = tensor_product(input_state, bell_pair())
-    psi = apply_unitary(psi, np.kron(build_gate(GateSpec("cnot")).matrix, np.eye(2)))
-    psi = apply_unitary(psi, np.kron(build_gate(GateSpec("hadamard")).matrix, np.eye(4)))
+    psi = apply_unitary(psi, UnitaryGate(np.kron(build_gate(GateSpec("cnot")).matrix, np.eye(2))))
+    psi = apply_unitary(psi, UnitaryGate(np.kron(build_gate(GateSpec("hadamard")).matrix, np.eye(4))))
     x_mat = np.array([[0, 1], [1, 0]], dtype=complex)
     z_mat = np.array([[1, 0], [0, -1]], dtype=complex)
     table = {}

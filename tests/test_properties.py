@@ -115,7 +115,6 @@ def test_apply_unitary_output_is_a_density_operator(seed):
     u = haar_unitary(rng)
     rho = random_density(rng, 2)
     assert_valid(apply_unitary(rho, UnitaryGate(u)))
-    assert_valid(apply_unitary(rho, u))
 
 
 @examples

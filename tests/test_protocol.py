@@ -917,6 +917,12 @@ def test_beam_seed_and_trial_limits():
         run_beam(2**32 + 1)
 
 
+def test_config_checks_its_seed_before_a_branch_is_allocated():
+    # the config refuses the seed, so no session, and so no ledger branch, is made from it
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+        ProtocolConfig(input_state=StateVector.qubit(0.6, 0.8), seed=-1)
+
+
 def test_session_checks_its_seed():
     ledger = BranchLedger()
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):

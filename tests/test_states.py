@@ -157,7 +157,7 @@ def test_partial_trace_three_qubits():
 
 
 def test_partial_trace_invalid_subsystem():
-    rho = DensityOperator.maximally_mixed(2)
+    rho = tensor_product(DensityOperator.maximally_mixed(), DensityOperator.maximally_mixed())
     with pytest.raises(ValueError):
         partial_trace(rho, keep=5)
 
@@ -187,12 +187,14 @@ def test_swap_moves_amplitude_onto_ctc():
 
 def test_identity_leaves_state():
     state = random_state(2)
-    out = apply_unitary(state, np.eye(4))
+    out = apply_unitary(state, UnitaryGate(np.eye(4)))
     assert np.allclose(out.amplitudes, state.amplitudes)
 
 
 def test_controlled_rotation_phases_11():
-    out = apply_unitary(StateVector.basis(3, num_qubits=2), build_gate(GateSpec("controlled_rotation")))
+    out = apply_unitary(
+        tensor_product(StateVector.basis(1), StateVector.basis(1)), build_gate(GateSpec("controlled_rotation"))
+    )
     assert np.allclose(out.amplitudes, [0, 0, 0, 1j])
 
 
@@ -200,16 +202,16 @@ def test_unitary_then_inverse_restores():
     for _ in range(20):
         u = random_unitary(4)
         state = random_state(2)
-        back = apply_unitary(apply_unitary(state, u), u.conj().T)
+        back = apply_unitary(apply_unitary(state, UnitaryGate(u)), UnitaryGate(u.conj().T))
         assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
         rho = DensityOperator(_random_two_qubit_density())
-        back_rho = apply_unitary(apply_unitary(rho, u), u.conj().T)
+        back_rho = apply_unitary(apply_unitary(rho, UnitaryGate(u)), UnitaryGate(u.conj().T))
         assert np.allclose(back_rho.matrix, rho.matrix, atol=1e-12)
 
 
 def test_apply_unitary_preserves_norm():
     for _ in range(10):
-        out = apply_unitary(random_state(2), random_unitary(4))
+        out = apply_unitary(random_state(2), UnitaryGate(random_unitary(4)))
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -219,8 +221,18 @@ def test_apply_unitary_dimension_mismatch():
 
 
 def test_apply_unitary_rejects_raw_non_unitary_on_density():
-    with pytest.raises(ValueError):
-        apply_unitary(DensityOperator.maximally_mixed(1), 2 * np.eye(2))
+    # a raw matrix is refused as such; UnitaryGate is where a matrix is checked
+    with pytest.raises(TypeError, match="expected UnitaryGate, got ndarray"):
+        apply_unitary(DensityOperator.maximally_mixed(), 2 * np.eye(2))
+    with pytest.raises(ValueError, match="not unitary"):
+        UnitaryGate(2 * np.eye(2))
+
+
+@pytest.mark.parametrize("state", [StateVector.basis(0), DensityOperator.maximally_mixed()])
+def test_apply_unitary_takes_only_a_unitary_gate(state):
+    with pytest.raises(TypeError, match="expected UnitaryGate"):
+        apply_unitary(state, np.eye(2))
+    assert apply_unitary(state, UnitaryGate(np.eye(2))).dim == 2
 
 
 # ---------------------------------------------------------------- measurement
@@ -290,9 +302,11 @@ def test_zero_probability_branch_has_a_zero_remainder(density):
 
 @pytest.mark.parametrize("index, num_qubits", [(-1, 1), (2, 1), (-1, 2), (4, 2)])
 def test_basis_rejects_index_out_of_range(index, num_qubits):
-    top = 2**num_qubits - 1
-    with pytest.raises(ValueError, match=rf"basis index {index} is out of range 0\.\.{top}"):
-        StateVector.basis(index, num_qubits)
+    # basis builds one qubit; a register is a tensor_product of them
+    with pytest.raises(ValueError, match=rf"basis index {index} is out of range 0\.\.1"):
+        StateVector.basis(index)
+    with pytest.raises(TypeError):
+        StateVector.basis(0, num_qubits)
 
 
 # ------------------------------------------------------------------ distances
@@ -316,8 +330,9 @@ def test_trace_distance_pure_vs_mixed():
 
 
 def test_trace_distance_dimension_mismatch():
+    mixed = DensityOperator.maximally_mixed()
     with pytest.raises(ValueError):
-        trace_distance(DensityOperator.maximally_mixed(1), DensityOperator.maximally_mixed(2))
+        trace_distance(mixed, tensor_product(mixed, mixed))
 
 
 def test_purity_pure_state():
@@ -359,6 +374,13 @@ def test_density_json_round_trip():
     rho = random_density()
     again = DensityOperator.from_json(rho.to_json())
     assert np.allclose(rho.matrix, again.matrix)
+
+
+def test_a_vector_document_reads_as_its_pure_density():
+    for state in (random_state(1), random_state(2), StateVector.basis(1)):
+        document = state.to_json()
+        expected = StateVector.from_json(document).density().matrix
+        assert DensityOperator.from_json(document).matrix.tobytes() == expected.tobytes()
 
 
 def test_document_keeps_the_bits_of_every_part():
@@ -413,7 +435,7 @@ def test_document_reader_refuses_what_is_not_a_number_document(document, message
         lambda: tensor_product(StateVector.basis(0), random_state()).amplitudes,
         lambda: tensor_product(random_density(), random_density()).matrix,
         lambda: apply_unitary(random_state(2), build_gate(GateSpec("swap"))).amplitudes,
-        lambda: apply_unitary(random_density(), random_unitary(2)).matrix,
+        lambda: apply_unitary(random_density(), UnitaryGate(random_unitary(2))).matrix,
         lambda: partial_trace(random_state(2).density(), 1).matrix,
         lambda: random_state().density().matrix,
         lambda: deutsch_map(build_gate(GateSpec("swap")), random_density(), random_density()).matrix,

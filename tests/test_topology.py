@@ -197,6 +197,20 @@ def test_violations_are_sorted_by_kind_size_and_labels():
     )
 
 
+def test_opens_are_ordered_by_size_then_labels_for_any_labels():
+    # labels of several characters and outside ASCII sort as Python strings
+    rng = np.random.default_rng(21)
+    alphabet = ["a", "b", "z", "Z", "9", "10", " ", "é", "ß", "λ", "Ω", "日"]
+    for _ in range(400):
+        points, size = [], int(rng.integers(2, 8))
+        while len(points) < size:
+            label = "".join(rng.choice(alphabet, int(rng.integers(1, 4))))
+            points += [label] if label not in points else []
+        subbasis = random_subsets(rng, points, int(rng.integers(0, 5)))
+        space = TopologySpace.from_subbasis(points, subbasis)
+        assert space.opens == tuple(pairwise_closure(points, subbasis))
+
+
 def test_from_subbasis_matches_pairwise_closure():
     rng = np.random.default_rng(13)
     for _ in range(200):
